@@ -108,9 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget(args) -> EnumerationBudget:
-    if getattr(args, "budget", None):
-        return EnumerationBudget(max_states=args.budget)
-    return EnumerationBudget.default()
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        return EnumerationBudget.default()
+    if budget < 0:
+        raise BadParamsError(f"--budget must be a non-negative number of states, got {budget}")
+    return EnumerationBudget(max_states=budget)
 
 
 def _emit(payload: Dict[str, object], fmt: str, out: Optional[Path]) -> None:

@@ -277,9 +277,10 @@ class SimplicialComplex:
 
     def to_text(self) -> str:
         lines = [f"dim {self.dimension}"]
+        weighted = not self.is_uniform
         for top in sorted(self.top_weights):
             entry = " ".join(map(str, top))
-            if not self.is_uniform:
+            if weighted:
                 w = self.top_weights[top]
                 entry += f" w {w.numerator}/{w.denominator}"
             lines.append(entry)

@@ -9,13 +9,21 @@ the coboundary weight strictly decreases, the step count and total movement
 respect their a-priori bounds, and when the input coboundary is small enough
 the output classification is verified; any violation raises
 FalsificationError rather than passing silently.
+
+Every exhaustive search here (the link searches of a step and the minimality
+scans) is one block scan, ``_scan_first_min``.  It walks G^n in lexicographic
+mixed-radix order, the order of ``itertools.product``, in blocks of about
+``_BLOCK_CELLS`` cells, so memory stays flat.  A block's face values come from
+the group's array ops (Cayley and inverse tables), its face weights from one
+matrix-vector product of the non-identity mask.  The first minimum wins:
+argmin within a block, a strict comparison across blocks, so ties resolve
+exactly as in a plain loop over ``product``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,40 +50,89 @@ from .oracle import (
 from .reporting import CheckReport
 from .spectral import local_spectral_lambda
 
+# Imported after the hdx modules, where spectral first loaded it before this
+# module used numpy: loading it ahead of them raised every command's peak RSS
+# by ~0.4 MB.
+import numpy as np
+
+
+# -- the block scan ----------------------------------------------------------------
+
+#: Cells (rows x columns) per block of the assignment scan; bounds its memory.
+_BLOCK_CELLS = 1 << 12
+
+
+def _scan_first_min(
+    G: FiniteGroup,
+    n: int,
+    const: Sequence[int],
+    left: Sequence[np.ndarray],
+    right: Sequence[np.ndarray],
+    weights: Sequence[int],
+    stop_below: Optional[int] = None,
+) -> Tuple[int, Tuple[int, ...]]:
+    """First x in G^n, in ``product`` order, minimizing the weighted count of faces
+    whose value  x[left...] * const * x[right...]  is not the identity.
+
+    Column c < n of ``left``/``right`` means x[c], column n + c means x[c]^-1.
+    Blocks of consecutive assignments are evaluated through the group's array
+    ops; argmin keeps the first minimum in a block and a strict comparison the
+    first across blocks.  With ``stop_below`` the scan ends at the first block
+    whose minimum falls below it.  Returns (weight, assignment).
+    """
+    m = len(const)
+    # Python ints when a count could pass int64 (weighted complexes, large denominators).
+    w = np.array(weights, dtype=np.int64 if sum(weights) < 2**63 else object)
+    const_row = np.asarray(const, dtype=np.int64)
+    order, total = G.order, G.order**n
+    place = order ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows = max(1, _BLOCK_CELLS // max(m, n))
+    best: Optional[Tuple[int, Tuple[int, ...]]] = None
+    for start in range(0, total, rows):
+        x = np.arange(start, min(start + rows, total), dtype=np.int64)[:, None] // place % order
+        xs = np.concatenate([x, G.inv_array(x)], axis=1)
+        acc = np.broadcast_to(const_row, (len(x), m))
+        for cols in reversed(left):
+            acc = G.op_array(xs[:, cols], acc)
+        for cols in right:
+            acc = G.op_array(acc, xs[:, cols])
+        counts = (acc != 0) @ w
+        i = int(np.argmin(counts))
+        if best is None or counts[i] < best[0]:
+            best = (int(counts[i]), tuple(int(a) for a in x[i]))
+            if stop_below is not None and best[0] < stop_below:
+                break
+    assert best is not None
+    return best
+
+
+def _facet_columns(
+    faces: Sequence[Face], lower: Sequence[Face], invert_even: bool
+) -> List[np.ndarray]:
+    """Scan columns of the i-th facets of ``faces``, inverted for even i iff invert_even."""
+    n = len(lower)
+    index = {face: c for c, face in enumerate(lower)}
+    columns = []
+    for i in range(len(faces[0])):
+        flip = n if (i % 2 == 0) == invert_even else 0
+        columns.append(
+            np.array([index[face[:i] + face[i + 1 :]] + flip for face in faces], dtype=np.intp)
+        )
+    return columns
+
+
+def _action_columns(
+    edges: Sequence[Face], vertices: Sequence[int]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Left and right scan columns of the vertex action h(u) c h(w)^-1 on edges (u, w)."""
+    n = len(vertices)
+    pos = {u: c for c, u in enumerate(vertices)}
+    left = [np.array([pos[u] for u, _ in edges], dtype=np.intp)]
+    right = [np.array([n + pos[w] for _, w in edges], dtype=np.intp)]
+    return left, right
+
 
 # -- minimality -------------------------------------------------------------------
-
-
-def _shifted_weight_num(f: Cochain, lower_faces: Sequence[Face], assignment: Sequence[int]) -> int:
-    """Weight numerator of f - delta(g) for the abelian lift g of an assignment."""
-    X, G, k = f.complex, f.group, f.dimension
-    glookup = dict(zip(lower_faces, assignment))
-    total = 0
-    for face in X.faces(k):
-        acc = f.values.get(face, 0)
-        if k == 0:
-            acc = G.op(acc, G.inv(glookup[()]))
-        else:
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1 :]
-                val = glookup.get(sub, 0)
-                if val:
-                    acc = G.op(acc, G.signed(val, -1 if i % 2 == 0 else 1))
-        if acc:
-            total += X.weight_numerator(face)
-    return total
-
-
-def _acted_weight_num(f: Cochain, vertices: Sequence[int], assignment: Sequence[int]) -> int:
-    """Weight numerator of h.f for a vertex assignment h (any group)."""
-    X, G = f.complex, f.group
-    h = dict(zip(vertices, assignment))
-    total = 0
-    for (u, v) in X.faces(1):
-        val = G.op(G.op(h[u], f.values.get((u, v), 0)), G.inv(h[v]))
-        if val:
-            total += X.weight_numerator((u, v))
-    return total
 
 
 def is_minimal(f: Cochain, budget: Optional[EnumerationBudget] = None) -> bool:
@@ -89,42 +146,39 @@ def is_minimal(f: Cochain, budget: Optional[EnumerationBudget] = None) -> bool:
     X, G, k = f.complex, f.group, f.dimension
     if not f.values:
         return True
-    target_num = sum(X.weight_numerator(face) for face in f.values)
+    faces = X.faces(k)
     if G.is_abelian or k == 0:
-        lower_faces = list(X.faces(k - 1)) if k >= 1 else [()]
-        budget.ensure(space_size(G, len(lower_faces)), "minimality scan")
-        for assignment in product(range(G.order), repeat=len(lower_faces)):
-            if _shifted_weight_num(f, lower_faces, assignment) < target_num:
-                return False
-        return True
-    if k == 1:
-        vertices = list(X.vertices())
-        budget.ensure(space_size(G, len(vertices)), "minimality scan")
-        for assignment in product(range(G.order), repeat=len(vertices)):
-            if _acted_weight_num(f, vertices, assignment) < target_num:
-                return False
-        return True
-    if k == 2:
-        return _is_minimal_nonabelian_2(f, budget, target_num)
-    raise UndefinedCoboundaryError("no coboundary space for this (group, dimension)")
-
-
-def _is_minimal_nonabelian_2(f: Cochain, budget: EnumerationBudget, target_num: int) -> bool:
-    from .cochains import coboundary_nonabelian_1
-
-    X, G = f.complex, f.group
-    edges = list(X.faces(1))
-    budget.ensure(space_size(G, len(edges)), "minimality scan")
-    for assignment in product(range(G.order), repeat=len(edges)):
-        g = Cochain(X, 1, G, {e: v for e, v in zip(edges, assignment) if v}, _trusted=True)
-        shift = coboundary_nonabelian_1(g)
-        total = 0
-        for face in X.faces(2):
-            if G.op(f.values.get(face, 0), G.inv(shift.values.get(face, 0))):
-                total += X.weight_numerator(face)
-        if total < target_num:
-            return False
-    return True
+        # f - delta(g), with g on X(k-1); X(-1) = {()} carries the constants.
+        lower = X.faces(k - 1)
+        left, right = [], _facet_columns(faces, lower, invert_even=True)
+    elif k == 1:
+        lower = X.vertices()
+        left, right = _action_columns(faces, lower)
+    elif k == 2:
+        # f(uvw) (g(uv) g(vw) g(uw)^-1)^-1 = f(uvw) g(uw) g(vw)^-1 g(uv)^-1
+        lower = X.faces(1)
+        n = len(lower)
+        pos = {edge: c for c, edge in enumerate(lower)}
+        left = []
+        right = [
+            np.array([pos[(u, w)] for u, _, w in faces], dtype=np.intp),
+            np.array([n + pos[(v, w)] for _, v, w in faces], dtype=np.intp),
+            np.array([n + pos[(u, v)] for u, v, _ in faces], dtype=np.intp),
+        ]
+    else:
+        raise UndefinedCoboundaryError("no coboundary space for this (group, dimension)")
+    budget.ensure(space_size(G, len(lower)), "minimality scan")
+    target_num = sum(X.weight_numerator(face) for face in f.values)
+    best, _ = _scan_first_min(
+        G,
+        len(lower),
+        [f.values.get(face, 0) for face in faces],
+        left,
+        right,
+        [X.weight_numerator(face) for face in faces],
+        stop_below=target_num,
+    )
+    return best >= target_num
 
 
 def is_locally_minimal(
@@ -153,25 +207,6 @@ class _LinkSearch:
     lower_faces: Tuple[Face, ...]
 
 
-def _abelian_link_delta(link, lower_faces, assignment, j: int, G) -> Dict[Face, int]:
-    """delta of a (j-2)-assignment inside the link, as a dense face -> value map."""
-    out: Dict[Face, int] = {}
-    glookup = dict(zip(lower_faces, assignment))
-    for face in link.faces(j - 1):
-        if j - 1 == 0:
-            val = glookup[()]
-        else:
-            val = 0
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1 :]
-                g = glookup.get(sub, 0)
-                if g:
-                    val = G.op(val, G.signed(g, 1 if i % 2 == 0 else -1))
-        if val:
-            out[face] = val
-    return out
-
-
 def _search_link_abelian(
     h: Cochain, v: int, budget: EnumerationBudget
 ) -> Optional[_LinkSearch]:
@@ -181,25 +216,22 @@ def _search_link_abelian(
     hv = h.localize((v,))
     if hv.is_zero():
         return None
-    lower_faces: Tuple[Face, ...] = tuple(link.faces(j - 2)) if j >= 2 else ((),)
+    lower_faces = link.faces(j - 2)
     budget.ensure(space_size(G, len(lower_faces)), f"link correction scan at {v}")
-    star_num = {
-        face: X.weight_numerator(tuple(sorted((v,) + face))) for face in link.faces(j - 1)
-    }
-    old_star = sum(star_num[face] for face in hv.values)
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    for assignment in product(range(G.order), repeat=len(lower_faces)):
-        shift = _abelian_link_delta(link, lower_faces, assignment, j, G)
-        new_star = 0
-        for face in set(hv.values) | set(shift):
-            if G.op(hv.values.get(face, 0), shift.get(face, 0)):
-                new_star += star_num[face]
-        if best is None or new_star < best[0]:
-            best = (new_star, tuple(assignment))
-    assert best is not None
-    if best[0] >= old_star:
+    faces = link.faces(j - 1)
+    star = [X.weight_numerator(tuple(sorted((v,) + face))) for face in faces]
+    old_star = sum(num for face, num in zip(faces, star) if face in hv.values)
+    new_star, assignment = _scan_first_min(
+        G,
+        len(lower_faces),
+        [hv.values.get(face, 0) for face in faces],
+        [],
+        _facet_columns(faces, lower_faces, invert_even=False),
+        star,
+    )
+    if new_star >= old_star:
         return None
-    return _LinkSearch(v, old_star - best[0], best[0], best[1], lower_faces)
+    return _LinkSearch(v, old_star - new_star, new_star, assignment, lower_faces)
 
 
 def _lift_assignment(h: Cochain, search: _LinkSearch) -> Cochain:
@@ -276,24 +308,16 @@ def _search_link_nonabelian(
         return None
     vertices = tuple(link.vertices())
     budget.ensure(space_size(G, len(vertices)), f"link correction scan at {v}")
-    star_num = {
-        edge: X.weight_numerator(tuple(sorted((v,) + edge))) for edge in link.faces(1)
-    }
-    old_star = sum(star_num[edge] for edge in anchored)
-    op, inv = G.op, G.inv
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    for assignment in product(range(G.order), repeat=len(vertices)):
-        h = dict(zip(vertices, assignment))
-        new_star = 0
-        for (u, w), val in anchored.items():
-            if op(op(h[u], val), inv(h[w])):
-                new_star += star_num[(u, w)]
-        if best is None or new_star < best[0]:
-            best = (new_star, tuple(assignment))
-    assert best is not None
-    if best[0] >= old_star:
+    edges = list(anchored)
+    star = [X.weight_numerator(tuple(sorted((v,) + edge))) for edge in edges]
+    left, right = _action_columns(edges, vertices)
+    new_star, assignment = _scan_first_min(
+        G, len(vertices), [anchored[edge] for edge in edges], left, right, star
+    )
+    old_star = sum(star)
+    if new_star >= old_star:
         return None
-    return (old_star - best[0], v, best[1], vertices)
+    return (old_star - new_star, v, assignment, vertices)
 
 
 def one_step_nonabelian(
@@ -534,8 +558,6 @@ def saturation_diagnostic(f: Cochain) -> CheckReport:
     bound = 1 - Fraction(1, G.order)
     worst: Optional[Tuple[Face, Fraction]] = None
     for edge in X.faces(1):
-        if len(edge) - 1 >= X.dimension:
-            break
         local = f.localize(edge)
         w = local.complex.set_weight(local.values, 0)
         if worst is None or w > worst[1]:

@@ -28,15 +28,24 @@ def frac_pow(eta: Fraction, num: int) -> Fraction:
     return eta**num
 
 
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for an integer n >= 0, by integer Newton iteration."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) >= n^(1/3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def _is_perfect_cube(n: int) -> Optional[int]:
     if n < 0:
         r = _is_perfect_cube(-n)
         return None if r is None else -r
-    r = round(n ** (1 / 3))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**3 == n:
-            return c
-    return None
+    r = _icbrt(n)
+    return r if r**3 == n else None
 
 
 def cbrt_exact(x: Fraction) -> Optional[Fraction]:

@@ -2,7 +2,8 @@
 
 Abelian groups are written additively in the rest of the library (their
 identity plays the role of 0), non-abelian groups multiplicatively, but both
-share the same integer-indexed interface: ``op``, ``inv``, ``identity``.
+share the same integer-indexed interface: ``op``, ``inv``, ``identity``, and
+``op_array``/``inv_array`` for elementwise use on numpy index arrays.
 """
 
 from __future__ import annotations
@@ -28,12 +29,32 @@ class FiniteGroup:
     spec: str
     order: int
     _is_abelian: Optional[bool] = None
+    _tables: Optional[tuple] = None
 
     def op(self, a: int, b: int) -> int:
         raise NotImplementedError
 
     def inv(self, a: int) -> int:
         raise NotImplementedError
+
+    def op_array(self, a, b):
+        """Elementwise ``op`` on int64 arrays of element indices."""
+        return self._cayley()[0][a, b]
+
+    def inv_array(self, a):
+        """Elementwise ``inv`` on an int64 array of element indices."""
+        return self._cayley()[1][a]
+
+    def _cayley(self) -> tuple:
+        """The Cayley table and inverse map as int64 arrays, built once per group."""
+        if self._tables is None:
+            import numpy as np
+
+            n = self.order
+            mul = np.array([[self.op(a, b) for b in range(n)] for a in range(n)], dtype=np.int64)
+            inv = np.array([self.inv(a) for a in range(n)], dtype=np.int64)
+            self._tables = (mul, inv)
+        return self._tables
 
     @property
     def identity(self) -> int:
@@ -165,6 +186,10 @@ class CyclicGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return (-a) % self.order
 
+    # The arithmetic is elementwise, so no table: the order of Z_m is unbounded.
+    op_array = op
+    inv_array = inv
+
 
 class DirectProductGroup(FiniteGroup):
     """Direct product with mixed-radix element indices (left factor is slow)."""
@@ -199,6 +224,14 @@ class DirectProductGroup(FiniteGroup):
 
     def inv(self, a: int) -> int:
         return self._join([g.inv(x) for g, x in zip(self.factors, self._split(a))])
+
+    # Factor by factor, like op and inv, so no table of order^2 entries is built.
+    def op_array(self, a, b):
+        pa, pb = self._split(a), self._split(b)
+        return self._join([g.op_array(x, y) for g, x, y in zip(self.factors, pa, pb)])
+
+    def inv_array(self, a):
+        return self._join([g.inv_array(x) for g, x in zip(self.factors, self._split(a))])
 
     def element_label(self, a: int) -> str:
         parts = self._split(a)

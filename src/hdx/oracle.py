@@ -21,6 +21,7 @@ from .complexes import Face, SimplicialComplex
 from .errors import (
     BadDimensionError,
     BudgetExceededError,
+    ParseError,
     UndefinedCoboundaryError,
 )
 from .groups import FiniteGroup
@@ -40,12 +41,13 @@ class EnumerationBudget:
     @classmethod
     def default(cls) -> "EnumerationBudget":
         raw = os.environ.get(BUDGET_ENV_VAR)
-        if raw:
-            try:
-                return cls(max_states=int(raw))
-            except ValueError:
-                pass
-        return cls()
+        if not raw:
+            return cls()
+        if not raw.strip().isdecimal():
+            raise ParseError(
+                f"{BUDGET_ENV_VAR} must be a non-negative number of states, got {raw!r}"
+            )
+        return cls(max_states=int(raw))
 
     def ensure(self, states: int, what: str) -> None:
         if states > self.max_states:

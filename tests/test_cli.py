@@ -129,6 +129,27 @@ def test_correct_command_writes_trace(tmp_path):
         assert set(record) == {"step", "vertex", "delta_weight_before", "delta_weight_after", "moved"}
 
 
+def test_budget_zero_is_honoured_and_negative_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HDX_BUDGET", raising=False)
+    cpath = tmp_path / "c.txt"
+    main(["generate", "complete", "--n", "6", "--d", "3", "--out", str(cpath)])
+    X = SimplicialComplex.from_text(cpath.read_text())
+    fpath = tmp_path / "f.cochain"
+    fpath.write_text(cochain_to_text(Cochain(X, 1, group_from_spec("Z3"), {(0, 1): 1})))
+    out = str(tmp_path / "o")
+    argv = ["correct", str(cpath), "--cochain", str(fpath), "--path", "abelian", "--out", out]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # A budget of 0 states refuses every scan instead of falling back to 2^24.
+    assert main(argv + ["--budget", "0"]) == 2
+    assert "over the budget of 0" in capsys.readouterr().err
+    assert main(argv + ["--budget", "-1"]) == 2
+    assert "--budget" in capsys.readouterr().err
+    monkeypatch.setenv("HDX_BUDGET", "lots")
+    assert main(argv) == 2
+    assert "HDX_BUDGET" in capsys.readouterr().err
+
+
 def test_correct_wrong_dimension_exit_code(tmp_path):
     cpath = tmp_path / "c.txt"
     main(["generate", "complete", "--n", "4", "--d", "2", "--out", str(cpath)])

@@ -197,6 +197,18 @@ def test_text_roundtrip_weighted():
     assert Y.face_weight((1, 2)) == Fraction(1, 3) * Fraction(1, 3) + Fraction(2, 3) * Fraction(1, 3)
 
 
+def test_to_text_bytes():
+    uniform = build_complex([(1, 2, 3), (0, 1, 2)], 2)
+    assert uniform.to_text() == "dim 2\n0 1 2\n1 2 3\n"
+    weights = {(0, 1, 2): Fraction(1, 3), (1, 2, 3): Fraction(2, 3)}
+    weighted = build_complex([(1, 2, 3), (0, 1, 2)], 2, weights)
+    assert weighted.to_text() == "dim 2\n0 1 2 w 1/3\n1 2 3 w 2/3\n"
+    # Explicit equal weights are uniform and print without a suffix.
+    half = Fraction(1, 2)
+    halves = build_complex([(0, 1, 2), (1, 2, 3)], 2, {(0, 1, 2): half, (1, 2, 3): half})
+    assert halves.to_text() == uniform.to_text()
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         SimplicialComplex.from_text("0 1 2\n")

@@ -1,9 +1,11 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
 from hdx.exact import (
+    _is_perfect_cube,
     cbrt_bounds,
     cbrt_exact,
     frac_pow_le,
@@ -70,3 +72,34 @@ def test_quadratic_sign_degenerate_cases():
     assert not quad_at_cbrt_is_nonneg(Fraction(0), Fraction(0), Fraction(-1), Fraction(1, 2))
     # Exact rational cube root: evaluate directly.
     assert quad_at_cbrt_is_nonneg(Fraction(1), Fraction(0), Fraction(-1, 4), Fraction(8, 27))
+
+
+def test_perfect_cube_beyond_float_precision():
+    r = 10**17 + 3
+    assert _is_perfect_cube(r**3) == r
+    assert _is_perfect_cube(-(r**3)) == -r
+    assert _is_perfect_cube(r**3 + 1) is None
+    assert cbrt_exact(Fraction(r**3, 10**54)) == Fraction(r, 10**18)
+
+
+def test_perfect_cube_beyond_float_range():
+    assert _is_perfect_cube(10**400) is None
+    assert _is_perfect_cube(10**402) == 10**134
+    assert all(_is_perfect_cube(c**3) == c for c in range(200))
+
+
+def test_quadratic_sign_at_large_exact_cube_root():
+    # (t - r)^2 at t = (r^3)^(1/3) = r is exactly 0: decided from the exact
+    # cube root, where interval refinement alone would never settle the sign.
+    r = Fraction(10**17 + 3, 10**18)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("quad_at_cbrt_is_nonneg did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert quad_at_cbrt_is_nonneg(Fraction(1), -2 * r, r * r, r**3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hdx.errors import BadParamsError, GroupMismatchError, ParseError
@@ -81,6 +82,17 @@ def test_direct_product_indexing():
     # index = 3*a + b for (a, b) in Z2 x Z3
     assert g.op(3, 1) == 4  # (1,0) + (0,1) = (1,1)
     assert g.inv(4) == 5  # -(1,1) = (1,2)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + ["S5xZ3", "Z1000"])
+def test_array_ops_match_scalar_ops(spec):
+    # S5xZ3 has order 360: joining its factors must not wrap a small dtype.
+    g = group_from_spec(spec)
+    a = np.arange(g.order, dtype=np.int64)
+    rows = a[:: max(1, g.order // 12)]
+    got = g.op_array(rows[:, None], a[None, :])
+    assert got.tolist() == [[g.op(int(x), int(y)) for y in a] for x in rows]
+    assert g.inv_array(a).tolist() == [g.inv(int(x)) for x in a]
 
 
 def test_group_element_wrappers():

@@ -4,7 +4,7 @@ import pytest
 
 from hdx.cochains import Cochain, coboundary_abelian, random_cochain
 from hdx.complexes import SimplicialComplex
-from hdx.errors import BadDimensionError, BudgetExceededError, UndefinedCoboundaryError
+from hdx.errors import BadDimensionError, BudgetExceededError, ParseError, UndefinedCoboundaryError
 from hdx.groups import group_from_spec
 from hdx.instances import (
     complete_complex,
@@ -219,8 +219,14 @@ def test_budget_refusals(f2):
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "12345")
     assert EnumerationBudget.default().max_states == 12345
-    monkeypatch.setenv(BUDGET_ENV_VAR, "junk")
+    monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+    assert EnumerationBudget.default().max_states == 0
+    monkeypatch.setenv(BUDGET_ENV_VAR, "")
     assert EnumerationBudget.default().max_states == 2**24
+    for junk in ("junk", "lots", "-5", "1e6"):
+        monkeypatch.setenv(BUDGET_ENV_VAR, junk)
+        with pytest.raises(ParseError, match=BUDGET_ENV_VAR):
+            EnumerationBudget.default()
 
 
 def test_verify_against_oracle_claims(k4_skeleton, f2):
