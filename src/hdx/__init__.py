@@ -58,7 +58,6 @@ from .groups import (
     DihedralGroup,
     DirectProductGroup,
     FiniteGroup,
-    GroupElement,
     SymmetricGroup,
     TableGroup,
     group_from_spec,

@@ -193,20 +193,17 @@ def cmd_analyze(args) -> int:
     report["links"] = links
     report["lambda"] = 1.0 if disconnected else global_lambda
     report["disconnected_links"] = disconnected
-    try:
-        constants = cosystolic_expansion_constants(X, G, budget)
-        report["cosystolic"] = {
-            str(k): {
-                "epsilon": v.get("epsilon"),
-                "mu": v.get("mu"),
-                "skipped": v.get("skipped"),
-                "z_size": v.get("z_size"),
-                "b_size": v.get("b_size"),
-            }
-            for k, v in constants.per_dim.items()
+    constants = cosystolic_expansion_constants(X, G, budget)
+    report["cosystolic"] = {
+        str(k): {
+            "epsilon": v.get("epsilon"),
+            "mu": v.get("mu"),
+            "skipped": v.get("skipped"),
+            "z_size": v.get("z_size"),
+            "b_size": v.get("b_size"),
         }
-    except BudgetExceededError as exc:
-        report["cosystolic"] = {"skipped": str(exc)}
+        for k, v in constants.per_dim.items()
+    }
     report["provenance"] = {
         "weights": "exact rationals",
         "lambda": "dense eigensolve with certified upper bound",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -77,24 +77,11 @@ class SimplicialComplex:
                 raise NonUniformCardinalityError("top weights must sum to 1")
         self.top_weights: Dict[Face, Fraction] = weights
 
-        # Downward closure, including X(-1) = {()}.
-        faces: Dict[int, set] = {k: set() for k in range(-1, dimension + 1)}
-        faces[-1].add(())
-        for top in tops:
-            for size in range(1, dimension + 2):
-                for sub in combinations(top, size):
-                    faces[size - 1].add(sub)
-        self._faces: Dict[int, Tuple[Face, ...]] = {
-            k: tuple(sorted(faces[k])) for k in faces
-        }
-        self._face_sets: Dict[int, FrozenSet[Face]] = {
-            k: frozenset(faces[k]) for k in faces
-        }
-
-        # Exact distributions: P_k(f) = _num[f] / _den[k].
-        scale = 1
-        for w in weights.values():
-            scale = scale * w.denominator // _gcd(scale, w.denominator)
+        # One pass over the top faces builds the downward closure, including
+        # X(-1) = {()}, with exact distributions P_k(f) = _num[k][f] / _den[k].
+        # Closure, purity and total mass 1 hold by construction: every face is
+        # a subset of a top face, and the top weights sum to 1.
+        scale = lcm(*(w.denominator for w in weights.values()))
         num: Dict[int, Dict[Face, int]] = {k: {} for k in range(-1, dimension + 1)}
         for top in tops:
             wnum = int(weights[top] * scale)
@@ -103,32 +90,15 @@ class SimplicialComplex:
                 for sub in combinations(top, size):
                     bucket[sub] = bucket.get(sub, 0) + wnum
         self._num = num
+        self._faces: Dict[int, Tuple[Face, ...]] = {k: tuple(sorted(num[k])) for k in num}
         self._den: Dict[int, int] = {
             k: scale * comb(dimension + 1, k + 1) for k in range(-1, dimension + 1)
         }
 
         self._coface_map: Dict[int, Dict[Face, Tuple[Face, ...]]] = {}
         self._links: Dict[Face, "SimplicialComplex"] = {}
-        self._validate()
 
     # -- structure ---------------------------------------------------------
-
-    def _validate(self) -> None:
-        d = self.dimension
-        for k in range(0, d + 1):
-            for face in self._faces[k]:
-                for facet in combinations(face, k):
-                    if facet not in self._face_sets[k - 1]:
-                        raise BadDimensionError(f"closure broken at {face}")
-        for k in range(-1, d):
-            cofaces = self.coface_map(k)
-            for face in self._faces[k]:
-                if not cofaces.get(face):
-                    raise BadDimensionError(f"complex is not pure at {face}")
-        for k in range(-1, d + 1):
-            total = sum(self._num[k][f] for f in self._faces[k])
-            if Fraction(total, self._den[k]) != 1:
-                raise BadDimensionError(f"P_{k} does not sum to 1")
 
     def faces(self, k: int) -> Tuple[Face, ...]:
         if not -1 <= k <= self.dimension:
@@ -140,7 +110,7 @@ class SimplicialComplex:
 
     def has_face(self, face: Face) -> bool:
         k = len(face) - 1
-        return -1 <= k <= self.dimension and face in self._face_sets[k]
+        return -1 <= k <= self.dimension and face in self._num[k]
 
     def require_face(self, face: Face) -> None:
         if not self.has_face(face):
@@ -327,12 +297,6 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         sizes = ", ".join(f"|X({k})|={len(self._faces[k])}" for k in range(self.dimension + 1))
         return f"SimplicialComplex(d={self.dimension}, {sizes})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,6 @@ class NonAbelianGroupError(HdxError, TypeError):
     """An abelian-only operation was applied to a non-abelian group."""
 
 
-class OrientationError(HdxError, ValueError):
-    """An orientation-dependent value was requested inconsistently."""
-
-
 class UndefinedCoboundaryError(HdxError, ValueError):
     """The coboundary operator is not defined for this (dimension, group)."""
 
@@ -87,10 +83,6 @@ class AlreadyLocallyMinimalError(HdxError, ValueError):
 
 class BudgetExceededError(HdxError, RuntimeError):
     """An enumeration would exceed the configured state budget."""
-
-
-# The correction module shares the oracle's refusal semantics.
-TooLargeToEnumerateError = BudgetExceededError
 
 
 class PremiseFailedError(HdxError):

@@ -23,11 +23,6 @@ def frac_pow_le(w: Fraction, eta: Fraction, num: int, den: int = 1) -> bool:
     return wp**den * eq**num <= ep**num * wq**den
 
 
-def frac_pow(eta: Fraction, num: int) -> Fraction:
-    """eta^num as an exact rational (integer exponents only)."""
-    return eta**num
-
-
 def _icbrt(n: int) -> int:
     """floor(n^(1/3)) for an integer n >= 0, by integer Newton iteration."""
     if n < 2:
@@ -98,8 +93,3 @@ def quad_at_cbrt_is_nonneg(a: Fraction, b: Fraction, c: Fraction, eta: Fraction)
         if qlo == 0 and qhi == 0:
             return True
         width /= 16
-
-
-def float_upper_to_fraction(x: float) -> Fraction:
-    """The exact rational value of a float used as a certified upper bound."""
-    return Fraction(x)

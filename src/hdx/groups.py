@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import BadParamsError, GroupMismatchError, ParseError
+from .errors import BadParamsError, ParseError
 
 #: Largest order for which table-backed construction and exhaustive axiom
 #: checks are supported.  Structured groups (Z_m) work past this limit.
@@ -127,46 +126,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, order={self.order})"
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element tagged with its owning group.
-
-    Hot loops use bare indices; this wrapper is for API edges where mixing
-    groups must be caught.
-    """
-
-    group: FiniteGroup
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.group.order:
-            raise BadParamsError(f"element index {self.index} out of range")
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if other.group is not self.group:
-            raise GroupMismatchError("elements belong to different groups")
-        return GroupElement(self.group, self.group.op(self.index, other.index))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inv(self.index))
-
-
-def g_op(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def g_inv(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
-def g_id(group: FiniteGroup) -> GroupElement:
-    return GroupElement(group, group.identity)
-
-
-def g_neg_pow(a: GroupElement, sign: int) -> GroupElement:
-    return GroupElement(a.group, a.group.signed(a.index, sign))
 
 
 class CyclicGroup(FiniteGroup):

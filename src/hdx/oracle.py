@@ -1,19 +1,20 @@
 """Brute-force ground truth: full cochain-space enumeration on small instances.
 
-Everything here is an independent slow path: spaces are enumerated state by
-state (an odometer in lexicographic order with incremental coboundary updates,
-or a Gray-code bitmask walk for two-element groups), distances and expansion
-constants are exact rational minima with deterministic witnesses, and nothing
-is shared with the fast paths these results are checked against.
+Everything here is an independent slow path.  One odometer (`_Scan`) walks
+C^k in lexicographic order for every group, updating the coboundary of the
+current assignment incrementally; two-element groups take Gray-code bitmask
+walks for Z^k and B^k instead.  Distances and expansion constants are exact
+rational minima with deterministic witnesses, a scan over budget is refused
+for the dimension that needs it, and nothing is shared with the fast paths
+these results are checked against.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cochains import Cochain
@@ -33,10 +34,13 @@ BUDGET_ENV_VAR = "HDX_BUDGET"
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Refusal thresholds for exhaustive scans; checked before work starts."""
+    """Most states one exhaustive scan may visit; checked before the scan starts.
+
+    A scan over budget raises `BudgetExceededError` without doing any work.
+    The default is 2^24 states, or the value of the HDX_BUDGET variable.
+    """
 
     max_states: int = DEFAULT_MAX_STATES
-    wall_clock_seconds: Optional[float] = None
 
     @classmethod
     def default(cls) -> "EnumerationBudget":
@@ -55,11 +59,6 @@ class EnumerationBudget:
                 f"{what} needs {states} states, over the budget of {self.max_states}"
             )
 
-    def deadline(self) -> Optional[float]:
-        if self.wall_clock_seconds is None:
-            return None
-        return time.monotonic() + self.wall_clock_seconds
-
 
 def space_size(group: FiniteGroup, face_count: int) -> int:
     return group.order**face_count
@@ -73,12 +72,8 @@ class _Scan:
 
     def __init__(self, X: SimplicialComplex, k: int, G: FiniteGroup):
         self.X, self.k, self.G = X, k, G
-        if k == -1:
-            self.faces: List[Face] = [()]
-        else:
-            self.faces = list(X.faces(k))
+        self.faces: List[Face] = list(X.faces(k))
         self.m = len(self.faces)
-        self.nums = [X.weight_numerator(f) for f in self.faces]
         index = {f: i for i, f in enumerate(self.faces)}
         self.track = k < X.dimension and (G.is_abelian or k <= 1)
         self.above: List[Face] = list(X.faces(k + 1)) if self.track else []
@@ -87,12 +82,7 @@ class _Scan:
         self.touch: List[List[int]] = [[] for _ in range(self.m)]
         if self.track:
             for j, above in enumerate(self.above):
-                if k == -1:
-                    role = ((0,),)
-                else:
-                    role = tuple(
-                        index[above[:i] + above[i + 1 :]] for i in range(len(above))
-                    )
+                role = tuple(index[above[:i] + above[i + 1 :]] for i in range(len(above)))
                 self.roles.append(role)
                 for idx in set(role):
                     self.touch[idx].append(j)
@@ -118,22 +108,22 @@ class _Scan:
         return G.op(G.op(values[uv], values[vw]), G.inv(values[uw]))
 
     def run(self, budget: EnumerationBudget, what: str):
-        """Yield (values, delta, unsat, weight_num); the lists are reused in place."""
+        """Yield (values, delta, unsat) in lexicographic order of values.
+
+        The lists are reused in place.  Nothing is tracked at the top
+        dimension, so there every assignment comes with unsat == 0.
+        """
         budget.ensure(space_size(self.G, self.m), what)
-        deadline = budget.deadline()
         g = self.G.order
         values = [0] * self.m
         delta = [0] * len(self.above)
         unsat = 0
-        wnum = 0
-        yield values, delta, unsat, wnum
+        yield values, delta, unsat
         if g == 1 or self.m == 0:
             return
-        steps = 0
         while True:
             p = self.m - 1
             while p >= 0 and values[p] == g - 1:
-                wnum -= self.nums[p]
                 values[p] = 0
                 for j in self.touch[p]:
                     old = delta[j]
@@ -144,8 +134,6 @@ class _Scan:
                 p -= 1
             if p < 0:
                 return
-            if values[p] == 0:
-                wnum += self.nums[p]
             values[p] += 1
             for j in self.touch[p]:
                 old = delta[j]
@@ -153,34 +141,24 @@ class _Scan:
                 if old != new:
                     delta[j] = new
                     unsat += (1 if new else 0) - (1 if old else 0)
-            steps += 1
-            if deadline is not None and steps % 65536 == 0 and time.monotonic() > deadline:
-                raise BudgetExceededError(f"{what} exceeded the wall-clock budget")
-            yield values, delta, unsat, wnum
+            yield values, delta, unsat
 
 
-def _f2_structures(X: SimplicialComplex, k: int):
-    faces = list(X.faces(k)) if k >= 0 else [()]
-    above = list(X.faces(k + 1)) if k < X.dimension else []
-    index = {f: i for i, f in enumerate(faces)}
-    cmask = [0] * len(faces)
-    for j, up in enumerate(above):
-        if k == -1:
-            cmask[0] ^= 0  # the (-1 -> 0) map is a constant, handled separately
-            continue
+def _f2_incidence(X: SimplicialComplex, k: int) -> List[int]:
+    """Row i: the bitmask of the (k+1)-faces that contain the i-th k-face."""
+    index = {f: i for i, f in enumerate(X.faces(k))}
+    rows = [0] * len(index)
+    for j, up in enumerate(X.faces(k + 1)):
         for i in range(len(up)):
-            cmask[index[up[:i] + up[i + 1 :]]] ^= 1 << j
-    return faces, above, cmask
+            rows[index[up[:i] + up[i + 1 :]]] ^= 1 << j
+    return rows
 
 
 def _f2_scan_cocycles(X: SimplicialComplex, k: int, budget: EnumerationBudget) -> List[int]:
-    """All cocycle bitmasks over X(k) for a two-element group, via a Gray walk."""
-    faces, above, cmask = _f2_structures(X, k)
-    m = len(faces)
+    """All cocycle bitmasks over X(k), k < d, for a two-element group, via a Gray walk."""
+    cmask = _f2_incidence(X, k)
+    m = len(cmask)
     budget.ensure(2**m, f"cocycle scan in dimension {k}")
-    deadline = budget.deadline()
-    if k >= X.dimension:
-        return list(range(2**m))
     out = [0]
     state = 0
     unsat = 0
@@ -191,23 +169,15 @@ def _f2_scan_cocycles(X: SimplicialComplex, k: int, budget: EnumerationBudget) -
         unsat ^= cmask[j]
         if unsat == 0:
             append(state)
-        if deadline is not None and i % 1048576 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("cocycle scan exceeded the wall-clock budget")
     out.sort()
     return out
 
 
 def _f2_image_masks(X: SimplicialComplex, k: int, budget: EnumerationBudget) -> List[int]:
     """All coboundary bitmasks over X(k) (images of assignments one level down)."""
-    lower = list(X.faces(k - 1))
-    above = list(X.faces(k))
-    m = len(lower)
+    rows = _f2_incidence(X, k - 1)
+    m = len(rows)
     budget.ensure(2**m, f"coboundary scan into dimension {k}")
-    rows = [0] * m
-    low_index = {f: i for i, f in enumerate(lower)}
-    for j, up in enumerate(above):
-        for i in range(len(up)):
-            rows[low_index[up[:i] + up[i + 1 :]]] ^= 1 << j
     seen = {0}
     state = 0
     for i in range(1, 2**m):
@@ -254,25 +224,23 @@ def _mask_to_cochain(X: SimplicialComplex, k: int, G: FiniteGroup, faces, mask: 
 def cocycle_list(
     X: SimplicialComplex, G: FiniteGroup, k: int, budget: EnumerationBudget
 ) -> Optional[List[Cochain]]:
-    """All cocycles of dimension k (None when the space is undefined)."""
+    """All cocycles of dimension k (None when the space is undefined).
+
+    At the top dimension every cochain is a cocycle, which the generic scan
+    finds because it tracks no coboundary there.
+    """
     faces = list(X.faces(k))
-    if k == X.dimension:
-        return [
-            _cochain_from_vector(X, k, G, faces, vec)
-            for vec in _all_vectors(G, faces, budget, f"Z^{k} scan")
-        ]
-    if not (G.is_abelian or k <= 1):
-        return None
-    if G.order == 2:
-        masks = _f2_scan_cocycles(X, k, budget)
-        return [_mask_to_cochain(X, k, G, faces, m) for m in masks]
-    found = []
-    scan = _Scan(X, k, G)
-    for values, _delta, unsat, _w in scan.run(budget, f"Z^{k} scan"):
-        if unsat == 0:
-            found.append(tuple(values))
-    found.sort()
-    return [_cochain_from_vector(X, k, G, faces, v) for v in found]
+    if k < X.dimension:
+        if not (G.is_abelian or k <= 1):
+            return None
+        if G.order == 2:
+            masks = _f2_scan_cocycles(X, k, budget)
+            return [_mask_to_cochain(X, k, G, faces, m) for m in masks]
+    return [
+        _cochain_from_vector(X, k, G, faces, values)
+        for values, _delta, unsat in _Scan(X, k, G).run(budget, f"Z^{k} scan")
+        if unsat == 0
+    ]
 
 
 def coboundary_list(
@@ -289,7 +257,7 @@ def coboundary_list(
         return [_mask_to_cochain(X, k, G, faces, m) for m in masks]
     lower = _Scan(X, k - 1, G)
     seen = set()
-    for _values, delta, _unsat, _w in lower.run(budget, f"B^{k} scan"):
+    for _values, delta, _unsat in lower.run(budget, f"B^{k} scan"):
         seen.add(tuple(delta))
     return [_cochain_from_vector(X, k, G, faces, v) for v in sorted(seen)]
 
@@ -320,25 +288,6 @@ def enumerate_spaces(
             if _vector_of(b, X, k) not in z_set:
                 raise AssertionError("a coboundary failed the cocycle condition")
     return EnumeratedSpaces(X, k, G, c_count, cocycles, coboundaries)
-
-
-def _all_vectors(G, faces, budget, what):
-    scan_states = space_size(G, len(faces))
-    budget.ensure(scan_states, what)
-    if not faces:
-        return [()]
-    out = []
-    vec = [0] * len(faces)
-    g = G.order
-    while True:
-        out.append(tuple(vec))
-        p = len(faces) - 1
-        while p >= 0 and vec[p] == g - 1:
-            vec[p] = 0
-            p -= 1
-        if p < 0:
-            return out
-        vec[p] += 1
 
 
 def exact_distance(
@@ -381,6 +330,38 @@ def exact_distance(
     return Fraction(best_num, X.weight_denominator(k)), witness
 
 
+def _min_ratio_scan(
+    X: SimplicialComplex,
+    G: FiniteGroup,
+    k: int,
+    pool: Sequence[Tuple[int, ...]],
+    budget: EnumerationBudget,
+    what: str,
+) -> Tuple[Optional[Fraction], Optional[Tuple[int, ...]]]:
+    """First minimum of ||df|| / dist(f, pool) over the f in C^k with df != 0.
+
+    Returns the ratio and the vector of f, or (None, None) when df = 0 for
+    every f.  The scan runs in lexicographic order, so ties keep the smallest
+    vector.  pool lies inside Z^k, so no distance is 0.
+    """
+    nums = [X.weight_numerator(f) for f in X.faces(k)]
+    den_k = X.weight_denominator(k)
+    den_k1 = X.weight_denominator(k + 1)
+    scan = _Scan(X, k, G)
+    best: Optional[Fraction] = None
+    best_vec: Optional[Tuple[int, ...]] = None
+    for values, delta, unsat in scan.run(budget, what):
+        if unsat == 0:
+            continue
+        vec = tuple(values)
+        delta_num = sum(n for v, n in zip(delta, scan.above_nums) if v)
+        dist_num = min(sum(n for a, b, n in zip(vec, pvec, nums) if a != b) for pvec in pool)
+        ratio = Fraction(delta_num * den_k, den_k1 * dist_num)
+        if best is None or ratio < best:
+            best, best_vec = ratio, vec
+    return best, best_vec
+
+
 @dataclass
 class CoboundaryConstant:
     """min ||df|| / dist(f, B^k) over f outside B^k; None means vacuous."""
@@ -413,29 +394,11 @@ def coboundary_expansion_constant(
     b_set = set(b_vecs)
     budget.ensure(c_count * max(len(b_vecs), 1), f"expansion ratio scan in dim {k}")
     # A cocycle outside B^k pins the constant at 0 without the ratio scan.
-    z_pool = cocycle_list(X, G, k, budget)
-    if z_pool is not None:
-        for candidate in z_pool:
-            zvec = _vector_of(candidate, X, k)
-            if zvec not in b_set:
-                return CoboundaryConstant(k, Fraction(0), candidate)
-    nums = [X.weight_numerator(f) for f in faces]
-    den_k = X.weight_denominator(k)
-    den_k1 = X.weight_denominator(k + 1)
-    scan = _Scan(X, k, G)
-    best: Optional[Fraction] = None
-    best_vec: Optional[Tuple[int, ...]] = None
-    for values, delta, unsat, _w in scan.run(budget, f"C^{k} ratio scan"):
-        vec = tuple(values)
-        if vec in b_set:
-            continue
-        delta_num = sum(n for v, n in zip(delta, scan.above_nums) if v)
-        dist_num = min(
-            sum(n for a, b, n in zip(vec, bvec, nums) if a != b) for bvec in b_vecs
-        )
-        ratio = Fraction(delta_num * den_k, den_k1 * dist_num)
-        if best is None or ratio < best or (ratio == best and vec < best_vec):
-            best, best_vec = ratio, vec
+    # Otherwise Z^k = B^k, so the f outside B^k are exactly those with df != 0.
+    for candidate in cocycle_list(X, G, k, budget):
+        if _vector_of(candidate, X, k) not in b_set:
+            return CoboundaryConstant(k, Fraction(0), candidate)
+    best, best_vec = _min_ratio_scan(X, G, k, b_vecs, budget, f"C^{k} ratio scan")
     if best is None:
         return CoboundaryConstant(k, None, None, vacuous=True)
     witness = _cochain_from_vector(X, k, G, faces, best_vec)
@@ -470,7 +433,8 @@ def cosystolic_expansion_constants(
 
     epsilon_k = min ||df|| / dist(f, Z^k) over f outside Z^k; mu_k = min ||f||
     over cocycles outside B^k (None when Z^k = B^k, the "infinite" sentinel).
-    Ratio scans whose pair cost exceeds the budget are marked skipped.
+    A dimension whose spaces or ratio scan exceed the budget is marked
+    skipped with the reason; the other dimensions are still computed.
     """
     budget = budget or EnumerationBudget.default()
     if dims is None:
@@ -482,7 +446,12 @@ def cosystolic_expansion_constants(
             entry["skipped"] = "vacuous for the one-element group"
             out.per_dim[k] = entry
             continue
-        spaces = enumerate_spaces(X, G, k, budget)
+        try:
+            spaces = enumerate_spaces(X, G, k, budget)
+        except BudgetExceededError as exc:
+            entry["skipped"] = str(exc)
+            out.per_dim[k] = entry
+            continue
         z_vecs = sorted(spaces.cocycle_values())
         b_set = set(spaces.coboundary_values())
         faces = list(X.faces(k))
@@ -507,21 +476,9 @@ def cosystolic_expansion_constants(
             entry["skipped"] = f"ratio scan needs {pair_cost} states"
             out.per_dim[k] = entry
             continue
-        den_k1 = X.weight_denominator(k + 1)
-        scan = _Scan(X, k, G)
-        best: Optional[Fraction] = None
-        for values, delta, unsat, _w in scan.run(budget, f"cosystolic scan dim {k}"):
-            if unsat == 0:
-                continue
-            vec = tuple(values)
-            delta_num = sum(n for v, n in zip(delta, scan.above_nums) if v)
-            dist_num = min(
-                sum(n for a, b, n in zip(vec, zvec, nums) if a != b) for zvec in z_vecs
-            )
-            ratio = Fraction(delta_num * den_k, den_k1 * dist_num)
-            if best is None or ratio < best:
-                best = ratio
-        entry["epsilon"] = best
+        entry["epsilon"] = _min_ratio_scan(
+            X, G, k, z_vecs, budget, f"cosystolic scan dim {k}"
+        )[0]
         out.per_dim[k] = entry
     return out
 
@@ -544,8 +501,6 @@ def min_nontrivial_cocycle_weight(
     nums = [X.weight_numerator(f) for f in faces]
     den = X.weight_denominator(k)
     b_set = {_vector_of(f, X, k) for f in coboundary_list(X, G, k, budget)}
-    index = {f: i for i, f in enumerate(faces)}
-    coface_map = X.coface_map(k) if k < X.dimension else {}
     sorted_nums = sorted(nums)
     best_num: Optional[int] = None
     best_vec: Optional[Tuple[int, ...]] = None
@@ -559,7 +514,7 @@ def min_nontrivial_cocycle_weight(
             support_num = sum(nums[i] for i in support)
             if best_num is not None and support_num >= best_num:
                 continue
-            for assignment in _assignments(len(support), nonid):
+            for assignment in product(nonid, repeat=size):
                 states += 1
                 if states > budget.max_states:
                     raise BudgetExceededError("support search exceeded the state budget")
@@ -577,15 +532,6 @@ def min_nontrivial_cocycle_weight(
     if best_num is None:
         return None
     return Fraction(best_num, den)
-
-
-def _assignments(length: int, nonid: List[int]):
-    if length == 0:
-        yield ()
-        return
-    for head in nonid:
-        for rest in _assignments(length - 1, nonid):
-            yield (head,) + rest
 
 
 def link_coboundary_beta(

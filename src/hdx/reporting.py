@@ -33,10 +33,6 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert fractions, faces, sets, and dataclasses for JSON."""
     if isinstance(obj, Fraction):

@@ -21,9 +21,6 @@ from .errors import BadDimensionError, DisconnectedGraphError, UnknownVertexErro
 #: Additive margin turning a dense eigensolve into a certified upper bound.
 EIG_TOLERANCE = 1e-9
 
-#: Largest vertex count for which the dense symmetric eigensolve is used.
-DENSE_LIMIT = 2000
-
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -32,15 +29,6 @@ class WeightedGraph:
     vertices: Tuple[int, ...]
     vertex_weights: Dict[int, Fraction]
     edge_weights: Dict[Tuple[int, int], Fraction]
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        out = []
-        for (a, b) in self.edge_weights:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(sorted(out))
 
     def check_consistency(self) -> None:
         assert sum(self.edge_weights.values()) == 1
@@ -109,35 +97,9 @@ def second_eigenvalue(graph: WeightedGraph) -> SpectralCertificate:
     degrees = adj.sum(axis=1)
     scale = 1.0 / np.sqrt(degrees)
     sym = adj * scale[:, None] * scale[None, :]
-    if n <= DENSE_LIMIT:
-        eigs = np.linalg.eigvalsh(sym)
-        lam = max(abs(eigs[0]), abs(eigs[-2]))
-        method = "dense eigensolve"
-    else:
-        lam = _power_iteration_bound(sym, np.sqrt(degrees))
-        method = "power iteration"
-    lam = float(min(max(lam, 0.0), 1.0))
-    return SpectralCertificate(lam, min(lam + EIG_TOLERANCE, 1.0), method)
-
-
-def _power_iteration_bound(sym: np.ndarray, top_vec: np.ndarray, iters: int = 2000) -> float:
-    """Dominant |eigenvalue| of sym after deflating its known top eigenvector."""
-    v1 = top_vec / np.linalg.norm(top_vec)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(sym.shape[0])
-    x -= v1 * (v1 @ x)
-    x /= np.linalg.norm(x)
-    theta = 0.0
-    for _ in range(iters):
-        y = sym @ x
-        y -= v1 * (v1 @ y)
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return 0.0
-        x = y / norm
-        theta = x @ (sym @ x)
-    residual = np.linalg.norm(sym @ x - theta * x)
-    return abs(theta) + residual
+    eigs = np.linalg.eigvalsh(sym)
+    lam = float(min(max(abs(eigs[0]), abs(eigs[-2]), 0.0), 1.0))
+    return SpectralCertificate(lam, min(lam + EIG_TOLERANCE, 1.0), "dense eigensolve")
 
 
 def local_spectral_lambda(complex: SimplicialComplex) -> SpectralCertificate:

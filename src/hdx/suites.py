@@ -28,6 +28,7 @@ from .correction import (
     verify_cosystolic_pair,
 )
 from .errors import (
+    BudgetExceededError,
     DisconnectedGraphError,
     HdxError,
     ParameterViolationError,
@@ -377,6 +378,8 @@ def suite_cosystolic(seed: int = 0, budget: Optional[EnumerationBudget] = None) 
     torus = torus_complex()
     constants = cosystolic_expansion_constants(torus, F2, budget)
     entry = constants.per_dim[1]
+    if "z_size" not in entry:
+        raise BudgetExceededError(entry["skipped"])
     independent = min_nontrivial_cocycle_weight(torus, F2, 1, budget)
     out.add(
         CheckReport(

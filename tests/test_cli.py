@@ -150,6 +150,22 @@ def test_budget_zero_is_honoured_and_negative_rejected(tmp_path, monkeypatch, ca
     assert "HDX_BUDGET" in capsys.readouterr().err
 
 
+def test_analyze_refuses_cosystolic_dimensions_one_at_a_time(tmp_path):
+    cpath = tmp_path / "c.txt"
+    main(["generate", "complete", "--n", "4", "--d", "2", "--out", str(cpath)])
+    out = tmp_path / "report.json"
+    argv = ["analyze", str(cpath), "--group", "Z2", "--budget", "32", "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == 0
+    cosystolic = json.loads(out.read_text())["cosystolic"]
+    assert cosystolic["0"]["epsilon"] == "4/3" and cosystolic["0"]["skipped"] is None
+    assert cosystolic["1"]["skipped"].startswith("C^1 scan needs 64 states")
+
+
+def test_cosystolic_suite_refuses_when_the_torus_is_over_budget(capsys):
+    assert main(["verify", "cosystolic", "--budget", "1000"]) == 2
+    assert "C^1 scan needs 2097152 states" in capsys.readouterr().err
+
+
 def test_correct_wrong_dimension_exit_code(tmp_path):
     cpath = tmp_path / "c.txt"
     main(["generate", "complete", "--n", "4", "--d", "2", "--out", str(cpath)])

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdx.complexes import (
     FaceSet,
@@ -21,7 +23,7 @@ from hdx.errors import (
     ParseError,
     UnknownFaceError,
 )
-from hdx.instances import complete_complex, glued_simplices, torus_complex
+from hdx.instances import bundled_instances, complete_complex, glued_simplices, torus_complex
 
 
 def test_single_triangle_closure():
@@ -239,3 +241,45 @@ def test_closure_and_purity_random():
                     assert X.has_face(facet)
                 assert any(set(face) <= set(t) for t in tops)
         assert {v for (v,) in X.faces(0)} == vertices
+
+
+def _assert_invariants(X):
+    """Closure, purity and a total mass of 1 in every dimension."""
+    d = X.dimension
+    for k in range(0, d + 1):
+        for face in X.faces(k):
+            assert all(X.has_face(facet) for facet in combinations(face, k))
+    for k in range(-1, d):
+        cofaces = X.coface_map(k)
+        assert all(cofaces[face] for face in X.faces(k))
+    for k in range(-1, d + 1):
+        assert sum(X.face_weight(f) for f in X.faces(k)) == 1
+
+
+def _assert_invariants_with_links(X):
+    _assert_invariants(X)
+    for k in range(0, X.dimension):
+        for sigma in X.faces(k):
+            _assert_invariants(X.link(sigma))
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_bundled_instances_and_links_are_closed_pure_and_normalized(name):
+    _assert_invariants_with_links(bundled_instances()[name])
+
+
+@st.composite
+def weighted_complexes(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    d = draw(st.integers(min_value=0, max_value=min(n - 1, 3)))
+    candidates = list(combinations(range(n), d + 1))
+    tops = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8, unique=True))
+    raw = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=len(tops), max_size=len(tops)))
+    total = sum(raw)
+    return SimplicialComplex(d, tops, {t: Fraction(w, total) for t, w in zip(tops, raw)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_complexes())
+def test_weighted_complexes_and_links_are_closed_pure_and_normalized(X):
+    _assert_invariants_with_links(X)

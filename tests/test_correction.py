@@ -25,9 +25,9 @@ from hdx.correction import (
 from hdx.errors import (
     AlreadyLocallyMinimalError,
     BadDimensionError,
+    BudgetExceededError,
     NonAbelianGroupError,
     PremiseFailedError,
-    TooLargeToEnumerateError,
     WrongDimensionError,
 )
 from hdx.groups import group_from_spec
@@ -66,7 +66,7 @@ def test_minimality_agrees_with_oracle_random(rng):
 def test_minimality_budget(k4_skeleton):
     G = group_from_spec("Z6")
     f = Cochain(k4_skeleton, 1, G, {(0, 1): 1})
-    with pytest.raises(TooLargeToEnumerateError):
+    with pytest.raises(BudgetExceededError):
         is_minimal(f, EnumerationBudget(max_states=10))
 
 

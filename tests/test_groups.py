@@ -3,17 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from hdx.errors import BadParamsError, GroupMismatchError, ParseError
+from hdx.errors import BadParamsError, ParseError
 from hdx.groups import (
     CyclicGroup,
     DihedralGroup,
-    GroupElement,
     SymmetricGroup,
     TableGroup,
-    g_id,
-    g_inv,
-    g_neg_pow,
-    g_op,
     group_from_spec,
 )
 
@@ -93,20 +88,6 @@ def test_array_ops_match_scalar_ops(spec):
     got = g.op_array(rows[:, None], a[None, :])
     assert got.tolist() == [[g.op(int(x), int(y)) for y in a] for x in rows]
     assert g.inv_array(a).tolist() == [g.inv(int(x)) for x in a]
-
-
-def test_group_element_wrappers():
-    g = group_from_spec("Z3")
-    h = group_from_spec("Z2")
-    a = GroupElement(g, 1)
-    b = GroupElement(g, 2)
-    assert g_op(a, b).index == 0
-    assert g_inv(a).index == 2
-    assert g_id(g).index == 0
-    assert g_neg_pow(a, -1).index == 2
-    assert g_neg_pow(a, 1).index == 1
-    with pytest.raises(GroupMismatchError):
-        g_op(a, GroupElement(h, 1))
 
 
 def test_spec_parsing_errors():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -259,3 +260,69 @@ def test_verify_against_oracle_claims(k4_skeleton, f2):
 def test_enumerate_spaces_dimension_validation(f2):
     with pytest.raises(BadDimensionError):
         enumerate_spaces(single_simplex(2), f2, 5)
+
+
+def test_cosystolic_refusals_are_per_dimension(k4_skeleton, f2):
+    # C^0 has 16 states and fits; C^1 has 64 and is refused on its own, so
+    # dimension 0 keeps its constant instead of being dropped with dimension 1.
+    constants = cosystolic_expansion_constants(k4_skeleton, f2, EnumerationBudget(max_states=32))
+    zero, one = constants.per_dim[0], constants.per_dim[1]
+    assert zero["epsilon"] == Fraction(4, 3) and zero["skipped"] is None
+    assert one["epsilon"] is None
+    assert "C^1 scan needs 64 states" in one["skipped"]
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z3", "S3"])
+def test_top_dimension_cocycles_are_every_vector_in_order(k4_skeleton, spec):
+    G = group_from_spec(spec)
+    spaces = enumerate_spaces(k4_skeleton, G, 2)
+    assert spaces.cocycle_values() == list(product(range(G.order), repeat=4))
+
+
+def _brute_force_first_minimizer(X, G, k):
+    """First minimum of ||df|| / dist(f, B^k) over f outside B^k, by product loops."""
+    faces = X.faces(k)
+
+    def cochain(vec, dim, dim_faces):
+        return Cochain(X, dim, G, {f: v for f, v in zip(dim_faces, vec) if v})
+
+    if k == 0:
+        b_vecs = {(c,) * len(faces) for c in range(G.order)}
+    else:
+        lower = X.faces(k - 1)
+        b_vecs = set()
+        for vec in product(range(G.order), repeat=len(lower)):
+            delta = coboundary_abelian(cochain(vec, k - 1, lower))
+            b_vecs.add(tuple(delta.value(f) for f in faces))
+    best = best_vec = None
+    for vec in product(range(G.order), repeat=len(faces)):
+        if vec in b_vecs:
+            continue
+        norm = coboundary_abelian(cochain(vec, k, faces)).weight()
+        dist = min(
+            sum(X.face_weight(f) for f, a, b in zip(faces, vec, bvec) if a != b)
+            for bvec in b_vecs
+        )
+        if best is None or norm / dist < best:
+            best, best_vec = norm / dist, vec
+    return best, best_vec
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z3"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_coboundary_constant_witness_is_first_minimizer(k4_skeleton, spec, k):
+    G = group_from_spec(spec)
+    const = coboundary_expansion_constant(k4_skeleton, G, k)
+    best, best_vec = _brute_force_first_minimizer(k4_skeleton, G, k)
+    assert const.epsilon == best
+    assert tuple(const.witness.value(f) for f in k4_skeleton.faces(k)) == best_vec
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z3"])
+def test_distance_of_minus_one_cochain_to_cocycles(k4_skeleton, spec):
+    # d of the constant (-1)-cochain c is c on every vertex, so only 0 is a
+    # (-1)-cocycle and c != 0 lies at distance P_{-1}(()) = 1 from it.
+    G = group_from_spec(spec)
+    f = Cochain(k4_skeleton, -1, G, {(): 1})
+    dist, witness = exact_distance(f, "Z")
+    assert dist == 1 and witness.values == {}
