@@ -121,7 +121,7 @@ def _emit(payload: Dict[str, object], fmt: str, out: Optional[Path]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text if fmt != "json" else dumps_report(payload), encoding="utf-8")
+        out.write_text(text, encoding="utf-8")
 
 
 def _load_complex(path: Path) -> SimplicialComplex:

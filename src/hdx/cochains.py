@@ -11,13 +11,22 @@ any group:
 
     d0: (u, v)    ->  f(u) f(v)^-1
     d1: (u, v, w) ->  g(u,v) g(v,w) g(w,u)
+
+Every coboundary is a product of f over the facets of a face, read from the
+complex's facet table (``SimplicialComplex.facets``): a term list names the
+facets in order, each as (i, inverted) for the face without its i-th vertex.
+One numpy kernel, ``face_products``, evaluates such products for whole blocks
+of assignments; the coboundaries, the vertex action ``act`` and the exhaustive
+scans of the correction layer all run on it.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .complexes import Face, SimplicialComplex, as_face
 from .errors import (
@@ -85,17 +94,6 @@ class Cochain:
     @classmethod
     def zero(cls, complex: SimplicialComplex, dimension: int, group: FiniteGroup) -> "Cochain":
         return cls(complex, dimension, group)
-
-    @classmethod
-    def indicator(
-        cls,
-        complex: SimplicialComplex,
-        dimension: int,
-        group: FiniteGroup,
-        faces: Iterable[Iterable[int]],
-        element: int = 1,
-    ) -> "Cochain":
-        return cls(complex, dimension, group, {as_face(f): element for f in faces})
 
     def copy_with(self, values: Dict[Face, int]) -> "Cochain":
         return Cochain(self.complex, self.dimension, self.group, values, _trusted=True)
@@ -224,65 +222,98 @@ class Cochain:
         return self.coboundary().is_zero()
 
 
+# -- the face-product kernel ----------------------------------------------------------
+
+#: (i, inverted) pairs naming facets by the vertex they drop; see the module docstring.
+Terms = Sequence[Tuple[int, bool]]
+
+#: d0 on (u, v): f(u) f(v)^-1.
+DELTA0_TERMS: Terms = ((1, False), (0, True))
+#: d1 on (u, v, w): g(uv) g(vw) g(uw)^-1, since g(w,u) = g(u,w)^-1.
+DELTA1_TERMS: Terms = ((2, False), (0, False), (1, True))
+
+
+def additive_terms(k: int) -> Terms:
+    """Terms of the alternating sum  sum_i (-1)^i f(face minus vertex i)  on X(k+1)."""
+    return tuple((i, i % 2 == 1) for i in range(k + 2))
+
+
+def term_columns(X: SimplicialComplex, k: int, terms: Terms) -> List[np.ndarray]:
+    """Kernel columns of the facets of X(k) named by terms (see face_products)."""
+    table, n = X.facets(k), len(X.faces(k - 1))
+    return [table[:, i] + n if inverted else table[:, i] for i, inverted in terms]
+
+
+def face_products(
+    G: FiniteGroup,
+    x: np.ndarray,
+    const: np.ndarray,
+    left: Sequence[np.ndarray],
+    right: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Per row of x, the face values  x[left...] * const * x[right...].
+
+    x is a (rows, n) array of element indices and const has one entry per
+    face.  Each column array in ``left``/``right`` holds one index per face:
+    c < n means x[c], n + c means x[c]^-1.  The factors multiply in list
+    order.  Returns a (rows, faces) array.
+    """
+    xs = np.concatenate([x, G.inv_array(x)], axis=1)
+    acc = np.broadcast_to(const, (len(x), len(const)))
+    for cols in reversed(left):
+        acc = G.op_array(xs[:, cols], acc)
+    for cols in right:
+        acc = G.op_array(acc, xs[:, cols])
+    return acc
+
+
+def _row(f: Cochain) -> np.ndarray:
+    """The values of f as a one-row array over X(k): int64 while the sum of two
+    element indices fits in it, Python ints past that."""
+    values = [f.values.get(face, 0) for face in f.complex.faces(f.dimension)]
+    return np.array([values], dtype=np.int64 if f.group.order <= 2**62 else object)
+
+
+def _from_row(X: SimplicialComplex, k: int, G: FiniteGroup, row: np.ndarray) -> Cochain:
+    """The k-cochain holding the non-identity entries of row."""
+    faces, hit = X.faces(k), np.flatnonzero(row)
+    values = dict(zip([faces[j] for j in hit.tolist()], row[hit].tolist()))
+    return Cochain(X, k, G, values, _trusted=True)
+
+
+def _coboundary(f: Cochain, terms: Terms) -> Cochain:
+    """delta(f) as the product over the facets that terms names, in order."""
+    X, k, x = f.complex, f.dimension, _row(f)
+    identity = np.zeros(len(X.faces(k + 1)), dtype=x.dtype)
+    row = face_products(f.group, x, identity, [], term_columns(X, k + 1, terms))[0]
+    return _from_row(X, k + 1, f.group, row)
+
+
 def coboundary_abelian(f: Cochain) -> Cochain:
     """Alternating-sum coboundary; defined for k <= d-1 over abelian groups."""
     if not f.group.is_abelian:
         raise NonAbelianGroupError("the alternating-sum coboundary needs an abelian group")
-    k, X, g = f.dimension, f.complex, f.group
-    if k >= X.dimension:
+    if f.dimension >= f.complex.dimension:
         raise BadDimensionError("no coboundary above the top dimension")
-    out: Dict[Face, int] = {}
-    cofaces = X.coface_map(k)
-    candidates = set()
-    for face in f.values:
-        candidates.update(cofaces[face])
-    for above in candidates:
-        acc = 0
-        for i in range(len(above)):
-            sub = above[:i] + above[i + 1 :]
-            val = f.values.get(sub)
-            if val is not None:
-                acc = g.op(acc, g.signed(val, 1 if i % 2 == 0 else -1))
-        if acc:
-            out[above] = acc
-    return Cochain(X, k + 1, g, out, _trusted=True)
+    return _coboundary(f, additive_terms(f.dimension))
 
 
 def coboundary_nonabelian_0(f: Cochain) -> Cochain:
     """(u, v) -> f(u) f(v)^-1; defined over any group."""
     if f.dimension != 0:
         raise UndefinedCoboundaryError("expected a 0-cochain")
-    X, g = f.complex, f.group
-    if X.dimension < 1:
+    if f.complex.dimension < 1:
         raise BadDimensionError("the complex has no edges")
-    out: Dict[Face, int] = {}
-    for (u, v) in X.faces(1):
-        val = g.op(f.value((u,)), g.inv(f.value((v,))))
-        if val:
-            out[(u, v)] = val
-    return Cochain(X, 1, g, out, _trusted=True)
+    return _coboundary(f, DELTA0_TERMS)
 
 
 def coboundary_nonabelian_1(f: Cochain) -> Cochain:
     """(u, v, w) -> f(u,v) f(v,w) f(w,u); defined over any group."""
     if f.dimension != 1:
         raise UndefinedCoboundaryError("expected a 1-cochain")
-    X, g = f.complex, f.group
-    if X.dimension < 2:
+    if f.complex.dimension < 2:
         raise BadDimensionError("the complex has no triangles")
-    out: Dict[Face, int] = {}
-    values = f.values
-    inv = g.inv
-    op = g.op
-    for (u, v, w) in X.faces(2):
-        # g(u,v) g(v,w) g(w,u) with canonical storage: g(w,u) = g(u,w)^-1.
-        a = values.get((u, v), 0)
-        b = values.get((v, w), 0)
-        c = values.get((u, w), 0)
-        val = op(op(a, b), inv(c))
-        if val:
-            out[(u, v, w)] = val
-    return Cochain(X, 2, g, out, _trusted=True)
+    return _coboundary(f, DELTA1_TERMS)
 
 
 def distance(f: Cochain, g: Cochain) -> Fraction:
@@ -304,18 +335,11 @@ def act(f0: Cochain, g1: Cochain) -> Cochain:
         raise DimensionMismatchError("cochains live on different complexes")
     if f0.group is not g1.group:
         raise GroupMismatchError("cochains take values in different groups")
-    X, gr = g1.complex, g1.group
-    op, inv = gr.op, gr.inv
-    touched = set(g1.values)
-    edge_map = X.coface_map(0)
-    for vert in f0.values:
-        touched.update(edge_map[vert])
-    out: Dict[Face, int] = {}
-    for (u, v) in touched:
-        val = op(op(f0.value((u,)), g1.values.get((u, v), 0)), inv(f0.value((v,))))
-        if val:
-            out[(u, v)] = val
-    return Cochain(X, 1, gr, out, _trusted=True)
+    X, G = g1.complex, g1.group
+    # d0 with g1 between its two factors: f(u) g(u,v) f(v)^-1.
+    left, right = term_columns(X, 1, DELTA0_TERMS[:1]), term_columns(X, 1, DELTA0_TERMS[1:])
+    row = face_products(G, _row(f0), _row(g1)[0], left, right)[0]
+    return _from_row(X, 1, G, row)
 
 
 def is_cocycle(f: Cochain) -> bool:
@@ -379,5 +403,7 @@ def cochain_from_text(
         face = as_face(ids)
         if list(face) != ids:
             raise ParseError(f"faces must be listed in canonical ascending order: {line!r}")
+        if face in values:
+            raise ParseError(f"face {face} listed twice")
         values[face] = idx
     return Cochain(complex, dimension, group, values)

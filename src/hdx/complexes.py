@@ -4,7 +4,8 @@ A d-dimensional complex is stored as the full downward closure of its top
 faces, including the (-1)-dimensional empty face.  The top distribution P_d
 (uniform by default) induces P_k for every k by picking a top face and then a
 uniform (k+1)-subset; all weights are kept as exact integer numerators over a
-per-dimension denominator so hot loops never touch Fraction arithmetic.
+per-dimension denominator so hot loops never touch Fraction arithmetic.  The
+incidence of X(k) on X(k-1) is one integer table per dimension, ``facets(k)``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     BadDimensionError,
@@ -95,7 +98,7 @@ class SimplicialComplex:
             k: scale * comb(dimension + 1, k + 1) for k in range(-1, dimension + 1)
         }
 
-        self._coface_map: Dict[int, Dict[Face, Tuple[Face, ...]]] = {}
+        self._facets: Dict[int, np.ndarray] = {}
         self._links: Dict[Face, "SimplicialComplex"] = {}
 
     # -- structure ---------------------------------------------------------
@@ -119,19 +122,18 @@ class SimplicialComplex:
     def vertices(self) -> Tuple[int, ...]:
         return tuple(f[0] for f in self._faces[0])
 
-    def coface_map(self, k: int) -> Dict[Face, Tuple[Face, ...]]:
-        """Map from each k-face to the sorted (k+1)-faces containing it."""
-        if k not in self._coface_map:
-            out: Dict[Face, List[Face]] = {f: [] for f in self._faces[k]}
-            for above in self._faces[k + 1]:
-                for sub in combinations(above, k + 1):
-                    out[sub].append(above)
-            self._coface_map[k] = {f: tuple(v) for f, v in out.items()}
-        return self._coface_map[k]
-
-    def cofaces(self, face: Face) -> Tuple[Face, ...]:
-        self.require_face(face)
-        return self.coface_map(len(face) - 1)[face]
+    def facets(self, k: int) -> np.ndarray:
+        """Row j, column i: the index in faces(k-1) of faces(k)[j] without its
+        i-th vertex.  Built once per complex (links are cached), read-only."""
+        if not 0 <= k <= self.dimension:
+            raise BadDimensionError(f"no facet table for X({k}) in a {self.dimension}-complex")
+        if k not in self._facets:
+            index = {face: c for c, face in enumerate(self._faces[k - 1])}
+            rows = [[index[f[:i] + f[i + 1 :]] for i in range(k + 1)] for f in self._faces[k]]
+            table = np.array(rows, dtype=np.intp)
+            table.flags.writeable = False
+            self._facets[k] = table
+        return self._facets[k]
 
     # -- weights -----------------------------------------------------------
 
@@ -277,7 +279,7 @@ class SimplicialComplex:
                 try:
                     ids = [int(p) for p in parts[:at]]
                     w = Fraction(parts[at + 1])
-                except ValueError as exc:
+                except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"malformed line {line!r}") from exc
                 weighted = True
             else:

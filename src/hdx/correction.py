@@ -14,10 +14,11 @@ Every exhaustive search here (the link searches of a step and the minimality
 scans) is one block scan, ``_scan_first_min``.  It walks G^n in lexicographic
 mixed-radix order, the order of ``itertools.product``, in blocks of about
 ``_BLOCK_CELLS`` cells, so memory stays flat.  A block's face values come from
-the group's array ops (Cayley and inverse tables), its face weights from one
-matrix-vector product of the non-identity mask.  The first minimum wins:
-argmin within a block, a strict comparison across blocks, so ties resolve
-exactly as in a plain loop over ``product``.
+the face-product kernel of ``cochains`` on columns read from the facet table
+of the complex or link, its face weights from one matrix-vector product of the
+non-identity mask.  The first minimum wins: argmin within a block, a strict
+comparison across blocks, so ties resolve exactly as in a plain loop over
+``product``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,21 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cochains import Cochain, coboundary_abelian, distance, perm_parity
+import numpy as np
+
+from .cochains import (
+    DELTA0_TERMS,
+    DELTA1_TERMS,
+    Cochain,
+    Terms,
+    additive_terms,
+    coboundary_abelian,
+    coboundary_nonabelian_1,
+    distance,
+    face_products,
+    perm_parity,
+    term_columns,
+)
 from .complexes import Face, FaceSet, SimplicialComplex
 from .errors import (
     AlreadyLocallyMinimalError,
@@ -50,11 +65,6 @@ from .oracle import (
 from .reporting import CheckReport
 from .spectral import local_spectral_lambda
 
-# Imported after the hdx modules, where spectral first loaded it before this
-# module used numpy: loading it ahead of them raised every command's peak RSS
-# by ~0.4 MB.
-import numpy as np
-
 
 # -- the block scan ----------------------------------------------------------------
 
@@ -74,11 +84,11 @@ def _scan_first_min(
     """First x in G^n, in ``product`` order, minimizing the weighted count of faces
     whose value  x[left...] * const * x[right...]  is not the identity.
 
-    Column c < n of ``left``/``right`` means x[c], column n + c means x[c]^-1.
-    Blocks of consecutive assignments are evaluated through the group's array
-    ops; argmin keeps the first minimum in a block and a strict comparison the
-    first across blocks.  With ``stop_below`` the scan ends at the first block
-    whose minimum falls below it.  Returns (weight, assignment).
+    The columns are those of ``face_products``, which evaluates each block of
+    consecutive assignments; argmin keeps the first minimum in a block and a
+    strict comparison the first across blocks.  With ``stop_below`` the scan
+    ends at the first block whose minimum falls below it.  Returns (weight,
+    assignment).
     """
     m = len(const)
     # Python ints when a count could pass int64 (weighted complexes, large denominators).
@@ -90,13 +100,7 @@ def _scan_first_min(
     best: Optional[Tuple[int, Tuple[int, ...]]] = None
     for start in range(0, total, rows):
         x = np.arange(start, min(start + rows, total), dtype=np.int64)[:, None] // place % order
-        xs = np.concatenate([x, G.inv_array(x)], axis=1)
-        acc = np.broadcast_to(const_row, (len(x), m))
-        for cols in reversed(left):
-            acc = G.op_array(xs[:, cols], acc)
-        for cols in right:
-            acc = G.op_array(acc, xs[:, cols])
-        counts = (acc != 0) @ w
+        counts = (face_products(G, x, const_row, left, right) != 0) @ w
         i = int(np.argmin(counts))
         if best is None or counts[i] < best[0]:
             best = (int(counts[i]), tuple(int(a) for a in x[i]))
@@ -106,30 +110,9 @@ def _scan_first_min(
     return best
 
 
-def _facet_columns(
-    faces: Sequence[Face], lower: Sequence[Face], invert_even: bool
-) -> List[np.ndarray]:
-    """Scan columns of the i-th facets of ``faces``, inverted for even i iff invert_even."""
-    n = len(lower)
-    index = {face: c for c, face in enumerate(lower)}
-    columns = []
-    for i in range(len(faces[0])):
-        flip = n if (i % 2 == 0) == invert_even else 0
-        columns.append(
-            np.array([index[face[:i] + face[i + 1 :]] + flip for face in faces], dtype=np.intp)
-        )
-    return columns
-
-
-def _action_columns(
-    edges: Sequence[Face], vertices: Sequence[int]
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Left and right scan columns of the vertex action h(u) c h(w)^-1 on edges (u, w)."""
-    n = len(vertices)
-    pos = {u: c for c, u in enumerate(vertices)}
-    left = [np.array([pos[u] for u, _ in edges], dtype=np.intp)]
-    right = [np.array([n + pos[w] for _, w in edges], dtype=np.intp)]
-    return left, right
+def _inverse(terms: Terms) -> Terms:
+    """Terms of the inverse product: reversed order, each factor inverted."""
+    return tuple((i, not inverted) for i, inverted in reversed(terms))
 
 
 # -- minimality -------------------------------------------------------------------
@@ -147,34 +130,27 @@ def is_minimal(f: Cochain, budget: Optional[EnumerationBudget] = None) -> bool:
     if not f.values:
         return True
     faces = X.faces(k)
+    left: Terms = ()
     if G.is_abelian or k == 0:
         # f - delta(g), with g on X(k-1); X(-1) = {()} carries the constants.
-        lower = X.faces(k - 1)
-        left, right = [], _facet_columns(faces, lower, invert_even=True)
+        right = _inverse(additive_terms(k - 1))
     elif k == 1:
-        lower = X.vertices()
-        left, right = _action_columns(faces, lower)
+        # The vertex action h(u) f(uv) h(v)^-1.
+        left, right = DELTA0_TERMS[:1], DELTA0_TERMS[1:]
     elif k == 2:
         # f(uvw) (g(uv) g(vw) g(uw)^-1)^-1 = f(uvw) g(uw) g(vw)^-1 g(uv)^-1
-        lower = X.faces(1)
-        n = len(lower)
-        pos = {edge: c for c, edge in enumerate(lower)}
-        left = []
-        right = [
-            np.array([pos[(u, w)] for u, _, w in faces], dtype=np.intp),
-            np.array([n + pos[(v, w)] for _, v, w in faces], dtype=np.intp),
-            np.array([n + pos[(u, v)] for u, v, _ in faces], dtype=np.intp),
-        ]
+        right = _inverse(DELTA1_TERMS)
     else:
         raise UndefinedCoboundaryError("no coboundary space for this (group, dimension)")
+    lower = X.faces(k - 1)
     budget.ensure(space_size(G, len(lower)), "minimality scan")
     target_num = sum(X.weight_numerator(face) for face in f.values)
     best, _ = _scan_first_min(
         G,
         len(lower),
         [f.values.get(face, 0) for face in faces],
-        left,
-        right,
+        term_columns(X, k, left),
+        term_columns(X, k, right),
         [X.weight_numerator(face) for face in faces],
         stop_below=target_num,
     )
@@ -221,14 +197,10 @@ def _search_link_abelian(
     faces = link.faces(j - 1)
     star = [X.weight_numerator(tuple(sorted((v,) + face))) for face in faces]
     old_star = sum(num for face, num in zip(faces, star) if face in hv.values)
-    new_star, assignment = _scan_first_min(
-        G,
-        len(lower_faces),
-        [hv.values.get(face, 0) for face in faces],
-        [],
-        _facet_columns(faces, lower_faces, invert_even=False),
-        star,
-    )
+    # h_v + delta(w): the alternating sum of w over the facets of each link face.
+    const = [hv.values.get(face, 0) for face in faces]
+    right = term_columns(link, j - 1, additive_terms(j - 2))
+    new_star, assignment = _scan_first_min(G, len(lower_faces), const, [], right, star)
     if new_star >= old_star:
         return None
     return _LinkSearch(v, old_star - new_star, new_star, assignment, lower_faces)
@@ -281,38 +253,32 @@ def one_step_abelian(
     return best.vertex, g
 
 
-def _anchored_link_values(f: Cochain, v: int) -> Dict[Face, int]:
-    """The 1-cochain (u, w) -> f(vu) f(uw) f(wv) on the link of v (d = 3 path).
-
-    This is the coboundary seen from v; its support matches the unsatisfied
-    triangles at v, and the vertex action on it tracks edge updates at v.
-    """
-    X, G = f.complex, f.group
-    link = X.link((v,))
-    out: Dict[Face, int] = {}
-    for (u, w) in link.faces(1):
-        val = G.op(G.op(f.eval((v, u)), f.eval((u, w))), f.eval((w, v)))
-        if val:
-            out[(u, w)] = val
-    return out
-
-
 def _search_link_nonabelian(
     f: Cochain, v: int, budget: EnumerationBudget
 ) -> Optional[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]]:
-    """Best vertex assignment h minimizing the unsatisfied star mass at v."""
+    """Best vertex assignment h minimizing the unsatisfied star mass at v.
+
+    The anchored values (u, w) -> f(vu) f(uw) f(wv) on the link edges are the
+    coboundary seen from v; the vertex action on them tracks edge updates at v.
+    Only the edges whose anchored value is not the identity are scored.
+    """
     X, G = f.complex, f.group
     link = X.link((v,))
-    anchored = _anchored_link_values(f, v)
-    if not anchored:
+    edges = link.faces(1)
+    anchored = np.array(
+        [G.op(G.op(f.eval((v, u)), f.eval((u, w))), f.eval((w, v))) for u, w in edges],
+        dtype=np.int64,
+    )
+    rows = np.flatnonzero(anchored)
+    if not len(rows):
         return None
-    vertices = tuple(link.vertices())
+    vertices = link.vertices()
     budget.ensure(space_size(G, len(vertices)), f"link correction scan at {v}")
-    edges = list(anchored)
-    star = [X.weight_numerator(tuple(sorted((v,) + edge))) for edge in edges]
-    left, right = _action_columns(edges, vertices)
+    star = [X.weight_numerator(tuple(sorted((v,) + edges[j]))) for j in rows.tolist()]
+    # The action h(u) a(uw) h(w)^-1 is d0 with the anchored value a in between.
+    cols = [c[rows] for c in term_columns(link, 1, DELTA0_TERMS)]
     new_star, assignment = _scan_first_min(
-        G, len(vertices), [anchored[edge] for edge in edges], left, right, star
+        G, len(vertices), anchored[rows], cols[:1], cols[1:], star
     )
     old_star = sum(star)
     if new_star >= old_star:
@@ -334,8 +300,6 @@ def one_step_nonabelian(
         raise WrongDimensionError("the multiplicative correction path needs a 3-complex")
     if f.dimension != 1:
         raise BadDimensionError("the multiplicative correction path corrects 1-cochains")
-    from .cochains import coboundary_nonabelian_1
-
     best = None
     for v in sorted(X.vertices()):
         found = _search_link_nonabelian(f, v, budget)
@@ -485,8 +449,6 @@ def correct_nonabelian(
     With eta, eps, beta given and ||delta(f)|| <= beta*eta/2, the output
     coboundary must classify as weakly-non-local with saturation 1/|G|.
     """
-    from .cochains import coboundary_nonabelian_1
-
     budget = budget or EnumerationBudget.default()
     X, G = f.complex, f.group
     if X.dimension != 3:

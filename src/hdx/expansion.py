@@ -18,6 +18,8 @@ from itertools import combinations
 from math import comb
 from typing import Dict, FrozenSet, Optional, Tuple
 
+import numpy as np
+
 from .complexes import Face, FaceSet, SimplicialComplex
 from .errors import (
     BadDimensionError,
@@ -96,13 +98,18 @@ def delta_i(a: FaceSet, i: int) -> FaceSet:
         raise BadDimensionError("no faces one dimension above a top-dimensional set")
     if not 0 <= i <= k + 2:
         raise BadIndexError(f"containment count {i} out of range 0..{k + 2}")
-    members = a.faces
-    out = []
-    for above in X.faces(k + 1):
-        count = sum(1 for sub in combinations(above, k + 1) if sub in members)
-        if count == i:
-            out.append(above)
-    return FaceSet(X, k + 1, frozenset(out))
+    counts = _member_mask(X, k, a.faces)[X.facets(k + 1)].sum(axis=1)
+    return _face_set(X, k + 1, counts == i)
+
+
+def _member_mask(X: SimplicialComplex, k: int, members) -> np.ndarray:
+    """Boolean mask over X(k) of the faces in members."""
+    return np.array([face in members for face in X.faces(k)], dtype=bool)
+
+
+def _face_set(X: SimplicialComplex, k: int, mask: np.ndarray) -> FaceSet:
+    faces = X.faces(k)
+    return FaceSet(X, k, frozenset(faces[j] for j in np.flatnonzero(mask).tolist()))
 
 
 def thin_hierarchy(a, eta: Fraction, path: str = ABELIAN) -> ThinHierarchy:
@@ -169,25 +176,12 @@ def _sparse_level(
 def gamma_sets(a: FaceSet, hierarchy: ThinHierarchy) -> Tuple[FaceSet, FaceSet]:
     """(k+1)-faces touching A, and those touching A through a fat (k-1)-face."""
     k, X = a.dimension, a.complex
-    fat_below = hierarchy.fat(k - 1)
-    bad_members = {
-        face
-        for face in a.faces
-        if any(sub in fat_below for sub in combinations(face, k))
-    }
-    touching = []
-    through_fat = []
-    members = a.faces
-    for above in X.faces(k + 1):
-        subs = list(combinations(above, k + 1))
-        if any(s in members for s in subs):
-            touching.append(above)
-            if any(s in bad_members for s in subs):
-                through_fat.append(above)
-    return (
-        FaceSet(X, k + 1, frozenset(touching)),
-        FaceSet(X, k + 1, frozenset(through_fat)),
-    )
+    members = _member_mask(X, k, a.faces)
+    bad_members = members & _member_mask(X, k - 1, hierarchy.fat(k - 1))[X.facets(k)].any(axis=1)
+    above = X.facets(k + 1)
+    touching = _face_set(X, k + 1, members[above].any(axis=1))
+    through_fat = _face_set(X, k + 1, bad_members[above].any(axis=1))
+    return touching, through_fat
 
 
 VARIANT_PAIR_IN_LEVEL = "thm-main"        # two k-faces of A meeting in a thin (k-1)-face

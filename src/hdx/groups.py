@@ -343,5 +343,10 @@ def load_table_group(path: Path) -> TableGroup:
         raise ParseError(f"cannot read group table {path}: {exc}") from exc
     if not isinstance(payload, dict) or "table" not in payload:
         raise ParseError(f"group table file {path} must contain a 'table' key")
+    table = payload["table"]
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in table
+    ):
+        raise ParseError(f"the table in {path} must be a list of rows of integers")
     name = str(payload.get("name", Path(path).stem))
-    return TableGroup(name, payload["table"], spec=f"table:{path}")
+    return TableGroup(name, table, spec=f"table:{path}")

@@ -493,14 +493,21 @@ def min_nontrivial_cocycle_weight(
 
     Independent of enumerate_spaces: supports are enumerated by size with
     value products over non-identity elements, pruning once every remaining
-    support is heavier than the best cocycle found.  Returns None when no
-    nontrivial cocycle exists.
+    support is heavier than the best cocycle found.  A candidate is a cocycle
+    when `_Scan.delta_value` vanishes on every (k+1)-face touching its support.
+    Returns None when no nontrivial cocycle exists.
     """
     budget = budget or EnumerationBudget.default()
     faces = list(X.faces(k))
     nums = [X.weight_numerator(f) for f in faces]
     den = X.weight_denominator(k)
     b_set = {_vector_of(f, X, k) for f in coboundary_list(X, G, k, budget)}
+    scan = _Scan(X, k, G)
+    # Refused where the coboundary is; the one-element group has no candidates.
+    if G.order > 1 and not scan.track:
+        if not G.is_abelian and k >= 2:
+            raise UndefinedCoboundaryError("no multiplicative coboundary above dimension 1")
+        raise BadDimensionError("no coboundary above the top dimension")
     sorted_nums = sorted(nums)
     best_num: Optional[int] = None
     best_vec: Optional[Tuple[int, ...]] = None
@@ -518,11 +525,12 @@ def min_nontrivial_cocycle_weight(
                 states += 1
                 if states > budget.max_states:
                     raise BudgetExceededError("support search exceeded the state budget")
-                values = {faces[i]: v for i, v in zip(support, assignment)}
-                f = Cochain(X, k, G, values, _trusted=True)
-                if not f.is_cocycle():
+                values = [0] * len(faces)
+                for i, v in zip(support, assignment):
+                    values[i] = v
+                if any(scan.delta_value(values, j) for i in support for j in scan.touch[i]):
                     continue
-                vec = tuple(values.get(face, 0) for face in faces)
+                vec = tuple(values)
                 if vec in b_set:
                     continue
                 if best_num is None or support_num < best_num or (

@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hdx.cli import main, replay_bundle, write_bundle
-from hdx.cochains import Cochain, cochain_to_text
+from hdx.cochains import Cochain, cochain_from_text, cochain_to_text
 from hdx.complexes import SimplicialComplex
+from hdx.errors import ParseError
 from hdx.groups import group_from_spec
 from hdx.instances import complete_complex
 from hdx.oracle import EnumerationBudget
@@ -235,3 +238,45 @@ def test_bundle_roundtrip(tmp_path):
     write_bundle(bad, X, "Z2", {"kind": "is_minimal", "expected": False}, f)
     assert main(["verify", "--bundle", str(bad)]) == 1
     assert main(["verify", "--bundle", str(bundle)]) == 0
+
+
+def _complex_file(tmp_path, text):
+    path = tmp_path / "complex.txt"
+    path.write_text(text)
+    return SimplicialComplex.from_text, (text,), ["analyze", str(path)]
+
+
+def _table_file(tmp_path, payload):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(payload))
+    cpath = tmp_path / "k4.txt"
+    cpath.write_text(complete_complex(4, 2).to_text())
+    spec = f"table:{path}"
+    return group_from_spec, (spec,), ["analyze", str(cpath), "--group", spec]
+
+
+def _cochain_file(tmp_path, text):
+    path = tmp_path / "f.cochain"
+    path.write_text(text)
+    cpath = tmp_path / "k4.txt"
+    X = complete_complex(4, 2)
+    cpath.write_text(X.to_text())
+    return cochain_from_text, (text, X), ["delta1", str(cpath), "--cochain", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make, content",
+    [
+        (_complex_file, "dim 2\n0 1 2 w 1/0\n"),
+        (_table_file, {"table": [["a"]]}),
+        (_table_file, {"table": 5}),
+        (_cochain_file, "dim 1 group Z3\n0 1 1\n0 1 2\n"),
+    ],
+    ids=["zero-denominator-weight", "non-integer-table", "non-list-table", "face-listed-twice"],
+)
+def test_malformed_input_raises_parse_error(tmp_path, capsys, make, content):
+    parse, args, argv = make(tmp_path, content)
+    with pytest.raises(ParseError):
+        parse(*args)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

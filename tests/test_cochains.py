@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_complexes import weighted_complexes
 
 from hdx.cochains import (
     Cochain,
@@ -321,3 +324,61 @@ def test_cochain_value_validation(k4_skeleton, f2):
         Cochain(k4_skeleton, 1, f2, {(0, 1): 5})
     f = Cochain(k4_skeleton, 1, f2, {(0, 1): 0})
     assert f.is_zero()
+
+
+# -- the face-product kernel against the module docstring's formulas --------------
+
+
+def _reference_coboundary(f):
+    """delta(f) face by face through Cochain.eval on ordered faces."""
+    X, G, k = f.complex, f.group, f.dimension
+    out = {}
+    for face in X.faces(k + 1):
+        if G.is_abelian:
+            # sum_i (-1)^i f(v0 .. v_i omitted .. v_k+1)
+            acc = 0
+            for i in range(len(face)):
+                acc = G.op(acc, G.signed(f.eval(face[:i] + face[i + 1 :]), (-1) ** i))
+        elif k == 0:
+            u, v = face
+            acc = G.op(f.eval((u,)), G.inv(f.eval((v,))))
+        else:
+            u, v, w = face
+            acc = G.op(G.op(f.eval((u, v)), f.eval((v, w))), f.eval((w, u)))
+        if acc:
+            out[face] = acc
+    return out
+
+
+def _reference_act(f0, g1):
+    G = g1.group
+    out = {}
+    for u, v in g1.complex.faces(1):
+        val = G.op(G.op(f0.eval((u,)), g1.eval((u, v))), G.inv(f0.eval((v,))))
+        if val:
+            out[(u, v)] = val
+    return out
+
+
+# Z_(2^63 - 25) and Z_(2^64 + 13): element sums that would wrap in int64.
+@pytest.mark.parametrize(
+    "spec", ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", f"Z{2**63 - 25}", f"Z{2**64 + 13}"]
+)
+@settings(max_examples=30, deadline=None)
+@given(X=weighted_complexes(), rng=st.randoms(use_true_random=False))
+def test_coboundaries_and_action_match_the_formulas(spec, X, rng):
+    G = group_from_spec(spec)
+    dims = range(-1, X.dimension) if G.is_abelian else range(0, min(2, X.dimension))
+    for k in dims:
+        for density in (0.0, 0.5, 1.0):
+            f = random_cochain(X, k, G, rng, density)
+            if G.is_abelian:
+                got = coboundary_abelian(f)
+            else:
+                got = (coboundary_nonabelian_0 if k == 0 else coboundary_nonabelian_1)(f)
+            assert got.dimension == k + 1 and got.values == _reference_coboundary(f)
+    if X.dimension >= 1:
+        for density in (0.0, 0.5):
+            f0 = random_cochain(X, 0, G, rng, density)
+            g1 = random_cochain(X, 1, G, rng, 1 - density)
+            assert act(f0, g1).values == _reference_act(f0, g1)

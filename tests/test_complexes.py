@@ -243,15 +243,23 @@ def test_closure_and_purity_random():
         assert {v for (v,) in X.faces(0)} == vertices
 
 
+def _facets_reference(X, k):
+    """facets(k) from combinations: they drop the last vertex first, so reverse."""
+    index = {face: c for c, face in enumerate(X.faces(k - 1))}
+    return [[index[sub] for sub in reversed(list(combinations(face, k)))] for face in X.faces(k)]
+
+
 def _assert_invariants(X):
-    """Closure, purity and a total mass of 1 in every dimension."""
+    """Closure, purity, the facet tables and a total mass of 1 in every dimension."""
     d = X.dimension
     for k in range(0, d + 1):
         for face in X.faces(k):
             assert all(X.has_face(facet) for facet in combinations(face, k))
-    for k in range(-1, d):
-        cofaces = X.coface_map(k)
-        assert all(cofaces[face] for face in X.faces(k))
+        table = X.facets(k)
+        assert table.shape == (len(X.faces(k)), k + 1)
+        assert table.tolist() == _facets_reference(X, k)
+        # Purity: every face below the top is a facet of some face above it.
+        assert set(table.ravel().tolist()) == set(range(len(X.faces(k - 1))))
     for k in range(-1, d + 1):
         assert sum(X.face_weight(f) for f in X.faces(k)) == 1
 
@@ -283,3 +291,15 @@ def weighted_complexes(draw):
 @given(weighted_complexes())
 def test_weighted_complexes_and_links_are_closed_pure_and_normalized(X):
     _assert_invariants_with_links(X)
+
+
+def test_facet_tables_are_cached_read_only_and_per_link(k4_skeleton):
+    table = k4_skeleton.facets(2)
+    assert k4_skeleton.facets(2) is table and not table.flags.writeable
+    assert table.tolist() == [[3, 1, 0], [4, 2, 0], [5, 2, 1], [5, 4, 3]]
+    link = k4_skeleton.link((0,))
+    assert link.facets(1) is not k4_skeleton.facets(1)
+    assert link.facets(1).tolist() == [[1, 0], [2, 0], [2, 1]]
+    for k in (-1, 3):
+        with pytest.raises(BadDimensionError):
+            k4_skeleton.facets(k)

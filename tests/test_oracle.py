@@ -326,3 +326,37 @@ def test_distance_of_minus_one_cochain_to_cocycles(k4_skeleton, spec):
     f = Cochain(k4_skeleton, -1, G, {(): 1})
     dist, witness = exact_distance(f, "Z")
     assert dist == 1 and witness.values == {}
+
+
+def test_support_search_keeps_its_refusals(k4_skeleton, f2, s3):
+    # No coboundary leaves the top dimension, and the multiplicative one
+    # stops at dimension 1; the support search refuses both like is_cocycle.
+    with pytest.raises(BadDimensionError):
+        min_nontrivial_cocycle_weight(k4_skeleton, f2, 2)
+    with pytest.raises(UndefinedCoboundaryError):
+        min_nontrivial_cocycle_weight(complete_complex(4, 3), s3, 2)
+
+
+def test_oracle_does_not_call_the_fast_coboundary(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the oracle called Cochain.coboundary")
+
+    monkeypatch.setattr(Cochain, "coboundary", refuse)
+    z2, z3, s3 = (group_from_spec(s) for s in ("Z2", "Z3", "S3"))
+    k4, rp2 = complete_complex(4, 2), projective_plane_complex()
+    assert min_nontrivial_cocycle_weight(rp2, z2, 1) == Fraction(1, 3)
+    assert min_nontrivial_cocycle_weight(torus_complex(), z2, 1) == Fraction(2, 7)
+    assert min_nontrivial_cocycle_weight(k4, z3, 1) is None
+    assert min_nontrivial_cocycle_weight(k4, s3, 1) is None
+    spaces = enumerate_spaces(k4, z3, 1)
+    assert (spaces.c_count, len(spaces.cocycles), len(spaces.coboundaries)) == (729, 27, 27)
+    spaces = enumerate_spaces(single_simplex(2), s3, 0)
+    assert (spaces.c_count, len(spaces.cocycles), len(spaces.coboundaries)) == (216, 6, 6)
+    assert coboundary_expansion_constant(k4, s3, 0).epsilon == Fraction(4, 3)
+    assert coboundary_expansion_constant(k4, z3, 1).epsilon == Fraction(9, 4)
+    assert coboundary_expansion_constant(rp2, z2, 1).epsilon == 0
+    per_dim = cosystolic_expansion_constants(k4, z3).per_dim
+    assert [(e["epsilon"], e["mu"], e["z_size"], e["b_size"]) for e in per_dim.values()] == [
+        (Fraction(4, 3), None, 3, 3),
+        (Fraction(9, 4), None, 27, 27),
+    ]
