@@ -2,11 +2,16 @@
 
 Everything here is an independent slow path.  One odometer (`_Scan`) walks
 C^k in lexicographic order for every group, updating the coboundary of the
-current assignment incrementally; two-element groups take Gray-code bitmask
-walks for Z^k and B^k instead.  Distances and expansion constants are exact
-rational minima with deterministic witnesses, a scan over budget is refused
-for the dimension that needs it, and nothing is shared with the fast paths
-these results are checked against.
+current assignment incrementally and keying it by one mixed-radix integer.
+For two-element groups Z^k and B^k are spans over GF(2): the kernel and the
+row space of the incidence rows, listed at a cost of |Z| or |B| rather than
+2^|X(k)|.  Ratio scans keep one table entry per coboundary fiber wherever
+dist(f, Z^k) is the lightest weight in the fiber of df (abelian groups, and
+dimension 0 for every group), and scan a pool of cocycles in numpy blocks
+otherwise.  Distances and expansion constants are exact rational minima with
+deterministic witnesses, a scan over budget is refused for the dimension that
+needs it, and nothing is shared with the fast paths these results are checked
+against.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .cochains import Cochain
 from .complexes import Face, SimplicialComplex
@@ -30,6 +37,7 @@ from .reporting import CheckReport
 
 DEFAULT_MAX_STATES = 2**24
 BUDGET_ENV_VAR = "HDX_BUDGET"
+_POOL_BLOCK = 2**20  # state-by-pool-by-face comparisons per numpy block
 
 
 @dataclass(frozen=True)
@@ -67,25 +75,49 @@ def space_size(group: FiniteGroup, face_count: int) -> int:
 # -- enumeration engine ----------------------------------------------------------
 
 
+# How a (k+1)-face's coboundary value moves when its facet without vertex i
+# changes from a to b: _LEFT multiplies it by b a^-1 on the left, _RIGHT by
+# a b^-1 on the right, and _RECOMPUTE (the middle edge vw of g(uv) g(vw)
+# g(uw)^-1) evaluates it again.
+_LEFT, _RIGHT, _RECOMPUTE = 0, 1, 2
+
+
+def _move_rule(G: FiniteGroup, k: int, i: int) -> int:
+    if G.is_abelian or k == -1:
+        return _LEFT if i % 2 == 0 else _RIGHT  # sum of (-1)^i f(face without i)
+    if k == 0:
+        return _LEFT if i == 1 else _RIGHT  # f(u) f(v)^-1
+    return (_RECOMPUTE, _RIGHT, _LEFT)[i]  # g(uv) g(vw) g(uw)^-1
+
+
 class _Scan:
-    """Odometer over assignments to X(k) with incremental coboundary tracking."""
+    """Odometer over assignments to X(k) with incremental coboundary tracking.
+
+    The coboundary of the current assignment is keyed by its mixed-radix
+    code: the value on the j-th (k+1)-face is digit j, the first face most
+    significant, so codes sort like the value vectors and 0 means df = 0.
+    """
 
     def __init__(self, X: SimplicialComplex, k: int, G: FiniteGroup):
         self.X, self.k, self.G = X, k, G
         self.faces: List[Face] = list(X.faces(k))
         self.m = len(self.faces)
+        self.nums = [X.weight_numerator(f) for f in self.faces]
         index = {f: i for i, f in enumerate(self.faces)}
         self.track = k < X.dimension and (G.is_abelian or k <= 1)
         self.above: List[Face] = list(X.faces(k + 1)) if self.track else []
         self.above_nums = [X.weight_numerator(f) for f in self.above]
+        n = len(self.above)
+        self.place = [G.order ** (n - 1 - j) for j in range(n)]
         self.roles: List[Tuple] = []
-        self.touch: List[List[int]] = [[] for _ in range(self.m)]
+        # touch[p]: (j, rule) for each (k+1)-face j with the p-th k-face as a facet.
+        self.touch: List[List[Tuple[int, int]]] = [[] for _ in range(self.m)]
         if self.track:
             for j, above in enumerate(self.above):
                 role = tuple(index[above[:i] + above[i + 1 :]] for i in range(len(above)))
                 self.roles.append(role)
-                for idx in set(role):
-                    self.touch[idx].append(j)
+                for i, idx in enumerate(role):
+                    self.touch[idx].append((j, _move_rule(G, k, i)))
 
     def delta_value(self, values: List[int], j: int) -> int:
         """Coboundary value on the j-th (k+1)-face for the current assignment."""
@@ -107,41 +139,65 @@ class _Scan:
         uv, uw, vw = role[2], role[1], role[0]
         return G.op(G.op(values[uv], values[vw]), G.inv(values[uw]))
 
-    def run(self, budget: EnumerationBudget, what: str):
-        """Yield (values, delta, unsat) in lexicographic order of values.
+    def delta_weight(self, code: int) -> int:
+        """Weight numerator of the coboundary with the given code."""
+        digits = _digits(code, self.G.order, len(self.above))
+        return sum(n for v, n in zip(digits, self.above_nums) if v)
 
-        The lists are reused in place.  Nothing is tracked at the top
-        dimension, so there every assignment comes with unsat == 0.
+    def run(self, budget: EnumerationBudget, what: str):
+        """Yield (values, code, weight) in lexicographic order of values.
+
+        code keys the coboundary (see the class docstring) and weight is the
+        weight numerator of the assignment.  values is reused in place.
+        Nothing is tracked at the top dimension, so there every code is 0.
         """
         budget.ensure(space_size(self.G, self.m), what)
         g = self.G.order
+        op, inv = self.G.op, self.G.inv
+        nums, place, touch, delta_value = self.nums, self.place, self.touch, self.delta_value
         values = [0] * self.m
         delta = [0] * len(self.above)
-        unsat = 0
-        yield values, delta, unsat
+        code = weight = 0
+
+        def move(p: int, b: int) -> None:
+            nonlocal code
+            a, values[p] = values[p], b
+            left, right = op(b, inv(a)), op(a, inv(b))
+            for j, rule in touch[p]:
+                old = delta[j]
+                if rule == _LEFT:
+                    new = op(left, old)
+                elif rule == _RIGHT:
+                    new = op(old, right)
+                else:
+                    new = delta_value(values, j)
+                if new != old:
+                    delta[j] = new
+                    code += (new - old) * place[j]
+
+        yield values, code, weight
         if g == 1 or self.m == 0:
             return
         while True:
             p = self.m - 1
             while p >= 0 and values[p] == g - 1:
-                values[p] = 0
-                for j in self.touch[p]:
-                    old = delta[j]
-                    new = self.delta_value(values, j)
-                    if old != new:
-                        delta[j] = new
-                        unsat += (1 if new else 0) - (1 if old else 0)
+                move(p, 0)
+                weight -= nums[p]
                 p -= 1
             if p < 0:
                 return
-            values[p] += 1
-            for j in self.touch[p]:
-                old = delta[j]
-                new = self.delta_value(values, j)
-                if old != new:
-                    delta[j] = new
-                    unsat += (1 if new else 0) - (1 if old else 0)
-            yield values, delta, unsat
+            if not values[p]:
+                weight += nums[p]
+            move(p, values[p] + 1)
+            yield values, code, weight
+
+
+def _digits(code: int, base: int, length: int) -> Tuple[int, ...]:
+    """The mixed-radix digits of code, most significant first."""
+    out = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, out[i] = divmod(code, base)
+    return tuple(out)
 
 
 def _f2_incidence(X: SimplicialComplex, k: int) -> List[int]:
@@ -154,37 +210,50 @@ def _f2_incidence(X: SimplicialComplex, k: int) -> List[int]:
     return rows
 
 
-def _f2_scan_cocycles(X: SimplicialComplex, k: int, budget: EnumerationBudget) -> List[int]:
-    """All cocycle bitmasks over X(k), k < d, for a two-element group, via a Gray walk."""
-    cmask = _f2_incidence(X, k)
-    m = len(cmask)
-    budget.ensure(2**m, f"cocycle scan in dimension {k}")
+def _f2_eliminate(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Gaussian elimination over GF(2) on bitmask rows.
+
+    Returns a basis of the row space and a basis of the kernel, the masks of
+    row indices whose rows XOR to 0.
+    """
+    pivots: Dict[int, Tuple[int, int]] = {}
+    kernel: List[int] = []
+    for i, row in enumerate(rows):
+        combo = 1 << i
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (row, combo)
+                break
+            pivot_row, pivot_combo = pivots[top]
+            row ^= pivot_row
+            combo ^= pivot_combo
+        else:
+            kernel.append(combo)
+    return [row for row, _combo in pivots.values()], kernel
+
+
+def _f2_span(basis: Sequence[int]) -> List[int]:
+    """Every XOR of a subset of independent bitmasks, sorted."""
     out = [0]
-    state = 0
-    unsat = 0
-    append = out.append
-    for i in range(1, 2**m):
-        j = (i & -i).bit_length() - 1
-        state ^= 1 << j
-        unsat ^= cmask[j]
-        if unsat == 0:
-            append(state)
+    for b in basis:
+        out += [v ^ b for v in out]
     out.sort()
     return out
 
 
+def _f2_scan_cocycles(X: SimplicialComplex, k: int, budget: EnumerationBudget) -> List[int]:
+    """All cocycle bitmasks over X(k), k < d, for a two-element group: the kernel."""
+    rows = _f2_incidence(X, k)
+    budget.ensure(2 ** len(rows), f"cocycle scan in dimension {k}")
+    return _f2_span(_f2_eliminate(rows)[1])
+
+
 def _f2_image_masks(X: SimplicialComplex, k: int, budget: EnumerationBudget) -> List[int]:
-    """All coboundary bitmasks over X(k) (images of assignments one level down)."""
+    """All coboundary bitmasks over X(k): the row space one level down."""
     rows = _f2_incidence(X, k - 1)
-    m = len(rows)
-    budget.ensure(2**m, f"coboundary scan into dimension {k}")
-    seen = {0}
-    state = 0
-    for i in range(1, 2**m):
-        j = (i & -i).bit_length() - 1
-        state ^= rows[j]
-        seen.add(state)
-    return sorted(seen)
+    budget.ensure(2 ** len(rows), f"coboundary scan into dimension {k}")
+    return _f2_span(_f2_eliminate(rows)[0])
 
 
 @dataclass
@@ -238,8 +307,8 @@ def cocycle_list(
             return [_mask_to_cochain(X, k, G, faces, m) for m in masks]
     return [
         _cochain_from_vector(X, k, G, faces, values)
-        for values, _delta, unsat in _Scan(X, k, G).run(budget, f"Z^{k} scan")
-        if unsat == 0
+        for values, code, _weight in _Scan(X, k, G).run(budget, f"Z^{k} scan")
+        if code == 0
     ]
 
 
@@ -255,11 +324,11 @@ def coboundary_list(
     if G.order == 2:
         masks = _f2_image_masks(X, k, budget)
         return [_mask_to_cochain(X, k, G, faces, m) for m in masks]
-    lower = _Scan(X, k - 1, G)
-    seen = set()
-    for _values, delta, _unsat in lower.run(budget, f"B^{k} scan"):
-        seen.add(tuple(delta))
-    return [_cochain_from_vector(X, k, G, faces, v) for v in sorted(seen)]
+    seen = {code for _values, code, _weight in _Scan(X, k - 1, G).run(budget, f"B^{k} scan")}
+    return [
+        _cochain_from_vector(X, k, G, faces, _digits(code, G.order, len(faces)))
+        for code in sorted(seen)
+    ]
 
 
 def enumerate_spaces(
@@ -338,27 +407,55 @@ def _min_ratio_scan(
     budget: EnumerationBudget,
     what: str,
 ) -> Tuple[Optional[Fraction], Optional[Tuple[int, ...]]]:
-    """First minimum of ||df|| / dist(f, pool) over the f in C^k with df != 0.
+    """First minimum of ||df|| / dist(f, Z^k) over the f in C^k with df != 0.
 
-    Returns the ratio and the vector of f, or (None, None) when df = 0 for
-    every f.  The scan runs in lexicographic order, so ties keep the smallest
-    vector.  pool lies inside Z^k, so no distance is 0.
+    pool is Z^k as value vectors.  Returns the ratio and the vector of f, or
+    (None, None) when df = 0 for every f.  The scan runs in lexicographic
+    order, so ties keep the smallest vector.
     """
-    nums = [X.weight_numerator(f) for f in X.faces(k)]
+    scan = _Scan(X, k, G)
     den_k = X.weight_denominator(k)
     den_k1 = X.weight_denominator(k + 1)
-    scan = _Scan(X, k, G)
     best: Optional[Fraction] = None
+    if G.is_abelian or k == 0:
+        # dist(f, Z^k) = min{||g|| : dg = df}: for abelian G the fiber of df
+        # is the coset f - Z^k, and for k = 0 it is {f c : c locally constant}.
+        # So the ratio depends on df alone, and the first minimizer is the
+        # first preimage of the first image, in scan order, whose ratio is
+        # least.  One table keeps the lightest weight per image; first[i] is
+        # the scan index of the first preimage of the i-th image.
+        lightest: Dict[int, int] = {}
+        first: List[int] = []
+        for index, (_values, code, weight) in enumerate(scan.run(budget, what)):
+            if code:
+                old = lightest.get(code)
+                if old is None:
+                    lightest[code] = weight
+                    first.append(index)
+                elif weight < old:
+                    lightest[code] = weight
+        best_index = 0
+        for (code, weight), index in zip(lightest.items(), first):
+            ratio = Fraction(scan.delta_weight(code) * den_k, den_k1 * weight)
+            if best is None or ratio < best:
+                best, best_index = ratio, index
+        return (None, None) if best is None else (best, _digits(best_index, G.order, scan.m))
+    # Non-abelian k = 1: the distance is not constant on a fiber, so every
+    # state is measured against every pool vector, a block of states at a
+    # time.  Weight numerators stay Python integers where a sum could pass
+    # int64.
+    weights = np.array(scan.nums, dtype=object if sum(scan.nums) >= 2**63 else np.int64)
+    pool_arr = np.array(pool, dtype=np.intp).reshape(len(pool), scan.m)
+    rows = max(1, _POOL_BLOCK // max(1, pool_arr.size))
     best_vec: Optional[Tuple[int, ...]] = None
-    for values, delta, unsat in scan.run(budget, what):
-        if unsat == 0:
-            continue
-        vec = tuple(values)
-        delta_num = sum(n for v, n in zip(delta, scan.above_nums) if v)
-        dist_num = min(sum(n for a, b, n in zip(vec, pvec, nums) if a != b) for pvec in pool)
-        ratio = Fraction(delta_num * den_k, den_k1 * dist_num)
-        if best is None or ratio < best:
-            best, best_vec = ratio, vec
+    states = ((tuple(values), code) for values, code, _weight in scan.run(budget, what) if code)
+    while block := list(islice(states, rows)):
+        vecs = np.array([vec for vec, _code in block], dtype=np.intp)
+        dists = ((vecs[:, None, :] != pool_arr[None, :, :]) @ weights).min(axis=1)
+        for (vec, code), dist in zip(block, dists.tolist()):
+            ratio = Fraction(scan.delta_weight(code) * den_k, den_k1 * dist)
+            if best is None or ratio < best:
+                best, best_vec = ratio, vec
     return best, best_vec
 
 
@@ -501,13 +598,14 @@ def min_nontrivial_cocycle_weight(
     faces = list(X.faces(k))
     nums = [X.weight_numerator(f) for f in faces]
     den = X.weight_denominator(k)
-    b_set = {_vector_of(f, X, k) for f in coboundary_list(X, G, k, budget)}
     scan = _Scan(X, k, G)
-    # Refused where the coboundary is; the one-element group has no candidates.
+    # Refused where the coboundary is, before any scan; the one-element group
+    # has no candidates.
     if G.order > 1 and not scan.track:
         if not G.is_abelian and k >= 2:
             raise UndefinedCoboundaryError("no multiplicative coboundary above dimension 1")
         raise BadDimensionError("no coboundary above the top dimension")
+    b_set = {_vector_of(f, X, k) for f in coboundary_list(X, G, k, budget)}
     sorted_nums = sorted(nums)
     best_num: Optional[int] = None
     best_vec: Optional[Tuple[int, ...]] = None
@@ -528,7 +626,7 @@ def min_nontrivial_cocycle_weight(
                 values = [0] * len(faces)
                 for i, v in zip(support, assignment):
                     values[i] = v
-                if any(scan.delta_value(values, j) for i in support for j in scan.touch[i]):
+                if any(scan.delta_value(values, j) for i in support for j, _ in scan.touch[i]):
                     continue
                 vec = tuple(values)
                 if vec in b_set:

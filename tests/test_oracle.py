@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from hdx.cochains import Cochain, coboundary_abelian, random_cochain
@@ -8,7 +9,9 @@ from hdx.complexes import SimplicialComplex
 from hdx.errors import BadDimensionError, BudgetExceededError, ParseError, UndefinedCoboundaryError
 from hdx.groups import group_from_spec
 from hdx.instances import (
+    bundled_instances,
     complete_complex,
+    glued_simplices,
     projective_plane_complex,
     single_simplex,
     torus_complex,
@@ -16,6 +19,9 @@ from hdx.instances import (
 from hdx.oracle import (
     BUDGET_ENV_VAR,
     EnumerationBudget,
+    _f2_image_masks,
+    _f2_scan_cocycles,
+    _min_ratio_scan,
     coboundary_expansion_constant,
     cosystolic_expansion_constants,
     enumerate_spaces,
@@ -279,43 +285,158 @@ def test_top_dimension_cocycles_are_every_vector_in_order(k4_skeleton, spec):
     assert spaces.cocycle_values() == list(product(range(G.order), repeat=4))
 
 
-def _brute_force_first_minimizer(X, G, k):
-    """First minimum of ||df|| / dist(f, B^k) over f outside B^k, by product loops."""
-    faces = X.faces(k)
+def _coboundary_vector(X, G, k, vec):
+    """df on X(k+1), as a value vector, for the value vector vec on X(k)."""
+    f = Cochain(X, k, G, {face: v for face, v in zip(X.faces(k), vec) if v})
+    df = f.coboundary()
+    return tuple(df.value(face) for face in X.faces(k + 1))
 
-    def cochain(vec, dim, dim_faces):
-        return Cochain(X, dim, G, {f: v for f, v in zip(dim_faces, vec) if v})
 
-    if k == 0:
-        b_vecs = {(c,) * len(faces) for c in range(G.order)}
+def _pair_scan_first_minimizer(X, G, k, space):
+    """First minimum of ||df|| / dist(f, pool) over f outside pool, by product loops.
+
+    pool is B^k (space "B") or Z^k (space "Z"), both enumerated here; every f
+    is measured against every pool vector, in lexicographic order of f.
+    Returns (ratio, vector of f, pool); (None, None, pool) when pool is all
+    of C^k.
+    """
+    faces, above = X.faces(k), X.faces(k + 1)
+    states = list(product(range(G.order), repeat=len(faces)))
+    deltas = [_coboundary_vector(X, G, k, vec) for vec in states]
+    if space == "Z":
+        pool = [vec for vec, d in zip(states, deltas) if not any(d)]
+    elif k == 0:
+        pool = [(c,) * len(faces) for c in range(G.order)]
     else:
-        lower = X.faces(k - 1)
-        b_vecs = set()
-        for vec in product(range(G.order), repeat=len(lower)):
-            delta = coboundary_abelian(cochain(vec, k - 1, lower))
-            b_vecs.add(tuple(delta.value(f) for f in faces))
+        lower = product(range(G.order), repeat=len(X.faces(k - 1)))
+        pool = sorted({_coboundary_vector(X, G, k - 1, vec) for vec in lower})
+    pool_set = set(pool)
+    pool_arr = np.array(pool)
+    nums = np.array([X.weight_numerator(f) for f in faces])
     best = best_vec = None
-    for vec in product(range(G.order), repeat=len(faces)):
-        if vec in b_vecs:
+    for vec, d in zip(states, deltas):
+        if vec in pool_set:
             continue
-        norm = coboundary_abelian(cochain(vec, k, faces)).weight()
-        dist = min(
-            sum(X.face_weight(f) for f, a, b in zip(faces, vec, bvec) if a != b)
-            for bvec in b_vecs
-        )
+        norm = sum(X.face_weight(up) for up, v in zip(above, d) if v)
+        dist = Fraction(int(((pool_arr != vec) @ nums).min()), X.weight_denominator(k))
         if best is None or norm / dist < best:
             best, best_vec = norm / dist, vec
-    return best, best_vec
+    return best, best_vec, pool
+
+
+def _vector(f, k):
+    return tuple(f.value(face) for face in f.complex.faces(k))
+
+
+def _weighted_k4():
+    tops = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    weights = dict(zip(tops, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))))
+    return SimplicialComplex(2, tops, weights)
+
+
+_COMPLEXES = {
+    "k4": lambda: complete_complex(4, 2),
+    "k5": lambda: complete_complex(5, 2),
+    "triangle": lambda: single_simplex(2),
+    "two-triangles": lambda: glued_simplices(2, 2),
+    "torus": torus_complex,
+    "rp2": projective_plane_complex,
+    "weighted-k4": _weighted_k4,
+    "weighted-two-triangles": lambda: SimplicialComplex(
+        2, [(0, 1, 2), (1, 2, 3)], {(0, 1, 2): Fraction(2, 7), (1, 2, 3): Fraction(5, 7)}
+    ),
+    # Disconnected: Z^0 is the locally constant maps, larger than B^0.
+    "two-edges": lambda: SimplicialComplex(1, [(0, 1), (2, 3)]),
+    "path-and-edge": lambda: SimplicialComplex(1, [(0, 1), (1, 2), (3, 4)]),
+}
+
+
+def _check_coboundary_constant(X, G, k):
+    const = coboundary_expansion_constant(X, G, k)
+    best, best_vec, pool = _pair_scan_first_minimizer(X, G, k, "B")
+    assert const.epsilon == best
+    if best:
+        assert _vector(const.witness, k) == best_vec
+    else:
+        # Z^k != B^k: the witness is a cocycle outside B^k, in the cocycle
+        # list's order rather than the scan's.
+        assert const.witness.is_cocycle() and _vector(const.witness, k) not in pool
 
 
 @pytest.mark.parametrize("spec", ["Z2", "Z3"])
 @pytest.mark.parametrize("k", [0, 1])
 def test_coboundary_constant_witness_is_first_minimizer(k4_skeleton, spec, k):
-    G = group_from_spec(spec)
-    const = coboundary_expansion_constant(k4_skeleton, G, k)
-    best, best_vec = _brute_force_first_minimizer(k4_skeleton, G, k)
-    assert const.epsilon == best
-    assert tuple(const.witness.value(f) for f in k4_skeleton.faces(k)) == best_vec
+    _check_coboundary_constant(k4_skeleton, group_from_spec(spec), k)
+
+
+@pytest.mark.parametrize(
+    "name, spec, k",
+    [("k4", spec, k) for spec in ("Z4", "Z2xZ2") for k in (0, 1)]
+    + [("k4", "S3", 0), ("k4", "D4", 0), ("k4", "S3", 1)]
+    + [("triangle", "S3", 1), ("two-triangles", "S3", 1)]
+    + [("two-edges", "S3", 0), ("two-edges", "D4", 0), ("path-and-edge", "S3", 0)]
+    + [("weighted-k4", spec, k) for spec in ("Z2", "Z3") for k in (0, 1)]
+    + [("weighted-k4", "S3", 0), ("weighted-two-triangles", "Z2", 0)]
+    + [("weighted-two-triangles", "S3", 1)],
+)
+def test_coboundary_constant_matches_pair_scan(name, spec, k):
+    _check_coboundary_constant(_COMPLEXES[name](), group_from_spec(spec), k)
+
+
+@pytest.mark.parametrize(
+    "name, spec, k",
+    [("torus", "Z2", 0), ("k5", "Z2", 0), ("k5", "Z2", 1), ("k5", "Z3", 0)]
+    + [("rp2", "Z2", 0), ("rp2", "Z2", 1), ("rp2", "Z3", 0), ("k4", "Z4", 1)]
+    + [("two-edges", "S3", 0), ("two-edges", "D4", 0), ("path-and-edge", "S3", 0)]
+    + [("triangle", "S3", 1), ("two-triangles", "S3", 1)]
+    + [("weighted-k4", "Z3", 1), ("weighted-k4", "S3", 0)]
+    + [("weighted-two-triangles", "Z2", 0), ("weighted-two-triangles", "S3", 1)],
+)
+def test_cosystolic_ratio_scan_matches_pair_scan(name, spec, k):
+    X, G = _COMPLEXES[name](), group_from_spec(spec)
+    best, best_vec, pool = _pair_scan_first_minimizer(X, G, k, "Z")
+    budget = EnumerationBudget()
+    assert _min_ratio_scan(X, G, k, pool, budget, "test scan") == (best, best_vec)
+    entry = cosystolic_expansion_constants(X, G, budget, dims=[k]).per_dim[k]
+    assert entry["epsilon"] == best and entry["z_size"] == len(pool)
+
+
+def _all_instances_and_links():
+    for name, X in bundled_instances().items():
+        yield name, X
+        for i in range(X.dimension):
+            for sigma in X.faces(i):
+                yield f"{name}/{sigma}", X.link(sigma)
+
+
+def _f2_product_masks(X, k):
+    """Every 0/1 vector on X(k) and its coboundary, as bitmasks (bit i: face i).
+
+    Over GF(2) the coboundary on a face is the parity of its facets' values.
+    """
+    states = np.array(list(product((0, 1), repeat=X.face_count(k))), dtype=np.int64)
+    deltas = states[:, X.facets(k + 1)].sum(axis=2) % 2
+
+    def masks(rows):
+        return (rows @ (np.int64(1) << np.arange(rows.shape[1], dtype=np.int64))).tolist()
+
+    return masks(states), masks(deltas)
+
+
+def test_f2_spans_match_product_enumeration():
+    # Every k with at most 2^16 vectors to enumerate is checked; the larger
+    # ones (torus edges, K6^(3) triangles, K7^(3) edges and triangles) are not.
+    budget = EnumerationBudget()
+    checked = 0
+    for name, X in _all_instances_and_links():
+        for k in range(X.dimension):
+            if X.face_count(k) <= 16:
+                states, deltas = _f2_product_masks(X, k)
+                cocycles = [s for s, d in zip(states, deltas) if d == 0]
+                assert _f2_scan_cocycles(X, k, budget) == sorted(cocycles), (name, k)
+                assert _f2_image_masks(X, k + 1, budget) == sorted(set(deltas)), (name, k + 1)
+                checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("spec", ["Z2", "Z3"])
@@ -335,6 +456,16 @@ def test_support_search_keeps_its_refusals(k4_skeleton, f2, s3):
         min_nontrivial_cocycle_weight(k4_skeleton, f2, 2)
     with pytest.raises(UndefinedCoboundaryError):
         min_nontrivial_cocycle_weight(complete_complex(4, 3), s3, 2)
+
+
+def test_support_search_refuses_before_scanning_coboundaries(f2, s3):
+    # On K7^(3) the B^k scans would need 2^35 (Z2, k = 3) and 6^21 states
+    # (S3, k = 2); the dimension refusals come first.
+    X = complete_complex(7, 3)
+    with pytest.raises(BadDimensionError):
+        min_nontrivial_cocycle_weight(X, f2, 3)
+    with pytest.raises(UndefinedCoboundaryError):
+        min_nontrivial_cocycle_weight(X, s3, 2)
 
 
 def test_oracle_does_not_call_the_fast_coboundary(monkeypatch):
