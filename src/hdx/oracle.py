@@ -7,11 +7,11 @@ For two-element groups Z^k and B^k are spans over GF(2): the kernel and the
 row space of the incidence rows, listed at a cost of |Z| or |B| rather than
 2^|X(k)|.  Ratio scans keep one table entry per coboundary fiber wherever
 dist(f, Z^k) is the lightest weight in the fiber of df (abelian groups, and
-dimension 0 for every group), and scan a pool of cocycles in numpy blocks
-otherwise.  Distances and expansion constants are exact rational minima with
-deterministic witnesses, a scan over budget is refused for the dimension that
-needs it, and nothing is shared with the fast paths these results are checked
-against.
+dimension 0 for every group) and the table stays small; otherwise they
+measure every state against a pool of cocycles.  Distances and expansion
+constants are exact rational minima with deterministic witnesses, a scan over
+budget is refused for the dimension that needs it, and nothing is shared with
+the fast paths these results are checked against.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .cochains import Cochain
 from .complexes import Face, SimplicialComplex
@@ -37,7 +35,7 @@ from .reporting import CheckReport
 
 DEFAULT_MAX_STATES = 2**24
 BUDGET_ENV_VAR = "HDX_BUDGET"
-_POOL_BLOCK = 2**20  # state-by-pool-by-face comparisons per numpy block
+_MAX_FIBERS = 2**16  # fiber-table entries in a ratio scan, about 105 bytes each
 
 
 @dataclass(frozen=True)
@@ -75,21 +73,6 @@ def space_size(group: FiniteGroup, face_count: int) -> int:
 # -- enumeration engine ----------------------------------------------------------
 
 
-# How a (k+1)-face's coboundary value moves when its facet without vertex i
-# changes from a to b: _LEFT multiplies it by b a^-1 on the left, _RIGHT by
-# a b^-1 on the right, and _RECOMPUTE (the middle edge vw of g(uv) g(vw)
-# g(uw)^-1) evaluates it again.
-_LEFT, _RIGHT, _RECOMPUTE = 0, 1, 2
-
-
-def _move_rule(G: FiniteGroup, k: int, i: int) -> int:
-    if G.is_abelian or k == -1:
-        return _LEFT if i % 2 == 0 else _RIGHT  # sum of (-1)^i f(face without i)
-    if k == 0:
-        return _LEFT if i == 1 else _RIGHT  # f(u) f(v)^-1
-    return (_RECOMPUTE, _RIGHT, _LEFT)[i]  # g(uv) g(vw) g(uw)^-1
-
-
 class _Scan:
     """Odometer over assignments to X(k) with incremental coboundary tracking.
 
@@ -110,14 +93,13 @@ class _Scan:
         n = len(self.above)
         self.place = [G.order ** (n - 1 - j) for j in range(n)]
         self.roles: List[Tuple] = []
-        # touch[p]: (j, rule) for each (k+1)-face j with the p-th k-face as a facet.
-        self.touch: List[List[Tuple[int, int]]] = [[] for _ in range(self.m)]
+        self.touch: List[List[int]] = [[] for _ in range(self.m)]
         if self.track:
             for j, above in enumerate(self.above):
                 role = tuple(index[above[:i] + above[i + 1 :]] for i in range(len(above)))
                 self.roles.append(role)
-                for i, idx in enumerate(role):
-                    self.touch[idx].append((j, _move_rule(G, k, i)))
+                for idx in set(role):
+                    self.touch[idx].append(j)
 
     def delta_value(self, values: List[int], j: int) -> int:
         """Coboundary value on the j-th (k+1)-face for the current assignment."""
@@ -153,7 +135,6 @@ class _Scan:
         """
         budget.ensure(space_size(self.G, self.m), what)
         g = self.G.order
-        op, inv = self.G.op, self.G.inv
         nums, place, touch, delta_value = self.nums, self.place, self.touch, self.delta_value
         values = [0] * self.m
         delta = [0] * len(self.above)
@@ -161,16 +142,10 @@ class _Scan:
 
         def move(p: int, b: int) -> None:
             nonlocal code
-            a, values[p] = values[p], b
-            left, right = op(b, inv(a)), op(a, inv(b))
-            for j, rule in touch[p]:
+            values[p] = b
+            for j in touch[p]:
                 old = delta[j]
-                if rule == _LEFT:
-                    new = op(left, old)
-                elif rule == _RIGHT:
-                    new = op(old, right)
-                else:
-                    new = delta_value(values, j)
+                new = delta_value(values, j)
                 if new != old:
                     delta[j] = new
                     code += (new - old) * place[j]
@@ -417,7 +392,9 @@ def _min_ratio_scan(
     den_k = X.weight_denominator(k)
     den_k1 = X.weight_denominator(k + 1)
     best: Optional[Fraction] = None
-    if G.is_abelian or k == 0:
+    # For abelian G and for k = 0 the fibers of d are the |C^k| / |Z^k|
+    # cosets of Z^k.
+    if (G.is_abelian or k == 0) and space_size(G, scan.m) // len(pool) <= _MAX_FIBERS:
         # dist(f, Z^k) = min{||g|| : dg = df}: for abelian G the fiber of df
         # is the coset f - Z^k, and for k = 0 it is {f c : c locally constant}.
         # So the ratio depends on df alone, and the first minimizer is the
@@ -440,22 +417,19 @@ def _min_ratio_scan(
             if best is None or ratio < best:
                 best, best_index = ratio, index
         return (None, None) if best is None else (best, _digits(best_index, G.order, scan.m))
-    # Non-abelian k = 1: the distance is not constant on a fiber, so every
-    # state is measured against every pool vector, a block of states at a
-    # time.  Weight numerators stay Python integers where a sum could pass
-    # int64.
-    weights = np.array(scan.nums, dtype=object if sum(scan.nums) >= 2**63 else np.int64)
-    pool_arr = np.array(pool, dtype=np.intp).reshape(len(pool), scan.m)
-    rows = max(1, _POOL_BLOCK // max(1, pool_arr.size))
+    # Non-abelian k = 1, where the distance is not constant on a fiber, and
+    # tables past _MAX_FIBERS: every state is measured against every pool
+    # vector, in memory O(|Z^k|).
+    nums = scan.nums
     best_vec: Optional[Tuple[int, ...]] = None
-    states = ((tuple(values), code) for values, code, _weight in scan.run(budget, what) if code)
-    while block := list(islice(states, rows)):
-        vecs = np.array([vec for vec, _code in block], dtype=np.intp)
-        dists = ((vecs[:, None, :] != pool_arr[None, :, :]) @ weights).min(axis=1)
-        for (vec, code), dist in zip(block, dists.tolist()):
-            ratio = Fraction(scan.delta_weight(code) * den_k, den_k1 * dist)
-            if best is None or ratio < best:
-                best, best_vec = ratio, vec
+    for values, code, _weight in scan.run(budget, what):
+        if not code:
+            continue
+        vec = tuple(values)
+        dist_num = min(sum(n for a, b, n in zip(vec, pvec, nums) if a != b) for pvec in pool)
+        ratio = Fraction(scan.delta_weight(code) * den_k, den_k1 * dist_num)
+        if best is None or ratio < best:
+            best, best_vec = ratio, vec
     return best, best_vec
 
 
@@ -626,7 +600,7 @@ def min_nontrivial_cocycle_weight(
                 values = [0] * len(faces)
                 for i, v in zip(support, assignment):
                     values[i] = v
-                if any(scan.delta_value(values, j) for i in support for j, _ in scan.touch[i]):
+                if any(scan.delta_value(values, j) for i in support for j in scan.touch[i]):
                     continue
                 vec = tuple(values)
                 if vec in b_set:

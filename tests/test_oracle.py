@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -399,6 +400,42 @@ def test_cosystolic_ratio_scan_matches_pair_scan(name, spec, k):
     assert _min_ratio_scan(X, G, k, pool, budget, "test scan") == (best, best_vec)
     entry = cosystolic_expansion_constants(X, G, budget, dims=[k]).per_dim[k]
     assert entry["epsilon"] == best and entry["z_size"] == len(pool)
+
+
+@pytest.mark.parametrize(
+    "name, spec, k",
+    [("k5", "Z2", 0), ("k5", "Z3", 0), ("k4", "Z4", 1), ("weighted-k4", "Z3", 1)]
+    + [("two-edges", "D4", 0), ("path-and-edge", "S3", 0), ("weighted-two-triangles", "Z2", 0)],
+)
+def test_ratio_scan_past_the_fiber_bound_matches_pair_scan(monkeypatch, name, spec, k):
+    # With no room for a fiber table the scan measures every state against
+    # the pool, as it does for non-abelian k = 1.
+    monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 0)
+    X, G = _COMPLEXES[name](), group_from_spec(spec)
+    best, best_vec, pool = _pair_scan_first_minimizer(X, G, k, "Z")
+    assert _min_ratio_scan(X, G, k, pool, EnumerationBudget(), "test scan") == (best, best_vec)
+
+
+def test_ratio_scan_past_the_fiber_bound_keeps_no_table(monkeypatch):
+    # A path on 14 vertices over Z2 at k = 0 has 2^14 / 2 = 8192 images.
+    X = SimplicialComplex(1, [(i, i + 1) for i in range(13)])
+    G = group_from_spec("Z2")
+    pool = [(0,) * 14, (1,) * 14]
+
+    def traced_scan():
+        tracemalloc.start()
+        try:
+            result = _min_ratio_scan(X, G, 0, pool, EnumerationBudget(), "test scan")
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 8192)
+    table, table_peak = traced_scan()
+    monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 8191)
+    pooled, pool_peak = traced_scan()
+    assert pooled == table
+    assert pool_peak * 4 < table_peak
 
 
 def _all_instances_and_links():
