@@ -13,18 +13,11 @@ from .cochains import (
     coboundary_nonabelian_0,
     coboundary_nonabelian_1,
     distance,
-    is_cocycle,
     random_cochain,
 )
 from .complexes import (
     FaceSet,
     SimplicialComplex,
-    build_complex,
-    degree_bound,
-    face_weight,
-    link,
-    mutual_weight,
-    skeleton,
 )
 from .correction import (
     CorrectionTrace,
@@ -48,10 +41,7 @@ from .expansion import (
     classify_weakly_non_local,
     delta1,
     delta_i,
-    f_down_sigma,
-    gamma_sets,
     thin_hierarchy,
-    upsilon_set,
 )
 from .groups import (
     CyclicGroup,
@@ -76,7 +66,6 @@ from .oracle import (
     enumerate_spaces,
     exact_distance,
     min_nontrivial_cocycle_weight,
-    verify_against_oracle,
 )
 from .spectral import (
     SpectralCertificate,

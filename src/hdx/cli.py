@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Optional
 
-from .cochains import Cochain, cochain_from_text, cochain_to_text
+from .cochains import cochain_from_text, cochain_to_text
 from .complexes import FaceSet, SimplicialComplex
 from .correction import correct_abelian, correct_nonabelian
 from .errors import BadParamsError, BudgetExceededError, HdxError, PremiseFailedError
@@ -31,7 +31,6 @@ from .oracle import (
     EnumerationBudget,
     coboundary_expansion_constant,
     cosystolic_expansion_constants,
-    verify_against_oracle,
 )
 from .reporting import dumps_report, render_table, to_jsonable
 from .spectral import (
@@ -97,13 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         nargs="?",
         default="all",
-        choices=("all",) + SUITE_NAMES + ("none",),
+        choices=("all",) + SUITE_NAMES,
     )
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--budget", type=int, default=None)
     ver.add_argument("--out", type=Path, default=None)
     ver.add_argument("--format", choices=("json", "table"), default="json")
-    ver.add_argument("--bundle", type=Path, default=None, help="replay a counterexample bundle")
     return parser
 
 
@@ -296,14 +294,6 @@ def cmd_correct(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
-    if args.bundle is not None:
-        report = replay_bundle(args.bundle, budget)
-        _emit(report, args.format, args.out)
-        return 0 if report["passed"] else 1
-    if args.suite == "none":
-        payload = {"seed": args.seed, "suites": {}, "passed": True}
-        _emit(payload, args.format, args.out)
-        return 0
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     report = run_suites(names, seed=args.seed, budget=budget)
     _emit(report, args.format, args.out)
@@ -321,36 +311,6 @@ def emit_failure_records(report: Dict[str, object], outdir: Path) -> None:
                 continue
             path = outdir / f"{suite_name}-{check['name']}.json"
             path.write_text(dumps_report(check), encoding="utf-8")
-
-
-def replay_bundle(bundle_dir: Path, budget: EnumerationBudget) -> Dict[str, object]:
-    """Re-run the claim stored in a counterexample bundle directory."""
-    claim = json.loads((bundle_dir / "claim.json").read_text(encoding="utf-8"))
-    X = _load_complex(bundle_dir / "complex.txt")
-    G = group_from_spec(claim["group"])
-    cochain = None
-    cochain_path = bundle_dir / "cochain.txt"
-    if cochain_path.exists():
-        cochain = cochain_from_text(cochain_path.read_text(encoding="utf-8"), X, G)
-    check = verify_against_oracle(claim["claim"], X, G, cochain, budget)
-    return {"bundle": bundle_dir.name, "passed": check.passed, "check": check.as_dict()}
-
-
-def write_bundle(
-    bundle_dir: Path,
-    X: SimplicialComplex,
-    group_spec: str,
-    claim: Dict[str, object],
-    cochain: Optional[Cochain] = None,
-) -> None:
-    """Serialize a replayable counterexample bundle."""
-    bundle_dir.mkdir(parents=True, exist_ok=True)
-    (bundle_dir / "complex.txt").write_text(X.to_text(), encoding="utf-8")
-    if cochain is not None:
-        (bundle_dir / "cochain.txt").write_text(cochain_to_text(cochain), encoding="utf-8")
-    (bundle_dir / "claim.json").write_text(
-        dumps_report({"group": group_spec, "claim": claim}), encoding="utf-8"
-    )
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -91,10 +91,6 @@ class Cochain:
 
     # -- constructors --------------------------------------------------------
 
-    @classmethod
-    def zero(cls, complex: SimplicialComplex, dimension: int, group: FiniteGroup) -> "Cochain":
-        return cls(complex, dimension, group)
-
     def copy_with(self, values: Dict[Face, int]) -> "Cochain":
         return Cochain(self.complex, self.dimension, self.group, values, _trusted=True)
 
@@ -190,20 +186,6 @@ class Cochain:
                 sign = perm_parity(sigma + rest)
                 out[rest] = g.signed(idx, sign)
         return Cochain(link, self.dimension - len(sigma), g, out, _trusted=True)
-
-    def restrict(self, vertex: int) -> "Cochain":
-        """The same-dimension cochain keeping the faces visible in a vertex link."""
-        v_face = (vertex,)
-        self.complex.require_face(v_face)
-        link = self.complex.link(v_face)
-        if self.dimension > link.dimension:
-            raise DimensionMismatchError("cochain dimension exceeds link dimension")
-        out = {
-            face: idx
-            for face, idx in self.values.items()
-            if link.has_face(face)
-        }
-        return Cochain(link, self.dimension, self.group, out, _trusted=True)
 
     # -- coboundary --------------------------------------------------------------
 
@@ -340,10 +322,6 @@ def act(f0: Cochain, g1: Cochain) -> Cochain:
     left, right = term_columns(X, 1, DELTA0_TERMS[:1]), term_columns(X, 1, DELTA0_TERMS[1:])
     row = face_products(G, _row(f0), _row(g1)[0], left, right)[0]
     return _from_row(X, 1, G, row)
-
-
-def is_cocycle(f: Cochain) -> bool:
-    return f.is_cocycle()
 
 
 def random_cochain(

@@ -173,16 +173,6 @@ class SimplicialComplex:
                 total += num[face] * hits
         return Fraction(total, self._den[k] * comb(k + 1, ell + 1))
 
-    def localized_faces(self, a_faces: Iterable[Face], sigma: Face) -> FrozenSet[Face]:
-        """Localization of a face set to the link of sigma: {tau \\ sigma}."""
-        self.require_face(sigma)
-        s = set(sigma)
-        out = []
-        for face in a_faces:
-            if s.issubset(face):
-                out.append(tuple(v for v in face if v not in s))
-        return frozenset(out)
-
     def localized_weight(self, a_faces: Iterable[Face], k: int, sigma: Face) -> Fraction:
         """Weight of the localization of a set of k-faces inside the link of sigma.
 
@@ -223,14 +213,6 @@ class SimplicialComplex:
             link = SimplicialComplex(self.dimension - len(sigma), tops, weights)
             self._links[sigma] = link
         return self._links[sigma]
-
-    def skeleton(self, j: int) -> "SimplicialComplex":
-        """The j-skeleton, re-weighted uniformly over its top faces."""
-        if not 0 <= j <= self.dimension:
-            raise BadDimensionError(f"skeleton dimension {j} out of range 0..{self.dimension}")
-        if j == self.dimension:
-            return self
-        return SimplicialComplex(j, self._faces[j])
 
     def degree_bound(self) -> int:
         """Max number of top faces containing any single vertex."""
@@ -318,18 +300,9 @@ class FaceSet:
             raise UnknownFaceError(f"faces {sorted(stray)[:3]} are not {k}-faces of the complex")
         return cls(complex, k, members)
 
-    @classmethod
-    def empty(cls, complex: SimplicialComplex, k: int) -> "FaceSet":
-        complex.faces(k)
-        return cls(complex, k, frozenset())
-
     @property
     def weight(self) -> Fraction:
         return self.complex.set_weight(self.faces, self.dimension)
-
-    def complement(self) -> "FaceSet":
-        universe = frozenset(self.complex.faces(self.dimension))
-        return FaceSet(self.complex, self.dimension, universe - self.faces)
 
     def __contains__(self, face: Face) -> bool:
         return face in self.faces
@@ -340,34 +313,3 @@ class FaceSet:
     def __len__(self) -> int:
         return len(self.faces)
 
-
-def build_complex(
-    top_faces: Sequence[Iterable[int]],
-    dimension: int,
-    top_weights: Optional[Mapping[Face, Fraction]] = None,
-) -> SimplicialComplex:
-    """Downward-closed pure complex from a list of top faces."""
-    return SimplicialComplex(dimension, top_faces, top_weights)
-
-
-def face_weight(complex: SimplicialComplex, face: Iterable[int]) -> Fraction:
-    return complex.face_weight(as_face(face))
-
-
-def link(complex: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
-    return complex.link(as_face(sigma))
-
-
-def skeleton(complex: SimplicialComplex, j: int) -> SimplicialComplex:
-    return complex.skeleton(j)
-
-
-def degree_bound(complex: SimplicialComplex) -> int:
-    return complex.degree_bound()
-
-
-def mutual_weight(complex: SimplicialComplex, a: FaceSet, b: FaceSet) -> Fraction:
-    """Joint probability that a random k-face is in A and its random ell-subface in B."""
-    if a.complex is not complex or b.complex is not complex:
-        raise DimensionMismatchError("face sets must belong to the given complex")
-    return complex.mutual_weight_sets(a.faces, a.dimension, b.faces, b.dimension)

@@ -366,6 +366,20 @@ class CorrectionTrace:
         return len(self.steps)
 
 
+def _check_trace_bounds(trace: CorrectionTrace) -> None:
+    """Raise FalsificationError when a finished loop breaks its a-priori bounds."""
+    if trace.step_count > trace.r_bound:
+        raise FalsificationError(
+            f"step count {trace.step_count} exceeds the bound {trace.r_bound}"
+        )
+    if trace.total_moved > trace.dist_bound:
+        raise FalsificationError(
+            f"moved {trace.total_moved}, over the bound {trace.dist_bound}"
+        )
+    if trace.final_delta_weight > trace.initial_delta_weight:
+        raise FalsificationError("||delta|| grew over the correction loop")
+
+
 def correct_abelian(
     f: Cochain,
     budget: Optional[EnumerationBudget] = None,
@@ -409,16 +423,7 @@ def correct_abelian(
     d = X.dimension
     trace.r_bound = X.face_count(d) * comb(d + 1, k + 2) * trace.initial_delta_weight
     trace.dist_bound = q * comb(d, k + 1) * trace.initial_delta_weight
-    if trace.step_count > trace.r_bound:
-        raise FalsificationError(
-            f"step count {trace.step_count} exceeds the bound {trace.r_bound}"
-        )
-    if trace.total_moved > trace.dist_bound:
-        raise FalsificationError(
-            f"moved {trace.total_moved}, over the bound {trace.dist_bound}"
-        )
-    if trace.final_delta_weight > trace.initial_delta_weight:
-        raise FalsificationError("||delta|| grew over the correction loop")
+    _check_trace_bounds(trace)
     if eta is not None and eps is not None:
         threshold = Fraction(eta) ** (2 ** (k + 2) - 1)
         if trace.initial_delta_weight <= threshold:
@@ -474,16 +479,7 @@ def correct_nonabelian(
     q = X.degree_bound()
     trace.r_bound = 4 * X.face_count(3) * trace.initial_delta_weight
     trace.dist_bound = 2 * q * trace.initial_delta_weight
-    if trace.step_count > trace.r_bound:
-        raise FalsificationError(
-            f"step count {trace.step_count} exceeds the bound {trace.r_bound}"
-        )
-    if trace.total_moved > trace.dist_bound:
-        raise FalsificationError(
-            f"moved {trace.total_moved}, over the bound {trace.dist_bound}"
-        )
-    if trace.final_delta_weight > trace.initial_delta_weight:
-        raise FalsificationError("||delta|| grew over the correction loop")
+    _check_trace_bounds(trace)
     if eta is not None and eps is not None and beta is not None:
         threshold = Fraction(beta) * Fraction(eta) / 2
         if trace.initial_delta_weight <= threshold:
@@ -531,26 +527,6 @@ def saturation_diagnostic(f: Cochain) -> CheckReport:
         lhs=None if worst is None else worst[1],
         rhs=bound,
         params={"group": G.spec},
-        witness=None if worst is None else worst[0],
-    )
-
-
-def localization_restriction_diagnostic(f: Cochain, beta: Fraction) -> CheckReport:
-    """||f_v|| <= ||f^v|| / beta at every vertex, for measured link expansion beta."""
-    beta = Fraction(beta)
-    worst = None
-    for v in sorted(f.complex.vertices()):
-        local = f.localize((v,)).weight()
-        restricted = f.restrict(v).weight()
-        if local * beta > restricted:
-            worst = (v, local, restricted)
-            break
-    return CheckReport(
-        name="localization-vs-restriction",
-        passed=worst is None,
-        lhs=None if worst is None else worst[1],
-        rhs=None if worst is None else worst[2] / beta,
-        params={"beta": beta},
         witness=None if worst is None else worst[0],
     )
 

@@ -98,18 +98,10 @@ def delta_i(a: FaceSet, i: int) -> FaceSet:
         raise BadDimensionError("no faces one dimension above a top-dimensional set")
     if not 0 <= i <= k + 2:
         raise BadIndexError(f"containment count {i} out of range 0..{k + 2}")
-    counts = _member_mask(X, k, a.faces)[X.facets(k + 1)].sum(axis=1)
-    return _face_set(X, k + 1, counts == i)
-
-
-def _member_mask(X: SimplicialComplex, k: int, members) -> np.ndarray:
-    """Boolean mask over X(k) of the faces in members."""
-    return np.array([face in members for face in X.faces(k)], dtype=bool)
-
-
-def _face_set(X: SimplicialComplex, k: int, mask: np.ndarray) -> FaceSet:
-    faces = X.faces(k)
-    return FaceSet(X, k, frozenset(faces[j] for j in np.flatnonzero(mask).tolist()))
+    members = np.array([face in a.faces for face in X.faces(k)], dtype=bool)
+    hit = np.flatnonzero(members[X.facets(k + 1)].sum(axis=1) == i)
+    above = X.faces(k + 1)
+    return FaceSet(X, k + 1, frozenset(above[j] for j in hit.tolist()))
 
 
 def thin_hierarchy(a, eta: Fraction, path: str = ABELIAN) -> ThinHierarchy:
@@ -173,67 +165,15 @@ def _sparse_level(
     return frozenset(out)
 
 
-def gamma_sets(a: FaceSet, hierarchy: ThinHierarchy) -> Tuple[FaceSet, FaceSet]:
-    """(k+1)-faces touching A, and those touching A through a fat (k-1)-face."""
-    k, X = a.dimension, a.complex
-    members = _member_mask(X, k, a.faces)
-    bad_members = members & _member_mask(X, k - 1, hierarchy.fat(k - 1))[X.facets(k)].any(axis=1)
-    above = X.facets(k + 1)
-    touching = _face_set(X, k + 1, members[above].any(axis=1))
-    through_fat = _face_set(X, k + 1, bad_members[above].any(axis=1))
-    return touching, through_fat
-
-
-VARIANT_PAIR_IN_LEVEL = "thm-main"        # two k-faces of A meeting in a thin (k-1)-face
-VARIANT_ALL_LEVELS = "hierarchy"          # two fat i-faces meeting in a thin (i-1)-face
-VARIANT_INSIDE_SET = "set-internal"       # members of A with two fat facets meeting thin
-
-
-def upsilon_set(a, hierarchy: ThinHierarchy, variant: str) -> FaceSet:
-    """Degenerate faces for the tagged variant; see the proofs they support."""
-    faces, k, X = _faces_of(a)
-    if variant == VARIANT_PAIR_IN_LEVEL:
-        thin = hierarchy.thin(k - 1)
-        out = []
-        for above in X.faces(k + 1):
-            subs = [s for s in combinations(above, k + 1) if s in faces]
-            hit = False
-            for s1, s2 in combinations(subs, 2):
-                inter = tuple(sorted(set(s1) & set(s2)))
-                if len(inter) == k and inter in thin:
-                    hit = True
-                    break
-            if hit:
-                out.append(above)
-        return FaceSet(X, k + 1, frozenset(out))
-
-    if variant == VARIANT_ALL_LEVELS:
-        out = []
-        for above in X.faces(k + 1):
-            if _has_degenerate_pair(above, hierarchy, k):
-                out.append(above)
-        return FaceSet(X, k + 1, frozenset(out))
-
-    if variant == VARIANT_INSIDE_SET:
-        thin_high = hierarchy.thin(k - 1)
-        thin_low = hierarchy.thin(k - 2)
-        fat_high_universe = frozenset(X.faces(k - 1)) - thin_high
-        out = []
-        for face in faces:
-            hit = False
-            for drop in combinations(range(k + 1), 2):
-                t1 = tuple(v for j, v in enumerate(face) if j != drop[0])
-                t2 = tuple(v for j, v in enumerate(face) if j != drop[1])
-                if t1 in fat_high_universe and t2 in fat_high_universe:
-                    inter = tuple(v for j, v in enumerate(face) if j not in drop)
-                    if inter in thin_low:
-                        hit = True
-                        break
-            if hit:
-                out.append(face)
-        return FaceSet(X, k, frozenset(out))
-
-    raise UnknownVariantError(f"unknown degenerate-face variant {variant!r}")
+def degenerate_above(f, hierarchy: ThinHierarchy) -> FaceSet:
+    """(k+1)-faces holding two fat i-faces, for some level i <= k, that meet in a
+    thin (i-1)-face; at level k the fat faces are the members of A."""
+    _, k, X = _faces_of(f)
+    out = []
+    for above in X.faces(k + 1):
+        if _has_degenerate_pair(above, hierarchy, k):
+            out.append(above)
+    return FaceSet(X, k + 1, frozenset(out))
 
 
 def _has_degenerate_pair(above: Face, hierarchy: ThinHierarchy, k: int) -> bool:
@@ -253,35 +193,26 @@ def _has_degenerate_pair(above: Face, hierarchy: ThinHierarchy, k: int) -> bool:
     return False
 
 
-def f_down_sigma(a, sigma: Face, hierarchy: ThinHierarchy) -> FaceSet:
-    """Members of A reachable from sigma through a chain of fat faces.
-
-    tau qualifies when some chain tau > tau_(k-1) > ... > tau_(i+1) > sigma
-    exists with every tau_j fat at its level; for dim(sigma) = k-1 the chain
-    is empty and the condition is just containment.
-    """
-    faces, k, X = _faces_of(a)
-    sigma = tuple(sigma)
-    X.require_face(sigma)
-    i = len(sigma) - 1
-    if not i < k:
-        raise BadDimensionError("need dim(sigma) < k")
-    sig = set(sigma)
-    if i == k - 1:
-        return FaceSet(X, k, frozenset(f for f in faces if sig.issubset(f)))
-    grown: FrozenSet[Face] = frozenset(
-        f for f in hierarchy.fat(i + 1) if sig.issubset(f)
-    )
-    for j in range(i + 2, k):
-        grown = frozenset(
-            f
-            for f in hierarchy.fat(j)
-            if any(set(low).issubset(f) for low in grown)
-        )
-    out = frozenset(
-        f for f in faces if any(set(low).issubset(f) for low in grown)
-    )
-    return FaceSet(X, k, out)
+def degenerate_inside(a: FaceSet, hierarchy: ThinHierarchy) -> FaceSet:
+    """Members of A with two facets outside S_(k-1) that meet in a face of S_(k-2)."""
+    k, X = a.dimension, a.complex
+    thin_high = hierarchy.thin(k - 1)
+    thin_low = hierarchy.thin(k - 2)
+    fat_high_universe = frozenset(X.faces(k - 1)) - thin_high
+    out = []
+    for face in a.faces:
+        hit = False
+        for drop in combinations(range(k + 1), 2):
+            t1 = tuple(v for j, v in enumerate(face) if j != drop[0])
+            t2 = tuple(v for j, v in enumerate(face) if j != drop[1])
+            if t1 in fat_high_universe and t2 in fat_high_universe:
+                inter = tuple(v for j, v in enumerate(face) if j not in drop)
+                if inter in thin_low:
+                    hit = True
+                    break
+        if hit:
+            out.append(face)
+    return FaceSet(X, k, frozenset(out))
 
 
 def classify_non_local(a: FaceSet, eta: Fraction, eps: Fraction) -> NonLocalVerdict:
@@ -362,8 +293,7 @@ def check_delta1_theorem_nonabelian(
 ) -> CheckReport:
     """||delta1(A)|| >= alpha ||A|| for weakly-non-local A under the stated params.
 
-    Requires eps <= alpha / (3 d^3), lambda <= eps^2, eta <= eps^3.  Also
-    reports the intermediate facet-decomposition lower bound as a float.
+    Requires eps <= alpha / (3 d^3), lambda <= eps^2, eta <= eps^3.
     """
     lam = Fraction(lambda_plus)
     eta, eps, alpha = Fraction(eta), Fraction(eps), Fraction(alpha)
@@ -379,36 +309,12 @@ def check_delta1_theorem_nonabelian(
         raise NotWeaklyNonLocalError("the set is not weakly-non-local at these parameters")
     lhs = delta1(a).weight
     rhs = alpha * a.weight
-    intermediate = delta1_facet_decomposition_bound(a, lam, eta, alpha)
     return CheckReport(
         name="delta1-lower-bound-multiplicative",
         passed=lhs >= rhs,
         lhs=lhs,
         rhs=rhs,
         params={"lambda_plus": lam, "eta": eta, "eps": eps, "alpha": alpha, "k": k},
-        notes=f"facet-decomposition intermediate lower bound: {intermediate:.6g}",
-    )
-
-
-def delta1_facet_decomposition_bound(
-    a: FaceSet, lambda_plus: Fraction, eta: Fraction, alpha: Fraction
-) -> float:
-    """Informational lower bound on ||delta1(A)|| from the facet decomposition:
-
-    (k+1)(k+2) [ (1-l)(1-a-eta^(1/3)) ||(A, S_(k-1))|| - (k/(k+1) - (1-l)a) ||A|| ]
-    """
-    k, X = a.dimension, a.complex
-    hierarchy = thin_hierarchy(a, Fraction(eta), NONABELIAN)
-    on_thin = X.mutual_weight_sets(a.faces, k, hierarchy.thin(k - 1), k - 1)
-    lam = float(lambda_plus)
-    t = float(Fraction(eta)) ** (1.0 / 3.0)
-    return (
-        (k + 1)
-        * (k + 2)
-        * (
-            (1 - lam) * (1 - float(alpha) - t) * float(on_thin)
-            - (k / (k + 1) - (1 - lam) * float(alpha)) * float(a.weight)
-        )
     )
 
 
@@ -522,7 +428,7 @@ def check_upsilon_bound_abelian(
         raise ParameterViolationError(
             f"need lambda <= eta^(2^(d-1)); lambda_plus={lam}, eta={eta}"
         )
-    ups = upsilon_set(f, hierarchy, VARIANT_ALL_LEVELS)
+    ups = degenerate_above(f, hierarchy)
     lhs = ups.weight
     f_weight = X.set_weight(faces, k)
     rhs = eta * comb(k + 2, 2) * 2 ** (k + 2) * f_weight
@@ -545,7 +451,7 @@ def check_upsilon_bound_nonabelian(
     """
     k = a.dimension
     lam, eta = Fraction(lambda_plus), hierarchy.eta
-    ups = upsilon_set(a, hierarchy, VARIANT_INSIDE_SET)
+    ups = degenerate_inside(a, hierarchy)
     lhs = ups.weight
     c = comb(k + 1, 2)
     a_weight = a.weight
@@ -559,35 +465,3 @@ def check_upsilon_bound_nonabelian(
         notes="rhs = C(k+1,2) (eta^(1/3) + lambda eta^(-1/3)) ||A||, compared exactly",
     )
 
-
-def check_fat_contribution_recursion(
-    f, hierarchy: ThinHierarchy, beta: Fraction, level: int
-) -> CheckReport:
-    """Fat-level recursion for locally minimal cocycles on beta-expanding links:
-
-    sum_(sigma fat at i) ||(f|sigma, sigma)|| <=
-      (1/beta) [ (k+1-i)(i+1) sum_(sigma' fat at i-1) ||(f|sigma', sigma')|| + ||Upsilon|| ]
-    """
-    faces, k, X = _faces_of(f)
-    beta = Fraction(beta)
-    i = level
-    if not 0 <= i <= k - 1:
-        raise BadIndexError(f"level {i} out of range 0..{k - 1}")
-    ups = upsilon_set(f, hierarchy, VARIANT_ALL_LEVELS)
-
-    def fat_mutual(j: int) -> Fraction:
-        total = Fraction(0)
-        for sigma in hierarchy.fat(j):
-            down = f_down_sigma(f, sigma, hierarchy)
-            total += X.mutual_weight_sets(down.faces, k, [sigma], j)
-        return total
-
-    lhs = fat_mutual(i)
-    rhs = (1 / beta) * ((k + 1 - i) * (i + 1) * fat_mutual(i - 1) + ups.weight)
-    return CheckReport(
-        name="fat-contribution-recursion",
-        passed=lhs <= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        params={"beta": beta, "level": i, "k": k, "eta": hierarchy.eta},
-    )

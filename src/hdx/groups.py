@@ -76,9 +76,6 @@ class FiniteGroup:
             )
         return self._is_abelian
 
-    def element_label(self, a: int) -> str:
-        return str(a)
-
     def check_axioms(self) -> None:
         """Exhaustively verify identity, inverses, and associativity.
 
@@ -192,10 +189,6 @@ class DirectProductGroup(FiniteGroup):
     def inv_array(self, a):
         return self._join([g.inv_array(x) for g, x in zip(self.factors, self._split(a))])
 
-    def element_label(self, a: int) -> str:
-        parts = self._split(a)
-        return "(" + ",".join(g.element_label(p) for g, p in zip(self.factors, parts)) + ")"
-
 
 class TableGroup(FiniteGroup):
     """Group given by an explicit Cayley table; axioms verified on build."""
@@ -243,22 +236,21 @@ class SymmetricGroup(TableGroup):
     def __init__(self, m: int):
         if m < 1:
             raise BadParamsError(f"symmetric group degree must be >= 1, got {m}")
+        # Refuse before listing permutations; the running product stops early.
+        n = 1
+        for i in range(2, m + 1):
+            n *= i
+            if n > MAX_TABLE_ORDER:
+                raise BadParamsError(f"S{m} has order {m}! > {MAX_TABLE_ORDER}")
         perms = list(permutations(range(m)))
-        n = len(perms)
-        if n > MAX_TABLE_ORDER:
-            raise BadParamsError(f"S{m} has order {n} > {MAX_TABLE_ORDER}")
         index = {p: i for i, p in enumerate(perms)}
         table = [
             [index[tuple(pa[pb[x]] for x in range(m))] for pb in perms]
             for pa in perms
         ]
         self.perms = perms
-        self.degree = m
         super().__init__(f"S{m}", table)
         self._is_abelian = m <= 2
-
-    def element_label(self, a: int) -> str:
-        return _cycle_notation(self.perms[a])
 
 
 class DihedralGroup(TableGroup):
@@ -268,6 +260,8 @@ class DihedralGroup(TableGroup):
         if m < 1:
             raise BadParamsError(f"dihedral parameter must be >= 1, got {m}")
         n = 2 * m
+        if n > MAX_TABLE_ORDER:
+            raise BadParamsError(f"D{m} has order {n} > {MAX_TABLE_ORDER}")
 
         def mul(a: int, b: int) -> int:
             i, j = a % m, a // m
@@ -277,31 +271,8 @@ class DihedralGroup(TableGroup):
             return rot + m * ((j + q) % 2)
 
         table = [[mul(a, b) for b in range(n)] for a in range(n)]
-        self.sides = m
         super().__init__(f"D{m}", table)
         self._is_abelian = m <= 2
-
-    def element_label(self, a: int) -> str:
-        i, j = a % self.sides, a // self.sides
-        return f"r{i}" + ("s" if j else "")
-
-
-def _cycle_notation(perm: Tuple[int, ...]) -> str:
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        cycles.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(cycles) if cycles else "e"
 
 
 _ATOM_RE = re.compile(r"^([ZSD])(\d+)$")
@@ -311,7 +282,11 @@ def _group_atom(token: str) -> FiniteGroup:
     m = _ATOM_RE.match(token)
     if not m:
         raise ParseError(f"unrecognized group atom {token!r}")
-    kind, arg = m.group(1), int(m.group(2))
+    kind, digits = m.group(1), m.group(2)
+    try:
+        arg = int(digits)
+    except ValueError as exc:  # past the interpreter's limit on digits
+        raise ParseError(f"group atom {kind} with {len(digits)} digits is too large") from exc
     if kind == "Z":
         return CyclicGroup(arg)
     if kind == "S":

@@ -31,7 +31,6 @@ from .errors import (
     UndefinedCoboundaryError,
 )
 from .groups import FiniteGroup
-from .reporting import CheckReport
 
 DEFAULT_MAX_STATES = 2**24
 BUDGET_ENV_VAR = "HDX_BUDGET"
@@ -53,16 +52,23 @@ class EnumerationBudget:
         raw = os.environ.get(BUDGET_ENV_VAR)
         if not raw:
             return cls()
-        if not raw.strip().isdecimal():
+        try:
+            # isdecimal admits no sign; int() refuses digits past the interpreter's limit.
+            states = int(raw) if raw.strip().isdecimal() else None
+        except ValueError:
+            states = None
+        if states is None:
             raise ParseError(
                 f"{BUDGET_ENV_VAR} must be a non-negative number of states, got {raw!r}"
             )
-        return cls(max_states=int(raw))
+        return cls(max_states=states)
 
     def ensure(self, states: int, what: str) -> None:
         if states > self.max_states:
+            # str() refuses ints past the interpreter's digit limit (huge Z_m).
+            shown = states if states.bit_length() < 10**4 else f"more than 2^{states.bit_length() - 1}"
             raise BudgetExceededError(
-                f"{what} needs {states} states, over the budget of {self.max_states}"
+                f"{what} needs {shown} states, over the budget of {self.max_states}"
             )
 
 
@@ -641,44 +647,3 @@ def link_coboundary_beta(
                     best, witness = const.epsilon, sigma
     return best, witness
 
-
-def verify_against_oracle(
-    claim: Dict[str, object],
-    X: SimplicialComplex,
-    G: FiniteGroup,
-    cochain: Optional[Cochain] = None,
-    budget: Optional[EnumerationBudget] = None,
-) -> CheckReport:
-    """Re-evaluate a serialized claim exactly; used to replay failure bundles."""
-    from .correction import is_minimal  # local import to avoid a cycle
-
-    budget = budget or EnumerationBudget.default()
-    kind = claim.get("kind")
-    expected = claim.get("expected")
-    if kind == "is_cocycle":
-        actual = cochain.is_cocycle()
-    elif kind == "is_minimal":
-        actual = is_minimal(cochain, budget)
-    elif kind == "distance_to":
-        space = str(claim.get("space", "B"))
-        actual = exact_distance(cochain, space, budget)[0]
-        expected = Fraction(str(expected))
-    elif kind == "weight":
-        actual = cochain.weight()
-        expected = Fraction(str(expected))
-    elif kind == "coboundary_expansion_constant":
-        const = coboundary_expansion_constant(X, G, int(claim["k"]), budget)
-        actual = const.epsilon
-        expected = None if expected is None else Fraction(str(expected))
-    elif kind == "min_nontrivial_cocycle_weight":
-        actual = min_nontrivial_cocycle_weight(X, G, int(claim["k"]), budget)
-        expected = None if expected is None else Fraction(str(expected))
-    else:
-        raise BadDimensionError(f"unknown claim kind {kind!r}")
-    return CheckReport(
-        name=f"oracle-replay:{kind}",
-        passed=actual == expected,
-        lhs=actual,
-        rhs=expected,
-        params={k: v for k, v in claim.items() if k not in ("kind", "expected")},
-    )

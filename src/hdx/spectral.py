@@ -30,12 +30,6 @@ class WeightedGraph:
     vertex_weights: Dict[int, Fraction]
     edge_weights: Dict[Tuple[int, int], Fraction]
 
-    def check_consistency(self) -> None:
-        assert sum(self.edge_weights.values()) == 1
-        for v in self.vertices:
-            incident = sum(w for e, w in self.edge_weights.items() if v in e)
-            assert incident / 2 == self.vertex_weights[v]
-
 
 @dataclass(frozen=True)
 class SpectralCertificate:

@@ -2,7 +2,7 @@
 
 Each suite replays a family of checked inequalities on the bundled desk-scale
 instances with a seeded generator, returning CheckReport entries; a failure is
-a falsification event and comes with enough data to write a replayable bundle.
+a falsification event.
 """
 
 from __future__ import annotations

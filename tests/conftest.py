@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -34,3 +36,23 @@ def k4_skeleton():
 @pytest.fixture(scope="session")
 def tetrahedron():
     return single_simplex(3)
+
+
+@pytest.fixture
+def one_second():
+    """A context manager that fails its body with TimeoutError after 1 s."""
+
+    @contextmanager
+    def alarm():
+        def too_slow(signum, frame):
+            raise TimeoutError("did not return within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return alarm

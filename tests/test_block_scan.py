@@ -9,7 +9,7 @@ import pytest
 
 from hdx import correction
 from hdx.cochains import Cochain, coboundary_nonabelian_1, random_cochain
-from hdx.complexes import build_complex
+from hdx.complexes import SimplicialComplex
 from hdx.correction import (
     _scan_first_min,
     _search_link_abelian,
@@ -171,7 +171,7 @@ def test_nonabelian_link_search_matches_brute_force():
 def test_is_minimal_matches_brute_force():
     rng = random.Random(5)
     K4 = complete_complex(4, 2)
-    two_triangles = build_complex([(0, 1, 2), (1, 2, 3)], 2)
+    two_triangles = SimplicialComplex(2, [(0, 1, 2), (1, 2, 3)])
     for spec in ABELIAN + NONABELIAN:
         G = group_from_spec(spec)
         for k in (0, 1, 2):
@@ -205,7 +205,7 @@ def test_small_blocks_match_brute_force(monkeypatch, cells):
     check_nonabelian_links(rng, ("S3",), 5)
     for spec in ("Z3", "S3"):
         G = group_from_spec(spec)
-        for X, k in ((complete_complex(4, 2), 1), (build_complex([(0, 1, 2), (1, 2, 3)], 2), 2)):
+        for X, k in ((complete_complex(4, 2), 1), (SimplicialComplex(2, [(0, 1, 2), (1, 2, 3)]), 2)):
             f = random_cochain(X, k, G, rng, 0.5)
             assert is_minimal(f) == brute_is_minimal(f)
 
@@ -227,7 +227,7 @@ def test_weight_numerators_past_int64_stay_exact():
     # Top weights 1 - 1/q and 1/q give face numerators near q = 10^20 > 2^63.
     q = 10**20
     weights = {(0, 1, 2): 1 - Fraction(1, q), (1, 2, 3): Fraction(1, q)}
-    X = build_complex([(0, 1, 2), (1, 2, 3)], 2, weights)
+    X = SimplicialComplex(2, [(0, 1, 2), (1, 2, 3)], weights)
     rng = random.Random(6)
     G = group_from_spec("Z3")
     for _ in range(10):

@@ -4,13 +4,12 @@ import sys
 
 import pytest
 
-from hdx.cli import main, replay_bundle, write_bundle
+from hdx.cli import main
 from hdx.cochains import Cochain, cochain_from_text, cochain_to_text
 from hdx.complexes import SimplicialComplex
 from hdx.errors import ParseError
 from hdx.groups import group_from_spec
 from hdx.instances import complete_complex
-from hdx.oracle import EnumerationBudget
 
 
 def run_cli(*args):
@@ -183,10 +182,12 @@ def test_correct_wrong_dimension_exit_code(tmp_path):
     assert code == 2
 
 
-def test_verify_none_is_noop(capsys):
-    assert main(["verify", "none"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["passed"] is True and payload["suites"] == {}
+@pytest.mark.parametrize("argv", [["verify", "none"], ["verify", "--bundle", "x"]], ids=["none", "bundle"])
+def test_verify_rejects_removed_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_single_suite(tmp_path):
@@ -225,21 +226,6 @@ def test_failure_records_are_archived(tmp_path):
     assert json.loads((outdir / "demo-bad.json").read_text())["lhs"] == "1/2"
 
 
-def test_bundle_roundtrip(tmp_path):
-    X = complete_complex(4, 2)
-    f2 = group_from_spec("Z2")
-    f = Cochain(X, 1, f2, {(0, 1): 1})
-    bundle = tmp_path / "bundle"
-    write_bundle(bundle, X, "Z2", {"kind": "is_minimal", "expected": True}, f)
-    report = replay_bundle(bundle, EnumerationBudget.default())
-    assert report["passed"] is True
-    # A failing claim replays as a failure with exit code 1.
-    bad = tmp_path / "bad"
-    write_bundle(bad, X, "Z2", {"kind": "is_minimal", "expected": False}, f)
-    assert main(["verify", "--bundle", str(bad)]) == 1
-    assert main(["verify", "--bundle", str(bundle)]) == 0
-
-
 def _complex_file(tmp_path, text):
     path = tmp_path / "complex.txt"
     path.write_text(text)
@@ -252,6 +238,12 @@ def _table_file(tmp_path, payload):
     cpath = tmp_path / "k4.txt"
     cpath.write_text(complete_complex(4, 2).to_text())
     spec = f"table:{path}"
+    return group_from_spec, (spec,), ["analyze", str(cpath), "--group", spec]
+
+
+def _group_spec(tmp_path, spec):
+    cpath = tmp_path / "k4.txt"
+    cpath.write_text(complete_complex(4, 2).to_text())
     return group_from_spec, (spec,), ["analyze", str(cpath), "--group", spec]
 
 
@@ -271,8 +263,15 @@ def _cochain_file(tmp_path, text):
         (_table_file, {"table": [["a"]]}),
         (_table_file, {"table": 5}),
         (_cochain_file, "dim 1 group Z3\n0 1 1\n0 1 2\n"),
+        (_group_spec, "Z" + "9" * 5000),
     ],
-    ids=["zero-denominator-weight", "non-integer-table", "non-list-table", "face-listed-twice"],
+    ids=[
+        "zero-denominator-weight",
+        "non-integer-table",
+        "non-list-table",
+        "face-listed-twice",
+        "group-order-past-digit-limit",
+    ],
 )
 def test_malformed_input_raises_parse_error(tmp_path, capsys, make, content):
     parse, args, argv = make(tmp_path, content)

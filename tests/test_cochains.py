@@ -137,7 +137,7 @@ def test_nonabelian_coboundary_1_hand_product(s3):
 
 
 def test_weight_examples(k4_skeleton, f2):
-    assert Cochain.zero(k4_skeleton, 1, f2).weight() == 0
+    assert Cochain(k4_skeleton, 1, f2).weight() == 0
     single = Cochain(k4_skeleton, 1, f2, {(0, 1): 1})
     assert single.weight() == Fraction(1, 6)
     full = Cochain(k4_skeleton, 1, f2, {e: 1 for e in k4_skeleton.faces(1)})
@@ -150,7 +150,7 @@ def test_localize_example(k4_skeleton, f2):
     assert f0.dimension == 0
     assert set(f0.values) == {(1,)}
     assert f0.weight() == Fraction(1, 3)
-    assert Cochain.zero(k4_skeleton, 1, f2).localize((0,)).is_zero()
+    assert Cochain(k4_skeleton, 1, f2).localize((0,)).is_zero()
 
 
 def test_localize_empty_face_is_identity(k4_skeleton, z3):
@@ -173,25 +173,8 @@ def test_localize_support_commutes(rng, z3):
         f = random_cochain(X, 2, z3, rng, 0.4)
         sigma = rng.choice([(0,), (1,), (0, 1), (2, 4)])
         localized = f.localize(sigma)
-        assert localized.support() == X.localized_faces(f.support(), sigma)
-
-
-def test_restrict_example(f2):
-    X = complete_complex(5, 3)
-    f = Cochain(X, 2, f2, {(0, 1, 2): 1})
-    fv = f.restrict(4)
-    assert fv.dimension == 2
-    assert fv.weight() == Fraction(1, 4)
-    assert Cochain.zero(X, 2, f2).restrict(4).is_zero()
-    g = Cochain(X, 2, f2, {(0, 1, 4): 1})
-    assert g.restrict(4).is_zero()  # faces through v are not in the link of v
-
-
-def test_restrict_differs_from_localize(f2):
-    X = complete_complex(5, 3)
-    f = Cochain(X, 2, f2, {(0, 1, 2): 1})
-    assert f.restrict(0).dimension == 2
-    assert f.localize((0,)).dimension == 1
+        rest = [tuple(v for v in face if v not in sigma) for face in f.support() if set(sigma) <= set(face)]
+        assert localized.support() == frozenset(rest)
 
 
 def test_distance_metric(rng, z3, k4_skeleton):
@@ -228,7 +211,7 @@ def test_distance_mismatch_errors(f2, z3, k4_skeleton, tetrahedron):
 def test_act_identity_and_coboundary(rng, s3):
     X = glued_simplices(3, 2)
     g1 = random_cochain(X, 1, s3, rng, 0.5)
-    identity = Cochain.zero(X, 0, s3)
+    identity = Cochain(X, 0, s3)
     assert act(identity, g1) == g1
     # f.(delta h) = delta(f h) pointwise.
     for _ in range(20):
@@ -278,7 +261,7 @@ def test_is_cocycle(k4_skeleton, f2, rng, z3):
     assert coboundary_abelian(f).is_cocycle()
     single = Cochain(k4_skeleton, 1, f2, {(0, 1): 1})
     assert not single.is_cocycle()
-    assert Cochain.zero(k4_skeleton, 1, f2).is_cocycle()
+    assert Cochain(k4_skeleton, 1, f2).is_cocycle()
 
 
 def test_delta1_below_delta_weight_any_group(rng):

@@ -36,7 +36,7 @@ from hdx.oracle import EnumerationBudget, enumerate_spaces, exact_distance
 
 
 def test_zero_cochain_is_minimal(k4_skeleton, f2):
-    assert is_minimal(Cochain.zero(k4_skeleton, 1, f2))
+    assert is_minimal(Cochain(k4_skeleton, 1, f2))
 
 
 def test_nonzero_coboundary_is_not_minimal(k4_skeleton, f2, rng):
@@ -71,7 +71,7 @@ def test_minimality_budget(k4_skeleton):
 
 
 def test_locally_minimal_zero(k4_skeleton, f2):
-    ok, witness = is_locally_minimal(Cochain.zero(k4_skeleton, 1, f2))
+    ok, witness = is_locally_minimal(Cochain(k4_skeleton, 1, f2))
     assert ok and witness is None
 
 
@@ -97,7 +97,7 @@ def test_one_step_contract(f2):
 
 
 def test_one_step_requires_improvable_input(k4_skeleton, f2):
-    zero = Cochain.zero(k4_skeleton, 2, f2)
+    zero = Cochain(k4_skeleton, 2, f2)
     with pytest.raises(AlreadyLocallyMinimalError):
         one_step_abelian(zero)
 
@@ -171,7 +171,7 @@ def test_correct_abelian_with_classification_params(rng):
 
 def test_one_step_nonabelian_contracts(s3):
     X = glued_simplices(3, 2)
-    base = Cochain.zero(X, 1, s3)
+    base = Cochain(X, 1, s3)
     vals = {(1, 2): 1}
     noisy = Cochain(X, 1, s3, vals)
     before = coboundary_nonabelian_1(noisy).weight()
@@ -306,22 +306,6 @@ def test_saturation_diagnostic_on_corrected_output(rng):
                 values.pop(edge, None)
             fixed, trace = correct_nonabelian(Cochain(X, 1, G, values))
             assert trace.diagnostics and trace.diagnostics[0].passed
-
-
-def test_localization_restriction_diagnostic(f2, rng):
-    from hdx.correction import localization_restriction_diagnostic
-    from hdx.oracle import link_coboundary_beta
-
-    X = glued_simplices(3, 2)
-    beta, _ = link_coboundary_beta(X, f2)
-    assert beta > 0
-    for _ in range(5):
-        g = random_cochain(X, 1, f2, rng, 0.4)
-        f = coboundary_nonabelian_1(g)
-        fixed, trace = correct_nonabelian(g)
-        final = coboundary_nonabelian_1(fixed)
-        report = localization_restriction_diagnostic(final, beta)
-        assert report.passed, report
 
 
 def test_equations_expand_at_schedule_rate(rng, f2):

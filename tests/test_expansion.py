@@ -10,16 +10,11 @@ from hdx.errors import (
     BadIndexError,
     NotNonLocalError,
     ParameterViolationError,
-    UnknownVariantError,
 )
 from hdx.expansion import (
-    VARIANT_ALL_LEVELS,
-    VARIANT_INSIDE_SET,
-    VARIANT_PAIR_IN_LEVEL,
     check_delta1_theorem_abelian,
     check_delta1_theorem_nonabelian,
     check_empty_face_is_thin,
-    check_fat_contribution_recursion,
     check_fat_mass_bound,
     check_upsilon_bound_abelian,
     check_upsilon_bound_nonabelian,
@@ -27,15 +22,14 @@ from hdx.expansion import (
     check_vanishing_corollary_nonabelian,
     classify_non_local,
     classify_weakly_non_local,
+    degenerate_above,
+    degenerate_inside,
     delta1,
     delta_i,
-    f_down_sigma,
-    gamma_sets,
     thin_hierarchy,
-    upsilon_set,
 )
 from hdx.groups import group_from_spec
-from hdx.instances import complete_complex, torus_complex
+from hdx.instances import complete_complex
 from hdx.oracle import enumerate_spaces
 from hdx.spectral import local_spectral_lambda
 
@@ -60,7 +54,7 @@ def test_delta1_star_is_empty(k4_skeleton):
 
 
 def test_delta1_empty_set(k4_skeleton):
-    assert len(delta1(FaceSet.empty(k4_skeleton, 1))) == 0
+    assert len(delta1(FaceSet(k4_skeleton, 1, frozenset()))) == 0
 
 
 def test_delta_i_star(k4_skeleton):
@@ -106,7 +100,7 @@ def test_hierarchy_k4_example(k4_skeleton):
 
 
 def test_hierarchy_empty_set_is_all_thin(k4_skeleton):
-    h = thin_hierarchy(FaceSet.empty(k4_skeleton, 1), Fraction(1, 3))
+    h = thin_hierarchy(FaceSet(k4_skeleton, 1, frozenset()), Fraction(1, 3))
     assert h.thin(0) == frozenset(k4_skeleton.faces(0))
     assert h.thin(-1) == frozenset({()})
 
@@ -140,29 +134,21 @@ def test_fat_mass_bound_random(rng):
         assert check_fat_mass_bound(h, f.weight()).passed
 
 
-def test_gamma_sets(k4_skeleton):
-    a = faceset(k4_skeleton, 1, [(0, 1)])
-    h = thin_hierarchy(a, Fraction(1, 2))
-    touching, through_fat = gamma_sets(a, h)
-    assert touching.faces == frozenset({(0, 1, 2), (0, 1, 3)})
-    assert through_fat.faces == frozenset()  # every vertex is thin at eta = 1/2
-    assert touching.weight >= a.weight
-    e_touch, e_fat = gamma_sets(FaceSet.empty(k4_skeleton, 1), h)
-    assert len(e_touch) == 0 and len(e_fat) == 0
-
-
 # -- degenerate-face sets -----------------------------------------------------------
 
 
-def _upsilon_pair_scan(X, a_faces, thin_level):
-    """Independent double-loop scan for the pairs-in-a-cell variant."""
-    k = len(next(iter(a_faces))) - 1 if a_faces else 1
+def _upsilon_pair_scan(X, hierarchy, k):
+    """Independent scan: (k+1)-faces holding two fat j-faces, j <= k, whose
+    union is a (j+1)-face and whose intersection is thin at level j-1."""
     out = set()
     for above in X.faces(k + 1):
-        subs = [s for s in combinations(above, k + 1) if s in a_faces]
-        for s1, s2 in combinations(subs, 2):
-            inter = tuple(sorted(set(s1) & set(s2)))
-            if len(inter) == k and inter in thin_level:
+        for j in range(k + 1):
+            fat = [s for s in combinations(above, j + 1) if s in hierarchy.fat(j)]
+            if any(
+                len(set(s1) | set(s2)) == j + 2
+                and tuple(sorted(set(s1) & set(s2))) in hierarchy.thin(j - 1)
+                for s1, s2 in combinations(fat, 2)
+            ):
                 out.add(above)
                 break
     return frozenset(out)
@@ -175,24 +161,15 @@ def test_upsilon_matches_pair_scan(rng):
         a = faceset(X, 1, rng.sample(sorted(X.faces(1)), k=size))
         eta = Fraction(rng.randint(1, 9), 10)
         h = thin_hierarchy(a, eta)
-        ups = upsilon_set(a, h, VARIANT_PAIR_IN_LEVEL)
-        assert ups.faces == _upsilon_pair_scan(X, a.faces, h.thin(0))
+        assert degenerate_above(a, h).faces == _upsilon_pair_scan(X, h, 1)
 
 
 def test_upsilon_empty_set(k4_skeleton):
-    a = FaceSet.empty(k4_skeleton, 1)
+    a = FaceSet(k4_skeleton, 1, frozenset())
     h = thin_hierarchy(a, Fraction(1, 2))
-    for variant in (VARIANT_PAIR_IN_LEVEL, VARIANT_ALL_LEVELS):
-        assert len(upsilon_set(a, h, variant)) == 0
+    assert len(degenerate_above(a, h)) == 0
     hn = thin_hierarchy(a, Fraction(1, 2), "nonabelian")
-    assert len(upsilon_set(a, hn, VARIANT_INSIDE_SET)) == 0
-
-
-def test_upsilon_unknown_variant(k4_skeleton):
-    a = faceset(k4_skeleton, 1, [(0, 1)])
-    h = thin_hierarchy(a, Fraction(1, 2))
-    with pytest.raises(UnknownVariantError):
-        upsilon_set(a, h, "nope")
+    assert len(degenerate_inside(a, hn)) == 0
 
 
 def test_upsilon_bound_abelian_needs_spectral_premise():
@@ -233,59 +210,12 @@ def test_upsilon_bound_nonabelian_random(rng):
         assert check_upsilon_bound_nonabelian(a, h, lam).passed
 
 
-# -- chains through fat faces --------------------------------------------------------
-
-
-def _chain_search(X, faces, hierarchy, sigma, k):
-    """Independent recursive search for fat chains from sigma up to the set."""
-    i = len(sigma) - 1
-    if i == k - 1:
-        return frozenset(f for f in faces if set(sigma) <= set(f))
-    out = []
-    for f in faces:
-        if set(sigma) <= set(f) and _dfs_chain(f, k - 1, sigma, hierarchy):
-            out.append(f)
-    return frozenset(out)
-
-
-def _dfs_chain(face, level, sigma, hierarchy):
-    if level == len(sigma) - 1:
-        return True
-    for mid in hierarchy.fat(level):
-        if set(sigma) <= set(mid) <= set(face):
-            if _dfs_chain(mid, level - 1, sigma, hierarchy):
-                return True
-    return False
-
-
-def test_f_down_sigma_trivial_chain():
-    X = complete_complex(6, 3)
-    a = faceset(X, 2, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
-    h = thin_hierarchy(a, Fraction(1, 5))
-    down = f_down_sigma(a, (0, 1), h)
-    assert down.faces == frozenset({(0, 1, 2), (0, 1, 3)})
-    assert len(f_down_sigma(FaceSet.empty(X, 2), (0, 1), h)) == 0
-
-
-def test_f_down_sigma_matches_chain_search(rng):
-    X = complete_complex(6, 2)
-    for _ in range(20):
-        size = rng.randint(0, 6)
-        a = faceset(X, 1, rng.sample(sorted(X.faces(1)), k=size))
-        eta = Fraction(rng.randint(1, 9), 10)
-        h = thin_hierarchy(a, eta)
-        for sigma in [(0,), (3,), ()]:
-            got = f_down_sigma(a, sigma, h)
-            want = _chain_search(X, a.faces, h, sigma, 1)
-            assert got.faces == want
-
-
 # -- classification ------------------------------------------------------------------
 
 
 def test_classify_empty_set_non_local():
     X = complete_complex(6, 2)
-    verdict = classify_non_local(FaceSet.empty(X, 1), Fraction(1, 4), Fraction(1, 4))
+    verdict = classify_non_local(FaceSet(X, 1, frozenset()), Fraction(1, 4), Fraction(1, 4))
     assert verdict.passed
 
 
@@ -316,7 +246,7 @@ def test_classify_parameter_validation(k4_skeleton):
 def test_classify_weakly_non_local():
     X = complete_complex(7, 3)
     assert classify_weakly_non_local(
-        FaceSet.empty(X, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 6)
+        FaceSet(X, 2, frozenset()), Fraction(1, 4), Fraction(1, 4), Fraction(1, 6)
     ).passed
     # Saturate one edge: every triangle over it belongs to the set.
     saturated = faceset(X, 2, [t for t in X.faces(2) if set((0, 1)) <= set(t)])
@@ -401,7 +331,7 @@ def test_delta1_theorem_nonabelian_gate_and_empty_set():
     alpha = Fraction(1, 2)
     eps = alpha / 81
     eta = eps**3
-    report = check_delta1_theorem_nonabelian(FaceSet.empty(X, 2), Fraction(0), eta, eps, alpha)
+    report = check_delta1_theorem_nonabelian(FaceSet(X, 2, frozenset()), Fraction(0), eta, eps, alpha)
     assert report.passed and report.lhs == 0 and report.rhs == 0
     with pytest.raises(NotWeaklyNonLocalError):
         check_delta1_theorem_nonabelian(
@@ -415,7 +345,7 @@ def test_delta1_theorem_nonabelian_gate_and_empty_set():
 def test_vanishing_corollary_rejects_infeasible_params():
     X = complete_complex(6, 2)
     lam = local_spectral_lambda(X).as_fraction()  # 1/4 + tolerance > 2/9
-    f = Cochain.zero(X, 1, group_from_spec("Z2"))
+    f = Cochain(X, 1, group_from_spec("Z2"))
     with pytest.raises(ParameterViolationError):
         check_vanishing_corollary_abelian(f, lam, Fraction(1, 100), Fraction(1, 100))
 
@@ -437,13 +367,13 @@ def test_vanishing_corollary_all_cocycles_complete_7():
 def test_vanishing_corollary_zero_passes():
     X = complete_complex(7, 2)
     lam = local_spectral_lambda(X).as_fraction()
-    f = Cochain.zero(X, 1, group_from_spec("Z3"))
+    f = Cochain(X, 1, group_from_spec("Z3"))
     assert check_vanishing_corollary_abelian(f, lam, Fraction(1, 91), Fraction(1, 182)).passed
 
 
 def test_vanishing_corollary_nonabelian_gate():
     X = complete_complex(7, 3)
-    a = FaceSet.empty(X, 2)
+    a = FaceSet(X, 2, frozenset())
     with pytest.raises(ParameterViolationError):
         check_vanishing_corollary_nonabelian(
             a, Fraction(1, 4), Fraction(1, 10), Fraction(1, 10), Fraction(1, 2)
@@ -453,30 +383,3 @@ def test_vanishing_corollary_nonabelian_gate():
     report = check_vanishing_corollary_nonabelian(a, Fraction(0), eps**3, eps, alpha)
     assert report.passed
 
-
-# -- fat-contribution recursion ---------------------------------------------------------
-
-
-def test_fat_contribution_recursion_on_torus_cocycle():
-    from hdx.correction import is_locally_minimal
-    from hdx.oracle import coboundary_expansion_constant
-
-    X = torus_complex()
-    F2 = group_from_spec("Z2")
-    spaces = enumerate_spaces(X, F2, 1)
-    b_set = {tuple(sorted(c.values.items())) for c in spaces.coboundaries}
-    smallest = min(
-        (c for c in spaces.cocycles if tuple(sorted(c.values.items())) not in b_set),
-        key=lambda c: (c.weight(), tuple(sorted(c.values))),
-    )
-    ok, witness = is_locally_minimal(smallest)
-    assert ok, witness
-    # Links of the torus are hexagons; their expansion feeds the recursion.
-    beta = min(
-        coboundary_expansion_constant(X.link((v,)), F2, 0).epsilon
-        for v in X.vertices()
-    )
-    assert beta > 0
-    h = thin_hierarchy(FaceSet(X, 1, smallest.support()), Fraction(1, 3))
-    report = check_fat_contribution_recursion(smallest, h, beta, 0)
-    assert report.passed

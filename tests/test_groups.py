@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hdx import groups
 from hdx.errors import BadParamsError, ParseError
 from hdx.groups import (
     CyclicGroup,
@@ -49,7 +50,6 @@ def test_symmetric_composition_convention():
     swap12 = s3.perms.index((0, 2, 1))
     product = s3.op(swap01, swap12)
     assert s3.perms[product] == (1, 2, 0)  # the 3-cycle 0 -> 1 -> 2 -> 0
-    assert s3.element_label(product) == "(0 1 2)"
 
 
 def test_symmetric_identity_is_index_zero():
@@ -129,11 +129,22 @@ def test_table_group_rejects_bad_tables():
         )
 
 
-def test_element_labels():
-    s3 = SymmetricGroup(3)
-    assert s3.element_label(0) == "e"
-    d4 = DihedralGroup(4)
-    assert d4.element_label(0) == "r0"
-    assert d4.element_label(5) == "r1s"
-    g = group_from_spec("Z2xZ3")
-    assert g.element_label(4) == "(1,1)"
+def _no_listing(*args):
+    raise AssertionError("permutations listed for a group past the table limit")
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ("D2000", BadParamsError),
+        ("S12", BadParamsError),
+        ("Z" + "9" * 5000, ParseError),
+        ("S" + "9" * 5000, ParseError),
+    ],
+    ids=["D2000", "S12", "Z-past-digit-limit", "S-past-digit-limit"],
+)
+def test_oversized_group_specs_are_refused_at_once(monkeypatch, one_second, spec, error):
+    # The order alone decides: no table is built and no permutation listed.
+    monkeypatch.setattr(groups, "permutations", _no_listing)
+    with one_second(), pytest.raises(error):
+        group_from_spec(spec)

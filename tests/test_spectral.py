@@ -83,7 +83,10 @@ def test_underlying_graph_of_edge_link(tetrahedron):
 def test_vertex_weights_are_half_incident_mass():
     for X in (complete_complex(5, 2), single_simplex(3)):
         g = underlying_graph(X)
-        g.check_consistency()
+        assert sum(g.edge_weights.values()) == 1
+        for v in g.vertices:
+            incident = sum(w for e, w in g.edge_weights.items() if v in e)
+            assert incident / 2 == g.vertex_weights[v]
 
 
 def test_cheeger_k4_example():
