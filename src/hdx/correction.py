@@ -10,6 +10,13 @@ respect their a-priori bounds, and when the input coboundary is small enough
 the output classification is verified; any violation raises
 FalsificationError rather than passing silently.
 
+Both paths run one link search, ``_search_link``, and one loop over the
+vertices.  A step at v rewrites the (j-1)-cochain on the faces through v and
+scores every j-face of the star of v by its weight: the additive path scores
+h_v + delta(w) on the link, the multiplicative path the triangles
+y(u) f(uw) y(w)^-1 for new edge values y(u) = f'(v, u).  The reported
+decrease is thus the exact drop of the coboundary weight.
+
 Every exhaustive search here (the link searches of a step and the minimality
 scans) is one block scan, ``_scan_first_min``.  It walks G^n in lexicographic
 mixed-radix order, the order of ``itertools.product``, in blocks of about
@@ -26,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,32 +185,71 @@ def is_locally_minimal(
 class _LinkSearch:
     vertex: int
     decrease_num: int
-    new_star_num: int
     assignment: Tuple[int, ...]
     lower_faces: Tuple[Face, ...]
 
 
-def _search_link_abelian(
-    h: Cochain, v: int, budget: EnumerationBudget
+def _search_link(
+    target: Cochain,
+    v: int,
+    local: Callable[[int], Dict[Face, int]],
+    left: Terms,
+    right: Terms,
+    budget: EnumerationBudget,
+    beat: int = 0,
 ) -> Optional[_LinkSearch]:
-    """Best correction at one vertex: minimize the star mass of h_v + delta(w)."""
-    X, G, j = h.complex, h.group, h.dimension
+    """Best correction of the j-cochain target at v, if it gains more than ``beat``.
+
+    The star of v holds one j-face v + tau per (j-1)-face tau of link(v),
+    weighted by its numerator.  An assignment x of the (j-2)-faces of the link
+    gives every tau the value  x[left...] * local(v)[tau] * x[right...]; the
+    first x minimizing the mass of the non-identity values wins.  The old star
+    mass is the mass of target's support in the star, so the decrease is the
+    exact drop of the weight numerator of target.  A star whose old mass is at
+    most ``beat`` cannot gain more and is not scanned; the budget is checked
+    before that skip, so refusals do not depend on it.
+    """
+    X, G, j = target.complex, target.group, target.dimension
     link = X.link((v,))
-    hv = h.localize((v,))
-    if hv.is_zero():
+    faces = link.faces(j - 1)
+    star_faces = [tuple(sorted((v,) + face)) for face in faces]
+    star = [X.weight_numerator(face) for face in star_faces]
+    old_star = sum(num for face, num in zip(star_faces, star) if face in target.values)
+    if not old_star:
         return None
     lower_faces = link.faces(j - 2)
     budget.ensure(space_size(G, len(lower_faces)), f"link correction scan at {v}")
-    faces = link.faces(j - 1)
-    star = [X.weight_numerator(tuple(sorted((v,) + face))) for face in faces]
-    old_star = sum(num for face, num in zip(faces, star) if face in hv.values)
-    # h_v + delta(w): the alternating sum of w over the facets of each link face.
-    const = [hv.values.get(face, 0) for face in faces]
-    right = term_columns(link, j - 1, additive_terms(j - 2))
-    new_star, assignment = _scan_first_min(G, len(lower_faces), const, [], right, star)
-    if new_star >= old_star:
+    if old_star <= beat:
         return None
-    return _LinkSearch(v, old_star - new_star, new_star, assignment, lower_faces)
+    values = local(v)
+    new_star, assignment = _scan_first_min(
+        G,
+        len(lower_faces),
+        [values.get(face, 0) for face in faces],
+        term_columns(link, j - 1, left),
+        term_columns(link, j - 1, right),
+        star,
+    )
+    if old_star - new_star <= beat:
+        return None
+    return _LinkSearch(v, old_star - new_star, assignment, lower_faces)
+
+
+def _best_link_search(
+    target: Cochain,
+    local: Callable[[int], Dict[Face, int]],
+    left: Terms,
+    right: Terms,
+    budget: EnumerationBudget,
+) -> _LinkSearch:
+    """The vertex search with the largest decrease, ties to the smallest id."""
+    best: Optional[_LinkSearch] = None
+    for v in sorted(target.complex.vertices()):
+        beat = best.decrease_num if best else 0
+        best = _search_link(target, v, local, left, right, budget, beat) or best
+    if best is None:
+        raise AlreadyLocallyMinimalError("no vertex link admits a decreasing correction")
+    return best
 
 
 def _lift_assignment(h: Cochain, search: _LinkSearch) -> Cochain:
@@ -226,22 +272,16 @@ def one_step_abelian(
     """One correction step for a non-locally-minimal abelian cochain.
 
     Returns (v, g) with g supported on faces containing v, ||g|| <= dim(h)*||v||
-    and ||h - delta(g)|| < ||h||.  The vertex with the largest decrease wins,
-    ties to the smallest id; inside a link the lexicographically first
-    minimizer wins.
+    and ||h - delta(g)|| < ||h||.  The link search at v minimizes the star
+    mass of h_v + delta(w) over the (j-2)-faces w of link(v).
     """
     budget = budget or EnumerationBudget.default()
     if not h.group.is_abelian:
         raise NonAbelianGroupError("the additive step needs an abelian group")
     if h.dimension < 1:
         raise BadDimensionError("nothing below dimension 0 to correct with")
-    best: Optional[_LinkSearch] = None
-    for v in sorted(h.complex.vertices()):
-        found = _search_link_abelian(h, v, budget)
-        if found and (best is None or found.decrease_num > best.decrease_num):
-            best = found
-    if best is None:
-        raise AlreadyLocallyMinimalError("every vertex localization is already minimal")
+    right = additive_terms(h.dimension - 2)
+    best = _best_link_search(h, lambda v: h.localize((v,)).values, (), right, budget)
     g = _lift_assignment(h, best)
     new_h = h - coboundary_abelian(g)
     j = h.dimension
@@ -253,46 +293,15 @@ def one_step_abelian(
     return best.vertex, g
 
 
-def _search_link_nonabelian(
-    f: Cochain, v: int, budget: EnumerationBudget
-) -> Optional[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]]:
-    """Best vertex assignment h minimizing the unsatisfied star mass at v.
-
-    The anchored values (u, w) -> f(vu) f(uw) f(wv) on the link edges are the
-    coboundary seen from v; the vertex action on them tracks edge updates at v.
-    Only the edges whose anchored value is not the identity are scored.
-    """
-    X, G = f.complex, f.group
-    link = X.link((v,))
-    edges = link.faces(1)
-    anchored = np.array(
-        [G.op(G.op(f.eval((v, u)), f.eval((u, w))), f.eval((w, v))) for u, w in edges],
-        dtype=np.int64,
-    )
-    rows = np.flatnonzero(anchored)
-    if not len(rows):
-        return None
-    vertices = link.vertices()
-    budget.ensure(space_size(G, len(vertices)), f"link correction scan at {v}")
-    star = [X.weight_numerator(tuple(sorted((v,) + edges[j]))) for j in rows.tolist()]
-    # The action h(u) a(uw) h(w)^-1 is d0 with the anchored value a in between.
-    cols = [c[rows] for c in term_columns(link, 1, DELTA0_TERMS)]
-    new_star, assignment = _scan_first_min(
-        G, len(vertices), anchored[rows], cols[:1], cols[1:], star
-    )
-    old_star = sum(star)
-    if new_star >= old_star:
-        return None
-    return (old_star - new_star, v, assignment, vertices)
-
-
 def one_step_nonabelian(
     f: Cochain, budget: Optional[EnumerationBudget] = None
 ) -> Tuple[int, Cochain]:
     """One multiplicative correction step on a 1-cochain of a 3-complex.
 
     Returns (v, f') with f' differing from f only on edges at v,
-    dist(f, f') <= 2 ||v|| and ||delta(f')|| < ||delta(f)||.
+    dist(f, f') <= 2 ||v|| and ||delta(f')|| < ||delta(f)||.  The link search
+    at v chooses the new values y(u) = f'(v, u) directly: the triangle vuw
+    then carries y(u) f(uw) y(w)^-1, which is d0 with f(uw) in between.
     """
     budget = budget or EnumerationBudget.default()
     X, G = f.complex, f.group
@@ -300,43 +309,20 @@ def one_step_nonabelian(
         raise WrongDimensionError("the multiplicative correction path needs a 3-complex")
     if f.dimension != 1:
         raise BadDimensionError("the multiplicative correction path corrects 1-cochains")
-    best = None
-    for v in sorted(X.vertices()):
-        found = _search_link_nonabelian(f, v, budget)
-        if found and (best is None or found[0] > best[0]):
-            best = found
-    if best is None:
-        raise AlreadyLocallyMinimalError("no vertex admits an improving relabel")
-    _, v, assignment, vertices = best
-    h = dict(zip(vertices, assignment))
-    values = dict(f.values)
-    for u in vertices:
-        hu = h[u]
-        if v < u:
-            new = G.op(hu, values.get((v, u), 0))
-            _set_or_drop(values, (v, u), new)
-        else:
-            new = G.op(values.get((u, v), 0), G.inv(hu))
-            _set_or_drop(values, (u, v), new)
+    df = coboundary_nonabelian_1(f)
+    # The edges of link(v) are edges of X, so f's own values are the local view.
+    best = _best_link_search(df, lambda v: f.values, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
+    values = {edge: val for edge, val in f.values.items() if best.vertex not in edge}
+    values.update(_lift_assignment(df, best).values)
     f_new = Cochain(X, 1, G, values, _trusted=True)
-    moved = distance(f, f_new)
-    if moved > 2 * X.face_weight((v,)):
+    if distance(f, f_new) > 2 * X.face_weight((best.vertex,)):
         raise FalsificationError("edge-update bound dist(f, f') <= 2 ||v|| failed")
-    before = coboundary_nonabelian_1(f).weight()
-    after = coboundary_nonabelian_1(f_new).weight()
-    if not after < before:
+    if not coboundary_nonabelian_1(f_new).weight() < df.weight():
         raise FalsificationError("multiplicative step failed to decrease ||delta||")
-    return v, f_new
+    return best.vertex, f_new
 
 
-def _set_or_drop(values: Dict[Face, int], key: Face, val: int) -> None:
-    if val:
-        values[key] = val
-    else:
-        values.pop(key, None)
-
-
-# -- the full correction loops -----------------------------------------------------
+# -- the full correction loop ------------------------------------------------------
 
 
 @dataclass
@@ -364,6 +350,40 @@ class CorrectionTrace:
     @property
     def step_count(self) -> int:
         return len(self.steps)
+
+
+def _correct(
+    f: Cochain, path: str, budget: EnumerationBudget
+) -> Tuple[Cochain, CorrectionTrace, Cochain]:
+    """Step until no vertex link improves f; returns (f', trace, delta(f')).
+
+    The additive step corrects the coboundary and returns g, so f' = f - g;
+    the multiplicative step returns f' itself.  The steps are looked up as
+    module globals at each call, so wrappers installed on them see every step.
+    """
+    delta = coboundary_abelian if path == "abelian" else coboundary_nonabelian_1
+    trace = CorrectionTrace(path=path)
+    current, h = f, delta(f)
+    trace.initial_delta_weight = h.weight()
+    while True:
+        try:
+            if path == "abelian":
+                v, g = one_step_abelian(h, budget)
+                updated = current - g
+            else:
+                v, updated = one_step_nonabelian(current, budget)
+        except AlreadyLocallyMinimalError:
+            break
+        before, moved = h.weight(), distance(current, updated)
+        current, h = updated, delta(updated)
+        after = h.weight()
+        trace.steps.append(StepRecord(len(trace.steps) + 1, v, before, after, moved))
+        if not after < before:
+            raise FalsificationError("correction loop failed strict monotonicity")
+    trace.final_delta_weight = h.weight()
+    trace.locally_minimal = True
+    trace.total_moved = distance(f, current)
+    return current, trace, h
 
 
 def _check_trace_bounds(trace: CorrectionTrace) -> None:
@@ -398,27 +418,7 @@ def correct_abelian(
         raise NonAbelianGroupError("use correct_nonabelian for non-abelian groups")
     if not 1 <= k <= X.dimension - 2:
         raise BadDimensionError(f"correction needs 1 <= k <= d-2, got k={k}, d={X.dimension}")
-    trace = CorrectionTrace(path="abelian")
-    current = f
-    h = coboundary_abelian(current)
-    trace.initial_delta_weight = h.weight()
-    while True:
-        try:
-            v, g = one_step_abelian(h, budget)
-        except AlreadyLocallyMinimalError:
-            break
-        before = h.weight()
-        current = current - g
-        h = coboundary_abelian(current)
-        after = h.weight()
-        trace.steps.append(
-            StepRecord(len(trace.steps) + 1, v, before, after, g.weight())
-        )
-        if not after < before:
-            raise FalsificationError("correction loop failed strict monotonicity")
-    trace.final_delta_weight = h.weight()
-    trace.locally_minimal = True
-    trace.total_moved = distance(f, current)
+    current, trace, h = _correct(f, "abelian", budget)
     q = X.degree_bound()
     d = X.dimension
     trace.r_bound = X.face_count(d) * comb(d + 1, k + 2) * trace.initial_delta_weight
@@ -458,23 +458,7 @@ def correct_nonabelian(
     X, G = f.complex, f.group
     if X.dimension != 3:
         raise WrongDimensionError("the multiplicative correction path needs a 3-complex")
-    trace = CorrectionTrace(path="nonabelian")
-    current = f
-    trace.initial_delta_weight = coboundary_nonabelian_1(current).weight()
-    while True:
-        try:
-            v, updated = one_step_nonabelian(current, budget)
-        except AlreadyLocallyMinimalError:
-            break
-        before = coboundary_nonabelian_1(current).weight()
-        moved = distance(current, updated)
-        current = updated
-        after = coboundary_nonabelian_1(current).weight()
-        trace.steps.append(StepRecord(len(trace.steps) + 1, v, before, after, moved))
-    final_delta = coboundary_nonabelian_1(current)
-    trace.final_delta_weight = final_delta.weight()
-    trace.locally_minimal = True
-    trace.total_moved = distance(f, current)
+    current, trace, final_delta = _correct(f, "nonabelian", budget)
     trace.diagnostics.append(saturation_diagnostic(final_delta))
     q = X.degree_bound()
     trace.r_bound = 4 * X.face_count(3) * trace.initial_delta_weight
@@ -483,7 +467,7 @@ def correct_nonabelian(
     if eta is not None and eps is not None and beta is not None:
         threshold = Fraction(beta) * Fraction(eta) / 2
         if trace.initial_delta_weight <= threshold:
-            support = FaceSet(X, 2, coboundary_nonabelian_1(current).support())
+            support = FaceSet(X, 2, final_delta.support())
             if support.faces:
                 verdict = classify_weakly_non_local(
                     support, Fraction(eta), Fraction(eps), Fraction(1, G.order)
@@ -516,8 +500,7 @@ def saturation_diagnostic(f: Cochain) -> CheckReport:
     bound = 1 - Fraction(1, G.order)
     worst: Optional[Tuple[Face, Fraction]] = None
     for edge in X.faces(1):
-        local = f.localize(edge)
-        w = local.complex.set_weight(local.values, 0)
+        w = X.localized_weight(f.values, 2, edge)
         if worst is None or w > worst[1]:
             worst = (edge, w)
     passed = worst is None or worst[1] <= bound

@@ -95,24 +95,11 @@ class FiniteGroup:
             b = self.inv(a)
             if not 0 <= b < n or self.op(a, b) != 0 or self.op(b, a) != 0:
                 raise BadParamsError(f"element {a} has no valid inverse")
-        if n <= 64:
-            for a in range(n):
-                for b in range(n):
-                    ab = self.op(a, b)
-                    for c in range(n):
-                        if self.op(ab, c) != self.op(a, self.op(b, c)):
-                            raise BadParamsError(
-                                f"associativity fails at ({a},{b},{c})"
-                            )
-        else:
-            import numpy as np
-
-            table = np.array(
-                [[self.op(a, b) for b in range(n)] for a in range(n)], dtype=np.int64
-            )
-            for a in range(n):
-                if not np.array_equal(table[table[a]], table[a][table]):
-                    raise BadParamsError(f"associativity fails for left factor {a}")
+        # Row a compares (ab)c, read as table[ab][c], with a(bc), read as table[a][bc].
+        table = self._cayley()[0]
+        for a in range(n):
+            if not (table[table[a]] == table[a][table]).all():
+                raise BadParamsError(f"associativity fails for left factor {a}")
         declared = self._is_abelian
         if declared is not None:
             actual = all(

@@ -344,24 +344,15 @@ def exact_distance(
     f: Cochain,
     space: str = "B",
     budget: Optional[EnumerationBudget] = None,
-    spaces: Optional[EnumeratedSpaces] = None,
 ) -> Tuple[Fraction, Cochain]:
     """Exact distance from f to Z^k or B^k, with a lexicographic-min witness."""
     budget = budget or EnumerationBudget.default()
     if space == "Z":
-        pool = (
-            spaces.cocycles
-            if spaces is not None
-            else cocycle_list(f.complex, f.group, f.dimension, budget)
-        )
+        pool = cocycle_list(f.complex, f.group, f.dimension, budget)
         if pool is None:
             raise UndefinedCoboundaryError("no cocycle space for this (group, dimension)")
     elif space == "B":
-        pool = (
-            spaces.coboundaries
-            if spaces is not None
-            else coboundary_list(f.complex, f.group, f.dimension, budget)
-        )
+        pool = coboundary_list(f.complex, f.group, f.dimension, budget)
     else:
         raise BadDimensionError(f"unknown space tag {space!r}")
     X, k = f.complex, f.dimension

@@ -201,7 +201,7 @@ def suite_delta1(seed: int = 0, budget: Optional[EnumerationBudget] = None) -> S
         G = group_from_spec(spec)
         for _ in range(25):
             f = random_cochain(X, 1, G, rng, 0.3)
-            df = f.coboundary() if G.is_abelian else coboundary_nonabelian_1(f)
+            df = f.coboundary()
             d1 = delta1(FaceSet(X, 1, f.support()))
             if not d1.weight <= df.weight():
                 violations += 1

@@ -8,14 +8,24 @@ import numpy as np
 import pytest
 
 from hdx import correction
-from hdx.cochains import Cochain, coboundary_nonabelian_1, random_cochain
+from hdx.cochains import (
+    DELTA0_TERMS,
+    Cochain,
+    additive_terms,
+    coboundary_abelian,
+    coboundary_nonabelian_1,
+    perm_parity,
+    random_cochain,
+)
 from hdx.complexes import SimplicialComplex
 from hdx.correction import (
     _scan_first_min,
-    _search_link_abelian,
-    _search_link_nonabelian,
+    _search_link,
     is_minimal,
+    one_step_abelian,
+    one_step_nonabelian,
 )
+from hdx.errors import AlreadyLocallyMinimalError
 from hdx.groups import group_from_spec
 from hdx.instances import complete_complex
 from hdx.oracle import EnumerationBudget
@@ -66,29 +76,52 @@ def brute_link_abelian(h, v):
 
 
 def brute_link_nonabelian(f, v):
+    """Every link edge uw scored by its triangle vuw, over new edge values
+    y(u) = f'(v, u): the triangle then carries y(u) f(uw) y(w)^-1."""
     X, G = f.complex, f.group
     link = X.link((v,))
-    anchored = {}
-    for (u, w) in link.faces(1):
-        val = G.op(G.op(f.eval((v, u)), f.eval((u, w))), f.eval((w, v)))
-        if val:
-            anchored[(u, w)] = val
-    if not anchored:
+    vertices = [u for (u,) in link.faces(0)]
+    star = {(u, w): X.weight_numerator(tuple(sorted((v, u, w)))) for (u, w) in link.faces(1)}
+    old = sum(
+        num
+        for (u, w), num in star.items()
+        if G.op(G.op(f.eval((v, u)), f.eval((u, w))), f.eval((w, v)))
+    )
+    if not old:
         return None
-    vertices = link.vertices()
-    star = {e: X.weight_numerator(tuple(sorted((v,) + e))) for e in anchored}
-    old = sum(star.values())
 
-    def weight_of(x):
-        hv = dict(zip(vertices, x))
+    def weight_of(y):
+        yv = dict(zip(vertices, y))
         return sum(
-            star[(u, w)]
-            for (u, w), val in anchored.items()
-            if G.op(G.op(hv[u], val), G.inv(hv[w]))
+            num
+            for (u, w), num in star.items()
+            if G.op(G.op(yv[u], f.value((u, w))), G.inv(yv[w]))
         )
 
-    new, x = first_min(G, len(vertices), weight_of)
-    return None if new >= old else (old - new, x)
+    new, y = first_min(G, len(vertices), weight_of)
+    return None if new >= old else (old - new, y)
+
+
+def lift(G, v, lower, x):
+    """The values x on the faces v + tau, tau in lower, as canonical faces."""
+    values = {}
+    for tau, val in zip(lower, x):
+        if val:
+            ordered = (v,) + tau
+            values[tuple(sorted(ordered))] = G.signed(val, perm_parity(ordered))
+    return values
+
+
+def search_abelian(h, v, budget):
+    right = additive_terms(h.dimension - 2)
+    got = _search_link(h, v, lambda u: h.localize((u,)).values, (), right, budget)
+    return None if got is None else (got.decrease_num, got.assignment)
+
+
+def search_nonabelian(f, v, budget):
+    df = coboundary_nonabelian_1(f)
+    got = _search_link(df, v, lambda u: f.values, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
+    return None if got is None else (got.decrease_num, got.assignment)
 
 
 def brute_is_minimal(f):
@@ -139,9 +172,7 @@ def check_abelian_links(rng, specs, shapes):
             X = complete_complex(n, d)
             h = random_cochain(X, j, G, rng, 0.4)
             for v in X.vertices():
-                got = _search_link_abelian(h, v, budget)
-                got = None if got is None else (got.decrease_num, got.assignment)
-                assert got == brute_link_abelian(h, v), (spec, n, d, j, v)
+                assert search_abelian(h, v, budget) == brute_link_abelian(h, v), (spec, n, d, j, v)
 
 
 def check_nonabelian_links(rng, specs, n):
@@ -152,9 +183,7 @@ def check_nonabelian_links(rng, specs, n):
         for density in (0.2, 0.5):
             f = random_cochain(X, 1, G, rng, density)
             for v in X.vertices():
-                got = _search_link_nonabelian(f, v, budget)
-                got = None if got is None else (got[0], got[2])
-                assert got == brute_link_nonabelian(f, v), (spec, density, v)
+                assert search_nonabelian(f, v, budget) == brute_link_nonabelian(f, v), (spec, density, v)
 
 
 def test_abelian_link_search_matches_brute_force():
@@ -166,6 +195,45 @@ def test_abelian_link_search_matches_brute_force():
 
 def test_nonabelian_link_search_matches_brute_force():
     check_nonabelian_links(random.Random(4), NONABELIAN + ("Z2xZ2", "Z3"), 5)
+
+
+def test_steps_pick_the_argmax_of_the_unpruned_searches(monkeypatch):
+    # The vertex loop does not scan a star too light to beat the best decrease
+    # so far; the steps must still pick the vertex and assignment of the
+    # largest brute-force decrease, ties to the smallest vertex id.
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(1)
+        return _scan_first_min(*args, **kwargs)
+
+    monkeypatch.setattr(correction, "_scan_first_min", counted)
+    rng = random.Random(7)
+    starred = 0  # vertices whose star meets the support: what an unpruned loop scans
+    for n in (5, 6):
+        X = complete_complex(n, 3)
+        for spec in ("Z2", "Z3") + NONABELIAN:
+            G = group_from_spec(spec)
+            f = random_cochain(X, 1, G, rng, 0.3)
+            vertices = sorted(X.vertices())
+            cases = [(one_step_nonabelian, f, brute_link_nonabelian, coboundary_nonabelian_1(f))]
+            if G.is_abelian:
+                h = coboundary_abelian(f)
+                cases.append((one_step_abelian, h, brute_link_abelian, h))
+            for step, x, brute, target in cases:
+                found = [(-s[0], v, s[1]) for v in vertices for s in [brute(x, v)] if s]
+                starred += sum(any(v in face for face in target.values) for v in vertices)
+                if not found:
+                    with pytest.raises(AlreadyLocallyMinimalError):
+                        step(x)
+                    continue
+                _, v, assignment = min(found)
+                expected = lift(G, v, X.link((v,)).faces(0), assignment)
+                got_v, got = step(x)
+                if step is one_step_nonabelian:
+                    expected.update((e, val) for e, val in f.values.items() if v not in e)
+                assert (got_v, got.values) == (v, expected), (spec, n, step.__name__)
+    assert len(scans) < starred
 
 
 def test_is_minimal_matches_brute_force():

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from hdx.cochains import (
+    DELTA0_TERMS,
     Cochain,
     coboundary_abelian,
     coboundary_nonabelian_0,
@@ -12,6 +14,7 @@ from hdx.cochains import (
 )
 from hdx.complexes import SimplicialComplex
 from hdx.correction import (
+    _search_link,
     correct_abelian,
     correct_nonabelian,
     cosystolic_certificate,
@@ -185,6 +188,38 @@ def test_one_step_nonabelian_contracts(s3):
         if noisy.values.get(face, 0) != updated.values.get(face, 0)
     }
     assert all(v in face for face in changed)
+
+
+def test_nonabelian_link_decrease_is_the_coboundary_drop():
+    # Every vertex search of the multiplicative path reports the exact drop of
+    # the numerator of ||delta f|| (units of X(2)) that its new edge values
+    # give.  A search that scored only the triangles already unsatisfied
+    # missed the ones its edge update breaks, and mis-reported most drops.
+    X = complete_complex(5, 3)
+    budget = EnumerationBudget()
+
+    def numerator(f):
+        return sum(X.weight_numerator(t) for t in coboundary_nonabelian_1(f).values)
+
+    improving = 0
+    for spec in ("S3", "Z3"):
+        G = group_from_spec(spec)
+        for seed in range(30):
+            f = random_cochain(X, 1, G, random.Random(seed), 0.3)
+            df = coboundary_nonabelian_1(f)
+            for v in X.vertices():
+                found = _search_link(df, v, lambda u: f.values, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
+                if found is None:
+                    continue
+                improving += 1
+                values = {e: val for e, val in f.values.items() if v not in e}
+                for (u,), y in zip(found.lower_faces, found.assignment):
+                    edge, val = ((v, u), y) if v < u else ((u, v), G.inv(y))
+                    if val:
+                        values[edge] = val
+                updated = Cochain(X, 1, G, values)
+                assert found.decrease_num == numerator(f) - numerator(updated), (spec, seed, v)
+    assert improving > 0
 
 
 def test_one_step_nonabelian_rejects_cocycles(s3, rng):
