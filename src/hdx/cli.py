@@ -166,7 +166,7 @@ def cmd_analyze(args) -> int:
     disconnected = []
     for k in range(-1, X.dimension - 1):
         for sigma in X.faces(k):
-            sub = X if sigma == () else X.link(sigma)
+            sub = X.link(sigma)
             key = "root" if sigma == () else " ".join(map(str, sigma))
             try:
                 cert = second_eigenvalue(underlying_graph(sub))

@@ -6,6 +6,8 @@ faces, including the (-1)-dimensional empty face.  The top distribution P_d
 uniform (k+1)-subset; all weights are kept as exact integer numerators over a
 per-dimension denominator so hot loops never touch Fraction arithmetic.  The
 incidence of X(k) on X(k-1) is one integer table per dimension, ``facets(k)``.
+A link is built from the top faces in the smallest vertex star of sigma, read
+off a vertex -> top-face index, with the same integer closure as the complex.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,31 +65,34 @@ class SimplicialComplex:
             raise EmptyInputError("at least one top face is required")
         tops.sort()
 
-        self.dimension = dimension
         if top_weights is None:
-            uniform = Fraction(1, len(tops))
-            weights = {face: uniform for face in tops}
-        else:
-            weights = {}
-            for face in tops:
-                if face not in top_weights:
-                    raise EmptyInputError(f"missing weight for top face {face}")
-                w = Fraction(top_weights[face])
-                if w <= 0:
-                    raise NonUniformCardinalityError(f"weight of {face} must be positive")
-                weights[face] = w
-            if sum(weights.values()) != 1:
-                raise NonUniformCardinalityError("top weights must sum to 1")
-        self.top_weights: Dict[Face, Fraction] = weights
-
-        # One pass over the top faces builds the downward closure, including
-        # X(-1) = {()}, with exact distributions P_k(f) = _num[k][f] / _den[k].
-        # Closure, purity and total mass 1 hold by construction: every face is
-        # a subset of a top face, and the top weights sum to 1.
+            self._build(dimension, tops, dict.fromkeys(tops, 1), len(tops))
+            return
+        weights = {}
+        for face in tops:
+            if face not in top_weights:
+                raise EmptyInputError(f"missing weight for top face {face}")
+            w = Fraction(top_weights[face])
+            if w <= 0:
+                raise NonUniformCardinalityError(f"weight of {face} must be positive")
+            weights[face] = w
+        if sum(weights.values()) != 1:
+            raise NonUniformCardinalityError("top weights must sum to 1")
         scale = lcm(*(w.denominator for w in weights.values()))
+        self._build(dimension, tops, {face: int(w * scale) for face, w in weights.items()}, scale)
+
+    def _build(
+        self, dimension: int, tops: Sequence[Face], top_num: Mapping[Face, int], scale: int
+    ) -> None:
+        """The downward closure of sorted, validated top faces with P_d(top) =
+        top_num[top] / scale, including X(-1) = {()}, with exact distributions
+        P_k(f) = _num[k][f] / _den[k].  Closure, purity and total mass 1 hold
+        by construction: every face is a subset of a top face, and the top
+        numerators sum to scale."""
+        self.dimension = dimension
         num: Dict[int, Dict[Face, int]] = {k: {} for k in range(-1, dimension + 1)}
         for top in tops:
-            wnum = int(weights[top] * scale)
+            wnum = top_num[top]
             for size in range(0, dimension + 2):
                 bucket = num[size - 1]
                 for sub in combinations(top, size):
@@ -100,6 +105,7 @@ class SimplicialComplex:
 
         self._facets: Dict[int, np.ndarray] = {}
         self._links: Dict[Face, "SimplicialComplex"] = {}
+        self._stars: Optional[Dict[int, List[Face]]] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -136,6 +142,11 @@ class SimplicialComplex:
         return self._facets[k]
 
     # -- weights -----------------------------------------------------------
+
+    @property
+    def top_weights(self) -> Dict[Face, Fraction]:
+        den = self._den[self.dimension]
+        return {top: Fraction(n, den) for top, n in self._num[self.dimension].items()}
 
     def weight_numerator(self, face: Face) -> int:
         return self._num[len(face) - 1][face]
@@ -194,48 +205,56 @@ class SimplicialComplex:
 
     # -- derived complexes --------------------------------------------------
 
+    def _star_index(self) -> Dict[int, List[Face]]:
+        """Vertex -> the sorted top faces containing it, built once."""
+        if self._stars is None:
+            self._stars = {}
+            for top in self._faces[self.dimension]:
+                for v in top:
+                    self._stars.setdefault(v, []).append(top)
+        return self._stars
+
     def link(self, sigma: Face) -> "SimplicialComplex":
+        """The complex of faces tau with sigma + tau in X, weighted by P_d
+        conditioned on containing sigma; the link of () is X itself."""
         sigma = tuple(sigma)
         self.require_face(sigma)
         if len(sigma) - 1 >= self.dimension:
             raise BadDimensionError("the link of a top-dimensional face is empty")
+        if not sigma:
+            return self
         if sigma not in self._links:
             sig = set(sigma)
-            tops = []
-            weights = {}
-            mass = self._num[len(sigma) - 1][sigma]
             top_num = self._num[self.dimension]
-            for top in self.top_weights:
-                if sig.issubset(top):
-                    rest = tuple(v for v in top if v not in sig)
-                    tops.append(rest)
-                    weights[rest] = Fraction(top_num[top], mass)
-            link = SimplicialComplex(self.dimension - len(sigma), tops, weights)
+            star = min((self._star_index()[v] for v in sigma), key=len)
+            tops = [top for top in star if sig.issubset(top)]
+            mass = self._num[len(sigma) - 1][sigma]
+            # The reduced fractions top_num / mass share the denominator mass // g.
+            g = gcd(mass, *(top_num[top] for top in tops))
+            rest_num = {tuple(v for v in top if v not in sig): top_num[top] // g for top in tops}
+            link = SimplicialComplex.__new__(SimplicialComplex)
+            link._build(self.dimension - len(sigma), list(rest_num), rest_num, mass // g)
             self._links[sigma] = link
         return self._links[sigma]
 
     def degree_bound(self) -> int:
         """Max number of top faces containing any single vertex."""
-        counts: Dict[int, int] = {}
-        for top in self.top_weights:
-            for v in top:
-                counts[v] = counts.get(v, 0) + 1
-        return max(counts.values())
+        return max(len(star) for star in self._star_index().values())
 
     @property
     def is_uniform(self) -> bool:
-        values = set(self.top_weights.values())
-        return len(values) == 1
+        return len(set(self._num[self.dimension].values())) == 1
 
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
         lines = [f"dim {self.dimension}"]
         weighted = not self.is_uniform
-        for top in sorted(self.top_weights):
+        weights = self.top_weights
+        for top in sorted(weights):
             entry = " ".join(map(str, top))
             if weighted:
-                w = self.top_weights[top]
+                w = weights[top]
                 entry += f" w {w.numerator}/{w.denominator}"
             lines.append(entry)
         return "\n".join(lines) + "\n"

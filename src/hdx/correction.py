@@ -14,8 +14,8 @@ Both paths run one link search, ``_search_link``, and one loop over the
 vertices.  A step at v rewrites the (j-1)-cochain on the faces through v and
 scores every j-face of the star of v by its weight: the additive path scores
 h_v + delta(w) on the link, the multiplicative path the triangles
-y(u) f(uw) y(w)^-1 for new edge values y(u) = f'(v, u).  The reported
-decrease is thus the exact drop of the coboundary weight.
+x(u) f(vu) f(uw) f(wv) x(w)^-1 for new edge values f'(v, u) = x(u) f(v, u).
+The reported decrease is thus the exact drop of the coboundary weight.
 
 Every exhaustive search here (the link searches of a step and the minimality
 scans) is one block scan, ``_scan_first_min``.  It walks G^n in lexicographic
@@ -30,7 +30,7 @@ comparison across blocks, so ties resolve exactly as in a plain loop over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial, isqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -42,6 +42,7 @@ from .cochains import (
     DELTA1_TERMS,
     Cochain,
     Terms,
+    act,
     additive_terms,
     coboundary_abelian,
     coboundary_nonabelian_1,
@@ -293,6 +294,14 @@ def one_step_abelian(
     return best.vertex, g
 
 
+def _triangles_at(f: Cochain, v: int) -> Dict[Face, int]:
+    """f(vu) f(uw) f(wv) on each edge uw of link(v): the vertex action of
+    u -> f(v, u) on f's values there, one face-product call on the link."""
+    link = f.complex.link((v,))
+    inside = {edge: f.values[edge] for edge in link.faces(1) if edge in f.values}
+    return act(f.localize((v,)), Cochain(link, 1, f.group, inside, _trusted=True)).values
+
+
 def one_step_nonabelian(
     f: Cochain, budget: Optional[EnumerationBudget] = None
 ) -> Tuple[int, Cochain]:
@@ -300,8 +309,11 @@ def one_step_nonabelian(
 
     Returns (v, f') with f' differing from f only on edges at v,
     dist(f, f') <= 2 ||v|| and ||delta(f')|| < ||delta(f)||.  The link search
-    at v chooses the new values y(u) = f'(v, u) directly: the triangle vuw
-    then carries y(u) f(uw) y(w)^-1, which is d0 with f(uw) in between.
+    at v scans offsets x(u), the new values being y(u) = f'(v, u) = x(u) f(v, u):
+    the triangle vuw then carries x(u) f(vu) f(uw) f(wv) x(w)^-1, which is d0
+    with f's own triangle in between.  The scan runs in product order from
+    x = identity, which keeps f, so ties keep f's values on the earliest link
+    vertices they can.
     """
     budget = budget or EnumerationBudget.default()
     X, G = f.complex, f.group
@@ -310,10 +322,13 @@ def one_step_nonabelian(
     if f.dimension != 1:
         raise BadDimensionError("the multiplicative correction path corrects 1-cochains")
     df = coboundary_nonabelian_1(f)
-    # The edges of link(v) are edges of X, so f's own values are the local view.
-    best = _best_link_search(df, lambda v: f.values, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
+    best = _best_link_search(
+        df, lambda v: _triangles_at(f, v), DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget
+    )
+    shift = f.localize((best.vertex,)).values
+    y = tuple(G.op(x, shift.get(u, 0)) for u, x in zip(best.lower_faces, best.assignment))
     values = {edge: val for edge, val in f.values.items() if best.vertex not in edge}
-    values.update(_lift_assignment(df, best).values)
+    values.update(_lift_assignment(df, replace(best, assignment=y)).values)
     f_new = Cochain(X, 1, G, values, _trusted=True)
     if distance(f, f_new) > 2 * X.face_weight((best.vertex,)):
         raise FalsificationError("edge-update bound dist(f, f') <= 2 ||v|| failed")

@@ -50,8 +50,10 @@ def underlying_graph(complex: SimplicialComplex) -> WeightedGraph:
     if complex.dimension < 1:
         raise BadDimensionError("a 0-dimensional complex has no underlying graph")
     vertices = complex.vertices()
-    vweights = {v: complex.face_weight((v,)) for v in vertices}
-    eweights = {edge: complex.face_weight(edge) for edge in complex.faces(1)}
+    num0, num1 = complex._num[0], complex._num[1]
+    den0, den1 = complex.weight_denominator(0), complex.weight_denominator(1)
+    vweights = {v: Fraction(num0[(v,)], den0) for v in vertices}
+    eweights = {edge: Fraction(num1[edge], den1) for edge in complex.faces(1)}
     return WeightedGraph(vertices, vweights, eweights)
 
 
@@ -103,9 +105,8 @@ def local_spectral_lambda(complex: SimplicialComplex) -> SpectralCertificate:
     best: Optional[SpectralCertificate] = None
     for k in range(-1, complex.dimension - 1):
         for sigma in complex.faces(k):
-            sub = complex if sigma == () else complex.link(sigma)
             try:
-                cert = second_eigenvalue(underlying_graph(sub))
+                cert = second_eigenvalue(underlying_graph(complex.link(sigma)))
             except DisconnectedGraphError as exc:
                 raise DisconnectedGraphError(
                     f"link of {sigma} has a disconnected underlying graph", witness=sigma

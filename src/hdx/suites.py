@@ -133,8 +133,7 @@ def cheeger_sweep(X: SimplicialComplex, max_vertices: int = 14) -> Tuple[int, in
     violations = graphs = subsets = 0
     for k in range(-1, X.dimension - 1):
         for sigma in X.faces(k):
-            sub = X if sigma == () else X.link(sigma)
-            graph = underlying_graph(sub)
+            graph = underlying_graph(X.link(sigma))
             if len(graph.vertices) > max_vertices:
                 continue
             try:

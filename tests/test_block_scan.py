@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,7 @@ from hdx.complexes import SimplicialComplex
 from hdx.correction import (
     _scan_first_min,
     _search_link,
+    _triangles_at,
     is_minimal,
     one_step_abelian,
     one_step_nonabelian,
@@ -76,8 +78,9 @@ def brute_link_abelian(h, v):
 
 
 def brute_link_nonabelian(f, v):
-    """Every link edge uw scored by its triangle vuw, over new edge values
-    y(u) = f'(v, u): the triangle then carries y(u) f(uw) y(w)^-1."""
+    """Every link edge uw scored by its triangle vuw, over offsets x in
+    product() order; returns the new edge values y(u) = f'(v, u) = x(u) f(v, u)
+    of the first minimizer.  The triangle carries y(u) f(uw) y(w)^-1."""
     X, G = f.complex, f.group
     link = X.link((v,))
     vertices = [u for (u,) in link.faces(0)]
@@ -90,16 +93,19 @@ def brute_link_nonabelian(f, v):
     if not old:
         return None
 
-    def weight_of(y):
-        yv = dict(zip(vertices, y))
+    def new_values(x):
+        return tuple(G.op(a, f.eval((v, u))) for a, u in zip(x, vertices))
+
+    def weight_of(x):
+        yv = dict(zip(vertices, new_values(x)))
         return sum(
             num
             for (u, w), num in star.items()
             if G.op(G.op(yv[u], f.value((u, w))), G.inv(yv[w]))
         )
 
-    new, y = first_min(G, len(vertices), weight_of)
-    return None if new >= old else (old - new, y)
+    new, x = first_min(G, len(vertices), weight_of)
+    return None if new >= old else (old - new, new_values(x))
 
 
 def lift(G, v, lower, x):
@@ -119,9 +125,14 @@ def search_abelian(h, v, budget):
 
 
 def search_nonabelian(f, v, budget):
+    """The step's search at v, with its offsets turned into new edge values."""
     df = coboundary_nonabelian_1(f)
-    got = _search_link(df, v, lambda u: f.values, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
-    return None if got is None else (got.decrease_num, got.assignment)
+    local = partial(_triangles_at, f)
+    got = _search_link(df, v, local, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
+    if got is None:
+        return None
+    y = tuple(f.group.op(x, f.eval((v, u))) for (u,), x in zip(got.lower_faces, got.assignment))
+    return got.decrease_num, y
 
 
 def brute_is_minimal(f):

@@ -273,6 +273,67 @@ def test_weighted_complexes_and_links_are_closed_pure_and_normalized(X):
     _assert_invariants_with_links(X)
 
 
+def _reference_link(X, sigma):
+    """The link from its definition: scan every top face of X, condition P_d on
+    containing sigma in Fractions, and build with the public constructor."""
+    sig = set(sigma)
+    star = {top: X.face_weight(top) for top in X.faces(X.dimension) if sig.issubset(top)}
+    mass = sum(star.values())
+    weights = {tuple(v for v in top if v not in sig): w / mass for top, w in star.items()}
+    return SimplicialComplex(X.dimension - len(sigma), list(weights), weights)
+
+
+def _same_complex(got, want):
+    assert got.dimension == want.dimension
+    for k in range(-1, want.dimension + 1):
+        assert got.faces(k) == want.faces(k)
+    assert got._num == want._num
+    assert got._den == want._den
+    assert got.top_weights == want.top_weights
+
+
+def _assert_links_match_reference(X):
+    for k in range(-1, X.dimension):
+        for sigma in X.faces(k):
+            _same_complex(X.link(sigma), _reference_link(X, sigma))
+
+
+#: Top numerators 2, 4, 3 over 9: the stars of (0, 1), (1,) and (1, 2) have
+#: numerators sharing a factor 2 with their mass, so their links reduce.
+SHARED_FACTOR = SimplicialComplex(
+    2,
+    [(0, 1, 2), (0, 1, 3), (0, 2, 3)],
+    {(0, 1, 2): Fraction(2, 9), (0, 1, 3): Fraction(4, 9), (0, 2, 3): Fraction(1, 3)},
+)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_star_index_links_match_the_reference_on_bundled_instances(name):
+    _assert_links_match_reference(bundled_instances()[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_complexes())
+def test_star_index_links_match_the_reference_on_weighted_complexes(X):
+    _assert_links_match_reference(X)
+
+
+def test_star_index_links_reduce_by_the_common_factor():
+    _assert_links_match_reference(SHARED_FACTOR)
+    link = SHARED_FACTOR.link((0, 1))
+    assert link.weight_denominator(0) == 3
+    assert link.top_weights == {(2,): Fraction(1, 3), (3,): Fraction(2, 3)}
+    assert SHARED_FACTOR.link((1, 2)).top_weights == {(0,): Fraction(1)}
+
+
+def test_text_roundtrip_of_a_weighted_complex_and_its_links():
+    X = SHARED_FACTOR
+    for k in range(-1, X.dimension):
+        for sigma in X.faces(k):
+            link = X.link(sigma)
+            _same_complex(SimplicialComplex.from_text(link.to_text()), link)
+
+
 def test_facet_tables_are_cached_read_only_and_per_link(k4_skeleton):
     table = k4_skeleton.facets(2)
     assert k4_skeleton.facets(2) is table and not table.flags.writeable

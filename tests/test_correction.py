@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,7 @@ from hdx.cochains import (
 from hdx.complexes import SimplicialComplex
 from hdx.correction import (
     _search_link,
+    _triangles_at,
     correct_abelian,
     correct_nonabelian,
     cosystolic_certificate,
@@ -208,18 +210,35 @@ def test_nonabelian_link_decrease_is_the_coboundary_drop():
             f = random_cochain(X, 1, G, random.Random(seed), 0.3)
             df = coboundary_nonabelian_1(f)
             for v in X.vertices():
-                found = _search_link(df, v, lambda u: f.values, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
+                local = partial(_triangles_at, f)
+                found = _search_link(df, v, local, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
                 if found is None:
                     continue
                 improving += 1
                 values = {e: val for e, val in f.values.items() if v not in e}
-                for (u,), y in zip(found.lower_faces, found.assignment):
+                for (u,), x in zip(found.lower_faces, found.assignment):
+                    y = G.op(x, f.eval((v, u)))
                     edge, val = ((v, u), y) if v < u else ((u, v), G.inv(y))
                     if val:
                         values[edge] = val
                 updated = Cochain(X, 1, G, values)
                 assert found.decrease_num == numerator(f) - numerator(updated), (spec, seed, v)
     assert improving > 0
+
+
+def test_nonabelian_step_keeps_f_among_tied_minimizers():
+    # On the tetrahedron, f(01) = f(02) = a breaks the triangles 013 and 023.
+    # Vertex 0 clears both by making its three edge values equal: to a (one
+    # edge rewritten) or to any other element, e.g. the identity (two edges).
+    # The step must keep f where it can: f'(03) = a, and it moves one edge.
+    X = single_simplex(3)
+    for spec in ("S3", "D4", "Z3"):
+        G = group_from_spec(spec)
+        f = Cochain(X, 1, G, {(0, 1): 1, (0, 2): 1})
+        v, updated = one_step_nonabelian(f)
+        assert v == 0
+        assert updated.values == {(0, 1): 1, (0, 2): 1, (0, 3): 1}, spec
+        assert distance(f, updated) == X.set_weight([(0, 3)], 1)
 
 
 def test_one_step_nonabelian_rejects_cocycles(s3, rng):
