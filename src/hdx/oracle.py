@@ -1,11 +1,15 @@
 """Brute-force ground truth: full cochain-space enumeration on small instances.
 
-Everything here is an independent slow path.  One odometer (`_Scan`) walks
-C^k in lexicographic order for every group, updating the coboundary of the
-current assignment incrementally and keying it by one mixed-radix integer.
+Everything here is an independent slow path.  One block odometer (`_Scan`)
+walks C^k in lexicographic order for every group, `_BLOCK_STATES` consecutive
+states at a time: a block's digits come from the state indices, its weights
+from one product with the face numerators, and its coboundary from the
+oracle's own role array over X(k+1), never from `cochains`.  Coboundary rows
+are sorted and merged by exact keys, int64 words that each code a run of
+faces in mixed radix, so images compare in numpy for any number of faces.
 For two-element groups Z^k and B^k are spans over GF(2): the kernel and the
 row space of the incidence rows, listed at a cost of |Z| or |B| rather than
-2^|X(k)|.  Ratio scans keep one table entry per coboundary fiber wherever
+2^|X(k)|.  Ratio scans keep one table row per coboundary fiber wherever
 dist(f, Z^k) is the lightest weight in the fiber of df (abelian groups, and
 dimension 0 for every group) and the table stays small; otherwise they
 measure every state against a pool of cocycles.  Distances and expansion
@@ -19,8 +23,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import combinations, islice, product
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .cochains import Cochain
 from .complexes import Face, SimplicialComplex
@@ -34,7 +40,9 @@ from .groups import FiniteGroup
 
 DEFAULT_MAX_STATES = 2**24
 BUDGET_ENV_VAR = "HDX_BUDGET"
-_MAX_FIBERS = 2**16  # fiber-table entries in a ratio scan, about 105 bytes each
+_MAX_FIBERS = 2**16  # fiber-table rows in a ratio scan, about |X(k+1)| + 16 bytes each
+_BLOCK_STATES = 2**10  # states per block of the odometer; bounds its memory
+_POOL_CELLS = 2**16  # face comparisons per step of a pool scan
 
 
 @dataclass(frozen=True)
@@ -79,98 +87,95 @@ def space_size(group: FiniteGroup, face_count: int) -> int:
 # -- enumeration engine ----------------------------------------------------------
 
 
-class _Scan:
-    """Odometer over assignments to X(k) with incremental coboundary tracking.
+def _numerators(values: Sequence[int]) -> np.ndarray:
+    """Weight numerators in the narrowest type that holds their sum (Python
+    ints past uint64), so weights computed with them are exact and small."""
+    return np.array(values, dtype=np.min_scalar_type(sum(values)))
 
-    The coboundary of the current assignment is keyed by its mixed-radix
-    code: the value on the j-th (k+1)-face is digit j, the first face most
-    significant, so codes sort like the value vectors and 0 means df = 0.
+
+class _Scan:
+    """Block odometer over the assignments to X(k), with their coboundaries.
+
+    State i is the i-th vector of C^k in lexicographic order: its value on the
+    j-th k-face is (i // g^(m-1-j)) % g, the first face most significant.
+    `blocks` yields the states `_BLOCK_STATES` at a time with their
+    coboundaries on X(k+1).  Nothing is tracked at the top dimension, nor
+    above dimension 1 for non-abelian groups, so there a coboundary row has
+    no entries and every state is a cocycle.
     """
 
     def __init__(self, X: SimplicialComplex, k: int, G: FiniteGroup):
-        self.X, self.k, self.G = X, k, G
-        self.faces: List[Face] = list(X.faces(k))
-        self.m = len(self.faces)
-        self.nums = [X.weight_numerator(f) for f in self.faces]
-        index = {f: i for i, f in enumerate(self.faces)}
+        self.k, self.G = k, G
+        faces: List[Face] = list(X.faces(k))
+        self.m = len(faces)
+        self.nums = _numerators([X.weight_numerator(f) for f in faces])
         self.track = k < X.dimension and (G.is_abelian or k <= 1)
-        self.above: List[Face] = list(X.faces(k + 1)) if self.track else []
-        self.above_nums = [X.weight_numerator(f) for f in self.above]
-        n = len(self.above)
-        self.place = [G.order ** (n - 1 - j) for j in range(n)]
-        self.roles: List[Tuple] = []
-        self.touch: List[List[int]] = [[] for _ in range(self.m)]
-        if self.track:
-            for j, above in enumerate(self.above):
-                role = tuple(index[above[:i] + above[i + 1 :]] for i in range(len(above)))
-                self.roles.append(role)
-                for idx in set(role):
-                    self.touch[idx].append(j)
+        above: List[Face] = list(X.faces(k + 1)) if self.track else []
+        self.above_nums = _numerators([X.weight_numerator(f) for f in above])
+        index = {f: i for i, f in enumerate(faces)}
+        # roles[j, i]: the k-face left when position i is dropped from the j-th (k+1)-face.
+        self.roles = np.array(
+            [[index[f[:i] + f[i + 1 :]] for i in range(k + 2)] for f in above], dtype=np.intp
+        ).reshape(len(above), k + 2)
+        # Signed and wide enough for a + b: Z_m adds before it reduces.
+        self.dtype = np.min_scalar_type(-2 * G.order)
+        # A key word codes `width` faces below 2^63.
+        self.width = 1
+        while self.width < len(above) and G.order ** (self.width + 1) < 2**63:
+            self.width += 1
 
-    def delta_value(self, values: List[int], j: int) -> int:
-        """Coboundary value on the j-th (k+1)-face for the current assignment."""
-        G, role = self.G, self.roles[j]
-        if self.k == -1:
-            return values[0]
-        if G.is_abelian:
-            acc = 0
-            for i, idx in enumerate(role):
-                v = values[idx]
-                if v:
-                    acc = G.op(acc, v if i % 2 == 0 else G.inv(v))
-            return acc
-        if self.k == 0:
-            # role indexes the faces left after dropping a position, so for an
-            # edge (u, v) role[1] is u and role[0] is v: f(u) f(v)^-1.
-            return G.op(values[role[1]], G.inv(values[role[0]]))
-        # k == 1, above = (u, v, w): g(uv) g(vw) g(uw)^-1.
-        uv, uw, vw = role[2], role[1], role[0]
-        return G.op(G.op(values[uv], values[vw]), G.inv(values[uw]))
+    def blocks(
+        self, budget: EnumerationBudget, what: str
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """Yield (start, digits, delta) for each block, in lexicographic order.
 
-    def delta_weight(self, code: int) -> int:
-        """Weight numerator of the coboundary with the given code."""
-        digits = _digits(code, self.G.order, len(self.above))
-        return sum(n for v, n in zip(digits, self.above_nums) if v)
-
-    def run(self, budget: EnumerationBudget, what: str):
-        """Yield (values, code, weight) in lexicographic order of values.
-
-        code keys the coboundary (see the class docstring) and weight is the
-        weight numerator of the assignment.  values is reused in place.
-        Nothing is tracked at the top dimension, so there every code is 0.
+        digits holds the states start, start + 1, ... as rows of values on
+        X(k), and delta their coboundaries as rows of values on X(k+1).
         """
-        budget.ensure(space_size(self.G, self.m), what)
-        g = self.G.order
-        nums, place, touch, delta_value = self.nums, self.place, self.touch, self.delta_value
-        values = [0] * self.m
-        delta = [0] * len(self.above)
-        code = weight = 0
+        g, total = self.G.order, space_size(self.G, self.m)
+        budget.ensure(total, what)
+        # Index arithmetic in the narrowest type that holds the state count.
+        index_type = np.min_scalar_type(total)
+        place = np.array([g ** (self.m - 1 - j) for j in range(self.m)], dtype=index_type)
+        for start in range(0, total, _BLOCK_STATES):
+            index = np.arange(start, min(start + _BLOCK_STATES, total), dtype=index_type)
+            digits = index[:, None] // place
+            digits %= g
+            digits = digits.astype(self.dtype)
+            yield start, digits, self.delta(digits)
 
-        def move(p: int, b: int) -> None:
-            nonlocal code
-            values[p] = b
-            for j in touch[p]:
-                old = delta[j]
-                new = delta_value(values, j)
-                if new != old:
-                    delta[j] = new
-                    code += (new - old) * place[j]
+    def delta(self, digits: np.ndarray) -> np.ndarray:
+        """The coboundary of each row of digits, one column per (k+1)-face."""
+        G, k = self.G, self.k
+        if not self.track:
+            return digits[:, :0]
+        col = [digits[:, self.roles[:, i]] for i in range(k + 2)]
+        if G.is_abelian or k == -1:
+            out = col[0]
+            for i in range(1, k + 2):
+                out = G.op_array(out, col[i] if i % 2 == 0 else G.inv_array(col[i]))
+        elif k == 0:
+            # For an edge (u, v) dropping position 1 leaves u: f(u) f(v)^-1.
+            out = G.op_array(col[1], G.inv_array(col[0]))
+        else:
+            # k == 1, above = (u, v, w): g(uv) g(vw) g(uw)^-1.
+            out = G.op_array(G.op_array(col[2], col[0]), G.inv_array(col[1]))
+        # Table groups answer in int64; keep rows narrow.
+        return out.astype(self.dtype, copy=False)
 
-        yield values, code, weight
-        if g == 1 or self.m == 0:
-            return
-        while True:
-            p = self.m - 1
-            while p >= 0 and values[p] == g - 1:
-                move(p, 0)
-                weight -= nums[p]
-                p -= 1
-            if p < 0:
-                return
-            if not values[p]:
-                weight += nums[p]
-            move(p, values[p] + 1)
-            yield values, code, weight
+    def keys(self, delta: np.ndarray) -> np.ndarray:
+        """Exact sort keys of coboundary rows: one int64 word per run of faces.
+
+        Each word codes its faces in mixed radix, the first most significant,
+        so rows and their keys sort alike, past int64 and past one byte a digit.
+        """
+        n = delta.shape[1]
+        keys = np.zeros((len(delta), max(1, -(-n // self.width))), dtype=np.int64)
+        for j in range(n):
+            word = keys[:, j // self.width]
+            word *= self.G.order
+            word += delta[:, j]
+        return keys
 
 
 def _digits(code: int, base: int, length: int) -> Tuple[int, ...]:
@@ -179,6 +184,61 @@ def _digits(code: int, base: int, length: int) -> Tuple[int, ...]:
     for i in range(length - 1, -1, -1):
         code, out[i] = divmod(code, base)
     return tuple(out)
+
+
+def _images(
+    scan: _Scan, budget: EnumerationBudget, what: str, nonzero: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every distinct coboundary of the scan, in increasing order (only df != 0
+    when nonzero), with the index of its first preimage and the least weight
+    numerator of its preimages, as three aligned arrays.
+
+    Block rows wait in a list and merge into the table once they outnumber it,
+    so each row is sorted O(1) times.  Indices are held in the narrowest
+    type that fits them.
+    """
+    index_type = np.min_scalar_type(space_size(scan.G, scan.m))
+    parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    table = waiting = 0
+    for start, digits, delta in scan.blocks(budget, what):
+        keep = np.flatnonzero(delta.any(axis=1)) if nonzero else np.arange(len(delta))
+        first = (keep + start).astype(index_type)
+        parts.append((delta[keep], first, ((digits[keep] != 0) @ scan.nums)))
+        waiting += len(keep)
+        if waiting > max(table, _BLOCK_STATES):
+            parts = [_merge(scan, parts)]
+            table, waiting = len(parts[0][0]), 0
+    return _merge(scan, parts)
+
+
+def _merge(scan: _Scan, parts: list) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row per distinct image of parts, sorted, keeping the first index
+    and the least weight.  Parts come in scan order, and the sort is stable.
+    Empties parts, so its blocks are freed before the sort."""
+    rows, first, light = (np.concatenate(a) for a in zip(*parts))
+    parts.clear()
+    keys = scan.keys(rows)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    pick = order[starts]
+    return rows[pick], first[pick], np.minimum.reduceat(light[order], starts)
+
+
+def _first_min_ratio(num: np.ndarray, den: np.ndarray) -> int:
+    """Index of the first least num[i] / den[i] (every den > 0), compared exactly."""
+    exact = np.int64 if int(num.max()) * int(den.max()) < 2**63 else object
+    num, den = num.astype(exact), den.astype(exact)
+    approx = num / den
+    i = int(np.argmin(approx))
+    # The float guess is refined by cross-multiplication until nothing is below it.
+    while True:
+        below = np.flatnonzero(num * den[i] < num[i] * den)
+        if not len(below):
+            return int(np.flatnonzero(num * den[i] == num[i] * den)[0])
+        i = int(below[np.argmin(approx[below])])
 
 
 def _f2_incidence(X: SimplicialComplex, k: int) -> List[int]:
@@ -288,8 +348,8 @@ def cocycle_list(
             return [_mask_to_cochain(X, k, G, faces, m) for m in masks]
     return [
         _cochain_from_vector(X, k, G, faces, values)
-        for values, code, _weight in _Scan(X, k, G).run(budget, f"Z^{k} scan")
-        if code == 0
+        for _start, digits, delta in _Scan(X, k, G).blocks(budget, f"Z^{k} scan")
+        for values in digits[~delta.any(axis=1)].tolist()
     ]
 
 
@@ -305,11 +365,8 @@ def coboundary_list(
     if G.order == 2:
         masks = _f2_image_masks(X, k, budget)
         return [_mask_to_cochain(X, k, G, faces, m) for m in masks]
-    seen = {code for _values, code, _weight in _Scan(X, k - 1, G).run(budget, f"B^{k} scan")}
-    return [
-        _cochain_from_vector(X, k, G, faces, _digits(code, G.order, len(faces)))
-        for code in sorted(seen)
-    ]
+    images = _images(_Scan(X, k - 1, G), budget, f"B^{k} scan", nonzero=False)[0]
+    return [_cochain_from_vector(X, k, G, faces, values) for values in images.tolist()]
 
 
 def enumerate_spaces(
@@ -388,46 +445,48 @@ def _min_ratio_scan(
     scan = _Scan(X, k, G)
     den_k = X.weight_denominator(k)
     den_k1 = X.weight_denominator(k + 1)
-    best: Optional[Fraction] = None
     # For abelian G and for k = 0 the fibers of d are the |C^k| / |Z^k|
     # cosets of Z^k.
     if (G.is_abelian or k == 0) and space_size(G, scan.m) // len(pool) <= _MAX_FIBERS:
         # dist(f, Z^k) = min{||g|| : dg = df}: for abelian G the fiber of df
         # is the coset f - Z^k, and for k = 0 it is {f c : c locally constant}.
         # So the ratio depends on df alone, and the first minimizer is the
-        # first preimage of the first image, in scan order, whose ratio is
-        # least.  One table keeps the lightest weight per image; first[i] is
-        # the scan index of the first preimage of the i-th image.
-        lightest: Dict[int, int] = {}
-        first: List[int] = []
-        for index, (_values, code, weight) in enumerate(scan.run(budget, what)):
-            if code:
-                old = lightest.get(code)
-                if old is None:
-                    lightest[code] = weight
-                    first.append(index)
-                elif weight < old:
-                    lightest[code] = weight
-        best_index = 0
-        for (code, weight), index in zip(lightest.items(), first):
-            ratio = Fraction(scan.delta_weight(code) * den_k, den_k1 * weight)
-            if best is None or ratio < best:
-                best, best_index = ratio, index
-        return (None, None) if best is None else (best, _digits(best_index, G.order, scan.m))
+        # first preimage of the image whose ratio is least, ties going to the
+        # image seen first.  The table keeps, per image, its first preimage
+        # and its lightest weight.
+        images, first, lightest = _images(scan, budget, what, nonzero=True)
+        if not len(first):
+            return None, None
+        seen = np.argsort(first)
+        images, first, lightest = images[seen], first[seen], lightest[seen]
+        norms = (images != 0) @ scan.above_nums
+        i = _first_min_ratio(norms, lightest)
+        best = Fraction(int(norms[i]) * den_k, den_k1 * int(lightest[i]))
+        return best, _digits(int(first[i]), G.order, scan.m)
     # Non-abelian k = 1, where the distance is not constant on a fiber, and
-    # tables past _MAX_FIBERS: every state is measured against every pool
-    # vector, in memory O(|Z^k|).
-    nums = scan.nums
+    # tables past _MAX_FIBERS: every state is measured against the pool
+    # vectors, a few at a time, in memory O(|Z^k| + block).
+    pool_rows = np.array(pool, dtype=scan.dtype).reshape(len(pool), scan.m)
+    best_ratio: Optional[Tuple[int, int]] = None
     best_vec: Optional[Tuple[int, ...]] = None
-    for values, code, _weight in scan.run(budget, what):
-        if not code:
+    for _start, digits, delta in scan.blocks(budget, what):
+        moving = np.flatnonzero(delta.any(axis=1))
+        if not len(moving):
             continue
-        vec = tuple(values)
-        dist_num = min(sum(n for a, b, n in zip(vec, pvec, nums) if a != b) for pvec in pool)
-        ratio = Fraction(scan.delta_weight(code) * den_k, den_k1 * dist_num)
-        if best is None or ratio < best:
-            best, best_vec = ratio, vec
-    return best, best_vec
+        digits = digits[moving]
+        step = max(1, _POOL_CELLS // (len(digits) * max(scan.m, 1)))
+        dist = None
+        for lo in range(0, len(pool_rows), step):
+            near = ((digits[:, None, :] != pool_rows[None, lo : lo + step]) @ scan.nums).min(axis=1)
+            dist = near if dist is None else np.minimum(dist, near)
+        norms = (delta[moving] != 0) @ scan.above_nums
+        i = _first_min_ratio(norms, dist)
+        norm, dist_num = int(norms[i]), int(dist[i])
+        if best_ratio is None or norm * best_ratio[1] < best_ratio[0] * dist_num:
+            best_ratio, best_vec = (norm, dist_num), tuple(digits[i].tolist())
+    if best_ratio is None:
+        return None, None
+    return Fraction(best_ratio[0] * den_k, den_k1 * best_ratio[1]), best_vec
 
 
 @dataclass
@@ -561,54 +620,76 @@ def min_nontrivial_cocycle_weight(
 
     Independent of enumerate_spaces: supports are enumerated by size with
     value products over non-identity elements, pruning once every remaining
-    support is heavier than the best cocycle found.  A candidate is a cocycle
-    when `_Scan.delta_value` vanishes on every (k+1)-face touching its support.
-    Returns None when no nontrivial cocycle exists.
+    support is heavier than the best cocycle found.  The candidates of a batch
+    of supports go through the odometer's coboundary about one block at a
+    time; the batch is then replayed in order, so pruning and the state count
+    (and a refusal) fall exactly as support by support.  Returns None when no
+    nontrivial cocycle exists.
     """
     budget = budget or EnumerationBudget.default()
-    faces = list(X.faces(k))
-    nums = [X.weight_numerator(f) for f in faces]
     den = X.weight_denominator(k)
     scan = _Scan(X, k, G)
-    # Refused where the coboundary is, before any scan; the one-element group
-    # has no candidates.
-    if G.order > 1 and not scan.track:
+    # The one-element group has no candidates; otherwise refused where the
+    # coboundary is, before any scan.
+    if G.order == 1:
+        return None
+    if not scan.track:
         if not G.is_abelian and k >= 2:
             raise UndefinedCoboundaryError("no multiplicative coboundary above dimension 1")
         raise BadDimensionError("no coboundary above the top dimension")
     b_set = {_vector_of(f, X, k) for f in coboundary_list(X, G, k, budget)}
+    nums = scan.nums.tolist()
     sorted_nums = sorted(nums)
     best_num: Optional[int] = None
-    best_vec: Optional[Tuple[int, ...]] = None
     states = 0
-    nonid = list(range(1, G.order))
-    for size in range(1, len(faces) + 1):
-        floor_num = sum(sorted_nums[:size])
-        if best_num is not None and floor_num >= best_num:
+    for size in range(1, scan.m + 1):
+        if best_num is not None and sum(sorted_nums[:size]) >= best_num:
             break
-        for support in combinations(range(len(faces)), size):
-            support_num = sum(nums[i] for i in support)
-            if best_num is not None and support_num >= best_num:
-                continue
-            for assignment in product(nonid, repeat=size):
-                states += 1
-                if states > budget.max_states:
-                    raise BudgetExceededError("support search exceeded the state budget")
-                values = [0] * len(faces)
-                for i, v in zip(support, assignment):
-                    values[i] = v
-                if any(scan.delta_value(values, j) for i in support for j in scan.touch[i]):
-                    continue
-                vec = tuple(values)
-                if vec in b_set:
-                    continue
-                if best_num is None or support_num < best_num or (
-                    support_num == best_num and vec < best_vec
-                ):
-                    best_num, best_vec = support_num, vec
+        per_support = (G.order - 1) ** size
+        supports = combinations(range(scan.m), size)
+        while chunk := list(islice(supports, max(1, _BLOCK_STATES // per_support))):
+            weighed = ((s, sum(nums[i] for i in s)) for s in chunk)
+            batch = [(s, num) for s, num in weighed if best_num is None or num < best_num]
+            # The first support of a batch is never pruned on replay.
+            if not batch or states + per_support > budget.max_states:
+                states += per_support * len(batch)
+            else:
+                hits = _support_hits(scan, [s for s, _num in batch], per_support, b_set)
+                for (_support, support_num), hit in zip(batch, hits):
+                    if best_num is not None and support_num >= best_num:
+                        continue
+                    states += per_support
+                    if states > budget.max_states:
+                        break
+                    if hit:
+                        best_num = support_num
+            if states > budget.max_states:
+                raise BudgetExceededError("support search exceeded the state budget")
     if best_num is None:
         return None
     return Fraction(best_num, den)
+
+
+def _support_hits(
+    scan: _Scan, batch: Sequence[Tuple[int, ...]], per_support: int, b_set
+) -> np.ndarray:
+    """For each support of one size, whether a cocycle outside b_set has exactly
+    that support: every assignment of non-identity values, in product order."""
+    g1 = scan.G.order - 1
+    cols = np.array(batch, dtype=np.intp)
+    place = g1 ** np.arange(cols.shape[1] - 1, -1, -1, dtype=np.int64)
+    hit = np.zeros(len(batch), dtype=bool)
+    total = len(batch) * per_support
+    for lo in range(0, total, _BLOCK_STATES):
+        flat = np.arange(lo, min(lo + _BLOCK_STATES, total), dtype=np.int64)
+        which = flat // per_support
+        values = np.zeros((len(flat), scan.m), dtype=scan.dtype)
+        assignment = (flat % per_support)[:, None] // place % g1 + 1
+        values[np.arange(len(flat))[:, None], cols[which]] = assignment
+        for r in np.flatnonzero(~scan.delta(values).any(axis=1)).tolist():
+            if not hit[which[r]] and tuple(values[r].tolist()) not in b_set:
+                hit[which[r]] = True
+    return hit
 
 
 def link_coboundary_beta(

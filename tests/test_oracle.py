@@ -18,12 +18,14 @@ from hdx.instances import (
     torus_complex,
 )
 from hdx.oracle import (
+    _BLOCK_STATES,
     BUDGET_ENV_VAR,
     EnumerationBudget,
     _f2_image_masks,
     _f2_scan_cocycles,
     _min_ratio_scan,
     coboundary_expansion_constant,
+    coboundary_list,
     cosystolic_expansion_constants,
     enumerate_spaces,
     exact_distance,
@@ -322,28 +324,46 @@ _COMPLEXES = {
     "weighted-two-triangles": lambda: SimplicialComplex(
         2, [(0, 1, 2), (1, 2, 3)], {(0, 1, 2): Fraction(2, 7), (1, 2, 3): Fraction(5, 7)}
     ),
+    # Weight numerators past uint64 (185 bits), so weights are Python ints.
+    "huge-weighted-k4": lambda: SimplicialComplex(
+        2,
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+        {
+            (0, 1, 2): Fraction(1, 3**45),
+            (0, 1, 3): Fraction(1, 7**40),
+            (0, 2, 3): Fraction(1, 2),
+            (1, 2, 3): Fraction(1, 2) - Fraction(1, 3**45) - Fraction(1, 7**40),
+        },
+    ),
     # Disconnected: Z^0 is the locally constant maps, larger than B^0.
     "two-edges": lambda: SimplicialComplex(1, [(0, 1), (2, 3)]),
     "path-and-edge": lambda: SimplicialComplex(1, [(0, 1), (1, 2), (3, 4)]),
 }
 
 
-def _check_coboundary_constant(X, G, k):
-    const = coboundary_expansion_constant(X, G, k)
+# The odometer's block size, and an odd one at which scans end mid-block and
+# minima and first preimages straddle blocks.
+_BLOCKS = (_BLOCK_STATES, 7)
+
+
+def _check_coboundary_constant(monkeypatch, X, G, k):
     best, best_vec, pool = _pair_scan_first_minimizer(X, G, k, "B")
-    assert const.epsilon == best
-    if best:
-        assert _vector(const.witness, k) == best_vec
-    else:
-        # Z^k != B^k: the witness is a cocycle outside B^k, in the cocycle
-        # list's order rather than the scan's.
-        assert const.witness.is_cocycle() and _vector(const.witness, k) not in pool
+    for block in _BLOCKS:
+        monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
+        const = coboundary_expansion_constant(X, G, k)
+        assert const.epsilon == best
+        if best:
+            assert _vector(const.witness, k) == best_vec
+        else:
+            # Z^k != B^k: the witness is a cocycle outside B^k, in the cocycle
+            # list's order rather than the scan's.
+            assert const.witness.is_cocycle() and _vector(const.witness, k) not in pool
 
 
 @pytest.mark.parametrize("spec", ["Z2", "Z3"])
 @pytest.mark.parametrize("k", [0, 1])
-def test_coboundary_constant_witness_is_first_minimizer(k4_skeleton, spec, k):
-    _check_coboundary_constant(k4_skeleton, group_from_spec(spec), k)
+def test_coboundary_constant_witness_is_first_minimizer(monkeypatch, k4_skeleton, spec, k):
+    _check_coboundary_constant(monkeypatch, k4_skeleton, group_from_spec(spec), k)
 
 
 @pytest.mark.parametrize(
@@ -354,10 +374,11 @@ def test_coboundary_constant_witness_is_first_minimizer(k4_skeleton, spec, k):
     + [("two-edges", "S3", 0), ("two-edges", "D4", 0), ("path-and-edge", "S3", 0)]
     + [("weighted-k4", spec, k) for spec in ("Z2", "Z3") for k in (0, 1)]
     + [("weighted-k4", "S3", 0), ("weighted-two-triangles", "Z2", 0)]
-    + [("weighted-two-triangles", "S3", 1)],
+    + [("weighted-two-triangles", "S3", 1)]
+    + [("huge-weighted-k4", "Z3", 1), ("huge-weighted-k4", "S3", 0)],
 )
-def test_coboundary_constant_matches_pair_scan(name, spec, k):
-    _check_coboundary_constant(_COMPLEXES[name](), group_from_spec(spec), k)
+def test_coboundary_constant_matches_pair_scan(monkeypatch, name, spec, k):
+    _check_coboundary_constant(monkeypatch, _COMPLEXES[name](), group_from_spec(spec), k)
 
 
 @pytest.mark.parametrize(
@@ -369,19 +390,22 @@ def test_coboundary_constant_matches_pair_scan(name, spec, k):
     + [("weighted-k4", "Z3", 1), ("weighted-k4", "S3", 0)]
     + [("weighted-two-triangles", "Z2", 0), ("weighted-two-triangles", "S3", 1)],
 )
-def test_cosystolic_ratio_scan_matches_pair_scan(name, spec, k):
+def test_cosystolic_ratio_scan_matches_pair_scan(monkeypatch, name, spec, k):
     X, G = _COMPLEXES[name](), group_from_spec(spec)
     best, best_vec, pool = _pair_scan_first_minimizer(X, G, k, "Z")
     budget = EnumerationBudget()
-    assert _min_ratio_scan(X, G, k, pool, budget, "test scan") == (best, best_vec)
-    entry = cosystolic_expansion_constants(X, G, budget, dims=[k]).per_dim[k]
-    assert entry["epsilon"] == best and entry["z_size"] == len(pool)
+    for block in _BLOCKS:
+        monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
+        assert _min_ratio_scan(X, G, k, pool, budget, "test scan") == (best, best_vec)
+        entry = cosystolic_expansion_constants(X, G, budget, dims=[k]).per_dim[k]
+        assert entry["epsilon"] == best and entry["z_size"] == len(pool)
 
 
 @pytest.mark.parametrize(
     "name, spec, k",
     [("k5", "Z2", 0), ("k5", "Z3", 0), ("k4", "Z4", 1), ("weighted-k4", "Z3", 1)]
-    + [("two-edges", "D4", 0), ("path-and-edge", "S3", 0), ("weighted-two-triangles", "Z2", 0)],
+    + [("two-edges", "D4", 0), ("path-and-edge", "S3", 0), ("weighted-two-triangles", "Z2", 0)]
+    + [("huge-weighted-k4", "Z3", 1)],
 )
 def test_ratio_scan_past_the_fiber_bound_matches_pair_scan(monkeypatch, name, spec, k):
     # With no room for a fiber table the scan measures every state against
@@ -389,7 +413,9 @@ def test_ratio_scan_past_the_fiber_bound_matches_pair_scan(monkeypatch, name, sp
     monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 0)
     X, G = _COMPLEXES[name](), group_from_spec(spec)
     best, best_vec, pool = _pair_scan_first_minimizer(X, G, k, "Z")
-    assert _min_ratio_scan(X, G, k, pool, EnumerationBudget(), "test scan") == (best, best_vec)
+    for block in _BLOCKS:
+        monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
+        assert _min_ratio_scan(X, G, k, pool, EnumerationBudget(), "test scan") == (best, best_vec)
 
 
 def test_ratio_scan_past_the_fiber_bound_keeps_no_table(monkeypatch):
@@ -412,6 +438,66 @@ def test_ratio_scan_past_the_fiber_bound_keeps_no_table(monkeypatch):
     pooled, pool_peak = traced_scan()
     assert pooled == table
     assert pool_peak * 4 < table_peak
+
+
+@pytest.mark.parametrize("name, spec", [("k4", "Z3"), ("two-triangles", "S3")])
+def test_enumerated_spaces_match_product_enumeration(monkeypatch, name, spec):
+    # Z^k: the vectors whose coboundary vanishes (all of C^k at the top);
+    # B^k: the distinct coboundaries of the level below, in increasing order.
+    X, G = _COMPLEXES[name](), group_from_spec(spec)
+    for k in range(X.dimension + 1):
+        vectors = list(product(range(G.order), repeat=X.face_count(k)))
+        if k < X.dimension:
+            cocycles = [v for v in vectors if not any(_coboundary_vector(X, G, k, v))]
+        else:
+            cocycles = vectors
+        if k == 0:
+            images = [(c,) * X.face_count(0) for c in range(G.order)]
+        else:
+            lower = product(range(G.order), repeat=X.face_count(k - 1))
+            images = sorted({_coboundary_vector(X, G, k - 1, v) for v in lower})
+        for block in _BLOCKS:
+            monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
+            spaces = enumerate_spaces(X, G, k)
+            assert spaces.cocycle_values() == cocycles, (k, block)
+            assert spaces.coboundary_values() == images, (k, block)
+
+
+def test_fiber_keys_past_int64():
+    # K12^(1) at k = 0 has 66 edges, so a coboundary's code reaches 2^66 and
+    # its key takes two int64 words.
+    X, G = complete_complex(12, 1), group_from_spec("Z2")
+    const = coboundary_expansion_constant(X, G, 0)
+    assert const.epsilon == Fraction(12, 11)
+    assert const.witness.values == {(v,): 1 for v in range(6, 12)}
+    assert cosystolic_expansion_constants(X, G).per_dim[0]["epsilon"] == Fraction(12, 11)
+    # Over Z3 the 45 edges of K10 code up to 3^45 > 2^71; the images still
+    # come out distinct and in increasing order.
+    X = complete_complex(10, 1)
+    images = [_vector(f, 1) for f in coboundary_list(X, group_from_spec("Z3"), 1, EnumerationBudget())]
+    assert len(images) == 3**9 and images == sorted(set(images))
+
+
+def test_coboundary_list_sorts_multi_byte_values():
+    # Over Z300 a value takes two bytes; the images of one edge are 0..299 in order.
+    X = SimplicialComplex(1, [(0, 1)])
+    images = coboundary_list(X, group_from_spec("Z300"), 1, EnumerationBudget())
+    assert [f.value((0, 1)) for f in images] == list(range(300))
+
+
+@pytest.mark.parametrize(
+    "make, weight, enough",
+    [(torus_complex, Fraction(2, 7), 28495), (projective_plane_complex, Fraction(1, 3), 2411)],
+)
+def test_support_search_budget_boundary(monkeypatch, f2, make, weight, enough):
+    # The state count of the support-ordered search, pruning included, is the
+    # same at every batch size: one state fewer and the search is refused.
+    X = make()
+    for block in _BLOCKS:
+        monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
+        assert min_nontrivial_cocycle_weight(X, f2, 1, EnumerationBudget(enough)) == weight
+        with pytest.raises(BudgetExceededError, match="support search exceeded the state budget"):
+            min_nontrivial_cocycle_weight(X, f2, 1, EnumerationBudget(enough - 1))
 
 
 def _all_instances_and_links():
