@@ -279,6 +279,9 @@ class SimplicialComplex:
                     raise ParseError(f"malformed weight suffix in {line!r}")
                 try:
                     ids = [int(p) for p in parts[:at]]
+                    # An exponent names a huge integer in a few characters; weights are p/q.
+                    if "e" in parts[at + 1].lower():
+                        raise ValueError("exponent in a weight")
                     w = Fraction(parts[at + 1])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"malformed line {line!r}") from exc

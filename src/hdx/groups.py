@@ -301,7 +301,8 @@ def load_table_group(path: Path) -> TableGroup:
     """Load a Cayley-table group from a JSON file {"name":..., "table": [[...]]}."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bytes that are not UTF-8 and a NUL in the path.
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read group table {path}: {exc}") from exc
     if not isinstance(payload, dict) or "table" not in payload:
         raise ParseError(f"group table file {path} must contain a 'table' key")

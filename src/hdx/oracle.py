@@ -7,9 +7,12 @@ from one product with the face numerators, and its coboundary from the
 oracle's own role array over X(k+1), never from `cochains`.  Coboundary rows
 are sorted and merged by exact keys, int64 words that each code a run of
 faces in mixed radix, so images compare in numpy for any number of faces.
-For two-element groups Z^k and B^k are spans over GF(2): the kernel and the
-row space of the incidence rows, listed at a cost of |Z| or |B| rather than
-2^|X(k)|.  Ratio scans keep one table row per coboundary fiber wherever
+Z^k and B^k are sorted value rows for every group: 2-D arrays with one row
+per vector over X(k), in lexicographic order, and a `Cochain` is built only
+for a returned witness.  For two-element groups they are spans over GF(2):
+the kernel and the row space of the incidence rows, listed at a cost of |Z|
+or |B| rather than 2^|X(k)|, with face 0 in the highest bit so sorted masks
+are sorted rows.  Ratio scans keep one table row per coboundary fiber wherever
 dist(f, Z^k) is the lightest weight in the fiber of df (abelian groups, and
 dimension 0 for every group) and the table stays small; otherwise they
 measure every state against a pool of cocycles.  Distances and expansion
@@ -23,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -241,13 +244,14 @@ def _first_min_ratio(num: np.ndarray, den: np.ndarray) -> int:
         i = int(below[np.argmin(approx[below])])
 
 
-def _f2_incidence(X: SimplicialComplex, k: int) -> List[int]:
-    """Row i: the bitmask of the (k+1)-faces that contain the i-th k-face."""
-    index = {f: i for i, f in enumerate(X.faces(k))}
-    rows = [0] * len(index)
-    for j, up in enumerate(X.faces(k + 1)):
-        for i in range(len(up)):
-            rows[index[up[:i] + up[i + 1 :]]] ^= 1 << j
+def _f2_incidence(scan: _Scan) -> List[int]:
+    """Row i: the bitmask of the (k+1)-faces that contain the i-th k-face,
+    read from the scan's roles, with the first (k+1)-face in the highest bit."""
+    rows = [0] * scan.m
+    top = len(scan.roles) - 1
+    for j, faces in enumerate(scan.roles.tolist()):
+        for i in faces:
+            rows[i] ^= 1 << (top - j)
     return rows
 
 
@@ -255,12 +259,12 @@ def _f2_eliminate(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Gaussian elimination over GF(2) on bitmask rows.
 
     Returns a basis of the row space and a basis of the kernel, the masks of
-    row indices whose rows XOR to 0.
+    row indices whose rows XOR to 0, with row 0 in the highest bit.
     """
     pivots: Dict[int, Tuple[int, int]] = {}
     kernel: List[int] = []
     for i, row in enumerate(rows):
-        combo = 1 << i
+        combo = 1 << (len(rows) - 1 - i)
         while row:
             top = row.bit_length() - 1
             if top not in pivots:
@@ -274,99 +278,87 @@ def _f2_eliminate(rows: Sequence[int]) -> Tuple[List[int], List[int]]:
     return [row for row, _combo in pivots.values()], kernel
 
 
-def _f2_span(basis: Sequence[int]) -> List[int]:
-    """Every XOR of a subset of independent bitmasks, sorted."""
-    out = [0]
+def _f2_span(basis: Sequence[int], m: int, dtype: np.dtype) -> np.ndarray:
+    """Every XOR of a subset of independent bitmasks over m faces, as sorted
+    value rows.  Face 0 is the highest bit, so sorted masks are sorted rows;
+    the bytes of each mask unpack into its row, exactly for any m."""
+    masks = [0]
     for b in basis:
-        out += [v ^ b for v in out]
-    out.sort()
-    return out
+        masks += [v ^ b for v in masks]
+    masks.sort()
+    width = -(-m // 8)
+    raw = np.frombuffer(b"".join(v.to_bytes(width, "big") for v in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1)
+    return bits[:, 8 * width - m :].astype(dtype)
 
 
-def _f2_scan_cocycles(X: SimplicialComplex, k: int, budget: EnumerationBudget) -> List[int]:
-    """All cocycle bitmasks over X(k), k < d, for a two-element group: the kernel."""
-    rows = _f2_incidence(X, k)
-    budget.ensure(2 ** len(rows), f"cocycle scan in dimension {k}")
-    return _f2_span(_f2_eliminate(rows)[1])
+def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each value row of rows is a row of table, both over the same
+    faces.  Rows compare as byte strings of one dtype, in a binary search."""
+    dtype = np.promote_types(rows.dtype, table.dtype)
 
+    def keys(a: np.ndarray) -> np.ndarray:
+        a = np.ascontiguousarray(a, dtype=dtype)
+        return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
 
-def _f2_image_masks(X: SimplicialComplex, k: int, budget: EnumerationBudget) -> List[int]:
-    """All coboundary bitmasks over X(k): the row space one level down."""
-    rows = _f2_incidence(X, k - 1)
-    budget.ensure(2 ** len(rows), f"coboundary scan into dimension {k}")
-    return _f2_span(_f2_eliminate(rows)[0])
+    table_keys, row_keys = np.sort(keys(table)), keys(rows)
+    at = np.searchsorted(table_keys, row_keys).clip(max=len(table_keys) - 1)
+    return table_keys[at] == row_keys
 
 
 @dataclass
 class EnumeratedSpaces:
-    """Z^k and B^k materialized; C^k kept as a count (it can be huge)."""
+    """Z^k and B^k materialized as sorted value rows (one row per vector over
+    X(k), in lexicographic order); C^k kept as a count (it can be huge)."""
 
     complex: SimplicialComplex
     dimension: int
     group: FiniteGroup
     c_count: int
-    cocycles: Optional[List[Cochain]]
-    coboundaries: List[Cochain]
-
-    def cocycle_values(self) -> List[Tuple[int, ...]]:
-        return [_vector_of(f, self.complex, self.dimension) for f in self.cocycles or []]
-
-    def coboundary_values(self) -> List[Tuple[int, ...]]:
-        return [_vector_of(f, self.complex, self.dimension) for f in self.coboundaries]
-
-
-def _vector_of(f: Cochain, X: SimplicialComplex, k: int) -> Tuple[int, ...]:
-    return tuple(f.values.get(face, 0) for face in X.faces(k))
+    cocycles: Optional[np.ndarray]
+    coboundaries: np.ndarray
 
 
 def _cochain_from_vector(
-    X: SimplicialComplex, k: int, G: FiniteGroup, faces: Sequence[Face], vec: Sequence[int]
+    X: SimplicialComplex, k: int, G: FiniteGroup, vec: Sequence[int]
 ) -> Cochain:
-    return Cochain(X, k, G, {f: v for f, v in zip(faces, vec) if v}, _trusted=True)
-
-
-def _mask_to_cochain(X: SimplicialComplex, k: int, G: FiniteGroup, faces, mask: int) -> Cochain:
-    return Cochain(
-        X, k, G, {faces[i]: 1 for i in range(len(faces)) if mask >> i & 1}, _trusted=True
-    )
+    return Cochain(X, k, G, {f: v for f, v in zip(X.faces(k), map(int, vec)) if v}, _trusted=True)
 
 
 def cocycle_list(
     X: SimplicialComplex, G: FiniteGroup, k: int, budget: EnumerationBudget
-) -> Optional[List[Cochain]]:
-    """All cocycles of dimension k (None when the space is undefined).
+) -> Optional[np.ndarray]:
+    """All cocycles of dimension k as sorted value rows (None when the space
+    is undefined).
 
     At the top dimension every cochain is a cocycle, which the generic scan
     finds because it tracks no coboundary there.
     """
-    faces = list(X.faces(k))
+    scan = _Scan(X, k, G)
     if k < X.dimension:
         if not (G.is_abelian or k <= 1):
             return None
         if G.order == 2:
-            masks = _f2_scan_cocycles(X, k, budget)
-            return [_mask_to_cochain(X, k, G, faces, m) for m in masks]
-    return [
-        _cochain_from_vector(X, k, G, faces, values)
-        for _start, digits, delta in _Scan(X, k, G).blocks(budget, f"Z^{k} scan")
-        for values in digits[~delta.any(axis=1)].tolist()
-    ]
+            budget.ensure(2**scan.m, f"cocycle scan in dimension {k}")
+            return _f2_span(_f2_eliminate(_f2_incidence(scan))[1], scan.m, scan.dtype)
+    blocks = scan.blocks(budget, f"Z^{k} scan")
+    return np.concatenate([digits[~delta.any(axis=1)] for _start, digits, delta in blocks])
 
 
 def coboundary_list(
     X: SimplicialComplex, G: FiniteGroup, k: int, budget: EnumerationBudget
-) -> List[Cochain]:
-    """The image of the scan one level down (constants when k == 0)."""
-    faces = list(X.faces(k))
+) -> np.ndarray:
+    """B^k as sorted value rows: the image of the scan one level down
+    (constants when k == 0)."""
     budget.ensure(space_size(G, len(X.faces(k - 1)) if k >= 1 else 1), f"B^{k} scan")
     if k == 0:
-        images = sorted({(c,) * len(faces) for c in G.elements()})
-        return [_cochain_from_vector(X, k, G, faces, v) for v in images]
+        constants = np.arange(G.order, dtype=np.min_scalar_type(-2 * G.order))
+        return np.repeat(constants[:, None], X.face_count(0), axis=1)
+    scan = _Scan(X, k - 1, G)
     if G.order == 2:
-        masks = _f2_image_masks(X, k, budget)
-        return [_mask_to_cochain(X, k, G, faces, m) for m in masks]
-    images = _images(_Scan(X, k - 1, G), budget, f"B^{k} scan", nonzero=False)[0]
-    return [_cochain_from_vector(X, k, G, faces, values) for values in images.tolist()]
+        budget.ensure(2**scan.m, f"coboundary scan into dimension {k}")
+        return _f2_span(_f2_eliminate(_f2_incidence(scan))[0], len(scan.roles), scan.dtype)
+    return _images(scan, budget, f"B^{k} scan", nonzero=False)[0]
 
 
 def enumerate_spaces(
@@ -384,16 +376,12 @@ def enumerate_spaces(
     budget = budget or EnumerationBudget.default()
     if not 0 <= k <= X.dimension:
         raise BadDimensionError(f"no cochains of dimension {k}")
-    faces = list(X.faces(k))
-    c_count = space_size(G, len(faces))
+    c_count = space_size(G, X.face_count(k))
     budget.ensure(c_count, f"C^{k} scan")
     cocycles = cocycle_list(X, G, k, budget)
     coboundaries = coboundary_list(X, G, k, budget)
-    if cocycles is not None:
-        z_set = {_vector_of(f, X, k) for f in cocycles}
-        for b in coboundaries:
-            if _vector_of(b, X, k) not in z_set:
-                raise AssertionError("a coboundary failed the cocycle condition")
+    if cocycles is not None and not _rows_in(coboundaries, cocycles).all():
+        raise AssertionError("a coboundary failed the cocycle condition")
     return EnumeratedSpaces(X, k, G, c_count, cocycles, coboundaries)
 
 
@@ -413,33 +401,27 @@ def exact_distance(
     else:
         raise BadDimensionError(f"unknown space tag {space!r}")
     X, k = f.complex, f.dimension
-    faces = list(X.faces(k))
-    fvec = _vector_of(f, X, k)
-    nums = [X.weight_numerator(face) for face in faces]
-    best_num: Optional[int] = None
-    best_vec: Optional[Tuple[int, ...]] = None
-    for candidate in pool:
-        cvec = _vector_of(candidate, X, k)
-        dnum = sum(n for a, b, n in zip(fvec, cvec, nums) if a != b)
-        if best_num is None or dnum < best_num or (dnum == best_num and cvec < best_vec):
-            best_num, best_vec = dnum, cvec
-    assert best_num is not None and best_vec is not None
-    witness = _cochain_from_vector(X, k, f.group, faces, best_vec)
-    return Fraction(best_num, X.weight_denominator(k)), witness
+    faces = X.faces(k)
+    nums = _numerators([X.weight_numerator(face) for face in faces])
+    # The pool is sorted, so the first nearest row is the lexicographic minimum.
+    dist = (pool != [f.value(face) for face in faces]) @ nums
+    i = int(np.argmin(dist))
+    witness = _cochain_from_vector(X, k, f.group, pool[i])
+    return Fraction(int(dist[i]), X.weight_denominator(k)), witness
 
 
 def _min_ratio_scan(
     X: SimplicialComplex,
     G: FiniteGroup,
     k: int,
-    pool: Sequence[Tuple[int, ...]],
+    pool: np.ndarray,
     budget: EnumerationBudget,
     what: str,
 ) -> Tuple[Optional[Fraction], Optional[Tuple[int, ...]]]:
     """First minimum of ||df|| / dist(f, Z^k) over the f in C^k with df != 0.
 
-    pool is Z^k as value vectors.  Returns the ratio and the vector of f, or
-    (None, None) when df = 0 for every f.  The scan runs in lexicographic
+    pool is Z^k (or B^k where it equals Z^k) as value rows.  Returns the
+    ratio and the vector of f, or (None, None) when df = 0 for every f.  The scan runs in lexicographic
     order, so ties keep the smallest vector.
     """
     scan = _Scan(X, k, G)
@@ -466,7 +448,7 @@ def _min_ratio_scan(
     # Non-abelian k = 1, where the distance is not constant on a fiber, and
     # tables past _MAX_FIBERS: every state is measured against the pool
     # vectors, a few at a time, in memory O(|Z^k| + block).
-    pool_rows = np.array(pool, dtype=scan.dtype).reshape(len(pool), scan.m)
+    pool_rows = np.asarray(pool, dtype=scan.dtype).reshape(len(pool), scan.m)
     best_ratio: Optional[Tuple[int, int]] = None
     best_vec: Optional[Tuple[int, ...]] = None
     for _start, digits, delta in scan.blocks(budget, what):
@@ -513,22 +495,22 @@ def coboundary_expansion_constant(
         raise UndefinedCoboundaryError("no multiplicative coboundary above dimension 1")
     if G.order == 1:
         return CoboundaryConstant(k, None, None, vacuous=True)
-    faces = list(X.faces(k))
-    c_count = space_size(G, len(faces))
+    c_count = space_size(G, X.face_count(k))
     budget.ensure(c_count, f"C^{k} scan")
-    b_pool = coboundary_list(X, G, k, budget)
-    b_vecs = sorted(_vector_of(f, X, k) for f in b_pool)
-    b_set = set(b_vecs)
-    budget.ensure(c_count * max(len(b_vecs), 1), f"expansion ratio scan in dim {k}")
-    # A cocycle outside B^k pins the constant at 0 without the ratio scan.
-    # Otherwise Z^k = B^k, so the f outside B^k are exactly those with df != 0.
-    for candidate in cocycle_list(X, G, k, budget):
-        if _vector_of(candidate, X, k) not in b_set:
-            return CoboundaryConstant(k, Fraction(0), candidate)
-    best, best_vec = _min_ratio_scan(X, G, k, b_vecs, budget, f"C^{k} ratio scan")
+    b_rows = coboundary_list(X, G, k, budget)
+    budget.ensure(c_count * max(len(b_rows), 1), f"expansion ratio scan in dim {k}")
+    # A cocycle outside B^k pins the constant at 0 without the ratio scan, the
+    # first such row being the first minimizer.  Otherwise Z^k = B^k, so the f
+    # outside B^k are exactly those with df != 0.
+    z_rows = cocycle_list(X, G, k, budget)
+    outside = np.flatnonzero(~_rows_in(z_rows, b_rows))
+    if len(outside):
+        witness = _cochain_from_vector(X, k, G, z_rows[outside[0]])
+        return CoboundaryConstant(k, Fraction(0), witness)
+    best, best_vec = _min_ratio_scan(X, G, k, b_rows, budget, f"C^{k} ratio scan")
     if best is None:
         return CoboundaryConstant(k, None, None, vacuous=True)
-    witness = _cochain_from_vector(X, k, G, faces, best_vec)
+    witness = _cochain_from_vector(X, k, G, best_vec)
     return CoboundaryConstant(k, best, witness)
 
 
@@ -579,32 +561,24 @@ def cosystolic_expansion_constants(
             entry["skipped"] = str(exc)
             out.per_dim[k] = entry
             continue
-        z_vecs = sorted(spaces.cocycle_values())
-        b_set = set(spaces.coboundary_values())
-        faces = list(X.faces(k))
-        nums = [X.weight_numerator(f) for f in faces]
-        den_k = X.weight_denominator(k)
+        z_rows, b_rows = spaces.cocycles, spaces.coboundaries
+        entry["z_size"] = len(z_rows)
+        entry["b_size"] = len(b_rows)
+        nontrivial = z_rows[~_rows_in(z_rows, b_rows)]
+        if len(nontrivial):
+            # Rows are sorted, so the first lightest is the lexicographic minimum.
+            weights = (nontrivial != 0) @ _numerators([X.weight_numerator(f) for f in X.faces(k)])
+            i = int(np.argmin(weights))
+            entry["mu"] = Fraction(int(weights[i]), X.weight_denominator(k))
+            entry["mu_witness"] = _cochain_from_vector(X, k, G, nontrivial[i])
 
-        nontrivial = [v for v in z_vecs if v not in b_set]
-        entry["z_size"] = len(z_vecs)
-        entry["b_size"] = len(b_set)
-        if nontrivial:
-            best_vec = min(
-                nontrivial,
-                key=lambda v: (sum(n for a, n in zip(v, nums) if a), v),
-            )
-            entry["mu"] = Fraction(
-                sum(n for a, n in zip(best_vec, nums) if a), den_k
-            )
-            entry["mu_witness"] = _cochain_from_vector(X, k, G, faces, best_vec)
-
-        pair_cost = spaces.c_count * max(len(z_vecs), 1)
+        pair_cost = spaces.c_count * max(len(z_rows), 1)
         if pair_cost > budget.max_states:
             entry["skipped"] = f"ratio scan needs {pair_cost} states"
             out.per_dim[k] = entry
             continue
         entry["epsilon"] = _min_ratio_scan(
-            X, G, k, z_vecs, budget, f"cosystolic scan dim {k}"
+            X, G, k, z_rows, budget, f"cosystolic scan dim {k}"
         )[0]
         out.per_dim[k] = entry
     return out
@@ -637,7 +611,7 @@ def min_nontrivial_cocycle_weight(
         if not G.is_abelian and k >= 2:
             raise UndefinedCoboundaryError("no multiplicative coboundary above dimension 1")
         raise BadDimensionError("no coboundary above the top dimension")
-    b_set = {_vector_of(f, X, k) for f in coboundary_list(X, G, k, budget)}
+    b_rows = coboundary_list(X, G, k, budget)
     nums = scan.nums.tolist()
     sorted_nums = sorted(nums)
     best_num: Optional[int] = None
@@ -654,7 +628,7 @@ def min_nontrivial_cocycle_weight(
             if not batch or states + per_support > budget.max_states:
                 states += per_support * len(batch)
             else:
-                hits = _support_hits(scan, [s for s, _num in batch], per_support, b_set)
+                hits = _support_hits(scan, [s for s, _num in batch], per_support, b_rows)
                 for (_support, support_num), hit in zip(batch, hits):
                     if best_num is not None and support_num >= best_num:
                         continue
@@ -671,9 +645,9 @@ def min_nontrivial_cocycle_weight(
 
 
 def _support_hits(
-    scan: _Scan, batch: Sequence[Tuple[int, ...]], per_support: int, b_set
+    scan: _Scan, batch: Sequence[Tuple[int, ...]], per_support: int, b_rows: np.ndarray
 ) -> np.ndarray:
-    """For each support of one size, whether a cocycle outside b_set has exactly
+    """For each support of one size, whether a cocycle outside b_rows has exactly
     that support: every assignment of non-identity values, in product order."""
     g1 = scan.G.order - 1
     cols = np.array(batch, dtype=np.intp)
@@ -686,9 +660,9 @@ def _support_hits(
         values = np.zeros((len(flat), scan.m), dtype=scan.dtype)
         assignment = (flat % per_support)[:, None] // place % g1 + 1
         values[np.arange(len(flat))[:, None], cols[which]] = assignment
-        for r in np.flatnonzero(~scan.delta(values).any(axis=1)).tolist():
-            if not hit[which[r]] and tuple(values[r].tolist()) not in b_set:
-                hit[which[r]] = True
+        cocycles = np.flatnonzero(~scan.delta(values).any(axis=1))
+        if len(cocycles):
+            hit[which[cocycles[~_rows_in(values[cocycles], b_rows)]]] = True
     return hit
 
 

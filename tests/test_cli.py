@@ -1,15 +1,17 @@
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from hdx.cli import main
-from hdx.cochains import Cochain, cochain_from_text, cochain_to_text
+from hdx.cochains import Cochain, cochain_from_text, cochain_to_text, random_cochain
 from hdx.complexes import SimplicialComplex
-from hdx.errors import ParseError
-from hdx.groups import group_from_spec
-from hdx.instances import complete_complex
+from hdx.errors import HdxError, ParseError
+from hdx.groups import group_from_spec, load_table_group
+from hdx.instances import bundled_instances, complete_complex
 
 
 def run_cli(*args):
@@ -241,6 +243,15 @@ def _table_file(tmp_path, payload):
     return group_from_spec, (spec,), ["analyze", str(cpath), "--group", spec]
 
 
+def _table_bytes(tmp_path, data):
+    path = tmp_path / "group.json"
+    path.write_bytes(data)
+    cpath = tmp_path / "k4.txt"
+    cpath.write_text(complete_complex(4, 2).to_text())
+    spec = f"table:{path}"
+    return group_from_spec, (spec,), ["analyze", str(cpath), "--group", spec]
+
+
 def _group_spec(tmp_path, spec):
     cpath = tmp_path / "k4.txt"
     cpath.write_text(complete_complex(4, 2).to_text())
@@ -260,14 +271,18 @@ def _cochain_file(tmp_path, text):
     "make, content",
     [
         (_complex_file, "dim 2\n0 1 2 w 1/0\n"),
+        (_complex_file, "dim 2\n0 1 2 w 1e9999999\n"),
         (_table_file, {"table": [["a"]]}),
+        (_table_bytes, b'{"table": [[0]], "name": "\xff"}'),
         (_table_file, {"table": 5}),
         (_cochain_file, "dim 1 group Z3\n0 1 1\n0 1 2\n"),
         (_group_spec, "Z" + "9" * 5000),
     ],
     ids=[
         "zero-denominator-weight",
+        "weight-exponent",
         "non-integer-table",
+        "table-not-utf8",
         "non-list-table",
         "face-listed-twice",
         "group-order-past-digit-limit",
@@ -279,3 +294,66 @@ def test_malformed_input_raises_parse_error(tmp_path, capsys, make, content):
         parse(*args)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Pieces a mutation splices into a valid file: numbers at and past the
+# parsers' limits, the files' keywords, JSON syntax and bytes that are not text.
+_FUZZ_TOKENS = [
+    "0", "1", "-1", "7", "9" * 40, "1/0", "0.5", "e9", "e-9", " w ", "w", "dim", "group",
+    "Z0", "Z3", "S3", "table:", "\x00", " ", "\n", "\t", "[", "]", "{", "}", ",", ":",
+    '"', "null", "true", "1.5", "-0", "\u00e9",
+]
+
+
+def _mutate(text, rng):
+    """One to three splices at random places: delete, insert, replace or repeat."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(0, 8))
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:i] + rng.choice(_FUZZ_TOKENS) + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice(_FUZZ_TOKENS) + text[j:]
+        else:
+            text = text[:i] + text[i:j] * rng.randint(2, 4) + text[j:]
+    return text
+
+
+def test_fuzzed_inputs_raise_only_hdx_errors(tmp_path, one_second):
+    # Seeded mutations of valid complex, cochain and group-table files: each
+    # parse returns or raises an HdxError within 1 s, never a raw exception.
+    rng = random.Random(0)
+    k4 = complete_complex(4, 2)
+    weighted = SimplicialComplex(
+        2, [(0, 1, 2), (1, 2, 3)], {(0, 1, 2): Fraction(1, 3), (1, 2, 3): Fraction(2, 3)}
+    )
+    complexes = [X.to_text() for X in bundled_instances().values()] + [weighted.to_text()]
+    cochains = [cochain_to_text(random_cochain(k4, k, group_from_spec(spec), rng, 0.5))
+                for spec in ("Z2", "Z3", "S3") for k in (0, 1, 2)]
+    s3 = group_from_spec("S3")
+    table = json.dumps({"name": "S3", "table": [[s3.op(a, b) for b in range(6)] for a in range(6)]})
+    path = tmp_path / "group.json"
+
+    def load_table(text):
+        # Whole bytes are cut or spliced too, so the file need not be UTF-8.
+        data = text.encode("utf-8")
+        cut = rng.randrange(len(data) + 1)
+        path.write_bytes(data[:cut] + rng.choice((b"", b"\xff", b"\xc3")) + data[cut:])
+        return load_table_group(path)
+
+    cases = [
+        (SimplicialComplex.from_text, complexes),
+        (lambda t: cochain_from_text(t, k4), cochains),
+        (load_table, [table]),
+    ]
+    for parse, seeds in cases:
+        for _ in range(300):
+            text = _mutate(rng.choice(seeds), rng)
+            try:
+                with one_second():
+                    parse(text)
+            except HdxError:
+                pass

@@ -359,7 +359,8 @@ def test_vanishing_corollary_all_cocycles_complete_7():
     assert lam + eta + 2 * eps <= Fraction(2, 9)
     F2 = group_from_spec("Z2")
     spaces = enumerate_spaces(X, F2, 1)
-    for f in spaces.cocycles:
+    for row in spaces.cocycles.tolist():
+        f = Cochain(X, 1, F2, {e: v for e, v in zip(X.faces(1), row) if v})
         report = check_vanishing_corollary_abelian(f, lam, eta, eps)
         assert report.passed
 

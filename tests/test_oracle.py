@@ -21,11 +21,10 @@ from hdx.oracle import (
     _BLOCK_STATES,
     BUDGET_ENV_VAR,
     EnumerationBudget,
-    _f2_image_masks,
-    _f2_scan_cocycles,
     _min_ratio_scan,
     coboundary_expansion_constant,
     coboundary_list,
+    cocycle_list,
     cosystolic_expansion_constants,
     enumerate_spaces,
     exact_distance,
@@ -47,9 +46,8 @@ def test_connected_zero_cocycles_are_constants(z3):
     X = complete_complex(5, 2)
     spaces = enumerate_spaces(X, z3, 0)
     assert len(spaces.cocycles) == 3
-    for f in spaces.cocycles:
-        values = {f.value((v,)) for v in X.vertices()}
-        assert len(values) == 1
+    for row in spaces.cocycles.tolist():
+        assert len(set(row)) == 1
     assert len(spaces.coboundaries) == 3  # constants, from the (-1)-level scan
 
 
@@ -67,8 +65,8 @@ def test_inclusion_chain_and_quotient(rng):
         G = group_from_spec(spec)
         for X in (single_simplex(2), complete_complex(4, 2)):
             spaces = enumerate_spaces(X, G, 1)
-            z = {tuple(sorted(c.values.items())) for c in spaces.cocycles}
-            b = {tuple(sorted(c.values.items())) for c in spaces.coboundaries}
+            z = set(map(tuple, spaces.cocycles.tolist()))
+            b = set(map(tuple, spaces.coboundaries.tolist()))
             assert b <= z
             assert len(z) % len(b) == 0  # subgroup index is integral
 
@@ -77,10 +75,10 @@ def test_abelian_spaces_closed_under_addition(rng, f2):
     X = complete_complex(4, 2)
     spaces = enumerate_spaces(X, f2, 1)
     for pool in (spaces.cocycles, spaces.coboundaries):
-        members = {tuple(sorted(c.values.items())) for c in pool}
+        members = set(map(tuple, pool.tolist()))
         for a in pool[:6]:
             for b in pool[:6]:
-                assert tuple(sorted((a + b).values.items())) in members
+                assert tuple(((a + b) % 2).tolist()) in members
 
 
 def test_exact_distance_of_cocycle_is_zero(rng, f2):
@@ -261,7 +259,7 @@ def test_cosystolic_refusals_are_per_dimension(k4_skeleton, f2):
 def test_top_dimension_cocycles_are_every_vector_in_order(k4_skeleton, spec):
     G = group_from_spec(spec)
     spaces = enumerate_spaces(k4_skeleton, G, 2)
-    assert spaces.cocycle_values() == list(product(range(G.order), repeat=4))
+    assert spaces.cocycles.tolist() == [list(v) for v in product(range(G.order), repeat=4)]
 
 
 def _coboundary_vector(X, G, k, vec):
@@ -352,12 +350,9 @@ def _check_coboundary_constant(monkeypatch, X, G, k):
         monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
         const = coboundary_expansion_constant(X, G, k)
         assert const.epsilon == best
-        if best:
-            assert _vector(const.witness, k) == best_vec
-        else:
-            # Z^k != B^k: the witness is a cocycle outside B^k, in the cocycle
-            # list's order rather than the scan's.
-            assert const.witness.is_cocycle() and _vector(const.witness, k) not in pool
+        # When Z^k != B^k (best == 0) the first minimizer of the pair scan is
+        # the lexicographically first cocycle outside B^k.
+        assert _vector(const.witness, k) == best_vec
 
 
 @pytest.mark.parametrize("spec", ["Z2", "Z3"])
@@ -459,8 +454,8 @@ def test_enumerated_spaces_match_product_enumeration(monkeypatch, name, spec):
         for block in _BLOCKS:
             monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
             spaces = enumerate_spaces(X, G, k)
-            assert spaces.cocycle_values() == cocycles, (k, block)
-            assert spaces.coboundary_values() == images, (k, block)
+            assert list(map(tuple, spaces.cocycles.tolist())) == cocycles, (k, block)
+            assert list(map(tuple, spaces.coboundaries.tolist())) == images, (k, block)
 
 
 def test_fiber_keys_past_int64():
@@ -474,7 +469,8 @@ def test_fiber_keys_past_int64():
     # Over Z3 the 45 edges of K10 code up to 3^45 > 2^71; the images still
     # come out distinct and in increasing order.
     X = complete_complex(10, 1)
-    images = [_vector(f, 1) for f in coboundary_list(X, group_from_spec("Z3"), 1, EnumerationBudget())]
+    rows = coboundary_list(X, group_from_spec("Z3"), 1, EnumerationBudget())
+    images = list(map(tuple, rows.tolist()))
     assert len(images) == 3**9 and images == sorted(set(images))
 
 
@@ -482,7 +478,7 @@ def test_coboundary_list_sorts_multi_byte_values():
     # Over Z300 a value takes two bytes; the images of one edge are 0..299 in order.
     X = SimplicialComplex(1, [(0, 1)])
     images = coboundary_list(X, group_from_spec("Z300"), 1, EnumerationBudget())
-    assert [f.value((0, 1)) for f in images] == list(range(300))
+    assert images.tolist() == [[v] for v in range(300)]
 
 
 @pytest.mark.parametrize(
@@ -508,34 +504,47 @@ def _all_instances_and_links():
                 yield f"{name}/{sigma}", X.link(sigma)
 
 
-def _f2_product_masks(X, k):
-    """Every 0/1 vector on X(k) and its coboundary, as bitmasks (bit i: face i).
+def _f2_product_rows(X, k):
+    """Every 0/1 vector on X(k) in lexicographic order, and its coboundary.
 
     Over GF(2) the coboundary on a face is the parity of its facets' values.
     """
     states = np.array(list(product((0, 1), repeat=X.face_count(k))), dtype=np.int64)
-    deltas = states[:, X.facets(k + 1)].sum(axis=2) % 2
-
-    def masks(rows):
-        return (rows @ (np.int64(1) << np.arange(rows.shape[1], dtype=np.int64))).tolist()
-
-    return masks(states), masks(deltas)
+    return states, states[:, X.facets(k + 1)].sum(axis=2) % 2
 
 
 def test_f2_spans_match_product_enumeration():
     # Every k with at most 2^16 vectors to enumerate is checked; the larger
     # ones (torus edges, K6^(3) triangles, K7^(3) edges and triangles) are not.
-    budget = EnumerationBudget()
+    # Over Z2 both lists come from GF(2) spans, as sorted value rows.
+    budget, z2 = EnumerationBudget(), group_from_spec("Z2")
     checked = 0
     for name, X in _all_instances_and_links():
         for k in range(X.dimension):
             if X.face_count(k) <= 16:
-                states, deltas = _f2_product_masks(X, k)
-                cocycles = [s for s, d in zip(states, deltas) if d == 0]
-                assert _f2_scan_cocycles(X, k, budget) == sorted(cocycles), (name, k)
-                assert _f2_image_masks(X, k + 1, budget) == sorted(set(deltas)), (name, k + 1)
+                states, deltas = _f2_product_rows(X, k)
+                cocycles = states[~deltas.any(axis=1)]
+                images = np.array(sorted(set(map(tuple, deltas.tolist()))))
+                assert np.array_equal(cocycle_list(X, z2, k, budget), cocycles), (name, k)
+                assert np.array_equal(coboundary_list(X, z2, k + 1, budget), images), (name, k + 1)
                 checked += 1
     assert checked > 100
+
+
+def test_f2_rows_past_64_faces():
+    # K12^(2) has 66 edges, so a mask of Z^1 needs more than one int64 word.
+    # Z^1 = B^1 there: 2^11 rows, the coboundaries of the 12 vertex values
+    # modulo the constants.
+    X, z2 = complete_complex(12, 2), group_from_spec("Z2")
+    budget = EnumerationBudget(2**70)
+    rows = cocycle_list(X, z2, 1, budget)
+    assert rows.shape == (2048, 66)
+    assert len(np.unique(rows, axis=0)) == 2048
+    assert rows.tolist() == sorted(rows.tolist())
+    for row in rows.tolist():
+        f = Cochain(X, 1, z2, {e: v for e, v in zip(X.faces(1), row) if v})
+        assert coboundary_abelian(f).is_zero()
+    assert np.array_equal(rows, coboundary_list(X, z2, 1, budget))
 
 
 @pytest.mark.parametrize("spec", ["Z2", "Z3"])
