@@ -18,7 +18,13 @@ from typing import Dict, Optional
 from .cochains import cochain_from_text, cochain_to_text
 from .complexes import FaceSet, SimplicialComplex
 from .correction import correct_abelian, correct_nonabelian
-from .errors import BadParamsError, BudgetExceededError, HdxError, PremiseFailedError
+from .errors import (
+    BadParamsError,
+    BudgetExceededError,
+    HdxError,
+    ParseError,
+    PremiseFailedError,
+)
 from .expansion import (
     check_delta1_theorem_abelian,
     classify_non_local,
@@ -122,8 +128,16 @@ def _emit(payload: Dict[str, object], fmt: str, out: Optional[Path]) -> None:
         out.write_text(text, encoding="utf-8")
 
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 input file; a missing, unreadable or non-UTF-8 file is a ParseError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_complex(path: Path) -> SimplicialComplex:
-    return SimplicialComplex.from_text(path.read_text(encoding="utf-8"))
+    return SimplicialComplex.from_text(_read_text(path))
 
 
 def cmd_generate(args) -> int:
@@ -214,7 +228,7 @@ def cmd_analyze(args) -> int:
 def cmd_delta1(args) -> int:
     X = _load_complex(args.complex)
     group = group_from_spec(args.group) if args.group else None
-    f = cochain_from_text(args.cochain.read_text(encoding="utf-8"), X, group)
+    f = cochain_from_text(_read_text(args.cochain), X, group)
     support = FaceSet(X, f.dimension, f.support())
     d1 = delta1(support)
     from .spectral import local_spectral_lambda
@@ -251,7 +265,7 @@ def cmd_correct(args) -> int:
     budget = _budget(args)
     X = _load_complex(args.complex)
     group = group_from_spec(args.group) if args.group else None
-    f = cochain_from_text(args.cochain.read_text(encoding="utf-8"), X, group)
+    f = cochain_from_text(_read_text(args.cochain), X, group)
     if args.path == "abelian":
         fixed, trace = correct_abelian(f, budget, args.eta, args.eps)
     else:

@@ -269,12 +269,12 @@ def _lift_assignment(h: Cochain, search: _LinkSearch) -> Cochain:
 
 def one_step_abelian(
     h: Cochain, budget: Optional[EnumerationBudget] = None
-) -> Tuple[int, Cochain]:
+) -> Tuple[int, Cochain, Cochain]:
     """One correction step for a non-locally-minimal abelian cochain.
 
-    Returns (v, g) with g supported on faces containing v, ||g|| <= dim(h)*||v||
-    and ||h - delta(g)|| < ||h||.  The link search at v minimizes the star
-    mass of h_v + delta(w) over the (j-2)-faces w of link(v).
+    Returns (v, g, h - delta(g)) with g supported on faces containing v,
+    ||g|| <= dim(h)*||v|| and ||h - delta(g)|| < ||h||.  The link search at v
+    minimizes the star mass of h_v + delta(w) over the (j-2)-faces w of link(v).
     """
     budget = budget or EnumerationBudget.default()
     if not h.group.is_abelian:
@@ -291,7 +291,7 @@ def one_step_abelian(
         raise FalsificationError("correction support bound ||g|| <= j ||v|| failed")
     if not new_h.weight() < h.weight():
         raise FalsificationError("correction step failed to decrease the weight")
-    return best.vertex, g
+    return best.vertex, g, new_h
 
 
 def _triangles_at(f: Cochain, v: int) -> Dict[Face, int]:
@@ -303,17 +303,17 @@ def _triangles_at(f: Cochain, v: int) -> Dict[Face, int]:
 
 
 def one_step_nonabelian(
-    f: Cochain, budget: Optional[EnumerationBudget] = None
-) -> Tuple[int, Cochain]:
+    f: Cochain, budget: Optional[EnumerationBudget] = None, df: Optional[Cochain] = None
+) -> Tuple[int, Cochain, Cochain]:
     """One multiplicative correction step on a 1-cochain of a 3-complex.
 
-    Returns (v, f') with f' differing from f only on edges at v,
-    dist(f, f') <= 2 ||v|| and ||delta(f')|| < ||delta(f)||.  The link search
-    at v scans offsets x(u), the new values being y(u) = f'(v, u) = x(u) f(v, u):
-    the triangle vuw then carries x(u) f(vu) f(uw) f(wv) x(w)^-1, which is d0
-    with f's own triangle in between.  The scan runs in product order from
-    x = identity, which keeps f, so ties keep f's values on the earliest link
-    vertices they can.
+    Returns (v, f', delta(f')) with f' differing from f only on edges at v,
+    dist(f, f') <= 2 ||v|| and ||delta(f')|| < ||delta(f)||; df, when given,
+    is delta(f).  The link search at v scans offsets x(u), the new values
+    being y(u) = f'(v, u) = x(u) f(v, u): the triangle vuw then carries
+    x(u) f(vu) f(uw) f(wv) x(w)^-1, which is d0 with f's own triangle in
+    between.  The scan runs in product order from x = identity, which keeps
+    f, so ties keep f's values on the earliest link vertices they can.
     """
     budget = budget or EnumerationBudget.default()
     X, G = f.complex, f.group
@@ -321,7 +321,8 @@ def one_step_nonabelian(
         raise WrongDimensionError("the multiplicative correction path needs a 3-complex")
     if f.dimension != 1:
         raise BadDimensionError("the multiplicative correction path corrects 1-cochains")
-    df = coboundary_nonabelian_1(f)
+    if df is None:
+        df = coboundary_nonabelian_1(f)
     best = _best_link_search(
         df, lambda v: _triangles_at(f, v), DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget
     )
@@ -332,9 +333,10 @@ def one_step_nonabelian(
     f_new = Cochain(X, 1, G, values, _trusted=True)
     if distance(f, f_new) > 2 * X.face_weight((best.vertex,)):
         raise FalsificationError("edge-update bound dist(f, f') <= 2 ||v|| failed")
-    if not coboundary_nonabelian_1(f_new).weight() < df.weight():
+    df_new = coboundary_nonabelian_1(f_new)
+    if not df_new.weight() < df.weight():
         raise FalsificationError("multiplicative step failed to decrease ||delta||")
-    return best.vertex, f_new
+    return best.vertex, f_new, df_new
 
 
 # -- the full correction loop ------------------------------------------------------
@@ -373,8 +375,10 @@ def _correct(
     """Step until no vertex link improves f; returns (f', trace, delta(f')).
 
     The additive step corrects the coboundary and returns g, so f' = f - g;
-    the multiplicative step returns f' itself.  The steps are looked up as
-    module globals at each call, so wrappers installed on them see every step.
+    the multiplicative step returns f' itself.  Each step also returns the new
+    coboundary, delta(f') = delta(f) - delta(g) on the additive path, so a run
+    computes 1 + steps coboundaries.  The steps are looked up as module
+    globals at each call, so wrappers installed on them see every step.
     """
     delta = coboundary_abelian if path == "abelian" else coboundary_nonabelian_1
     trace = CorrectionTrace(path=path)
@@ -383,14 +387,14 @@ def _correct(
     while True:
         try:
             if path == "abelian":
-                v, g = one_step_abelian(h, budget)
+                v, g, new_h = one_step_abelian(h, budget)
                 updated = current - g
             else:
-                v, updated = one_step_nonabelian(current, budget)
+                v, updated, new_h = one_step_nonabelian(current, budget, h)
         except AlreadyLocallyMinimalError:
             break
         before, moved = h.weight(), distance(current, updated)
-        current, h = updated, delta(updated)
+        current, h = updated, new_h
         after = h.weight()
         trace.steps.append(StepRecord(len(trace.steps) + 1, v, before, after, moved))
         if not after < before:

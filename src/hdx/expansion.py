@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -166,31 +166,36 @@ def _sparse_level(
 
 
 def degenerate_above(f, hierarchy: ThinHierarchy) -> FaceSet:
-    """(k+1)-faces holding two fat i-faces, for some level i <= k, that meet in a
-    thin (i-1)-face; at level k the fat faces are the members of A."""
+    """(k+1)-faces holding two fat j-faces, for some level j <= k, that meet in a
+    thin (j-1)-face; at level k the fat faces are the members of A.
+
+    Two j-faces inside a (k+1)-face meet in a (j-1)-face t exactly when they
+    are t plus one vertex each, so a face qualifies when some thin t inside it
+    extends by two of its other vertices to fat j-faces.  Each level maps
+    every thin t to the vertices that extend it to a fat face, read off the
+    facets of the fat faces.
+    """
     _, k, X = _faces_of(f)
+    levels: List[Dict[Face, Set[int]]] = []
+    for j in range(0, k + 1):
+        thin, extend = hierarchy.thin(j - 1), {}
+        for face in hierarchy.fat(j):
+            for i, u in enumerate(face):
+                t = face[:i] + face[i + 1 :]
+                if t in thin:
+                    extend.setdefault(t, set()).add(u)
+        levels.append(extend)
     out = []
     for above in X.faces(k + 1):
-        if _has_degenerate_pair(above, hierarchy, k):
+        inside = set(above)
+        if any(
+            len(extend[t] & inside) >= 2
+            for j, extend in enumerate(levels)
+            for t in combinations(above, j)
+            if t in extend
+        ):
             out.append(above)
     return FaceSet(X, k + 1, frozenset(out))
-
-
-def _has_degenerate_pair(above: Face, hierarchy: ThinHierarchy, k: int) -> bool:
-    # Pairs of fat j-faces inside `above` whose union has dimension j+1 and
-    # whose intersection is thin; at level j = k the fat faces are A itself.
-    for j in range(0, k + 1):
-        fat = hierarchy.fat(j)
-        thin_below = hierarchy.thin(j - 1) if j - 1 >= -1 else frozenset()
-        for union in combinations(above, j + 2):
-            for x_pos, y_pos in combinations(range(j + 2), 2):
-                s1 = tuple(v for t, v in enumerate(union) if t != x_pos)
-                s2 = tuple(v for t, v in enumerate(union) if t != y_pos)
-                if s1 in fat and s2 in fat:
-                    inter = tuple(v for t, v in enumerate(union) if t not in (x_pos, y_pos))
-                    if inter in thin_below:
-                        return True
-    return False
 
 
 def degenerate_inside(a: FaceSet, hierarchy: ThinHierarchy) -> FaceSet:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -612,31 +612,32 @@ def min_nontrivial_cocycle_weight(
             raise UndefinedCoboundaryError("no multiplicative coboundary above dimension 1")
         raise BadDimensionError("no coboundary above the top dimension")
     b_rows = coboundary_list(X, G, k, budget)
-    nums = scan.nums.tolist()
-    sorted_nums = sorted(nums)
+    sorted_nums = sorted(scan.nums.tolist())
     best_num: Optional[int] = None
     states = 0
     for size in range(1, scan.m + 1):
         if best_num is not None and sum(sorted_nums[:size]) >= best_num:
             break
         per_support = (G.order - 1) ** size
-        supports = combinations(range(scan.m), size)
-        while chunk := list(islice(supports, max(1, _BLOCK_STATES // per_support))):
-            weighed = ((s, sum(nums[i] for i in s)) for s in chunk)
-            batch = [(s, num) for s, num in weighed if best_num is None or num < best_num]
+        rows = max(1, _BLOCK_STATES // per_support)
+        supports = chain.from_iterable(combinations(range(scan.m), size))
+        while len(chunk := np.fromiter(islice(supports, rows * size), np.intp).reshape(-1, size)):
+            # Exact: the numerators' dtype holds any sum of them (Python ints past uint64).
+            nums = scan.nums[chunk].sum(axis=1)
+            if best_num is not None:
+                light = nums < best_num
+                chunk, nums = chunk[light], nums[light]
             # The first support of a batch is never pruned on replay.
-            if not batch or states + per_support > budget.max_states:
-                states += per_support * len(batch)
+            if not len(chunk) or states + per_support > budget.max_states:
+                states += per_support * len(chunk)
             else:
-                hits = _support_hits(scan, [s for s, _num in batch], per_support, b_rows)
-                for (_support, support_num), hit in zip(batch, hits):
-                    if best_num is not None and support_num >= best_num:
-                        continue
-                    states += per_support
-                    if states > budget.max_states:
-                        break
-                    if hit:
-                        best_num = support_num
+                # Replay in order: a hit prunes every later support at least as heavy.
+                live = np.ones(len(chunk), dtype=bool)
+                for i in np.flatnonzero(_support_hits(scan, chunk, per_support, b_rows)).tolist():
+                    if live[i]:
+                        best_num = int(nums[i])
+                        live[i + 1 :] &= nums[i + 1 :] < best_num
+                states += per_support * int(np.count_nonzero(live))
             if states > budget.max_states:
                 raise BudgetExceededError("support search exceeded the state budget")
     if best_num is None:
@@ -645,15 +646,15 @@ def min_nontrivial_cocycle_weight(
 
 
 def _support_hits(
-    scan: _Scan, batch: Sequence[Tuple[int, ...]], per_support: int, b_rows: np.ndarray
+    scan: _Scan, cols: np.ndarray, per_support: int, b_rows: np.ndarray
 ) -> np.ndarray:
-    """For each support of one size, whether a cocycle outside b_rows has exactly
-    that support: every assignment of non-identity values, in product order."""
+    """For each support of one size, one row of face indices in cols, whether a
+    cocycle outside b_rows has exactly that support: every assignment of
+    non-identity values, in product order."""
     g1 = scan.G.order - 1
-    cols = np.array(batch, dtype=np.intp)
     place = g1 ** np.arange(cols.shape[1] - 1, -1, -1, dtype=np.int64)
-    hit = np.zeros(len(batch), dtype=bool)
-    total = len(batch) * per_support
+    hit = np.zeros(len(cols), dtype=bool)
+    total = len(cols) * per_support
     for lo in range(0, total, _BLOCK_STATES):
         flat = np.arange(lo, min(lo + _BLOCK_STATES, total), dtype=np.int64)
         which = flat // per_support

@@ -24,11 +24,23 @@ EIG_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Vertex- and edge-weighted graph; edge weights sum to 1."""
+    """Vertex- and edge-weighted graph with exact integer weights: vertex v
+    weighs vertex_num[v] / vertex_den, edge e weighs edge_num[e] / edge_den,
+    and the edge weights sum to 1."""
 
     vertices: Tuple[int, ...]
-    vertex_weights: Dict[int, Fraction]
-    edge_weights: Dict[Tuple[int, int], Fraction]
+    vertex_num: Dict[int, int]
+    edge_num: Dict[Tuple[int, int], int]
+    vertex_den: int
+    edge_den: int
+
+    @property
+    def vertex_weights(self) -> Dict[int, Fraction]:
+        return {v: Fraction(n, self.vertex_den) for v, n in self.vertex_num.items()}
+
+    @property
+    def edge_weights(self) -> Dict[Tuple[int, int], Fraction]:
+        return {e: Fraction(n, self.edge_den) for e, n in self.edge_num.items()}
 
 
 @dataclass(frozen=True)
@@ -51,15 +63,18 @@ def underlying_graph(complex: SimplicialComplex) -> WeightedGraph:
         raise BadDimensionError("a 0-dimensional complex has no underlying graph")
     vertices = complex.vertices()
     num0, num1 = complex._num[0], complex._num[1]
-    den0, den1 = complex.weight_denominator(0), complex.weight_denominator(1)
-    vweights = {v: Fraction(num0[(v,)], den0) for v in vertices}
-    eweights = {edge: Fraction(num1[edge], den1) for edge in complex.faces(1)}
-    return WeightedGraph(vertices, vweights, eweights)
+    return WeightedGraph(
+        vertices,
+        {v: num0[(v,)] for v in vertices},
+        {edge: num1[edge] for edge in complex.faces(1)},
+        complex.weight_denominator(0),
+        complex.weight_denominator(1),
+    )
 
 
 def _components(graph: WeightedGraph) -> int:
     adjacency: Dict[int, list] = {v: [] for v in graph.vertices}
-    for (a, b) in graph.edge_weights:
+    for (a, b) in graph.edge_num:
         adjacency[a].append(b)
         adjacency[b].append(a)
     seen = set()
@@ -88,8 +103,9 @@ def second_eigenvalue(graph: WeightedGraph) -> SpectralCertificate:
         return SpectralCertificate(0.0, EIG_TOLERANCE, "trivial")
     index = {v: i for i, v in enumerate(graph.vertices)}
     adj = np.zeros((n, n))
-    for (a, b), w in graph.edge_weights.items():
-        adj[index[a], index[b]] = adj[index[b], index[a]] = float(w)
+    for (a, b), num in graph.edge_num.items():
+        # Correctly rounded, as float(Fraction(num, den)) is.
+        adj[index[a], index[b]] = adj[index[b], index[a]] = num / graph.edge_den
     degrees = adj.sum(axis=1)
     scale = 1.0 / np.sqrt(degrees)
     sym = adj * scale[:, None] * scale[None, :]
@@ -136,9 +152,47 @@ def cheeger_quantities(graph: WeightedGraph, subset: Iterable[int]) -> Tuple[Fra
 
 
 def vertex_set_weight(graph: WeightedGraph, subset: Iterable[int]) -> Fraction:
+    weights = graph.vertex_weights
     total = Fraction(0)
     for v in subset:
-        if v not in graph.vertex_weights:
+        if v not in weights:
             raise UnknownVertexError(f"vertex {v} is not in the graph")
-        total += graph.vertex_weights[v]
+        total += weights[v]
     return total
+
+
+def cheeger_violations(graph: WeightedGraph, lam: Fraction) -> int:
+    """Failures of the two Cheeger inequalities over every proper nonempty
+    vertex subset A, with w = ||A||:
+
+        ||E(A, A^c)|| >= 2 (1 - lam) w (1 - w)   and   ||E(A)|| <= (w + lam) w.
+
+    One row per subset of a bit matrix gives, by integer matrix products, the
+    numerators W of w over D = vertex_den, C of the cut and I of the internal
+    mass over E = edge_den.  With lam = p/q both tests are integer
+    cross-multiplications, in Python ints since q runs to 2^53 and more:
+    C q D^2 < 2 (q - p) W (D - W) E  and  I q D^2 > (q W + p D) W E.
+    """
+    n = len(graph.vertices)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    vnum = [graph.vertex_num[v] for v in graph.vertices]
+    # int64 holds every partial sum below twice the totals; Python ints otherwise.
+    wide = 2 * max(sum(vnum), sum(graph.edge_num.values())) >= 2**63
+    dtype = object if wide else np.int64
+    adj = np.zeros((n, n), dtype=dtype)
+    for (a, b), num in graph.edge_num.items():
+        adj[index[a], index[b]] = adj[index[b], index[a]] = num
+    masks = np.arange(1, 2**n - 1, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(n) & 1).astype(np.uint8)
+    if wide:
+        bits = bits.astype(object)
+    w = bits @ np.array(vnum, dtype=dtype)
+    inside2 = ((bits @ adj) * bits).sum(axis=1)  # twice the internal numerator
+    cut = bits @ adj.sum(axis=1) - inside2
+    w, cut, internal = (x.astype(object) for x in (w, cut, inside2 // 2))
+    p, q = lam.numerator, lam.denominator
+    D, E = graph.vertex_den, graph.edge_den
+    scale = q * D * D
+    cut_fails = cut * scale < 2 * (q - p) * E * w * (D - w)
+    internal_fails = internal * scale > (q * w + p * D) * w * E
+    return int(np.count_nonzero(cut_fails)) + int(np.count_nonzero(internal_fails))

@@ -23,6 +23,8 @@ KEPT = {
     "cochains.Cochain.eval": "ordered-face evaluation that the coboundary reference tests use",
     "expansion.check_vanishing_corollary_abelian": _PENDING_PROFILE,
     "expansion.check_vanishing_corollary_nonabelian": _PENDING_PROFILE,
+    "spectral.cheeger_quantities": "exact reference the integer Cheeger sweep is checked against",
+    "spectral.vertex_set_weight": "exact reference the integer Cheeger sweep is checked against",
     "expansion.check_delta1_theorem_nonabelian": (
         "the paper's non-abelian theorem; a test shows its premises cannot be met at desk scale"
     ),

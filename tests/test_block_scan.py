@@ -240,7 +240,7 @@ def test_steps_pick_the_argmax_of_the_unpruned_searches(monkeypatch):
                     continue
                 _, v, assignment = min(found)
                 expected = lift(G, v, X.link((v,)).faces(0), assignment)
-                got_v, got = step(x)
+                got_v, got, _ = step(x)
                 if step is one_step_nonabelian:
                     expected.update((e, val) for e, val in f.values.items() if v not in e)
                 assert (got_v, got.values) == (v, expected), (spec, n, step.__name__)

@@ -296,6 +296,30 @@ def test_malformed_input_raises_parse_error(tmp_path, capsys, make, content):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _unreadable(tmp_path, kind):
+    """A path that does not exist, or a file whose last byte is not UTF-8."""
+    path = tmp_path / "input.txt"
+    if kind == "not-utf8":
+        path.write_bytes(b"dim 2\n0 1 2\xff")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+@pytest.mark.parametrize("command", ["analyze", "delta1", "correct"])
+def test_unreadable_input_files_are_parse_errors(tmp_path, capsys, command, kind):
+    bad = _unreadable(tmp_path, kind)
+    good = tmp_path / "k4.txt"
+    good.write_text(complete_complex(4, 2).to_text())
+    argv = {
+        "analyze": ["analyze", str(bad)],
+        "delta1": ["delta1", str(good), "--cochain", str(bad)],
+        "correct": ["correct", str(good), "--cochain", str(bad), "--out", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and str(bad) in err
+
+
 # Pieces a mutation splices into a valid file: numbers at and past the
 # parsers' limits, the files' keywords, JSON syntax and bytes that are not text.
 _FUZZ_TOKENS = [

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from hdx import correction
 from hdx.cochains import (
     DELTA0_TERMS,
     Cochain,
@@ -94,9 +95,10 @@ def test_one_step_contract(f2):
     X = complete_complex(6, 3)
     noise = Cochain(X, 1, f2, {(0, 1): 1})
     h = coboundary_abelian(noise)
-    v, g = one_step_abelian(h)
+    v, g, new_h = one_step_abelian(h)
     assert g.dimension == 1
     assert all(v in face for face in g.support())
+    assert new_h == h - coboundary_abelian(g)
     assert (h - coboundary_abelian(g)).weight() < h.weight()
     assert g.weight() <= h.dimension * X.face_weight((v,))
 
@@ -113,8 +115,9 @@ def test_one_step_recovers_planted_link_correction(f2, rng):
     noise = Cochain(X, 1, f2, {(1, 2): 1, (1, 3): 1})
     h = coboundary_abelian(noise)
     assert not h.is_zero()
-    v, g = one_step_abelian(h)
+    v, g, new_h = one_step_abelian(h)
     assert (h - coboundary_abelian(g)).is_zero()
+    assert new_h.is_zero()
 
 
 def test_correct_abelian_on_cocycle_is_a_no_op(rng):
@@ -180,7 +183,8 @@ def test_one_step_nonabelian_contracts(s3):
     vals = {(1, 2): 1}
     noisy = Cochain(X, 1, s3, vals)
     before = coboundary_nonabelian_1(noisy).weight()
-    v, updated = one_step_nonabelian(noisy)
+    v, updated, d_updated = one_step_nonabelian(noisy)
+    assert d_updated == coboundary_nonabelian_1(updated)
     after = coboundary_nonabelian_1(updated).weight()
     assert after < before
     assert distance(noisy, updated) <= 2 * X.face_weight((v,))
@@ -235,7 +239,7 @@ def test_nonabelian_step_keeps_f_among_tied_minimizers():
     for spec in ("S3", "D4", "Z3"):
         G = group_from_spec(spec)
         f = Cochain(X, 1, G, {(0, 1): 1, (0, 2): 1})
-        v, updated = one_step_nonabelian(f)
+        v, updated, _ = one_step_nonabelian(f)
         assert v == 0
         assert updated.values == {(0, 1): 1, (0, 2): 1, (0, 3): 1}, spec
         assert distance(f, updated) == X.set_weight([(0, 3)], 1)
@@ -268,6 +272,31 @@ def test_correct_nonabelian_planted(rng):
             assert trace.step_count <= trace.r_bound
             weights = [s.delta_weight_before for s in trace.steps] + [trace.final_delta_weight]
             assert all(a > b for a, b in zip(weights, weights[1:]))
+
+
+def test_each_step_computes_one_coboundary(monkeypatch):
+    # A run computes delta(f) once; each step returns the coboundary its own
+    # check computed, and the loop reuses it.
+    calls = []
+    for name in ("coboundary_abelian", "coboundary_nonabelian_1"):
+
+        def counted(f, _original=getattr(correction, name)):
+            calls.append(f.dimension)
+            return _original(f)
+
+        monkeypatch.setattr(correction, name, counted)
+    rng = random.Random(11)
+    steps = []
+    for spec, correct in (("Z2", correct_abelian), ("Z3", correct_abelian), ("S3", correct_nonabelian)):
+        G = group_from_spec(spec)
+        X = complete_complex(6, 3) if G.is_abelian else glued_simplices(3, 2)
+        for _ in range(4):
+            f = random_cochain(X, 1, G, rng, 0.2)
+            calls.clear()
+            _, trace = correct(f)
+            assert len(calls) == 1 + trace.step_count, (spec, trace.step_count)
+            steps.append(trace.step_count)
+    assert max(steps) >= 2
 
 
 def test_correct_nonabelian_wrong_dimension(s3):

@@ -155,13 +155,22 @@ def _upsilon_pair_scan(X, hierarchy, k):
 
 
 def test_upsilon_matches_pair_scan(rng):
-    X = complete_complex(7, 2)
-    for _ in range(25):
-        size = rng.randint(0, 6)
-        a = faceset(X, 1, rng.sample(sorted(X.faces(1)), k=size))
-        eta = Fraction(rng.randint(1, 9), 10)
-        h = thin_hierarchy(a, eta)
-        assert degenerate_above(a, h).faces == _upsilon_pair_scan(X, h, 1)
+    # Every level j = 0..k, on 2- and 3-complexes; the larger sets mix fat
+    # and thin faces at each level (on K7^(2), sets of 10 to 14 edges give
+    # faces that only two fat vertices meeting in a thin empty face make
+    # degenerate).
+    hits = 0
+    for n, d, k, most in ((7, 2, 1, 6), (7, 3, 1, 12), (7, 3, 2, 12), (7, 2, 1, 14)):
+        X = complete_complex(n, d)
+        for _ in range(25):
+            size = rng.randint(0, most)
+            a = faceset(X, k, rng.sample(sorted(X.faces(k)), k=size))
+            eta = Fraction(rng.randint(1, 9), 10)
+            h = thin_hierarchy(a, eta)
+            got = degenerate_above(a, h).faces
+            assert got == _upsilon_pair_scan(X, h, k), (n, d, k)
+            hits += len(got)
+    assert hits > 0
 
 
 def test_upsilon_empty_set(k4_skeleton):

@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from hdx.oracle import (
     BUDGET_ENV_VAR,
     EnumerationBudget,
     _min_ratio_scan,
+    _Scan,
     coboundary_expansion_constant,
     coboundary_list,
     cocycle_list,
@@ -494,6 +495,49 @@ def test_support_search_budget_boundary(monkeypatch, f2, make, weight, enough):
         assert min_nontrivial_cocycle_weight(X, f2, 1, EnumerationBudget(enough)) == weight
         with pytest.raises(BudgetExceededError, match="support search exceeded the state budget"):
             min_nontrivial_cocycle_weight(X, f2, 1, EnumerationBudget(enough - 1))
+
+
+def _support_search_reference(X, G, k):
+    """(minimum numerator, states) of the support-ordered search, one support
+    at a time, with Z^k and B^k from the row lists."""
+    z = set(map(tuple, cocycle_list(X, G, k, EnumerationBudget()).tolist()))
+    b = set(map(tuple, coboundary_list(X, G, k, EnumerationBudget()).tolist()))
+    nums = [X.weight_numerator(face) for face in X.faces(k)]
+    m, best, states = len(nums), None, 0
+    for size in range(1, m + 1):
+        if best is not None and sum(sorted(nums)[:size]) >= best:
+            break
+        for support in combinations(range(m), size):
+            num = sum(nums[i] for i in support)
+            if best is not None and num >= best:
+                continue
+            states += (G.order - 1) ** size
+            for values in product(range(1, G.order), repeat=size):
+                vec = [0] * m
+                for i, value in zip(support, values):
+                    vec[i] = value
+                if tuple(vec) in z and tuple(vec) not in b:
+                    best = num
+                    break
+    return best, states
+
+
+def test_support_search_on_object_numerators(monkeypatch, f2):
+    # Numerators past uint64 are Python ints in an object array; the batched
+    # sums, the pruning and the state count match the one-support reference.
+    tops = projective_plane_complex().faces(2)
+    tiny = (Fraction(1, 3**45), Fraction(1, 7**40))
+    rest = (1 - sum(tiny)) / (len(tops) - 2)
+    X = SimplicialComplex(2, tops, dict(zip(tops, tiny + (rest,) * (len(tops) - 2))))
+    assert _Scan(X, 1, f2).nums.dtype == object
+    best, states = _support_search_reference(X, f2, 1)
+    assert best is not None and best > 2**64
+    for block in _BLOCKS:
+        monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
+        weight = min_nontrivial_cocycle_weight(X, f2, 1, EnumerationBudget(states))
+        assert weight == Fraction(best, X.weight_denominator(1))
+        with pytest.raises(BudgetExceededError, match="support search exceeded the state budget"):
+            min_nontrivial_cocycle_weight(X, f2, 1, EnumerationBudget(states - 1))
 
 
 def _all_instances_and_links():

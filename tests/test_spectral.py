@@ -3,12 +3,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from test_complexes import weighted_complexes
 
 from hdx.complexes import SimplicialComplex
 from hdx.errors import BadDimensionError, DisconnectedGraphError, UnknownVertexError
-from hdx.instances import complete_complex, single_simplex
+from hdx.instances import bundled_instances, complete_complex, single_simplex
 from hdx.spectral import (
     cheeger_quantities,
+    cheeger_violations,
     local_spectral_lambda,
     second_eigenvalue,
     underlying_graph,
@@ -121,3 +124,78 @@ def test_certificate_fraction_is_exact_upper_bound():
     K5 = SimplicialComplex(1, list(combinations(range(5), 2)))
     cert = second_eigenvalue(underlying_graph(K5))
     assert cert.as_fraction() >= Fraction(1, 4)
+
+
+def _reference_violations(g, lam):
+    """The Cheeger sweep in Fractions, one subset at a time."""
+    verts = list(g.vertices)
+    count = 0
+    for bits in range(1, 2 ** len(verts) - 1):
+        subset = [v for i, v in enumerate(verts) if bits >> i & 1]
+        cut, internal = cheeger_quantities(g, subset)
+        w = vertex_set_weight(g, subset)
+        count += (cut < 2 * (1 - lam) * w * (1 - w)) + (internal > (w + lam) * w)
+    return count
+
+
+def _tight_lambdas(g):
+    """lambda values at which one inequality holds with equality for the first
+    vertex, and for all vertices but the first: a strict test and its
+    non-strict variant then count differently."""
+    out = set()
+    verts = list(g.vertices)
+    for subset in (verts[:1], verts[1:]):
+        if 0 < len(subset) < len(verts):
+            cut, internal = cheeger_quantities(g, subset)
+            w = vertex_set_weight(g, subset)
+            out |= {1 - cut / (2 * w * (1 - w)), internal / w - w}
+    return out
+
+
+def _check_against_reference(X):
+    """Kernel and reference agree on every link graph; returns the violations seen."""
+    seen = 0
+    for k in range(-1, X.dimension - 1):
+        for sigma in X.faces(k):
+            g = underlying_graph(X.link(sigma))
+            lams = {Fraction(0), Fraction(1, 3), Fraction(1)} | _tight_lambdas(g)
+            try:
+                lams.add(second_eigenvalue(g).as_fraction())
+            except DisconnectedGraphError:
+                pass
+            for lam in lams:
+                want = _reference_violations(g, lam)
+                assert cheeger_violations(g, lam) == want, (sigma, lam)
+                seen += want
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_cheeger_violations_match_the_fraction_reference(name):
+    assert _check_against_reference(bundled_instances()[name]) > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(weighted_complexes())
+def test_cheeger_violations_match_the_fraction_reference_on_weighted_complexes(X):
+    _check_against_reference(X)
+
+
+@pytest.mark.parametrize("tiny, bits", [((3**12, 7**10), 40), ((3**45, 7**40), 64)])
+def test_cheeger_violations_on_wide_numerators(tiny, bits):
+    # Weights 1/3^a and 1/7^b on K4: numerators past 2^40 sum in int64, those
+    # of 185 bits (past 2^64) in Python ints.
+    tops = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    small = tuple(Fraction(1, t) for t in tiny)
+    X = SimplicialComplex(2, tops, dict(zip(tops, small + (Fraction(1, 2), Fraction(1, 2) - sum(small)))))
+    assert max(underlying_graph(X).vertex_num.values()) > 2**bits
+    assert _check_against_reference(X) > 0
+
+
+def test_cheeger_violations_on_the_four_cycle():
+    # Uniform C4: an adjacent pair has w = 1/2, cut 1/2 = 2 (1 - 0) w (1 - w)
+    # and internal mass 1/4 = (w + 0) w, so lambda = 0 is tight for both
+    # inequalities on the four adjacent pairs, and any smaller lambda fails both.
+    g = underlying_graph(cycle_graph(4))
+    assert cheeger_violations(g, Fraction(0)) == 0
+    assert cheeger_violations(g, Fraction(-1, 100)) == 8
