@@ -1,9 +1,11 @@
 """Group-valued cochains on ordered faces.
 
-A k-cochain stores one group element per canonical (ascending) face; values on
-other orderings are derived from the permutation sign: for abelian groups the
-sign acts as negation, for non-abelian groups an odd permutation returns the
-inverse.  Value maps are sparse: an absent face means zero/identity.
+A k-cochain stores one group element per canonical (ascending) face, as one
+value row over ``X.faces(k)``: entry j is the value on the j-th face, 0 (the
+identity) where the cochain vanishes.  The row is int64 while the sum of two
+element indices fits in it, Python ints past that.  Values on other orderings
+are derived from the permutation sign: for abelian groups the sign acts as
+negation, for non-abelian groups an odd permutation returns the inverse.
 
 The coboundary operator is defined for all k <= d-1 over abelian groups.  The
 multiplicative coboundary is defined in dimensions 0 and 1 only and works over
@@ -16,7 +18,7 @@ Every coboundary is a product of f over the facets of a face, read from the
 complex's facet table (``SimplicialComplex.facets``): a term list names the
 facets in order, each as (i, inverted) for the face without its i-th vertex.
 One numpy kernel, ``face_products``, evaluates such products for whole blocks
-of assignments; the coboundaries, the vertex action ``act`` and the exhaustive
+of value rows; the coboundaries, the vertex action ``act`` and the exhaustive
 scans of the correction layer all run on it.
 """
 
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,53 +55,73 @@ def perm_parity(ordered: Tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _dtype(G: FiniteGroup):
+    """int64 while the sum of two element indices fits in it, Python ints past that."""
+    return np.int64 if G.order <= 2**62 else object
+
+
+def oriented(G: FiniteGroup, values: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """values with the entries at odd orderings inverted (the sign -1 of ``signed``)."""
+    return np.where(odd, G.inv_array(values), values) if odd.any() else values
+
+
 class Cochain:
     """An antisymmetric assignment of group elements to the k-faces."""
 
-    __slots__ = ("complex", "dimension", "group", "values")
+    __slots__ = ("complex", "dimension", "group", "row")
 
     def __init__(
         self,
         complex: SimplicialComplex,
         dimension: int,
         group: FiniteGroup,
-        values: Optional[Dict[Face, int]] = None,
-        _trusted: bool = False,
+        values: Optional[Mapping[Face, int]] = None,
     ):
+        """The cochain with the given {face: element} values, validated; absent
+        faces carry the identity."""
         if not -1 <= dimension <= complex.dimension:
             raise BadDimensionError(
                 f"cochain dimension {dimension} out of range for a {complex.dimension}-complex"
             )
-        self.complex = complex
-        self.dimension = dimension
-        self.group = group
-        if values is None:
-            self.values = {}
-        elif _trusted:
-            self.values = values
-        else:
-            clean: Dict[Face, int] = {}
-            for face, idx in values.items():
-                face = tuple(face)
-                if not complex.has_face(face) or len(face) - 1 != dimension:
-                    raise UnknownFaceError(f"{face} is not a {dimension}-face of the complex")
-                idx = int(idx)
-                if not 0 <= idx < group.order:
-                    raise GroupMismatchError(f"element index {idx} out of range for {group.name}")
-                if idx != group.identity:
-                    clean[face] = idx
-            self.values = clean
+        index = complex.face_index(dimension)
+        row = np.zeros(len(index), dtype=_dtype(group))
+        for face, idx in (values or {}).items():
+            face = tuple(face)
+            if face not in index:
+                raise UnknownFaceError(f"{face} is not a {dimension}-face of the complex")
+            idx = int(idx)
+            if not 0 <= idx < group.order:
+                raise GroupMismatchError(f"element index {idx} out of range for {group.name}")
+            row[index[face]] = idx
+        self._set(complex, dimension, group, row)
 
-    # -- constructors --------------------------------------------------------
+    @classmethod
+    def of_row(
+        cls, complex: SimplicialComplex, dimension: int, group: FiniteGroup, row: Sequence[int]
+    ) -> "Cochain":
+        """The cochain whose value row over complex.faces(dimension) is row, trusted."""
+        f = cls.__new__(cls)
+        f._set(complex, dimension, group, np.asarray(row, dtype=_dtype(group)))
+        return f
 
-    def copy_with(self, values: Dict[Face, int]) -> "Cochain":
-        return Cochain(self.complex, self.dimension, self.group, values, _trusted=True)
+    def _set(self, complex, dimension, group, row) -> None:
+        row.flags.writeable = False
+        self.complex, self.dimension, self.group, self.row = complex, dimension, group, row
 
     # -- evaluation ----------------------------------------------------------
 
+    @property
+    def values(self) -> Mapping[Face, int]:
+        """The non-identity values as a read-only {face: element} view."""
+        faces, hit = self.complex.faces(self.dimension), np.flatnonzero(self.row)
+        return MappingProxyType(dict(zip([faces[j] for j in hit.tolist()], self.row[hit].tolist())))
+
     def value(self, face: Face) -> int:
         """Value on the canonical (ascending) ordering of a face."""
-        return self.values.get(face, self.group.identity)
+        at = self.complex.face_index(self.dimension).get(tuple(face))
+        if at is None:
+            raise UnknownFaceError(f"{face} is not a {self.dimension}-face of the complex")
+        return int(self.row[at])
 
     def eval(self, ordered: Tuple[int, ...]) -> int:
         ordered = tuple(ordered)
@@ -107,17 +130,20 @@ class Cochain:
             raise UnknownFaceError(f"{ordered} is not an ordering of a {self.dimension}-face")
         if len(set(ordered)) != len(ordered):
             raise UnknownFaceError(f"{ordered} repeats a vertex")
-        got = self.values.get(face, self.group.identity)
-        return self.group.signed(got, perm_parity(ordered))
+        return self.group.signed(self.value(face), perm_parity(ordered))
+
+    def _support_faces(self) -> List[Face]:
+        faces = self.complex.faces(self.dimension)
+        return [faces[j] for j in np.flatnonzero(self.row).tolist()]
 
     def support(self) -> FrozenSet[Face]:
-        return frozenset(self.values)
+        return frozenset(self._support_faces())
 
     def weight(self) -> Fraction:
-        return self.complex.set_weight(self.values, self.dimension)
+        return self.complex.set_weight(self._support_faces(), self.dimension)
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.row.any()
 
     # -- abelian arithmetic ----------------------------------------------------
 
@@ -133,23 +159,17 @@ class Cochain:
         if not self.group.is_abelian:
             raise NonAbelianGroupError(f"{self.group.name} is not abelian")
 
+    def _with_row(self, row: np.ndarray) -> "Cochain":
+        return Cochain.of_row(self.complex, self.dimension, self.group, row)
+
     def __add__(self, other: "Cochain") -> "Cochain":
         self._require_same(other)
         self._require_abelian()
-        g = self.group
-        out = dict(self.values)
-        for face, idx in other.values.items():
-            new = g.op(out.get(face, 0), idx)
-            if new:
-                out[face] = new
-            else:
-                out.pop(face, None)
-        return self.copy_with(out)
+        return self._with_row(self.group.op_array(self.row, other.row))
 
     def __neg__(self) -> "Cochain":
         self._require_abelian()
-        g = self.group
-        return self.copy_with({face: g.inv(idx) for face, idx in self.values.items()})
+        return self._with_row(self.group.inv_array(self.row))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -160,11 +180,12 @@ class Cochain:
             and self.complex is other.complex
             and self.dimension == other.dimension
             and self.group is other.group
-            and self.values == other.values
+            and np.array_equal(self.row, other.row)
         )
 
     def __hash__(self):
-        return hash((id(self.complex), self.dimension, id(self.group), frozenset(self.values.items())))
+        # From the values, not the bytes: an object row holds pointers.
+        return hash((id(self.complex), self.dimension, id(self.group), tuple(self.row.tolist())))
 
     # -- slicing ---------------------------------------------------------------
 
@@ -174,18 +195,10 @@ class Cochain:
         self.complex.require_face(sigma)
         if len(sigma) - 1 >= self.dimension:
             raise DimensionMismatchError("localization needs dim(sigma) < dim(f)")
-        link = self.complex.link(sigma)
-        sig = set(sigma)
-        g = self.group
-        out: Dict[Face, int] = {}
-        for face, idx in self.values.items():
-            if sig.issubset(face):
-                rest = tuple(v for v in face if v not in sig)
-                # f_sigma(rest) = f(sigma + rest); both parts are sorted, so the
-                # sign is the parity of the concatenation.
-                sign = perm_parity(sigma + rest)
-                out[rest] = g.signed(idx, sign)
-        return Cochain(link, self.dimension - len(sigma), g, out, _trusted=True)
+        j = self.dimension - len(sigma)
+        at, odd = self.complex.link_index(sigma, j)
+        row = oriented(self.group, self.row[at], odd)
+        return Cochain.of_row(self.complex.link(sigma), j, self.group, row)
 
     # -- coboundary --------------------------------------------------------------
 
@@ -249,26 +262,12 @@ def face_products(
     return acc
 
 
-def _row(f: Cochain) -> np.ndarray:
-    """The values of f as a one-row array over X(k): int64 while the sum of two
-    element indices fits in it, Python ints past that."""
-    values = [f.values.get(face, 0) for face in f.complex.faces(f.dimension)]
-    return np.array([values], dtype=np.int64 if f.group.order <= 2**62 else object)
-
-
-def _from_row(X: SimplicialComplex, k: int, G: FiniteGroup, row: np.ndarray) -> Cochain:
-    """The k-cochain holding the non-identity entries of row."""
-    faces, hit = X.faces(k), np.flatnonzero(row)
-    values = dict(zip([faces[j] for j in hit.tolist()], row[hit].tolist()))
-    return Cochain(X, k, G, values, _trusted=True)
-
-
 def _coboundary(f: Cochain, terms: Terms) -> Cochain:
     """delta(f) as the product over the facets that terms names, in order."""
-    X, k, x = f.complex, f.dimension, _row(f)
-    identity = np.zeros(len(X.faces(k + 1)), dtype=x.dtype)
-    row = face_products(f.group, x, identity, [], term_columns(X, k + 1, terms))[0]
-    return _from_row(X, k + 1, f.group, row)
+    X, k = f.complex, f.dimension
+    identity = np.zeros(X.face_count(k + 1), dtype=f.row.dtype)
+    row = face_products(f.group, f.row[None, :], identity, [], term_columns(X, k + 1, terms))[0]
+    return Cochain.of_row(X, k + 1, f.group, row)
 
 
 def coboundary_abelian(f: Cochain) -> Cochain:
@@ -301,11 +300,8 @@ def coboundary_nonabelian_1(f: Cochain) -> Cochain:
 def distance(f: Cochain, g: Cochain) -> Fraction:
     """Weighted fraction of faces on which the two cochains differ."""
     f._require_same(g)
-    diff = [
-        face
-        for face in set(f.values) | set(g.values)
-        if f.values.get(face, 0) != g.values.get(face, 0)
-    ]
+    faces = f.complex.faces(f.dimension)
+    diff = [faces[j] for j in np.flatnonzero(f.row != g.row).tolist()]
     return f.complex.set_weight(diff, f.dimension)
 
 
@@ -320,8 +316,8 @@ def act(f0: Cochain, g1: Cochain) -> Cochain:
     X, G = g1.complex, g1.group
     # d0 with g1 between its two factors: f(u) g(u,v) f(v)^-1.
     left, right = term_columns(X, 1, DELTA0_TERMS[:1]), term_columns(X, 1, DELTA0_TERMS[1:])
-    row = face_products(G, _row(f0), _row(g1)[0], left, right)[0]
-    return _from_row(X, 1, G, row)
+    row = face_products(G, f0.row[None, :], g1.row, left, right)[0]
+    return Cochain.of_row(X, 1, G, row)
 
 
 def random_cochain(
@@ -332,12 +328,11 @@ def random_cochain(
     density: float = 0.3,
 ) -> Cochain:
     """Sparse random cochain; each face independently gets a random non-identity value."""
-    values: Dict[Face, int] = {}
-    if group.order > 1:
-        for face in complex.faces(dimension):
-            if rng.random() < density:
-                values[face] = rng.randrange(1, group.order)
-    return Cochain(complex, dimension, group, values, _trusted=True)
+    row = [
+        rng.randrange(1, group.order) if group.order > 1 and rng.random() < density else 0
+        for _face in complex.faces(dimension)
+    ]
+    return Cochain.of_row(complex, dimension, group, row)
 
 
 # -- file format ---------------------------------------------------------------
@@ -345,8 +340,8 @@ def random_cochain(
 
 def cochain_to_text(f: Cochain) -> str:
     lines = [f"dim {f.dimension} group {f.group.spec}"]
-    for face in sorted(f.values):
-        lines.append(" ".join(map(str, face)) + f" {f.values[face]}")
+    for face, idx in sorted(f.values.items()):
+        lines.append(" ".join(map(str, face)) + f" {idx}")
     return "\n".join(lines) + "\n"
 
 

@@ -4,10 +4,14 @@ A d-dimensional complex is stored as the full downward closure of its top
 faces, including the (-1)-dimensional empty face.  The top distribution P_d
 (uniform by default) induces P_k for every k by picking a top face and then a
 uniform (k+1)-subset; all weights are kept as exact integer numerators over a
-per-dimension denominator so hot loops never touch Fraction arithmetic.  The
-incidence of X(k) on X(k-1) is one integer table per dimension, ``facets(k)``.
-A link is built from the top faces in the smallest vertex star of sigma, read
-off a vertex -> top-face index, with the same integer closure as the complex.
+per-dimension denominator so hot loops never touch Fraction arithmetic.  Faces
+are numbered by their position in ``faces(k)`` (``face_index(k)``), the
+layout of every cochain's value row.  The incidence of X(k) on X(k-1) is one
+integer table per dimension, ``facets(k)``, and the faces sigma + tau of X
+through sigma are indexed once per link, with their orientation signs, by
+``link_index``.  A link is built from the top faces in the smallest vertex
+star of sigma, read off a vertex -> top-face index, with the same integer
+closure as the complex.
 """
 
 from __future__ import annotations
@@ -103,8 +107,10 @@ class SimplicialComplex:
             k: scale * comb(dimension + 1, k + 1) for k in range(-1, dimension + 1)
         }
 
+        self._index: Dict[int, Dict[Face, int]] = {}
         self._facets: Dict[int, np.ndarray] = {}
         self._links: Dict[Face, "SimplicialComplex"] = {}
+        self._link_index: Dict[Tuple[Face, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._stars: Optional[Dict[int, List[Face]]] = None
 
     # -- structure ---------------------------------------------------------
@@ -128,13 +134,19 @@ class SimplicialComplex:
     def vertices(self) -> Tuple[int, ...]:
         return tuple(f[0] for f in self._faces[0])
 
+    def face_index(self, k: int) -> Dict[Face, int]:
+        """Face -> its position in faces(k), built once per dimension."""
+        if k not in self._index:
+            self._index[k] = {face: c for c, face in enumerate(self.faces(k))}
+        return self._index[k]
+
     def facets(self, k: int) -> np.ndarray:
         """Row j, column i: the index in faces(k-1) of faces(k)[j] without its
         i-th vertex.  Built once per complex (links are cached), read-only."""
         if not 0 <= k <= self.dimension:
             raise BadDimensionError(f"no facet table for X({k}) in a {self.dimension}-complex")
         if k not in self._facets:
-            index = {face: c for c, face in enumerate(self._faces[k - 1])}
+            index = self.face_index(k - 1)
             rows = [[index[f[:i] + f[i + 1 :]] for i in range(k + 1)] for f in self._faces[k]]
             table = np.array(rows, dtype=np.intp)
             table.flags.writeable = False
@@ -236,6 +248,21 @@ class SimplicialComplex:
             link._build(self.dimension - len(sigma), list(rest_num), rest_num, mass // g)
             self._links[sigma] = link
         return self._links[sigma]
+
+    def link_index(self, sigma: Face, j: int) -> Tuple[np.ndarray, np.ndarray]:
+        """For the j-faces tau of link(sigma), in order: the index of sigma + tau
+        in faces(j + |sigma|), and whether the ordering sigma + tau (both parts
+        ascending) is an odd permutation of that face.  Built once, read-only."""
+        sigma = tuple(sigma)
+        if (sigma, j) not in self._link_index:
+            taus = self.link(sigma).faces(j)
+            index = self.face_index(j + len(sigma))
+            at = np.array([index[tuple(sorted(sigma + tau))] for tau in taus], dtype=np.intp)
+            # The parity of sigma + tau is that of the pairs s > t, s in sigma, t in tau.
+            odd = np.array([sum(s > t for s in sigma for t in tau) % 2 == 1 for tau in taus], dtype=bool)
+            at.flags.writeable = odd.flags.writeable = False
+            self._link_index[sigma, j] = (at, odd)
+        return self._link_index[sigma, j]
 
     def degree_bound(self) -> int:
         """Max number of top faces containing any single vertex."""

@@ -30,7 +30,7 @@ comparison across blocks, so ties resolve exactly as in a plain loop over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, isqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,7 +48,7 @@ from .cochains import (
     coboundary_nonabelian_1,
     distance,
     face_products,
-    perm_parity,
+    oriented,
     term_columns,
 )
 from .complexes import Face, FaceSet, SimplicialComplex
@@ -135,7 +135,7 @@ def is_minimal(f: Cochain, budget: Optional[EnumerationBudget] = None) -> bool:
     """
     budget = budget or EnumerationBudget.default()
     X, G, k = f.complex, f.group, f.dimension
-    if not f.values:
+    if f.is_zero():
         return True
     faces = X.faces(k)
     left: Terms = ()
@@ -152,14 +152,15 @@ def is_minimal(f: Cochain, budget: Optional[EnumerationBudget] = None) -> bool:
         raise UndefinedCoboundaryError("no coboundary space for this (group, dimension)")
     lower = X.faces(k - 1)
     budget.ensure(space_size(G, len(lower)), "minimality scan")
-    target_num = sum(X.weight_numerator(face) for face in f.values)
+    weights = [X.weight_numerator(face) for face in faces]
+    target_num = sum(weights[j] for j in np.flatnonzero(f.row).tolist())
     best, _ = _scan_first_min(
         G,
         len(lower),
-        [f.values.get(face, 0) for face in faces],
+        f.row,
         term_columns(X, k, left),
         term_columns(X, k, right),
-        [X.weight_numerator(face) for face in faces],
+        weights,
         stop_below=target_num,
     )
     return best >= target_num
@@ -187,13 +188,12 @@ class _LinkSearch:
     vertex: int
     decrease_num: int
     assignment: Tuple[int, ...]
-    lower_faces: Tuple[Face, ...]
 
 
 def _search_link(
     target: Cochain,
     v: int,
-    local: Callable[[int], Dict[Face, int]],
+    local: Callable[[int], np.ndarray],
     left: Terms,
     right: Terms,
     budget: EnumerationBudget,
@@ -203,42 +203,42 @@ def _search_link(
 
     The star of v holds one j-face v + tau per (j-1)-face tau of link(v),
     weighted by its numerator.  An assignment x of the (j-2)-faces of the link
-    gives every tau the value  x[left...] * local(v)[tau] * x[right...]; the
-    first x minimizing the mass of the non-identity values wins.  The old star
-    mass is the mass of target's support in the star, so the decrease is the
-    exact drop of the weight numerator of target.  A star whose old mass is at
-    most ``beat`` cannot gain more and is not scanned; the budget is checked
-    before that skip, so refusals do not depend on it.
+    gives every tau the value  x[left...] * local(v)[tau] * x[right...], local(v)
+    being a value row over the (j-1)-faces of the link; the first x minimizing
+    the mass of the non-identity values wins.  The old star mass is the mass
+    of target's support in the star, so the decrease is the exact drop of the
+    weight numerator of target.  A star whose old mass is at most ``beat``
+    cannot gain more and is not scanned; the budget is checked before that
+    skip, so refusals do not depend on it.
     """
     X, G, j = target.complex, target.group, target.dimension
     link = X.link((v,))
-    faces = link.faces(j - 1)
-    star_faces = [tuple(sorted((v,) + face)) for face in faces]
-    star = [X.weight_numerator(face) for face in star_faces]
-    old_star = sum(num for face, num in zip(star_faces, star) if face in target.values)
+    at, _odd = X.link_index((v,), j - 1)
+    faces = X.faces(j)
+    star = [X.weight_numerator(faces[i]) for i in at.tolist()]
+    old_star = sum(num for num, hit in zip(star, target.row[at].tolist()) if hit)
     if not old_star:
         return None
-    lower_faces = link.faces(j - 2)
-    budget.ensure(space_size(G, len(lower_faces)), f"link correction scan at {v}")
+    n = link.face_count(j - 2)
+    budget.ensure(space_size(G, n), f"link correction scan at {v}")
     if old_star <= beat:
         return None
-    values = local(v)
     new_star, assignment = _scan_first_min(
         G,
-        len(lower_faces),
-        [values.get(face, 0) for face in faces],
+        n,
+        local(v),
         term_columns(link, j - 1, left),
         term_columns(link, j - 1, right),
         star,
     )
     if old_star - new_star <= beat:
         return None
-    return _LinkSearch(v, old_star - new_star, assignment, lower_faces)
+    return _LinkSearch(v, old_star - new_star, assignment)
 
 
 def _best_link_search(
     target: Cochain,
-    local: Callable[[int], Dict[Face, int]],
+    local: Callable[[int], np.ndarray],
     left: Terms,
     right: Terms,
     budget: EnumerationBudget,
@@ -253,18 +253,14 @@ def _best_link_search(
     return best
 
 
-def _lift_assignment(h: Cochain, search: _LinkSearch) -> Cochain:
-    """Lift the chosen link assignment to a global cochain supported at the vertex."""
-    X, G, j = h.complex, h.group, h.dimension
-    v = search.vertex
-    values: Dict[Face, int] = {}
-    for face, val in zip(search.lower_faces, search.assignment):
-        if not val:
-            continue
-        ordered = (v,) + face
-        canonical = tuple(sorted(ordered))
-        values[canonical] = G.signed(val, perm_parity(ordered))
-    return Cochain(X, j - 1, G, values, _trusted=True)
+def _lift_assignment(f: Cochain, v: int, assignment: Sequence[int]) -> Cochain:
+    """f with its values on the faces v + tau through v replaced by an
+    assignment to the faces tau of link(v), oriented as (v,) + tau."""
+    X, G, k = f.complex, f.group, f.dimension
+    at, odd = X.link_index((v,), k - 1)
+    row = f.row.copy()
+    row[at] = oriented(G, np.asarray(assignment, dtype=row.dtype), odd)
+    return Cochain.of_row(X, k, G, row)
 
 
 def one_step_abelian(
@@ -282,8 +278,8 @@ def one_step_abelian(
     if h.dimension < 1:
         raise BadDimensionError("nothing below dimension 0 to correct with")
     right = additive_terms(h.dimension - 2)
-    best = _best_link_search(h, lambda v: h.localize((v,)).values, (), right, budget)
-    g = _lift_assignment(h, best)
+    best = _best_link_search(h, lambda v: h.localize((v,)).row, (), right, budget)
+    g = _lift_assignment(Cochain(h.complex, h.dimension - 1, h.group), best.vertex, best.assignment)
     new_h = h - coboundary_abelian(g)
     j = h.dimension
     v_weight = h.complex.face_weight((best.vertex,))
@@ -294,12 +290,13 @@ def one_step_abelian(
     return best.vertex, g, new_h
 
 
-def _triangles_at(f: Cochain, v: int) -> Dict[Face, int]:
-    """f(vu) f(uw) f(wv) on each edge uw of link(v): the vertex action of
-    u -> f(v, u) on f's values there, one face-product call on the link."""
-    link = f.complex.link((v,))
-    inside = {edge: f.values[edge] for edge in link.faces(1) if edge in f.values}
-    return act(f.localize((v,)), Cochain(link, 1, f.group, inside, _trusted=True)).values
+def _triangles_at(f: Cochain, v: int) -> np.ndarray:
+    """f(vu) f(uw) f(wv) on each edge uw of link(v), as a value row over the
+    link's edges: the vertex action of u -> f(v, u) on f's values there, one
+    face-product call on the link."""
+    link, index = f.complex.link((v,)), f.complex.face_index(1)
+    inside = f.row[[index[edge] for edge in link.faces(1)]]
+    return act(f.localize((v,)), Cochain.of_row(link, 1, f.group, inside)).row
 
 
 def one_step_nonabelian(
@@ -326,11 +323,9 @@ def one_step_nonabelian(
     best = _best_link_search(
         df, lambda v: _triangles_at(f, v), DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget
     )
-    shift = f.localize((best.vertex,)).values
-    y = tuple(G.op(x, shift.get(u, 0)) for u, x in zip(best.lower_faces, best.assignment))
-    values = {edge: val for edge, val in f.values.items() if best.vertex not in edge}
-    values.update(_lift_assignment(df, replace(best, assignment=y)).values)
-    f_new = Cochain(X, 1, G, values, _trusted=True)
+    shift = f.localize((best.vertex,)).row
+    y = G.op_array(np.asarray(best.assignment, dtype=shift.dtype), shift)
+    f_new = _lift_assignment(f, best.vertex, y)
     if distance(f, f_new) > 2 * X.face_weight((best.vertex,)):
         raise FalsificationError("edge-update bound dist(f, f') <= 2 ||v|| failed")
     df_new = coboundary_nonabelian_1(f_new)
@@ -518,8 +513,9 @@ def saturation_diagnostic(f: Cochain) -> CheckReport:
     X, G = f.complex, f.group
     bound = 1 - Fraction(1, G.order)
     worst: Optional[Tuple[Face, Fraction]] = None
+    support = f.support()
     for edge in X.faces(1):
-        w = X.localized_weight(f.values, 2, edge)
+        w = X.localized_weight(support, 2, edge)
         if worst is None or w > worst[1]:
             worst = (edge, w)
     passed = worst is None or worst[1] <= bound

@@ -2,7 +2,7 @@
 
 Abelian groups are written additively in the rest of the library (their
 identity plays the role of 0), non-abelian groups multiplicatively, but both
-share the same integer-indexed interface: ``op``, ``inv``, ``identity``, and
+share the same integer-indexed interface: ``op``, ``inv``, and
 ``op_array``/``inv_array`` for elementwise use on numpy index arrays.
 """
 
@@ -54,10 +54,6 @@ class FiniteGroup:
             inv = np.array([self.inv(a) for a in range(n)], dtype=np.int64)
             self._tables = (mul, inv)
         return self._tables
-
-    @property
-    def identity(self) -> int:
-        return 0
 
     def elements(self) -> range:
         return range(self.order)

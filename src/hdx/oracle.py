@@ -319,12 +319,6 @@ class EnumeratedSpaces:
     coboundaries: np.ndarray
 
 
-def _cochain_from_vector(
-    X: SimplicialComplex, k: int, G: FiniteGroup, vec: Sequence[int]
-) -> Cochain:
-    return Cochain(X, k, G, {f: v for f, v in zip(X.faces(k), map(int, vec)) if v}, _trusted=True)
-
-
 def cocycle_list(
     X: SimplicialComplex, G: FiniteGroup, k: int, budget: EnumerationBudget
 ) -> Optional[np.ndarray]:
@@ -404,9 +398,9 @@ def exact_distance(
     faces = X.faces(k)
     nums = _numerators([X.weight_numerator(face) for face in faces])
     # The pool is sorted, so the first nearest row is the lexicographic minimum.
-    dist = (pool != [f.value(face) for face in faces]) @ nums
+    dist = (pool != f.row) @ nums
     i = int(np.argmin(dist))
-    witness = _cochain_from_vector(X, k, f.group, pool[i])
+    witness = Cochain.of_row(X, k, f.group, pool[i])
     return Fraction(int(dist[i]), X.weight_denominator(k)), witness
 
 
@@ -505,12 +499,12 @@ def coboundary_expansion_constant(
     z_rows = cocycle_list(X, G, k, budget)
     outside = np.flatnonzero(~_rows_in(z_rows, b_rows))
     if len(outside):
-        witness = _cochain_from_vector(X, k, G, z_rows[outside[0]])
+        witness = Cochain.of_row(X, k, G, z_rows[outside[0]])
         return CoboundaryConstant(k, Fraction(0), witness)
     best, best_vec = _min_ratio_scan(X, G, k, b_rows, budget, f"C^{k} ratio scan")
     if best is None:
         return CoboundaryConstant(k, None, None, vacuous=True)
-    witness = _cochain_from_vector(X, k, G, best_vec)
+    witness = Cochain.of_row(X, k, G, best_vec)
     return CoboundaryConstant(k, best, witness)
 
 
@@ -570,7 +564,6 @@ def cosystolic_expansion_constants(
             weights = (nontrivial != 0) @ _numerators([X.weight_numerator(f) for f in X.faces(k)])
             i = int(np.argmin(weights))
             entry["mu"] = Fraction(int(weights[i]), X.weight_denominator(k))
-            entry["mu_witness"] = _cochain_from_vector(X, k, G, nontrivial[i])
 
         pair_cost = spaces.c_count * max(len(z_rows), 1)
         if pair_cost > budget.max_states:

@@ -110,16 +110,11 @@ def plant_nonabelian_instance(
     X: SimplicialComplex, G: FiniteGroup, rng: random.Random
 ) -> Cochain:
     """A multiplicative 1-coboundary with a few edges multiplied by noise."""
-    base = coboundary_nonabelian_0(random_cochain(X, 0, G, rng, 0.6))
-    values = dict(base.values)
-    edges = sorted(X.faces(1))
+    row = coboundary_nonabelian_0(random_cochain(X, 0, G, rng, 0.6)).row.copy()
+    edges, index = X.faces(1), X.face_index(1)
     for edge in rng.sample(edges, k=min(2, len(edges))):
-        noisy = G.op(values.get(edge, 0), rng.randrange(1, G.order))
-        if noisy:
-            values[edge] = noisy
-        else:
-            values.pop(edge, None)
-    return Cochain(X, 1, G, values, _trusted=True)
+        row[index[edge]] = G.op(int(row[index[edge]]), rng.randrange(1, G.order))
+    return Cochain.of_row(X, 1, G, row)
 
 
 # -- suites ---------------------------------------------------------------------------
@@ -155,8 +150,8 @@ def suite_delta1(seed: int = 0, budget: Optional[EnumerationBudget] = None) -> S
 
     # The star of a vertex in a complete 2-skeleton: empty delta1, and exactly
     # half of its mass sits on thin vertices once eta clears the link scale.
-    for n in (4, 5, 6):
-        X = complete_complex(n, 2)
+    complete = {n: complete_complex(n, 2) for n in (4, 5, 6)}
+    for n, X in complete.items():
         star = FaceSet.make(X, 1, [(0, u) for u in range(1, n)])
         d1 = delta1(star)
         hierarchy = thin_hierarchy(star, Fraction(1, 2))
@@ -187,7 +182,7 @@ def suite_delta1(seed: int = 0, budget: Optional[EnumerationBudget] = None) -> S
 
     # Exactly-one-covered faces are unsatisfied over every group.
     specs = ("Z2", "Z3", "Z6", "S3")
-    X = complete_complex(6, 2)
+    X = complete[6]
     violations = 0
     for spec in specs:
         G = group_from_spec(spec)
@@ -208,7 +203,6 @@ def suite_delta1(seed: int = 0, budget: Optional[EnumerationBudget] = None) -> S
     )
 
     # Non-local sets expand: sweep all small edge sets on a complete 2-complex.
-    X = complete_complex(6, 2)
     lam = local_spectral_lambda(X).as_fraction()
     eta, eps = Fraction(1, 4), Fraction(1, 16)
     checked = 0
@@ -327,8 +321,8 @@ def suite_correction(seed: int = 0, budget: Optional[EnumerationBudget] = None) 
 
     failures = 0
     zero_steps_on_cocycles = True
+    X = complete_complex(6, 3)
     for _ in range(8):
-        X = complete_complex(6, 3)
         G = group_from_spec(rng.choice(("Z2", "Z3")))
         f = plant_abelian_instance(X, 1, G, rng)
         try:
@@ -346,8 +340,8 @@ def suite_correction(seed: int = 0, budget: Optional[EnumerationBudget] = None) 
     out.add(CheckReport("cocycles-need-no-steps", zero_steps_on_cocycles, None, None, {}))
 
     na_failures = 0
+    X = glued_simplices(3, 2)
     for _ in range(6):
-        X = glued_simplices(3, 2)
         G = group_from_spec(rng.choice(("S3", "D4")))
         f = plant_nonabelian_instance(X, G, rng)
         try:
@@ -440,10 +434,7 @@ def suite_nonabelian(seed: int = 0, budget: Optional[EnumerationBudget] = None) 
             f0 = random_cochain(X, 0, G, rng, 0.5)
             h0 = random_cochain(X, 0, G, rng, 0.5)
             lhs = act(f0, coboundary_nonabelian_0(h0))
-            prod = Cochain(
-                X, 0, G,
-                {(v,): G.op(f0.value((v,)), h0.value((v,))) for v in X.vertices()},
-            )
+            prod = Cochain.of_row(X, 0, G, G.op_array(f0.row, h0.row))
             if lhs != coboundary_nonabelian_0(prod):
                 act_failures += 1
     out.add(CheckReport("action-on-coboundaries", act_failures == 0, act_failures, 0, {"samples": 40}))

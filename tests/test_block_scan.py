@@ -120,7 +120,7 @@ def lift(G, v, lower, x):
 
 def search_abelian(h, v, budget):
     right = additive_terms(h.dimension - 2)
-    got = _search_link(h, v, lambda u: h.localize((u,)).values, (), right, budget)
+    got = _search_link(h, v, lambda u: h.localize((u,)).row, (), right, budget)
     return None if got is None else (got.decrease_num, got.assignment)
 
 
@@ -131,7 +131,8 @@ def search_nonabelian(f, v, budget):
     got = _search_link(df, v, local, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
     if got is None:
         return None
-    y = tuple(f.group.op(x, f.eval((v, u))) for (u,), x in zip(got.lower_faces, got.assignment))
+    lower = f.complex.link((v,)).faces(0)
+    y = tuple(f.group.op(x, f.eval((v, u))) for (u,), x in zip(lower, got.assignment))
     return got.decrease_num, y
 
 

@@ -343,6 +343,42 @@ def _reference_act(f0, g1):
     return out
 
 
+def _reference_localize(f, sigma):
+    """f(sigma + rest) on every face of f's support through sigma, by a scan of
+    all of f's values."""
+    sig, out = set(sigma), {}
+    for face, idx in f.values.items():
+        if sig.issubset(face):
+            rest = tuple(v for v in face if v not in sig)
+            # Both parts are sorted, so the sign is the parity of the concatenation.
+            out[rest] = f.group.signed(idx, perm_parity(sigma + rest))
+    return out
+
+
+def _check_row_against_dicts(f, g):
+    """The row-backed operations of f and g against {face: value} references."""
+    X, G, k = f.complex, f.group, f.dimension
+    fv, gv = dict(f.values), dict(g.values)
+    either = set(fv) | set(gv)
+    if G.is_abelian:
+        for got, op in ((f + g, G.op), (f - g, lambda a, b: G.op(a, G.inv(b)))):
+            expected = {face: op(fv.get(face, 0), gv.get(face, 0)) for face in either}
+            assert got.values == {face: val for face, val in expected.items() if val}
+        assert (-f).values == {face: G.inv(val) for face, val in fv.items()}
+    differ = [face for face in either if fv.get(face, 0) != gv.get(face, 0)]
+    assert distance(f, g) == X.set_weight(differ, k)
+    assert f.weight() == X.set_weight(fv, k)
+    assert f.support() == frozenset(fv) and f.is_zero() == (not fv)
+    same = Cochain(X, k, G, fv)
+    assert same == f and hash(same) == hash(f)
+    assert (f == g) == (fv == gv)
+    for s in range(-1, k):
+        for sigma in X.faces(s):
+            local = f.localize(sigma)
+            assert local.complex is X.link(sigma) and local.dimension == k - len(sigma)
+            assert local.values == _reference_localize(f, sigma), sigma
+
+
 # Z_(2^63 - 25) and Z_(2^64 + 13): element sums that would wrap in int64.
 @pytest.mark.parametrize(
     "spec", ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", f"Z{2**63 - 25}", f"Z{2**64 + 13}"]
@@ -365,3 +401,9 @@ def test_coboundaries_and_action_match_the_formulas(spec, X, rng):
             f0 = random_cochain(X, 0, G, rng, density)
             g1 = random_cochain(X, 1, G, rng, 1 - density)
             assert act(f0, g1).values == _reference_act(f0, g1)
+    # A second cochain beside each f: arithmetic, distances and localizations.
+    for k in range(-1, X.dimension + 1):
+        for density in (0.0, 0.5, 1.0):
+            f = random_cochain(X, k, G, rng, density)
+            _check_row_against_dicts(f, random_cochain(X, k, G, rng, 0.5))
+            _check_row_against_dicts(f, f)

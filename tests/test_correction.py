@@ -220,7 +220,7 @@ def test_nonabelian_link_decrease_is_the_coboundary_drop():
                     continue
                 improving += 1
                 values = {e: val for e, val in f.values.items() if v not in e}
-                for (u,), x in zip(found.lower_faces, found.assignment):
+                for (u,), x in zip(X.link((v,)).faces(0), found.assignment):
                     y = G.op(x, f.eval((v, u)))
                     edge, val = ((v, u), y) if v < u else ((u, v), G.inv(y))
                     if val:
