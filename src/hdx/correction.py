@@ -3,8 +3,9 @@
 A cochain is minimal when no coboundary shift reduces its weight, and locally
 minimal when every vertex localization is minimal in its link.  The correction
 loop repeatedly fixes the vertex whose link admits the largest weight decrease
-(ties to the smallest vertex id; within a link, to the lexicographically first
-minimizer), so traces are reproducible.  Each run checks its own contracts:
+(ties to the smallest vertex id; within a link, to the minimizer that changes
+the least weight, then to the lexicographically first), so traces are
+reproducible.  Each run checks its own contracts:
 the coboundary weight strictly decreases, the step count and total movement
 respect their a-priori bounds, and when the input coboundary is small enough
 the output classification is verified; any violation raises
@@ -25,7 +26,9 @@ the face-product kernel of ``cochains`` on columns read from the facet table
 of the complex or link, its face weights from one matrix-vector product of the
 non-identity mask.  The first minimum wins: argmin within a block, a strict
 comparison across blocks, so ties resolve exactly as in a plain loop over
-``product``.
+``product``.  A link search also weighs the faces v + tau that each tied
+minimizer changes and keeps the lightest, so a step moves the fewest faces
+it can.
 """
 
 from __future__ import annotations
@@ -88,34 +91,48 @@ def _scan_first_min(
     right: Sequence[np.ndarray],
     weights: Sequence[int],
     stop_below: Optional[int] = None,
+    moved: Sequence[int] = (),
 ) -> Tuple[int, Tuple[int, ...]]:
     """First x in G^n, in ``product`` order, minimizing the weighted count of faces
     whose value  x[left...] * const * x[right...]  is not the identity.
 
     The columns are those of ``face_products``, which evaluates each block of
     consecutive assignments; argmin keeps the first minimum in a block and a
-    strict comparison the first across blocks.  With ``stop_below`` the scan
-    ends at the first block whose minimum falls below it.  Returns (weight,
-    assignment).
+    strict comparison the first across blocks.  With ``moved``, one weight per
+    coordinate of x, the minimizers are first ranked by the moved weight of
+    their non-identity coordinates (only the rows that tie a block's minimum
+    are weighed).  With ``stop_below`` the scan ends at the first block whose
+    minimum falls below it.  Returns (weight, assignment).
     """
     m = len(const)
-    # Python ints when a count could pass int64 (weighted complexes, large denominators).
-    w = np.array(weights, dtype=np.int64 if sum(weights) < 2**63 else object)
+    w, mw = _exact(weights), _exact(moved)
     const_row = np.asarray(const, dtype=np.int64)
     order, total = G.order, G.order**n
     place = order ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rows = max(1, _BLOCK_CELLS // max(m, n))
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None
+    best: Optional[Tuple[Tuple[int, int], Tuple[int, ...]]] = None
     for start in range(0, total, rows):
         x = np.arange(start, min(start + rows, total), dtype=np.int64)[:, None] // place % order
         counts = (face_products(G, x, const_row, left, right) != 0) @ w
         i = int(np.argmin(counts))
-        if best is None or counts[i] < best[0]:
-            best = (int(counts[i]), tuple(int(a) for a in x[i]))
-            if stop_below is not None and best[0] < stop_below:
+        key = (int(counts[i]), 0)
+        if len(mw):
+            ties = np.flatnonzero(counts == counts[i])
+            shift = (x[ties] != 0) @ mw
+            t = int(np.argmin(shift))
+            i, key = int(ties[t]), (key[0], int(shift[t]))
+        if best is None or key < best[0]:
+            best = (key, tuple(int(a) for a in x[i]))
+            if stop_below is not None and key[0] < stop_below:
                 break
     assert best is not None
-    return best
+    return best[0][0], best[1]
+
+
+def _exact(weights: Sequence[int]) -> np.ndarray:
+    """Weights as int64, or Python ints when a sum could pass int64 (weighted
+    complexes, large denominators)."""
+    return np.array(weights, dtype=np.int64 if sum(weights) < 2**63 else object)
 
 
 def _inverse(terms: Terms) -> Terms:
@@ -204,8 +221,10 @@ def _search_link(
     The star of v holds one j-face v + tau per (j-1)-face tau of link(v),
     weighted by its numerator.  An assignment x of the (j-2)-faces of the link
     gives every tau the value  x[left...] * local(v)[tau] * x[right...], local(v)
-    being a value row over the (j-1)-faces of the link; the first x minimizing
-    the mass of the non-identity values wins.  The old star mass is the mass
+    being a value row over the (j-1)-faces of the link.  The x minimizing the
+    mass of the non-identity values wins; among those, the x whose non-identity
+    entries carry the least mass of the faces v + sigma they rewrite, then the
+    first in product order.  The old star mass is the mass
     of target's support in the star, so the decrease is the exact drop of the
     weight numerator of target.  A star whose old mass is at most ``beat``
     cannot gain more and is not scanned; the budget is checked before that
@@ -213,9 +232,8 @@ def _search_link(
     """
     X, G, j = target.complex, target.group, target.dimension
     link = X.link((v,))
-    at, _odd = X.link_index((v,), j - 1)
-    faces = X.faces(j)
-    star = [X.weight_numerator(faces[i]) for i in at.tolist()]
+    at = X.link_index((v,), j - 1)[0]
+    star = _star_numerators(X, v, j - 1)
     old_star = sum(num for num, hit in zip(star, target.row[at].tolist()) if hit)
     if not old_star:
         return None
@@ -230,10 +248,17 @@ def _search_link(
         term_columns(link, j - 1, left),
         term_columns(link, j - 1, right),
         star,
+        moved=_star_numerators(X, v, j - 2),
     )
     if old_star - new_star <= beat:
         return None
     return _LinkSearch(v, old_star - new_star, assignment)
+
+
+def _star_numerators(X: SimplicialComplex, v: int, i: int) -> List[int]:
+    """The weight numerators of the faces v + tau, tau in link(v)(i), in link order."""
+    faces = X.faces(i + 1)
+    return [X.weight_numerator(faces[at]) for at in X.link_index((v,), i)[0].tolist()]
 
 
 def _best_link_search(
@@ -309,8 +334,8 @@ def one_step_nonabelian(
     is delta(f).  The link search at v scans offsets x(u), the new values
     being y(u) = f'(v, u) = x(u) f(v, u): the triangle vuw then carries
     x(u) f(vu) f(uw) f(wv) x(w)^-1, which is d0 with f's own triangle in
-    between.  The scan runs in product order from x = identity, which keeps
-    f, so ties keep f's values on the earliest link vertices they can.
+    between.  An offset x(u) other than the identity rewrites the edge vu, so
+    ties go to the offsets that rewrite the least edge mass.
     """
     budget = budget or EnumerationBudget.default()
     X, G = f.complex, f.group

@@ -36,14 +36,21 @@ ABELIAN = ("Z2", "Z3", "Z4", "Z2xZ2")
 NONABELIAN = ("S3", "D4")
 
 
-def first_min(G, n, weight_of):
-    """(weight, x) of the first x in product() order with the least weight."""
+def first_min(G, n, weight_of, moved_of=lambda x: 0):
+    """(weight, x) of the x with the least weight; among those, the least
+    moved_of(x), then the first in product() order."""
     best = None
     for x in product(range(G.order), repeat=n):
-        w = weight_of(x)
-        if best is None or w < best[0]:
-            best = (w, x)
-    return best
+        key = (weight_of(x), moved_of(x))
+        if best is None or key < best[0]:
+            best = (key, x)
+    return best[0][0], best[1]
+
+
+def moved_at(X, v, lower):
+    """The numerators of the faces v + tau, tau in lower, that x rewrites."""
+    nums = [X.weight_numerator(tuple(sorted((v,) + tau))) for tau in lower]
+    return lambda x: sum(num for num, a in zip(nums, x) if a)
 
 
 def alternating_shift(G, face, g, even_sign):
@@ -73,7 +80,7 @@ def brute_link_abelian(h, v):
             if G.op(hv.values.get(face, 0), alternating_shift(G, face, g, 1))
         )
 
-    new, x = first_min(G, len(lower), weight_of)
+    new, x = first_min(G, len(lower), weight_of, moved_at(X, v, lower))
     return None if new >= old else (old - new, x)
 
 
@@ -104,7 +111,7 @@ def brute_link_nonabelian(f, v):
             if G.op(G.op(yv[u], f.value((u, w))), G.inv(yv[w]))
         )
 
-    new, x = first_min(G, len(vertices), weight_of)
+    new, x = first_min(G, len(vertices), weight_of, moved_at(X, v, link.faces(0)))
     return None if new >= old else (old - new, new_values(x))
 
 
@@ -274,6 +281,13 @@ def test_small_blocks_keep_the_first_minimum(monkeypatch):
     assert _scan_first_min(G, 3, [1, 0], left, right, [1, 1]) == (0, (0, 1, 1))
     monkeypatch.undo()
     assert _scan_first_min(G, 3, [1, 0], left, right, [1, 1]) == (0, (0, 1, 1))
+    # Weighing the coordinates each minimizer rewrites, (1,0,0) rewrites less
+    # and wins across the block boundary; with the weights reversed,
+    # (0,1,1) is lighter than (1,0,0).
+    for cells in (6, 1, correction._BLOCK_CELLS):
+        monkeypatch.setattr(correction, "_BLOCK_CELLS", cells)
+        assert _scan_first_min(G, 3, [1, 0], left, right, [1, 1], moved=[1, 1, 1]) == (0, (1, 0, 0))
+        assert _scan_first_min(G, 3, [1, 0], left, right, [1, 1], moved=[5, 1, 1]) == (0, (0, 1, 1))
 
 
 @pytest.mark.parametrize("cells", [16])

@@ -245,6 +245,25 @@ def test_nonabelian_step_keeps_f_among_tied_minimizers():
         assert distance(f, updated) == X.set_weight([(0, 3)], 1)
 
 
+@pytest.mark.parametrize(
+    "path, n, spec",
+    [("abelian", n, spec) for n in (6, 7) for spec in ("Z2", "Z3")]
+    + [("nonabelian", n, spec) for n in (5, 6) for spec in ("S3", "Z3")],
+)
+def test_every_one_edge_error_moves_one_edge(path, n, spec):
+    # A step at vertex 0 can clear an error on (0, 1) by rewriting that edge,
+    # or by rewriting the other n - 2 edges at 0: both clear the same
+    # triangles, and the second comes first in product order.  Ties go to the
+    # lighter rewrite, so every one-edge error is undone by moving that edge.
+    X, G = complete_complex(n, 3), group_from_spec(spec)
+    correct = correct_abelian if path == "abelian" else correct_nonabelian
+    for edge in X.faces(1):
+        for a in range(1, G.order):
+            f = Cochain(X, 1, G, {edge: a})
+            fixed, trace = correct(f)
+            assert fixed.is_zero() and trace.total_moved == X.face_weight(edge), (edge, a)
+
+
 def test_one_step_nonabelian_rejects_cocycles(s3, rng):
     X = glued_simplices(3, 2)
     f = coboundary_nonabelian_0(random_cochain(X, 0, s3, rng, 0.5))
