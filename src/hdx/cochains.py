@@ -79,10 +79,6 @@ class Cochain:
     ):
         """The cochain with the given {face: element} values, validated; absent
         faces carry the identity."""
-        if not -1 <= dimension <= complex.dimension:
-            raise BadDimensionError(
-                f"cochain dimension {dimension} out of range for a {complex.dimension}-complex"
-            )
         index = complex.face_index(dimension)
         row = np.zeros(len(index), dtype=_dtype(group))
         for face, idx in (values or {}).items():
@@ -113,8 +109,7 @@ class Cochain:
     @property
     def values(self) -> Mapping[Face, int]:
         """The non-identity values as a read-only {face: element} view."""
-        faces, hit = self.complex.faces(self.dimension), np.flatnonzero(self.row)
-        return MappingProxyType(dict(zip([faces[j] for j in hit.tolist()], self.row[hit].tolist())))
+        return MappingProxyType(dict(zip(self._faces_at(self.row), self.row[self.row != 0].tolist())))
 
     def value(self, face: Face) -> int:
         """Value on the canonical (ascending) ordering of a face."""
@@ -125,22 +120,20 @@ class Cochain:
 
     def eval(self, ordered: Tuple[int, ...]) -> int:
         ordered = tuple(ordered)
-        face = tuple(sorted(ordered))
-        if len(face) - 1 != self.dimension or not self.complex.has_face(face):
-            raise UnknownFaceError(f"{ordered} is not an ordering of a {self.dimension}-face")
         if len(set(ordered)) != len(ordered):
             raise UnknownFaceError(f"{ordered} repeats a vertex")
-        return self.group.signed(self.value(face), perm_parity(ordered))
+        return self.group.signed(self.value(tuple(sorted(ordered))), perm_parity(ordered))
 
-    def _support_faces(self) -> List[Face]:
+    def _faces_at(self, mask: np.ndarray) -> List[Face]:
+        """The k-faces where mask, a row over them, is nonzero."""
         faces = self.complex.faces(self.dimension)
-        return [faces[j] for j in np.flatnonzero(self.row).tolist()]
+        return [faces[j] for j in np.flatnonzero(mask).tolist()]
 
     def support(self) -> FrozenSet[Face]:
-        return frozenset(self._support_faces())
+        return frozenset(self._faces_at(self.row))
 
     def weight(self) -> Fraction:
-        return self.complex.set_weight(self._support_faces(), self.dimension)
+        return self.complex.set_weight(self._faces_at(self.row), self.dimension)
 
     def is_zero(self) -> bool:
         return not self.row.any()
@@ -300,9 +293,7 @@ def coboundary_nonabelian_1(f: Cochain) -> Cochain:
 def distance(f: Cochain, g: Cochain) -> Fraction:
     """Weighted fraction of faces on which the two cochains differ."""
     f._require_same(g)
-    faces = f.complex.faces(f.dimension)
-    diff = [faces[j] for j in np.flatnonzero(f.row != g.row).tolist()]
-    return f.complex.set_weight(diff, f.dimension)
+    return f.complex.set_weight(f._faces_at(f.row != g.row), f.dimension)
 
 
 def act(f0: Cochain, g1: Cochain) -> Cochain:

@@ -5,13 +5,11 @@ faces, including the (-1)-dimensional empty face.  The top distribution P_d
 (uniform by default) induces P_k for every k by picking a top face and then a
 uniform (k+1)-subset; all weights are kept as exact integer numerators over a
 per-dimension denominator so hot loops never touch Fraction arithmetic.  Faces
-are numbered by their position in ``faces(k)`` (``face_index(k)``), the
-layout of every cochain's value row.  The incidence of X(k) on X(k-1) is one
-integer table per dimension, ``facets(k)``, and the faces sigma + tau of X
-through sigma are indexed once per link, with their orientation signs, by
-``link_index``.  A link is built from the top faces in the smallest vertex
-star of sigma, read off a vertex -> top-face index, with the same integer
-closure as the complex.
+are numbered by their position in ``faces(k)``, the layout of every cochain's
+value row.  ``facets(k)`` tables the incidence of X(k) on X(k-1), and
+``link_index`` the faces sigma + tau through sigma, with their signs.  A link
+is built from the top faces in the smallest vertex star of sigma, read off a
+vertex -> top-face index, with the same integer closure as the complex.
 """
 
 from __future__ import annotations
@@ -251,15 +249,13 @@ class SimplicialComplex:
 
     def link_index(self, sigma: Face, j: int) -> Tuple[np.ndarray, np.ndarray]:
         """For the j-faces tau of link(sigma), in order: the index of sigma + tau
-        in faces(j + |sigma|), and whether the ordering sigma + tau (both parts
-        ascending) is an odd permutation of that face.  Built once, read-only."""
-        sigma = tuple(sigma)
+        in faces(j + |sigma|), and whether that ordering is odd, having an odd
+        number of pairs s > t with s in sigma, t in tau.  Built once, read-only."""
         if (sigma, j) not in self._link_index:
             taus = self.link(sigma).faces(j)
             index = self.face_index(j + len(sigma))
             at = np.array([index[tuple(sorted(sigma + tau))] for tau in taus], dtype=np.intp)
-            # The parity of sigma + tau is that of the pairs s > t, s in sigma, t in tau.
-            odd = np.array([sum(s > t for s in sigma for t in tau) % 2 == 1 for tau in taus], dtype=bool)
+            odd = np.array([sum(s > t for s in sigma for t in tau) % 2 for tau in taus], dtype=bool)
             at.flags.writeable = odd.flags.writeable = False
             self._link_index[sigma, j] = (at, odd)
         return self._link_index[sigma, j]

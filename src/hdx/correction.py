@@ -3,9 +3,8 @@
 A cochain is minimal when no coboundary shift reduces its weight, and locally
 minimal when every vertex localization is minimal in its link.  The correction
 loop repeatedly fixes the vertex whose link admits the largest weight decrease
-(ties to the smallest vertex id; within a link, to the minimizer that changes
-the least weight, then to the lexicographically first), so traces are
-reproducible.  Each run checks its own contracts:
+(ties to the smallest vertex id; within a link, see ``_search_link``), so
+traces are reproducible.  Each run checks its own contracts:
 the coboundary weight strictly decreases, the step count and total movement
 respect their a-priori bounds, and when the input coboundary is small enough
 the output classification is verified; any violation raises
@@ -26,9 +25,8 @@ the face-product kernel of ``cochains`` on columns read from the facet table
 of the complex or link, its face weights from one matrix-vector product of the
 non-identity mask.  The first minimum wins: argmin within a block, a strict
 comparison across blocks, so ties resolve exactly as in a plain loop over
-``product``.  A link search also weighs the faces v + tau that each tied
-minimizer changes and keeps the lightest, so a step moves the fewest faces
-it can.
+``product``.  A link search first keeps the tied minimizers that rewrite the
+least weight, so a step moves as little as it can.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ def _scan_first_min(
     right: Sequence[np.ndarray],
     weights: Sequence[int],
     stop_below: Optional[int] = None,
-    moved: Sequence[int] = (),
+    moved: Optional[Sequence[int]] = None,
 ) -> Tuple[int, Tuple[int, ...]]:
     """First x in G^n, in ``product`` order, minimizing the weighted count of faces
     whose value  x[left...] * const * x[right...]  is not the identity.
@@ -100,12 +98,12 @@ def _scan_first_min(
     consecutive assignments; argmin keeps the first minimum in a block and a
     strict comparison the first across blocks.  With ``moved``, one weight per
     coordinate of x, the minimizers are first ranked by the moved weight of
-    their non-identity coordinates (only the rows that tie a block's minimum
-    are weighed).  With ``stop_below`` the scan ends at the first block whose
+    their non-identity coordinates; only the rows that tie a block's minimum
+    are weighed.  With ``stop_below`` the scan ends at the first block whose
     minimum falls below it.  Returns (weight, assignment).
     """
     m = len(const)
-    w, mw = _exact(weights), _exact(moved)
+    w, mw = _exact(weights), _exact([0] * n if moved is None else moved)
     const_row = np.asarray(const, dtype=np.int64)
     order, total = G.order, G.order**n
     place = order ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -114,13 +112,13 @@ def _scan_first_min(
     for start in range(0, total, rows):
         x = np.arange(start, min(start + rows, total), dtype=np.int64)[:, None] // place % order
         counts = (face_products(G, x, const_row, left, right) != 0) @ w
-        i = int(np.argmin(counts))
-        key = (int(counts[i]), 0)
-        if len(mw):
-            ties = np.flatnonzero(counts == counts[i])
-            shift = (x[ties] != 0) @ mw
-            t = int(np.argmin(shift))
-            i, key = int(ties[t]), (key[0], int(shift[t]))
+        low = counts.min()
+        if best is not None and low > best[0][0]:
+            continue
+        ties = np.flatnonzero(counts == low)
+        shift = (x[ties] != 0) @ mw
+        i = int(ties[np.argmin(shift)])
+        key = (int(low), int(shift.min()))
         if best is None or key < best[0]:
             best = (key, tuple(int(a) for a in x[i]))
             if stop_below is not None and key[0] < stop_below:
@@ -130,8 +128,7 @@ def _scan_first_min(
 
 
 def _exact(weights: Sequence[int]) -> np.ndarray:
-    """Weights as int64, or Python ints when a sum could pass int64 (weighted
-    complexes, large denominators)."""
+    """Weights as int64, or Python ints when their sum could pass int64."""
     return np.array(weights, dtype=np.int64 if sum(weights) < 2**63 else object)
 
 
@@ -154,7 +151,6 @@ def is_minimal(f: Cochain, budget: Optional[EnumerationBudget] = None) -> bool:
     X, G, k = f.complex, f.group, f.dimension
     if f.is_zero():
         return True
-    faces = X.faces(k)
     left: Terms = ()
     if G.is_abelian or k == 0:
         # f - delta(g), with g on X(k-1); X(-1) = {()} carries the constants.
@@ -169,7 +165,7 @@ def is_minimal(f: Cochain, budget: Optional[EnumerationBudget] = None) -> bool:
         raise UndefinedCoboundaryError("no coboundary space for this (group, dimension)")
     lower = X.faces(k - 1)
     budget.ensure(space_size(G, len(lower)), "minimality scan")
-    weights = [X.weight_numerator(face) for face in faces]
+    weights = [X.weight_numerator(face) for face in X.faces(k)]
     target_num = sum(weights[j] for j in np.flatnonzero(f.row).tolist())
     best, _ = _scan_first_min(
         G,
@@ -224,16 +220,15 @@ def _search_link(
     being a value row over the (j-1)-faces of the link.  The x minimizing the
     mass of the non-identity values wins; among those, the x whose non-identity
     entries carry the least mass of the faces v + sigma they rewrite, then the
-    first in product order.  The old star mass is the mass
-    of target's support in the star, so the decrease is the exact drop of the
-    weight numerator of target.  A star whose old mass is at most ``beat``
-    cannot gain more and is not scanned; the budget is checked before that
-    skip, so refusals do not depend on it.
+    first in product order.  The old star mass is the mass of target's support
+    in the star, so the decrease is the exact drop of the weight numerator of
+    target.  A star whose old mass is at most ``beat`` cannot gain more and is
+    not scanned; the budget is checked before that skip, so refusals do not
+    depend on it.
     """
     X, G, j = target.complex, target.group, target.dimension
     link = X.link((v,))
-    at = X.link_index((v,), j - 1)[0]
-    star = _star_numerators(X, v, j - 1)
+    at, star = _star(X, v, j - 1)
     old_star = sum(num for num, hit in zip(star, target.row[at].tolist()) if hit)
     if not old_star:
         return None
@@ -248,17 +243,17 @@ def _search_link(
         term_columns(link, j - 1, left),
         term_columns(link, j - 1, right),
         star,
-        moved=_star_numerators(X, v, j - 2),
+        moved=_star(X, v, j - 2)[1],
     )
     if old_star - new_star <= beat:
         return None
     return _LinkSearch(v, old_star - new_star, assignment)
 
 
-def _star_numerators(X: SimplicialComplex, v: int, i: int) -> List[int]:
-    """The weight numerators of the faces v + tau, tau in link(v)(i), in link order."""
-    faces = X.faces(i + 1)
-    return [X.weight_numerator(faces[at]) for at in X.link_index((v,), i)[0].tolist()]
+def _star(X: SimplicialComplex, v: int, i: int) -> Tuple[np.ndarray, List[int]]:
+    """Indices in X(i+1) and numerators of the faces v + tau, tau in link(v)(i)."""
+    at, faces = X.link_index((v,), i)[0], X.faces(i + 1)
+    return at, [X.weight_numerator(faces[c]) for c in at.tolist()]
 
 
 def _best_link_search(

@@ -115,7 +115,7 @@ class _Scan:
         self.track = k < X.dimension and (G.is_abelian or k <= 1)
         above: List[Face] = list(X.faces(k + 1)) if self.track else []
         self.above_nums = _numerators([X.weight_numerator(f) for f in above])
-        index = {f: i for i, f in enumerate(faces)}
+        index = X.face_index(k)
         # roles[j, i]: the k-face left when position i is dropped from the j-th (k+1)-face.
         self.roles = np.array(
             [[index[f[:i] + f[i + 1 :]] for i in range(k + 2)] for f in above], dtype=np.intp
@@ -311,9 +311,6 @@ class EnumeratedSpaces:
     """Z^k and B^k materialized as sorted value rows (one row per vector over
     X(k), in lexicographic order); C^k kept as a count (it can be huge)."""
 
-    complex: SimplicialComplex
-    dimension: int
-    group: FiniteGroup
     c_count: int
     cocycles: Optional[np.ndarray]
     coboundaries: np.ndarray
@@ -376,7 +373,7 @@ def enumerate_spaces(
     coboundaries = coboundary_list(X, G, k, budget)
     if cocycles is not None and not _rows_in(coboundaries, cocycles).all():
         raise AssertionError("a coboundary failed the cocycle condition")
-    return EnumeratedSpaces(X, k, G, c_count, cocycles, coboundaries)
+    return EnumeratedSpaces(c_count, cocycles, coboundaries)
 
 
 def exact_distance(
@@ -395,8 +392,7 @@ def exact_distance(
     else:
         raise BadDimensionError(f"unknown space tag {space!r}")
     X, k = f.complex, f.dimension
-    faces = X.faces(k)
-    nums = _numerators([X.weight_numerator(face) for face in faces])
+    nums = _numerators([X.weight_numerator(face) for face in X.faces(k)])
     # The pool is sorted, so the first nearest row is the lexicographic minimum.
     dist = (pool != f.row) @ nums
     i = int(np.argmin(dist))
@@ -560,10 +556,8 @@ def cosystolic_expansion_constants(
         entry["b_size"] = len(b_rows)
         nontrivial = z_rows[~_rows_in(z_rows, b_rows)]
         if len(nontrivial):
-            # Rows are sorted, so the first lightest is the lexicographic minimum.
             weights = (nontrivial != 0) @ _numerators([X.weight_numerator(f) for f in X.faces(k)])
-            i = int(np.argmin(weights))
-            entry["mu"] = Fraction(int(weights[i]), X.weight_denominator(k))
+            entry["mu"] = Fraction(int(weights.min()), X.weight_denominator(k))
 
         pair_cost = spaces.c_count * max(len(z_rows), 1)
         if pair_cost > budget.max_states:
