@@ -282,8 +282,8 @@ def test_small_blocks_keep_the_first_minimum(monkeypatch):
     monkeypatch.undo()
     assert _scan_first_min(G, 3, [1, 0], left, right, [1, 1]) == (0, (0, 1, 1))
     # Weighing the coordinates each minimizer rewrites, (1,0,0) rewrites less
-    # and wins across the block boundary; with the weights reversed,
-    # (0,1,1) is lighter than (1,0,0).
+    # and wins across the block boundary; with weight 5 on the first
+    # coordinate, (0,1,1) is the lighter one.
     for cells in (6, 1, correction._BLOCK_CELLS):
         monkeypatch.setattr(correction, "_BLOCK_CELLS", cells)
         assert _scan_first_min(G, 3, [1, 0], left, right, [1, 1], moved=[1, 1, 1]) == (0, (1, 0, 0))
