@@ -71,6 +71,7 @@ from .spectral import (
     SpectralCertificate,
     WeightedGraph,
     cheeger_quantities,
+    link_spectra,
     local_spectral_lambda,
     second_eigenvalue,
     underlying_graph,

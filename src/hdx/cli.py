@@ -39,11 +39,7 @@ from .oracle import (
     cosystolic_expansion_constants,
 )
 from .reporting import dumps_report, render_table, to_jsonable
-from .spectral import (
-    DisconnectedGraphError,
-    second_eigenvalue,
-    underlying_graph,
-)
+from .spectral import link_spectra
 from .suites import SUITE_NAMES, run_suites
 
 
@@ -178,30 +174,27 @@ def cmd_analyze(args) -> int:
     links: Dict[str, object] = {}
     global_lambda = None
     disconnected = []
-    for k in range(-1, X.dimension - 1):
-        for sigma in X.faces(k):
+    for sigma, cert in link_spectra(X).items():
+        key = "root" if sigma == () else " ".join(map(str, sigma))
+        if cert is None:
+            links[key] = {"lambda": 1.0, "connected": False}
+            disconnected.append(sigma)
+            continue
+        links[key] = {"lambda": cert.lambda_est, "lambda_plus": cert.lambda_plus}
+        if global_lambda is None or cert.lambda_plus > global_lambda:
+            global_lambda = cert.lambda_plus
+        if sigma != ():
             sub = X.link(sigma)
-            key = "root" if sigma == () else " ".join(map(str, sigma))
-            try:
-                cert = second_eigenvalue(underlying_graph(sub))
-            except DisconnectedGraphError:
-                links[key] = {"lambda": 1.0, "connected": False}
-                disconnected.append(sigma)
-                continue
-            links[key] = {"lambda": cert.lambda_est, "lambda_plus": cert.lambda_plus}
-            if global_lambda is None or cert.lambda_plus > global_lambda:
-                global_lambda = cert.lambda_plus
             beta_entry = {}
-            if sigma != () and sub.dimension >= 1:
-                top_k = sub.dimension if G.is_abelian else min(sub.dimension, 2)
-                for kk in range(0, top_k):
-                    try:
-                        const = coboundary_expansion_constant(sub, G, kk, budget)
-                    except BudgetExceededError:
-                        beta_entry[str(kk)] = "skipped"
-                        continue
-                    beta_entry[str(kk)] = None if const.vacuous else const.epsilon
-                links[key]["coboundary_expansion"] = beta_entry
+            top_k = sub.dimension if G.is_abelian else min(sub.dimension, 2)
+            for kk in range(0, top_k):
+                try:
+                    const = coboundary_expansion_constant(sub, G, kk, budget)
+                except BudgetExceededError:
+                    beta_entry[str(kk)] = "skipped"
+                    continue
+                beta_entry[str(kk)] = None if const.vacuous else const.epsilon
+            links[key]["coboundary_expansion"] = beta_entry
     report["links"] = links
     report["lambda"] = 1.0 if disconnected else global_lambda
     report["disconnected_links"] = disconnected

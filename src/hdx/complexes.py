@@ -6,7 +6,8 @@ faces, including the (-1)-dimensional empty face.  The top distribution P_d
 uniform (k+1)-subset; all weights are kept as exact integer numerators over a
 per-dimension denominator so hot loops never touch Fraction arithmetic.  Faces
 are numbered by their position in ``faces(k)``, the layout of every cochain's
-value row.  ``facets(k)`` tables the incidence of X(k) on X(k-1), and
+value row, and ``weight_numerators(k)`` holds the numerators in that layout.
+``facets(k)`` tables the incidence of X(k) on X(k-1), and
 ``link_index`` the faces sigma + tau through sigma, with their signs.  A link
 is built from the top faces in the smallest vertex star of sigma, read off a
 vertex -> top-face index, with the same integer closure as the complex.
@@ -106,6 +107,7 @@ class SimplicialComplex:
         }
 
         self._index: Dict[int, Dict[Face, int]] = {}
+        self._rows: Dict[int, np.ndarray] = {}
         self._facets: Dict[int, np.ndarray] = {}
         self._links: Dict[Face, "SimplicialComplex"] = {}
         self._link_index: Dict[Tuple[Face, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -160,6 +162,18 @@ class SimplicialComplex:
 
     def weight_numerator(self, face: Face) -> int:
         return self._num[len(face) - 1][face]
+
+    def weight_numerators(self, k: int) -> np.ndarray:
+        """The numerators of P_k as one row over faces(k), built once, read-only:
+        int64 while the denominator, a bound on every partial sum, is below
+        2^63, Python ints past that."""
+        if k not in self._rows:
+            num = self._num[k]
+            dtype = np.int64 if self._den[k] < 2**63 else object
+            row = np.array([num[face] for face in self.faces(k)], dtype=dtype)
+            row.flags.writeable = False
+            self._rows[k] = row
+        return self._rows[k]
 
     def weight_denominator(self, k: int) -> int:
         return self._den[k]

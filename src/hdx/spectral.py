@@ -5,13 +5,22 @@ eigenvalue of the random-walk operator (pick an edge proportionally to its
 weight, then a uniform endpoint).  This choice makes both Cheeger-style
 inequalities used elsewhere sound when the certified upper bound is
 substituted for the true eigenvalue.
+
+``link_spectra`` certifies every proper link in one pass over the face table:
+the graph of link(sigma) has the faces sigma + u as vertices and the faces
+sigma + uv as edges, so two facet-table gathers give every link's edges and
+no link complex is built.  The graphs are grouped by vertex count, and each
+group gets one stacked eigensolve; ``second_eigenvalue`` is the same kernel on
+a stack of one graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import combinations
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,63 +81,130 @@ def underlying_graph(complex: SimplicialComplex) -> WeightedGraph:
     )
 
 
-def _components(graph: WeightedGraph) -> int:
-    adjacency: Dict[int, list] = {v: [] for v in graph.vertices}
-    for (a, b) in graph.edge_num:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = set()
-    parts = 0
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        parts += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return parts
+def _connected(edges: np.ndarray) -> np.ndarray:
+    """Whether each graph of a stack of boolean adjacency matrices is connected:
+    the vertices reachable from vertex 0 grow by one step at a time."""
+    reach = np.zeros(edges.shape[:2], dtype=bool)
+    reach[:, 0] = True
+    while True:
+        grown = reach | (reach[:, None, :] @ edges)[:, 0, :]
+        if (grown == reach).all():
+            return reach.all(axis=1)
+        reach = grown
+
+
+def _certificates(
+    adj: np.ndarray, connected: Sequence[bool], witnesses: Sequence[Optional[Face]]
+) -> List[Optional[SpectralCertificate]]:
+    """One stacked eigensolve for graphs of one size n >= 2 without isolated
+    vertices, given by their edge-weight matrices adj (normalized in place):
+    each graph's certificate with its witness, or None when it is disconnected."""
+    scale = 1.0 / np.sqrt(adj.sum(axis=2))
+    adj *= scale[:, :, None]
+    adj *= scale[:, None, :]
+    eigs = np.linalg.eigvalsh(adj)
+    lams = np.minimum(np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -2])), 1.0).tolist()
+    return [
+        SpectralCertificate(lam, min(lam + EIG_TOLERANCE, 1.0), "dense eigensolve", sigma) if ok else None
+        for lam, ok, sigma in zip(lams, connected, witnesses)
+    ]
 
 
 def second_eigenvalue(graph: WeightedGraph) -> SpectralCertificate:
     """Largest absolute nontrivial walk eigenvalue with a certified upper bound."""
-    if _components(graph) != 1:
-        raise DisconnectedGraphError("graph is disconnected; lambda = 1", witness=None)
     n = len(graph.vertices)
     if n == 1:
         return SpectralCertificate(0.0, EIG_TOLERANCE, "trivial")
     index = {v: i for i, v in enumerate(graph.vertices)}
-    adj = np.zeros((n, n))
+    adj = np.zeros((1, n, n))
+    edges = np.zeros((1, n, n), dtype=bool)
     for (a, b), num in graph.edge_num.items():
+        i, j = index[a], index[b]
         # Correctly rounded, as float(Fraction(num, den)) is.
-        adj[index[a], index[b]] = adj[index[b], index[a]] = num / graph.edge_den
-    degrees = adj.sum(axis=1)
-    scale = 1.0 / np.sqrt(degrees)
-    sym = adj * scale[:, None] * scale[None, :]
-    eigs = np.linalg.eigvalsh(sym)
-    lam = float(min(max(abs(eigs[0]), abs(eigs[-2]), 0.0), 1.0))
-    return SpectralCertificate(lam, min(lam + EIG_TOLERANCE, 1.0), "dense eigensolve")
+        adj[0, i, j] = adj[0, j, i] = num / graph.edge_den
+        edges[0, i, j] = edges[0, j, i] = True
+    if not _connected(edges)[0]:
+        raise DisconnectedGraphError("graph is disconnected; lambda = 1", witness=None)
+    (cert,) = _certificates(adj, (True,), (None,))
+    return cert
+
+
+def _face_link_spectra(complex: SimplicialComplex, k: int) -> List[Optional[SpectralCertificate]]:
+    """link_spectra over X(k), 0 <= k <= d - 2, in faces(k) order.
+
+    The graph of link(sigma) has a vertex u per (k+1)-face sigma + u, in index
+    order, which is the order of u, and an edge uv of walk weight
+    num(sigma + uv) / (num(sigma) C(d - k, 2)) per (k+2)-face sigma + uv.  So
+    a (k+2)-face tau and positions i < j give an edge of the link of tau minus
+    tau[i], tau[j] between facets(k+2)[tau, j] and facets(k+2)[tau, i]; the
+    facet table of X(k+1) names sigma.  Graphs of one size share a stack, and
+    each stack is freed before the next is built.
+    """
+    top, down = complex.facets(k + 2), complex.facets(k + 1)
+    faces = complex.faces(k)
+    num, mass = complex.weight_numerators(k + 2), complex.weight_numerators(k)
+    c = comb(complex.dimension - k, 2)
+    # int64 -> float64 division is correctly rounded only below 2^53.
+    if max(int(num.max()), int(mass.max()) * c) < 2**53:
+        num, mass = num.astype(np.float64), mass.astype(np.float64) * c
+    else:
+        num, mass = num.astype(object), mass.astype(object) * c
+    # rank[f, i]: the place of the (k+1)-face f among the vertices of the link
+    # of its facet down[f, i].
+    flat = down.ravel()
+    sizes = np.bincount(flat, minlength=len(faces))
+    rank = np.empty_like(flat)
+    rank[np.argsort(flat, kind="stable")] = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rank = rank.reshape(down.shape)
+    out: List[Optional[SpectralCertificate]] = [None] * len(faces)
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        members = sizes == n
+        slot = np.cumsum(members) - 1
+        adj = np.zeros((int(members.sum()), n, n))
+        edges = np.zeros(adj.shape, dtype=bool)
+        for i, j in combinations(range(k + 3), 2):
+            sigma = down[top[:, j], i]
+            keep = members[sigma]
+            sigma = sigma[keep]
+            s, a, b = slot[sigma], rank[top[keep, j], i], rank[top[keep, i], j - 1]
+            adj[s, a, b] = adj[s, b, a] = num[keep] / mass[sigma]
+            edges[s, a, b] = edges[s, b, a] = True
+        at = np.flatnonzero(members).tolist()
+        certs = _certificates(adj, _connected(edges).tolist(), [faces[pos] for pos in at])
+        for pos, cert in zip(at, certs):
+            out[pos] = cert
+        del adj, edges
+    return out
+
+
+def link_spectra(complex: SimplicialComplex) -> Dict[Face, Optional[SpectralCertificate]]:
+    """The certificate of each proper link's underlying graph, witnessed by its
+    face sigma, or None when that graph is disconnected; in (k, faces(k))
+    order for k = -1, ..., d - 2.  The link of () is X itself; every other
+    link graph is read off the face table, with no link complex built."""
+    if complex.dimension < 1:
+        raise BadDimensionError("local spectral expansion needs dimension >= 1")
+    try:
+        root = second_eigenvalue(underlying_graph(complex))
+        spectra = {(): SpectralCertificate(root.lambda_est, root.lambda_plus, root.method, ())}
+    except DisconnectedGraphError:
+        spectra = {(): None}
+    for k in range(complex.dimension - 1):
+        spectra.update(zip(complex.faces(k), _face_link_spectra(complex, k)))
+    return spectra
 
 
 def local_spectral_lambda(complex: SimplicialComplex) -> SpectralCertificate:
-    """Max walk eigenvalue over the underlying graphs of all links (incl. the empty face)."""
-    if complex.dimension < 1:
-        raise BadDimensionError("local spectral expansion needs dimension >= 1")
+    """Max walk eigenvalue over the underlying graphs of all links (incl. the empty
+    face), witnessed by the first link that attains it."""
     best: Optional[SpectralCertificate] = None
-    for k in range(-1, complex.dimension - 1):
-        for sigma in complex.faces(k):
-            try:
-                cert = second_eigenvalue(underlying_graph(complex.link(sigma)))
-            except DisconnectedGraphError as exc:
-                raise DisconnectedGraphError(
-                    f"link of {sigma} has a disconnected underlying graph", witness=sigma
-                ) from exc
-            if best is None or cert.lambda_plus > best.lambda_plus:
-                best = SpectralCertificate(cert.lambda_est, cert.lambda_plus, cert.method, sigma)
+    for sigma, cert in link_spectra(complex).items():
+        if cert is None:
+            raise DisconnectedGraphError(
+                f"link of {sigma} has a disconnected underlying graph", witness=sigma
+            )
+        if best is None or cert.lambda_plus > best.lambda_plus:
+            best = cert
     assert best is not None
     return best
 

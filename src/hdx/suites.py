@@ -31,7 +31,6 @@ from .correction import (
 )
 from .errors import (
     BudgetExceededError,
-    DisconnectedGraphError,
     HdxError,
     ParameterViolationError,
     PremiseFailedError,
@@ -59,8 +58,8 @@ from .oracle import (
 from .reporting import CheckReport
 from .spectral import (
     cheeger_violations,
+    link_spectra,
     local_spectral_lambda,
-    second_eigenvalue,
     underlying_graph,
 )
 
@@ -128,18 +127,15 @@ def cheeger_sweep(X: SimplicialComplex, max_vertices: int = 14) -> Tuple[int, in
     and are decided exactly on integer numerators by `cheeger_violations`.
     """
     violations = graphs = subsets = 0
-    for k in range(-1, X.dimension - 1):
-        for sigma in X.faces(k):
-            graph = underlying_graph(X.link(sigma))
-            if len(graph.vertices) > max_vertices:
-                continue
-            try:
-                cert = second_eigenvalue(graph)
-            except DisconnectedGraphError:
-                continue
-            graphs += 1
-            subsets += 2 ** len(graph.vertices) - 2
-            violations += cheeger_violations(graph, cert.as_fraction())
+    for sigma, cert in link_spectra(X).items():
+        if cert is None:
+            continue
+        graph = underlying_graph(X.link(sigma))
+        if len(graph.vertices) > max_vertices:
+            continue
+        graphs += 1
+        subsets += 2 ** len(graph.vertices) - 2
+        violations += cheeger_violations(graph, cert.as_fraction())
     return violations, graphs, subsets
 
 

@@ -1,10 +1,12 @@
 import random
 import signal
 from contextlib import contextmanager
+from itertools import permutations
 
 import pytest
 
 from hdx.groups import group_from_spec
+from hdx.complexes import SimplicialComplex
 from hdx.instances import complete_complex, single_simplex
 
 
@@ -36,6 +38,26 @@ def k4_skeleton():
 @pytest.fixture(scope="session")
 def tetrahedron():
     return single_simplex(3)
+
+
+@pytest.fixture(scope="session")
+def t3():
+    """T3, the Freudenthal triangulation of the 3-torus (Z/3)^3: each unit cube
+    cut into six tetrahedra along its main diagonal, 162 in all."""
+    n = 3
+
+    def vid(p):
+        return (p[0] % n) * n * n + (p[1] % n) * n + p[2] % n
+
+    tops = set()
+    for corner in ((i, j, k) for i in range(n) for j in range(n) for k in range(n)):
+        for order in permutations(range(3)):
+            p, tet = list(corner), [vid(corner)]
+            for axis in order:
+                p[axis] += 1
+                tet.append(vid(p))
+            tops.add(tuple(sorted(tet)))
+    return SimplicialComplex(3, sorted(tops))
 
 
 @pytest.fixture

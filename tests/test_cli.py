@@ -80,6 +80,22 @@ def test_analyze_trivial_group(tmp_path):
     assert report["cosystolic"]["0"]["epsilon"] is None
 
 
+def test_delta1_builds_no_link_complex(tmp_path, monkeypatch):
+    cpath = tmp_path / "k8.txt"
+    main(["generate", "complete", "--n", "8", "--d", "3", "--out", str(cpath)])
+    fpath = tmp_path / "two.cochain"
+    fpath.write_text("dim 1 group Z2\n0 1 1\n2 3 1\n")
+
+    def no_link(self, sigma):
+        raise AssertionError(f"link of {sigma} built")
+
+    monkeypatch.setattr(SimplicialComplex, "link", no_link)
+    out = tmp_path / "d1.json"
+    argv = ["delta1", str(cpath), "--cochain", str(fpath), "--alpha", "1/2", "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lambda_plus"] == 0.2000000010000002  # 1/5 on K6, an edge link
+
+
 def test_delta1_star_cochain(tmp_path):
     cpath = tmp_path / "c.txt"
     main(["generate", "complete", "--n", "5", "--d", "2", "--out", str(cpath)])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,23 @@ def test_localized_weight_matches_link_computation():
         localized = [tuple(v for v in f if v not in sigma) for f in faces if set(sigma) <= set(f)]
         expected = X.link(sigma).set_weight(localized, 2 - len(sigma))
         assert X.localized_weight(faces, 2, sigma) == expected
+
+
+def wide_k4(tiny):
+    """K4 with top weights 1/tiny[0], 1/tiny[1], 1/2 and the rest."""
+    tops = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    small = tuple(Fraction(1, t) for t in tiny)
+    return SimplicialComplex(2, tops, dict(zip(tops, small + (Fraction(1, 2), Fraction(1, 2) - sum(small)))))
+
+
+@pytest.mark.parametrize("tiny", [(3, 7), (3**45, 7**40)])
+def test_weight_numerators_row_the_face_weights(tiny):
+    X = wide_k4(tiny)
+    for k in range(-1, 3):
+        row = X.weight_numerators(k)
+        assert row is X.weight_numerators(k) and not row.flags.writeable
+        assert row.dtype == (object if X.weight_denominator(k) >= 2**63 else np.int64)
+        assert [Fraction(int(n), X.weight_denominator(k)) for n in row] == [X.face_weight(f) for f in X.faces(k)]
 
 
 def test_face_set_validation(k4_skeleton):

@@ -26,6 +26,7 @@ from hdx.correction import (
     one_step_abelian,
     one_step_nonabelian,
     parameter_schedule,
+    saturation_diagnostic,
     verify_cosystolic_pair,
 )
 from hdx.errors import (
@@ -408,6 +409,20 @@ def test_saturation_diagnostic_on_corrected_output(rng):
                 values.pop(edge, None)
             fixed, trace = correct_nonabelian(Cochain(X, 1, G, values))
             assert trace.diagnostics and trace.diagnostics[0].passed
+
+
+@pytest.mark.parametrize("spec", ["Z2", "S3"])
+def test_saturation_diagnostic_matches_the_localized_weight_reference(spec, t3, rng):
+    G = group_from_spec(spec)
+    for X in (complete_complex(6, 3), t3):
+        for density in (0.0, 0.05, 0.3, 0.9):
+            f = random_cochain(X, 2, G, rng, density)
+            support = f.support()
+            weights = [X.localized_weight(support, 2, edge) for edge in X.faces(1)]
+            worst = max(weights)
+            report = saturation_diagnostic(f)
+            assert report.lhs == worst and report.witness == X.faces(1)[weights.index(worst)]
+            assert report.passed == (worst <= 1 - Fraction(1, G.order))
 
 
 def test_equations_expand_at_schedule_rate(rng, f2):

@@ -2,16 +2,20 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
-from test_complexes import weighted_complexes
+from test_complexes import weighted_complexes, wide_k4
 
 from hdx.complexes import SimplicialComplex
 from hdx.errors import BadDimensionError, DisconnectedGraphError, UnknownVertexError
-from hdx.instances import bundled_instances, complete_complex, single_simplex
+from hdx.instances import bundled_instances, complete_complex, glued_simplices, single_simplex
 from hdx.spectral import (
+    EIG_TOLERANCE,
+    WeightedGraph,
     cheeger_quantities,
     cheeger_violations,
+    link_spectra,
     local_spectral_lambda,
     second_eigenvalue,
     underlying_graph,
@@ -69,6 +73,12 @@ def test_disconnected_union_fails_with_witness():
     with pytest.raises(DisconnectedGraphError) as err:
         local_spectral_lambda(X)
     assert err.value.witness == ()
+
+
+def test_an_isolated_vertex_is_disconnected():
+    g = WeightedGraph((0, 1, 2), {0: 1, 1: 1, 2: 0}, {(0, 1): 1}, 2, 1)
+    with pytest.raises(DisconnectedGraphError):
+        second_eigenvalue(g)
 
 
 def test_underlying_graph_requires_dimension():
@@ -185,9 +195,7 @@ def test_cheeger_violations_match_the_fraction_reference_on_weighted_complexes(X
 def test_cheeger_violations_on_wide_numerators(tiny, bits):
     # Weights 1/3^a and 1/7^b on K4: numerators past 2^40 sum in int64, those
     # of 185 bits (past 2^64) in Python ints.
-    tops = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    small = tuple(Fraction(1, t) for t in tiny)
-    X = SimplicialComplex(2, tops, dict(zip(tops, small + (Fraction(1, 2), Fraction(1, 2) - sum(small)))))
+    X = wide_k4(tiny)
     assert max(underlying_graph(X).vertex_num.values()) > 2**bits
     assert _check_against_reference(X) > 0
 
@@ -199,3 +207,101 @@ def test_cheeger_violations_on_the_four_cycle():
     g = underlying_graph(cycle_graph(4))
     assert cheeger_violations(g, Fraction(0)) == 0
     assert cheeger_violations(g, Fraction(-1, 100)) == 8
+
+
+# -- the batched link pass against the per-link path ------------------------------
+
+
+def _per_link_certificate(graph):
+    """The per-link path the batched pass replaced: a graph search for
+    connectivity, then one dense eigensolve; (lambda_est, lambda_plus) as
+    float hex strings, or None for a disconnected graph."""
+    neighbours = {v: set() for v in graph.vertices}
+    for a, b in graph.edge_num:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen, stack = {graph.vertices[0]}, [graph.vertices[0]]
+    while stack:
+        for w in neighbours[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    if len(seen) < len(graph.vertices):
+        return None
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    adj = np.zeros((len(index), len(index)))
+    for (a, b), num in graph.edge_num.items():
+        adj[index[a], index[b]] = adj[index[b], index[a]] = num / graph.edge_den
+    scale = 1.0 / np.sqrt(adj.sum(axis=1))
+    eigs = np.linalg.eigvalsh(adj * scale[:, None] * scale[None, :])
+    lam = float(min(max(abs(eigs[0]), abs(eigs[-2]), 0.0), 1.0))
+    return lam.hex(), min(lam + EIG_TOLERANCE, 1.0).hex()
+
+
+def _assert_matches_the_per_link_path(X):
+    spectra = link_spectra(X)
+    assert list(spectra) == [sigma for k in range(-1, X.dimension - 1) for sigma in X.faces(k)]
+    for sigma, cert in spectra.items():
+        want = _per_link_certificate(underlying_graph(X.link(sigma)))
+        if cert is None:
+            assert want is None, sigma
+        else:
+            assert (cert.lambda_est.hex(), cert.lambda_plus.hex()) == want, sigma
+            assert cert.witness == sigma and cert.method == "dense eigensolve"
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_link_spectra_match_the_per_link_path_on_bundled_instances(name):
+    _assert_matches_the_per_link_path(bundled_instances()[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_complexes())
+def test_link_spectra_match_the_per_link_path_on_weighted_complexes(X):
+    if X.dimension < 1:
+        with pytest.raises(BadDimensionError):
+            link_spectra(X)
+    else:
+        _assert_matches_the_per_link_path(X)
+
+
+@pytest.mark.parametrize("tiny", [(3**12, 7**10), (3**20, 7**9), (3**45, 7**40)])
+def test_link_spectra_keep_correctly_rounded_weights(tiny):
+    # Triangle numerators below 2^53 divide in floats; from 2^53 on, in int64
+    # (3^20, 7^9) and past 2^63 in Python ints, they must divide as Python ints.
+    X = wide_k4(tiny)
+    assert (int(max(X.weight_numerators(2))) >= 2**53) == (tiny[0] > 3**12)
+    _assert_matches_the_per_link_path(X)
+
+
+def test_link_spectra_match_the_per_link_path_on_t3_and_k8(t3):
+    for X in (t3, complete_complex(8, 3)):
+        _assert_matches_the_per_link_path(X)
+
+
+@pytest.mark.parametrize(
+    "dimension, tops, first",
+    [
+        # Link of 0: edges 12 and 34; link of 4: edges 03 and 56.
+        (2, [(0, 1, 2), (0, 3, 4), (4, 5, 6)], (0,)),
+        # Link of the edge 01: edges 23 and 45; every vertex link is connected.
+        (3, [(0, 1, 2, 3), (0, 1, 4, 5)], (0, 1)),
+    ],
+)
+def test_first_disconnected_link_below_the_root_is_the_witness(dimension, tops, first):
+    X = SimplicialComplex(dimension, tops)
+    spectra = link_spectra(X)
+    assert spectra[()] is not None
+    assert next(sigma for sigma, cert in spectra.items() if cert is None) == first
+    with pytest.raises(DisconnectedGraphError) as err:
+        local_spectral_lambda(X)
+    assert err.value.witness == first
+    _assert_matches_the_per_link_path(X)
+
+
+def test_local_lambda_witness_is_the_first_maximal_link():
+    X = glued_simplices(3, 2)
+    spectra = link_spectra(X)
+    best = max(cert.lambda_plus for cert in spectra.values())
+    cert = local_spectral_lambda(X)
+    assert cert.lambda_plus == best
+    assert cert.witness == next(sigma for sigma, c in spectra.items() if c.lambda_plus == best)
