@@ -71,11 +71,10 @@ def underlying_graph(complex: SimplicialComplex) -> WeightedGraph:
     if complex.dimension < 1:
         raise BadDimensionError("a 0-dimensional complex has no underlying graph")
     vertices = complex.vertices()
-    num0, num1 = complex._num[0], complex._num[1]
     return WeightedGraph(
         vertices,
-        {v: num0[(v,)] for v in vertices},
-        {edge: num1[edge] for edge in complex.faces(1)},
+        dict(zip(vertices, complex.weight_numerators(0).tolist())),
+        dict(zip(complex.faces(1), complex.weight_numerators(1).tolist())),
         complex.weight_denominator(0),
         complex.weight_denominator(1),
     )

@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hdx.errors import (
     DimensionMismatchError,
     DuplicateTopFaceError,
     EmptyInputError,
+    HdxError,
     NonUniformCardinalityError,
     ParseError,
     UnknownFaceError,
@@ -154,11 +157,17 @@ def test_localized_weight_matches_link_computation():
         assert X.localized_weight(faces, 2, sigma) == expected
 
 
-def wide_k4(tiny):
-    """K4 with top weights 1/tiny[0], 1/tiny[1], 1/2 and the rest."""
+def wide_k4_weights(tiny):
+    """Top weights 1/tiny[0], 1/tiny[1], 1/2 and the rest on K4^(2)."""
     tops = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     small = tuple(Fraction(1, t) for t in tiny)
-    return SimplicialComplex(2, tops, dict(zip(tops, small + (Fraction(1, 2), Fraction(1, 2) - sum(small)))))
+    return dict(zip(tops, small + (Fraction(1, 2), Fraction(1, 2) - sum(small))))
+
+
+def wide_k4(tiny):
+    """K4 with top weights 1/tiny[0], 1/tiny[1], 1/2 and the rest."""
+    weights = wide_k4_weights(tiny)
+    return SimplicialComplex(2, list(weights), weights)
 
 
 @pytest.mark.parametrize("tiny", [(3, 7), (3**45, 7**40)])
@@ -274,15 +283,26 @@ def test_bundled_instances_and_links_are_closed_pure_and_normalized(name):
     _assert_invariants_with_links(bundled_instances()[name])
 
 
+#: Vertex labels beyond the int64 range and below zero.
+WIDE_IDS = st.integers(min_value=-(2**70), max_value=2**70)
+
+
 @st.composite
-def weighted_complexes(draw):
+def weighted_inputs(draw, labels=st.integers(min_value=0, max_value=6)):
+    """(d, tops, weights) of a weighted complex on up to 7 distinct vertex labels."""
     n = draw(st.integers(min_value=2, max_value=7))
+    names = draw(st.lists(labels, min_size=n, max_size=n, unique=True))
     d = draw(st.integers(min_value=0, max_value=min(n - 1, 3)))
-    candidates = list(combinations(range(n), d + 1))
+    candidates = [tuple(sorted(names[i] for i in sub)) for sub in combinations(range(n), d + 1)]
     tops = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8, unique=True))
     raw = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=len(tops), max_size=len(tops)))
     total = sum(raw)
-    return SimplicialComplex(d, tops, {t: Fraction(w, total) for t, w in zip(tops, raw)})
+    return d, tops, {t: Fraction(w, total) for t, w in zip(tops, raw)}
+
+
+@st.composite
+def weighted_complexes(draw):
+    return SimplicialComplex(*draw(weighted_inputs()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,8 +325,8 @@ def _same_complex(got, want):
     assert got.dimension == want.dimension
     for k in range(-1, want.dimension + 1):
         assert got.faces(k) == want.faces(k)
-    assert got._num == want._num
-    assert got._den == want._den
+        assert got.weight_numerators(k).tolist() == want.weight_numerators(k).tolist()
+        assert got.weight_denominator(k) == want.weight_denominator(k)
     assert got.top_weights == want.top_weights
 
 
@@ -362,3 +382,171 @@ def test_facet_tables_are_cached_read_only_and_per_link(k4_skeleton):
     for k in (-1, 3):
         with pytest.raises(BadDimensionError):
             k4_skeleton.facets(k)
+
+
+def _reference_closure(d, tops, weights=None):
+    """faces, numerator rows, denominators and facet tables from the definition:
+    every subset of every top face, numerators summed in a dict over the lcm of
+    the top weights' denominators, facets looked up one (face, position) at a time."""
+    tops = [tuple(sorted(top)) for top in tops]
+    if weights is None:
+        weights = {top: Fraction(1, len(tops)) for top in tops}
+    scale = lcm(*(Fraction(w).denominator for w in weights.values()))
+    num = {k: {} for k in range(-1, d + 1)}
+    for top in tops:
+        for size in range(d + 2):
+            for sub in combinations(top, size):
+                num[size - 1][sub] = num[size - 1].get(sub, 0) + int(weights[top] * scale)
+    faces = {k: tuple(sorted(num[k])) for k in num}
+    index = {k: {face: c for c, face in enumerate(faces[k])} for k in num}
+    facets = {
+        k: [[index[k - 1][face[:i] + face[i + 1 :]] for i in range(k + 1)] for face in faces[k]]
+        for k in range(0, d + 1)
+    }
+    rows = {k: [num[k][face] for face in faces[k]] for k in num}
+    dens = {k: scale * comb(d + 1, k + 1) for k in num}
+    return faces, rows, dens, facets
+
+
+def _assert_matches_reference(X, d, tops, weights=None):
+    faces, rows, dens, facets = _reference_closure(d, tops, weights)
+    assert X.dimension == d
+    for k in range(-1, d + 1):
+        assert X.faces(k) == faces[k]
+        row = X.weight_numerators(k)
+        assert row.tolist() == rows[k] and all(type(n) is int for n in row.tolist())
+        assert row.dtype == (np.int64 if dens[k] < 2**63 else object)
+        assert X.weight_denominator(k) == dens[k]
+    for k in range(0, d + 1):
+        assert X.facets(k).tolist() == facets[k]
+    assert X.vertices() == tuple(v for (v,) in faces[0])
+
+
+def _assert_closure_and_links_match_reference(X, d, tops, weights=None):
+    _assert_matches_reference(X, d, tops, weights)
+    for k in range(0, d):
+        for sigma in X.faces(k):
+            link = X.link(sigma)
+            _assert_matches_reference(link, link.dimension, link.faces(link.dimension), link.top_weights)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_closure_matches_the_reference_on_bundled_instances(name):
+    X = bundled_instances()[name]
+    tops = X.faces(X.dimension)
+    _assert_closure_and_links_match_reference(SimplicialComplex(X.dimension, tops[::-1]), X.dimension, tops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_inputs(labels=WIDE_IDS))
+def test_closure_matches_the_reference_on_weighted_complexes(inputs):
+    d, tops, weights = inputs
+    _assert_closure_and_links_match_reference(SimplicialComplex(d, tops, weights), d, tops, weights)
+
+
+@pytest.mark.parametrize("tiny", [(3, 7), (3**20, 7**9), (3**45, 7**40)])
+def test_closure_matches_the_reference_on_wide_numerators(tiny):
+    weights = wide_k4_weights(tiny)
+    _assert_closure_and_links_match_reference(wide_k4(tiny), 2, list(weights), weights)
+
+
+HUGE = 99999999999999999999
+
+
+@pytest.mark.parametrize(
+    "d, tops, weights",
+    [
+        (2, [(0, 1, HUGE), (0, 2, -5), (-5, 2, 2**63), (1, HUGE, -(2**64))], None),
+        (2, [(0, 1, HUGE), (0, 2, -5)], {(0, 1, HUGE): Fraction(1, 3), (-5, 0, 2): Fraction(2, 3)}),
+        (0, [(3,), (-1,), (2**70,)], None),
+        (0, [(3,), (-1,)], {(3,): Fraction(1, 4), (-1,): Fraction(3, 4)}),
+        (1, [(-2, -1)], None),
+    ],
+)
+def test_closure_matches_the_reference_on_wide_ids_and_dimension_zero(d, tops, weights):
+    X = SimplicialComplex(d, tops, weights)
+    _assert_closure_and_links_match_reference(X, d, tops, weights)
+    _assert_matches_reference(SimplicialComplex.from_text(X.to_text()), d, tops, weights)
+
+
+def test_weight_numerator_of_an_unknown_face():
+    X = complete_complex(5, 2)
+    for face in [(0, 9), tuple(range(7)), (9,)]:
+        with pytest.raises(UnknownFaceError, match=re.escape(f"face {face} is not in the complex")):
+            X.weight_numerator(face)
+    assert X.weight_numerator((0, 1)) == 3 and X.weight_numerator(()) == 10
+
+
+def _error(build):
+    with pytest.raises(HdxError) as caught:
+        build()
+    return type(caught.value), str(caught.value)
+
+
+WIDTH = NonUniformCardinalityError, "top face {} does not have 3 distinct vertices"
+TWICE = DuplicateTopFaceError, "top face {} listed twice"
+
+
+@pytest.mark.parametrize(
+    "tops, expected, shown, read",
+    [
+        # The error type and message, the offender as the constructor names it, and as
+        # the text reader names it: that reader hands over each top face sorted.
+        ([(0, 1, 2), (0, 1), (3, 4)], WIDTH, (0, 1), (0, 1)),
+        ([(0, 1, 2), (2, 1, 1), (0, 1)], WIDTH, (2, 1, 1), (1, 1, 2)),
+        ([(0, 1, 2), (0, 1, 2, 3)], WIDTH, (0, 1, 2, 3), (0, 1, 2, 3)),
+        ([(0, 1, 2), (3, 4, 5), (5, 4, 3), (2, 1, 0)], TWICE, (3, 4, 5), (3, 4, 5)),
+        ([(0, 1, 2), (2, 1, 0), (0, 1)], TWICE, (0, 1, 2), (0, 1, 2)),
+        ([(0, 1, 2), (0, 1), (2, 1, 0)], WIDTH, (0, 1), (0, 1)),
+        ([(0, 1, 2), (3, 3, 4), (3, 4, 3)], WIDTH, (3, 3, 4), (3, 3, 4)),
+        ([(0, 1, 2), (2, 0, 1), (5, 5, 6)], TWICE, (0, 1, 2), (0, 1, 2)),
+        ([(HUGE, -5, 0), (0, HUGE, -5)], TWICE, (-5, 0, HUGE), (-5, 0, HUGE)),
+        ([(4, HUGE, 4), (0, 1, 2)], WIDTH, (4, HUGE, 4), (4, 4, HUGE)),
+    ],
+)
+def test_validation_names_the_first_offender_in_input_order(tops, expected, shown, read):
+    error, message = expected
+    assert _error(lambda: SimplicialComplex(2, tops)) == (error, message.format(shown))
+    text = "dim 2\n" + "".join(" ".join(map(str, top)) + "\n" for top in tops)
+    assert _error(lambda: SimplicialComplex.from_text(text)) == (error, message.format(read))
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: SimplicialComplex(-1, [(0,)]), (BadDimensionError, "dimension must be >= 0, got -1")),
+        (
+            lambda: SimplicialComplex(1, [(0, 1), (1, 2)], {(0, 1): Fraction(1)}),
+            (EmptyInputError, "missing weight for top face (1, 2)"),
+        ),
+        (
+            lambda: SimplicialComplex(1, [(1, 2), (0, 1)], {(1, 2): Fraction(3, 2), (0, 1): Fraction(-1, 2)}),
+            (NonUniformCardinalityError, "weight of (0, 1) must be positive"),
+        ),
+        (
+            lambda: SimplicialComplex(1, [(0, 1), (1, 2)], {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 3)}),
+            (NonUniformCardinalityError, "top weights must sum to 1"),
+        ),
+        (
+            lambda: SimplicialComplex.from_text("dim 1\n0 1 w 1/2\n1 2\n"),
+            (ParseError, "either all or no top faces may carry weights"),
+        ),
+        (
+            lambda: SimplicialComplex.from_text("dim 1\n0 1 w 1/2\n1 0 w 1/2\n"),
+            (ParseError, "either all or no top faces may carry weights"),
+        ),
+        (lambda: SimplicialComplex.from_text("dim 1\n0 1\n1 x\n"), (ParseError, "malformed line '1 x'")),
+        (lambda: SimplicialComplex.from_text("dim -1\n0\n"), (BadDimensionError, "dimension must be >= 0, got -1")),
+        (lambda: SimplicialComplex.from_text("dim 2\n"), (EmptyInputError, "at least one top face is required")),
+        (lambda: SimplicialComplex(2, []), (EmptyInputError, "at least one top face is required")),
+    ],
+)
+def test_weight_and_header_errors_keep_their_type_and_message(build, expected):
+    assert _error(build) == expected
+
+
+def test_face_set_membership_reads_the_face_index(k4_skeleton):
+    with pytest.raises(UnknownFaceError, match=re.escape("faces [(0, 9), (5, 6)] are not 1-faces of the complex")):
+        FaceSet.make(k4_skeleton, 1, [(0, 1), (9, 0), (6, 5)])
+    with pytest.raises(BadDimensionError):
+        FaceSet.make(k4_skeleton, 3, [])
