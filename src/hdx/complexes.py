@@ -73,7 +73,7 @@ class SimplicialComplex:
         ids = sorted(set(flat))
         dtype = np.int64 if not ids or -(2**63) <= ids[0] <= ids[-1] < 2**63 else object
         ids, flat = np.array(ids, dtype=dtype), np.array(flat, dtype=dtype)
-        tops = np.sort(np.searchsorted(ids, flat).reshape(good, width), axis=1)
+        tops = np.sort(np.searchsorted(ids, flat).reshape(good, width), axis=1, kind="stable")
         repeated = (tops[:, 1:] == tops[:, :-1]).any(axis=1)
         order = np.lexsort(tops.T[::-1])
         tops = tops[order]
