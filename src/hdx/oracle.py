@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -606,9 +605,7 @@ def min_nontrivial_cocycle_weight(
         if best_num is not None and sum(sorted_nums[:size]) >= best_num:
             break
         per_support = (G.order - 1) ** size
-        rows = max(1, _BLOCK_STATES // per_support)
-        supports = chain.from_iterable(combinations(range(scan.m), size))
-        while len(chunk := np.fromiter(islice(supports, rows * size), np.intp).reshape(-1, size)):
+        for chunk in _combination_blocks(scan.m, size, max(1, _BLOCK_STATES // per_support)):
             # Exact: the numerators' dtype holds any sum of them (Python ints past uint64).
             nums = scan.nums[chunk].sum(axis=1)
             if best_num is not None:
@@ -630,6 +627,35 @@ def min_nontrivial_cocycle_weight(
     if best_num is None:
         return None
     return Fraction(best_num, den)
+
+
+def _combination_blocks(m: int, size: int, rows: int) -> Iterator[np.ndarray]:
+    """The rows of combinations(range(m), size), in the same order, as index
+    arrays of at most `rows` rows each.
+
+    Each block of (size-1)-prefixes, the combinations of range(m - 1), is
+    repeated once per valid last element: prefix j, whose last element is
+    first[j] - 1 (first[j] = 0 for the empty prefix), is followed by
+    first[j], ..., m - 1, which are rows ends[j] - m + first[j] up to ends[j]
+    of the block's expansion.  The expansion is built a slice of `rows` rows
+    at a time, so no level ever holds more than `rows` rows.
+    """
+    if size == 0:
+        yield np.zeros((1, 0), dtype=np.intp)
+        return
+    for prefix in _combination_blocks(m - 1, size - 1, rows):
+        first = prefix[:, -1] + 1 if size > 1 else np.zeros(1, dtype=np.intp)
+        ends = np.cumsum(m - first)
+        for lo in range(0, int(ends[-1]), rows):
+            hi = min(lo + rows, int(ends[-1]))
+            a, b = np.searchsorted(ends, (lo, hi - 1), side="right")
+            b += 1
+            # The rows of each prefix of this slice that fall inside [lo, hi).
+            runs = np.minimum(ends[a:b], hi) - np.maximum(ends[a:b] - m + first[a:b], lo)
+            block = np.empty((hi - lo, size), dtype=np.intp)
+            block[:, :-1] = np.repeat(prefix[a:b], runs, axis=0)
+            block[:, -1] = np.arange(lo + m, hi + m) - np.repeat(ends[a:b], runs)
+            yield block
 
 
 def _support_hits(

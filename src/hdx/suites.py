@@ -32,6 +32,7 @@ from .correction import (
 from .errors import (
     BudgetExceededError,
     HdxError,
+    NotNonLocalError,
     ParameterViolationError,
     PremiseFailedError,
 )
@@ -41,7 +42,6 @@ from .expansion import (
     check_fat_mass_bound,
     check_upsilon_bound_abelian,
     check_upsilon_bound_nonabelian,
-    classify_non_local,
     classify_weakly_non_local,
     delta1,
     delta_i,
@@ -56,12 +56,7 @@ from .oracle import (
     min_nontrivial_cocycle_weight,
 )
 from .reporting import CheckReport
-from .spectral import (
-    cheeger_violations,
-    link_spectra,
-    local_spectral_lambda,
-    underlying_graph,
-)
+from .spectral import cheeger_sweep, local_spectral_lambda
 
 SUITE_NAMES = ("delta1", "hierarchy", "correction", "cosystolic", "nonabelian")
 
@@ -117,26 +112,6 @@ def plant_nonabelian_instance(
 
 
 # -- suites ---------------------------------------------------------------------------
-
-
-def cheeger_sweep(X: SimplicialComplex, max_vertices: int = 14) -> Tuple[int, int, int]:
-    """Exhaustive cut/internal-mass checks over every link graph of a complex.
-
-    Returns (violations, graphs checked, subsets checked).  Disconnected link
-    graphs are skipped; both inequalities use the certified eigenvalue bound
-    and are decided exactly on integer numerators by `cheeger_violations`.
-    """
-    violations = graphs = subsets = 0
-    for sigma, cert in link_spectra(X).items():
-        if cert is None:
-            continue
-        graph = underlying_graph(X.link(sigma))
-        if len(graph.vertices) > max_vertices:
-            continue
-        graphs += 1
-        subsets += 2 ** len(graph.vertices) - 2
-        violations += cheeger_violations(graph, cert.as_fraction())
-    return violations, graphs, subsets
 
 
 def suite_delta1(seed: int = 0, budget: Optional[EnumerationBudget] = None) -> SuiteResult:
@@ -205,12 +180,11 @@ def suite_delta1(seed: int = 0, budget: Optional[EnumerationBudget] = None) -> S
     failed = 0
     for size in (1, 2):
         for edges in combinations(X.faces(1), size):
-            a = FaceSet.make(X, 1, edges)
-            verdict = classify_non_local(a, eta, eps)
-            if not verdict.passed:
+            try:
+                report = check_delta1_theorem_abelian(FaceSet.make(X, 1, edges), lam, eta, eps)
+            except NotNonLocalError:
                 continue
             checked += 1
-            report = check_delta1_theorem_abelian(a, lam, eta, eps)
             if not report.passed:
                 failed += 1
     out.add(

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -21,6 +22,7 @@ from hdx.oracle import (
     _BLOCK_STATES,
     BUDGET_ENV_VAR,
     EnumerationBudget,
+    _combination_blocks,
     _min_ratio_scan,
     _Scan,
     coboundary_expansion_constant,
@@ -495,6 +497,28 @@ def test_support_search_budget_boundary(monkeypatch, f2, make, weight, enough):
         assert min_nontrivial_cocycle_weight(X, f2, 1, EnumerationBudget(enough)) == weight
         with pytest.raises(BudgetExceededError, match="support search exceeded the state budget"):
             min_nontrivial_cocycle_weight(X, f2, 1, EnumerationBudget(enough - 1))
+
+
+@pytest.mark.parametrize(
+    "m, size, rows",
+    [
+        (21, 6, 1024),
+        (10, 3, 7),
+        (12, 5, 1),  # one row per block
+        (7, 3, 100),  # more rows than C(7, 3)
+        (6, 1, 4),  # size 1
+        (8, 8, 3),  # size m
+        (30, 4, 4096),
+        (5, 0, 3),
+        (3, 5, 2),  # no rows
+    ],
+)
+def test_combination_blocks_match_itertools(m, size, rows):
+    blocks = list(_combination_blocks(m, size, rows))
+    assert all(block.dtype == np.intp and block.shape[1] == size for block in blocks)
+    assert [tuple(row) for block in blocks for row in block.tolist()] == list(combinations(range(m), size))
+    assert all(1 <= len(block) <= rows for block in blocks)
+    assert max(map(len, blocks), default=0) == min(rows, math.comb(m, size))
 
 
 def _support_search_reference(X, G, k):

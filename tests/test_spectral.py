@@ -12,8 +12,11 @@ from hdx.errors import BadDimensionError, DisconnectedGraphError, UnknownVertexE
 from hdx.instances import bundled_instances, complete_complex, glued_simplices, single_simplex
 from hdx.spectral import (
     EIG_TOLERANCE,
+    SpectralCertificate,
     WeightedGraph,
+    _link_stacks,
     cheeger_quantities,
+    cheeger_sweep,
     cheeger_violations,
     link_spectra,
     local_spectral_lambda,
@@ -305,3 +308,90 @@ def test_local_lambda_witness_is_the_first_maximal_link():
     cert = local_spectral_lambda(X)
     assert cert.lambda_plus == best
     assert cert.witness == next(sigma for sigma, c in spectra.items() if c.lambda_plus == best)
+
+
+# -- the face-table Cheeger sweep against the link-built reference ----------------
+
+
+def _link_built_sweep(X, max_vertices):
+    """The sweep the face-table pass replaced: one link complex per face, its
+    underlying graph, and the one-graph kernel."""
+    violations = graphs = subsets = 0
+    for sigma, cert in link_spectra(X).items():
+        if cert is None:
+            continue
+        graph = underlying_graph(X.link(sigma))
+        if len(graph.vertices) > max_vertices:
+            continue
+        graphs += 1
+        subsets += 2 ** len(graph.vertices) - 2
+        violations += cheeger_violations(graph, cert.as_fraction())
+    return violations, graphs, subsets
+
+
+# The certified bound, and smaller values at which some subsets fail.
+_LAMBDA_SHIFTS = (lambda lam: lam, lambda lam: lam - Fraction(1, 3), lambda lam: -lam)
+
+
+def _assert_sweep_matches_the_link_built_path(monkeypatch, X, max_vertices=14):
+    seen = 0
+    for shift in _LAMBDA_SHIFTS:
+        monkeypatch.setattr(SpectralCertificate, "as_fraction", lambda cert: shift(Fraction(cert.lambda_plus)))
+        got = cheeger_sweep(X, max_vertices)
+        assert got == _link_built_sweep(X, max_vertices)
+        seen += got[0]
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_cheeger_sweep_matches_the_link_built_path_on_bundled_instances(monkeypatch, name):
+    assert _assert_sweep_matches_the_link_built_path(monkeypatch, bundled_instances()[name]) > 0
+
+
+def test_cheeger_sweep_matches_the_link_built_path_on_a_weighted_complex(monkeypatch):
+    # Non-uniform tops on K5^(3): every link graph has unequal weights.
+    tops = list(combinations(range(5), 4))
+    weights = {top: Fraction(i + 1, 15) for i, top in enumerate(tops)}
+    X = SimplicialComplex(3, tops, weights)
+    assert not X.is_uniform
+    assert _assert_sweep_matches_the_link_built_path(monkeypatch, X) > 0
+
+
+@pytest.mark.parametrize("tiny", [(3**20, 7**9), (3**45, 7**40)])
+def test_cheeger_sweep_matches_the_link_built_path_on_wide_numerators(monkeypatch, tiny):
+    # Numerators from 2^53 on put the link stacks, and the kernel, on Python ints.
+    X = wide_k4(tiny)
+    assert all(edge.dtype == object for _, edge, _ in _link_stacks(X, 0))
+    assert _assert_sweep_matches_the_link_built_path(monkeypatch, X) > 0
+
+
+@pytest.mark.parametrize("max_vertices", [0, 5, 6])
+def test_cheeger_sweep_matches_the_link_built_path_below_the_largest_link(monkeypatch, max_vertices):
+    # K7^(3): the root has 7 vertices, vertex links 6 and edge links 5.
+    X = complete_complex(7, 3)
+    _assert_sweep_matches_the_link_built_path(monkeypatch, X, max_vertices)
+    assert cheeger_sweep(X, max_vertices)[1] == {0: 0, 5: 21, 6: 28}[max_vertices]
+
+
+@settings(max_examples=20, deadline=None)
+@given(weighted_complexes())
+def test_cheeger_sweep_matches_the_link_built_path_on_weighted_complexes(X):
+    if X.dimension >= 1:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_sweep_matches_the_link_built_path(monkeypatch, X)
+
+
+def test_cheeger_kernel_steps_over_capped_graph_stacks(monkeypatch):
+    # A cap of one subset row per step gives the same counts as one step.
+    X = complete_complex(6, 3)
+    want = _assert_sweep_matches_the_link_built_path(monkeypatch, X)
+    monkeypatch.setattr("hdx.spectral._CHEEGER_ROWS", 1)
+    assert _assert_sweep_matches_the_link_built_path(monkeypatch, X) == want
+
+
+def test_cheeger_sweep_builds_no_link_complex(monkeypatch):
+    def no_link(self, sigma):
+        raise AssertionError(f"link of {sigma} built")
+
+    monkeypatch.setattr(SimplicialComplex, "link", no_link)
+    assert cheeger_sweep(complete_complex(6, 3)) == (0, 1 + 6 + 15, 62 + 6 * 30 + 15 * 14)
