@@ -260,6 +260,8 @@ def cmd_correct(args) -> int:
     group = group_from_spec(args.group) if args.group else None
     f = cochain_from_text(_read_text(args.cochain), X, group)
     if args.path == "abelian":
+        if args.beta is not None:
+            raise BadParamsError("--beta applies to the nonabelian path only")
         fixed, trace = correct_abelian(f, budget, args.eta, args.eps)
     else:
         fixed, trace = correct_nonabelian(f, budget, args.eta, args.eps, args.beta)

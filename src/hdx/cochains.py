@@ -226,9 +226,9 @@ def additive_terms(k: int) -> Terms:
     return tuple((i, i % 2 == 1) for i in range(k + 2))
 
 
-def term_columns(X: SimplicialComplex, k: int, terms: Terms) -> List[np.ndarray]:
-    """Kernel columns of the facets of X(k) named by terms (see face_products)."""
-    table, n = X.facets(k), len(X.faces(k - 1))
+def term_columns(table: np.ndarray, n: int, terms: Terms) -> List[np.ndarray]:
+    """Kernel columns of the facets named by terms (see face_products), from a
+    facet table such as X.facets(k) into n faces one dimension down."""
     return [table[:, i] + n if inverted else table[:, i] for i, inverted in terms]
 
 
@@ -259,7 +259,8 @@ def _coboundary(f: Cochain, terms: Terms) -> Cochain:
     """delta(f) as the product over the facets that terms names, in order."""
     X, k = f.complex, f.dimension
     identity = np.zeros(X.face_count(k + 1), dtype=f.row.dtype)
-    row = face_products(f.group, f.row[None, :], identity, [], term_columns(X, k + 1, terms))[0]
+    right = term_columns(X.facets(k + 1), len(f.row), terms)
+    row = face_products(f.group, f.row[None, :], identity, [], right)[0]
     return Cochain.of_row(X, k + 1, f.group, row)
 
 
@@ -306,7 +307,8 @@ def act(f0: Cochain, g1: Cochain) -> Cochain:
         raise GroupMismatchError("cochains take values in different groups")
     X, G = g1.complex, g1.group
     # d0 with g1 between its two factors: f(u) g(u,v) f(v)^-1.
-    left, right = term_columns(X, 1, DELTA0_TERMS[:1]), term_columns(X, 1, DELTA0_TERMS[1:])
+    table, n = X.facets(1), len(f0.row)
+    left, right = term_columns(table, n, DELTA0_TERMS[:1]), term_columns(table, n, DELTA0_TERMS[1:])
     row = face_products(G, f0.row[None, :], g1.row, left, right)[0]
     return Cochain.of_row(X, 1, G, row)
 

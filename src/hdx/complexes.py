@@ -280,12 +280,21 @@ class SimplicialComplex:
     def link_index(self, sigma: Face, j: int) -> Tuple[np.ndarray, np.ndarray]:
         """For the j-faces tau of link(sigma), in order: the index of sigma + tau
         in faces(j + |sigma|), and whether that ordering is odd, having an odd
-        number of pairs s > t with s in sigma, t in tau.  Built once, read-only."""
+        number of pairs s > t with s in sigma, t in tau.  Built once, read-only,
+        from the rank rows: the faces holding sigma in index order (their taus'
+        order); sigma's i-th vertex, in column c, exceeds c - i vertices of tau."""
+        sigma = tuple(sigma)
         if (sigma, j) not in self._link_index:
-            taus = self.link(sigma).faces(j)
-            index = self.face_index(j + len(sigma))
-            at = np.array([index[tuple(sorted(sigma + tau))] for tau in taus], dtype=np.intp)
-            odd = np.array([sum(s > t for s in sigma for t in tau) % 2 for tau in taus], dtype=bool)
+            self.require_face(sigma)
+            s, d = len(sigma) - 1, self.dimension
+            if s >= d:
+                raise BadDimensionError("the link of a top-dimensional face is empty")
+            if not -1 <= j < d - s:
+                raise BadDimensionError(f"no faces of dimension {j} in a {d - s - 1}-complex")
+            rows = self._ranks[j + s + 1]
+            mine = (rows[:, :, None] == self._ranks[s][self.face_index(s)[sigma]]).any(axis=2)
+            at = np.flatnonzero(mine.sum(axis=1) == len(sigma))
+            odd = (mine[at] @ np.arange(rows.shape[1]) - comb(len(sigma), 2)) % 2 == 1
             at.flags.writeable = odd.flags.writeable = False
             self._link_index[sigma, j] = (at, odd)
         return self._link_index[sigma, j]

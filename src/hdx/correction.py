@@ -22,11 +22,13 @@ scans) is one block scan, ``_scan_first_min``.  It walks G^n in lexicographic
 mixed-radix order, the order of ``itertools.product``, in blocks of about
 ``_BLOCK_CELLS`` cells, so memory stays flat.  A block's face values come from
 the face-product kernel of ``cochains`` on columns read from the facet table
-of the complex or link, its face weights from one matrix-vector product of the
-non-identity mask.  The first minimum wins: argmin within a block, a strict
-comparison across blocks, so ties resolve exactly as in a plain loop over
-``product``.  A link search first keeps the tied minimizers that rewrite the
-least weight, so a step moves as little as it can.
+of the complex, its face weights from one matrix-vector product of the
+non-identity mask; a link search reads the star of v, and its facet table,
+from X's own tables (``_star``) and builds no link.  The first minimum wins:
+argmin within a block, a strict comparison across blocks, so ties resolve
+exactly as in a plain loop over ``product``.  A link search first keeps the
+tied minimizers that rewrite the least weight, so a step moves as little as
+it can.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .cochains import (
     DELTA1_TERMS,
     Cochain,
     Terms,
-    act,
     additive_terms,
     coboundary_abelian,
     coboundary_nonabelian_1,
@@ -59,6 +60,7 @@ from .errors import (
     DisconnectedGraphError,
     FalsificationError,
     NonAbelianGroupError,
+    ParameterViolationError,
     PremiseFailedError,
     UndefinedCoboundaryError,
     WrongDimensionError,
@@ -171,8 +173,8 @@ def is_minimal(f: Cochain, budget: Optional[EnumerationBudget] = None) -> bool:
         G,
         len(lower),
         f.row,
-        term_columns(X, k, left),
-        term_columns(X, k, right),
+        term_columns(X.facets(k), len(lower), left),
+        term_columns(X.facets(k), len(lower), right),
         weights,
         stop_below=target_num,
     )
@@ -227,33 +229,46 @@ def _search_link(
     depend on it.
     """
     X, G, j = target.complex, target.group, target.dimension
-    link = X.link((v,))
-    at, star = _star(X, v, j - 1)
+    at = X.link_index((v,), j - 1)[0]
+    star = X.weight_numerators(j)[at].tolist()
     old_star = sum(num for num, hit in zip(star, target.row[at].tolist()) if hit)
     if not old_star:
         return None
-    n = link.face_count(j - 2)
+    lower = X.link_index((v,), j - 2)[0]
+    n = len(lower)
     budget.ensure(space_size(G, n), f"link correction scan at {v}")
     if old_star <= beat:
         return None
+    table, _ = _star(X, v, j)
     new_star, assignment = _scan_first_min(
         G,
         n,
         local(v),
-        term_columns(link, j - 1, left),
-        term_columns(link, j - 1, right),
+        term_columns(table, n, left),
+        term_columns(table, n, right),
         star,
-        moved=_star(X, v, j - 2)[1],
+        moved=X.weight_numerators(j - 1)[lower].tolist(),
     )
     if old_star - new_star <= beat:
         return None
     return _LinkSearch(v, old_star - new_star, assignment)
 
 
-def _star(X: SimplicialComplex, v: int, i: int) -> Tuple[np.ndarray, List[int]]:
-    """Indices in X(i+1) and numerators of the faces v + tau, tau in link(v)(i)."""
-    at = X.link_index((v,), i)[0]
-    return at, X.weight_numerators(i + 1)[at].tolist()
+def _star(X: SimplicialComplex, v: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The facet table of link(v)(j-1), read from X's facet table of X(j): the
+    facets of v + tau that hold v are v + each facet of tau, in order.  Also
+    the index in X(j-1) of each tau, the facet of v + tau without v."""
+    at, lower = X.link_index((v,), j - 1)[0], X.link_index((v,), j - 2)[0]
+    facets = X.facets(j)[at]
+    pos = np.searchsorted(lower, facets)
+    holds = lower.take(pos, mode="clip") == facets
+    return pos[holds].reshape(len(at), j), facets[~holds]
+
+
+def _local(f: Cochain, v: int) -> np.ndarray:
+    """The value row of f.localize((v,)), read with no link built."""
+    at, odd = f.complex.link_index((v,), f.dimension - 1)
+    return oriented(f.group, f.row[at], odd)
 
 
 def _best_link_search(
@@ -298,7 +313,7 @@ def one_step_abelian(
     if h.dimension < 1:
         raise BadDimensionError("nothing below dimension 0 to correct with")
     right = additive_terms(h.dimension - 2)
-    best = _best_link_search(h, lambda v: h.localize((v,)).row, (), right, budget)
+    best = _best_link_search(h, lambda v: _local(h, v), (), right, budget)
     g = _lift_assignment(Cochain(h.complex, h.dimension - 1, h.group), best.vertex, best.assignment)
     new_h = h - coboundary_abelian(g)
     j = h.dimension
@@ -313,10 +328,11 @@ def one_step_abelian(
 def _triangles_at(f: Cochain, v: int) -> np.ndarray:
     """f(vu) f(uw) f(wv) on each edge uw of link(v), as a value row over the
     link's edges: the vertex action of u -> f(v, u) on f's values there, one
-    face-product call on the link."""
-    link, index = f.complex.link((v,)), f.complex.face_index(1)
-    inside = f.row[[index[edge] for edge in link.faces(1)]]
-    return act(f.localize((v,)), Cochain.of_row(link, 1, f.group, inside)).row
+    face-product call on the star's facet table."""
+    table, rim = _star(f.complex, v, 2)
+    spokes = _local(f, v)
+    left, right = (term_columns(table, len(spokes), terms) for terms in (DELTA0_TERMS[:1], DELTA0_TERMS[1:]))
+    return face_products(f.group, spokes[None, :], f.row[rim], left, right)[0]
 
 
 def one_step_nonabelian(
@@ -343,7 +359,7 @@ def one_step_nonabelian(
     best = _best_link_search(
         df, lambda v: _triangles_at(f, v), DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget
     )
-    shift = f.localize((best.vertex,)).row
+    shift = _local(f, best.vertex)
     y = G.op_array(np.asarray(best.assignment, dtype=shift.dtype), shift)
     f_new = _lift_assignment(f, best.vertex, y)
     if distance(f, f_new) > 2 * X.face_weight((best.vertex,)):
@@ -434,6 +450,18 @@ def _check_trace_bounds(trace: CorrectionTrace) -> None:
         raise FalsificationError("||delta|| grew over the correction loop")
 
 
+def _classifies(**params: Optional[Fraction]) -> bool:
+    """Whether a run classifies its output: all of params given, each in (0, 1)
+    and beta in (0, 1], or none; else ParameterViolationError."""
+    given = [name for name, val in params.items() if val is not None]
+    if given and len(given) < len(params):
+        raise ParameterViolationError(f"a classification needs {', '.join(params)}; got only {', '.join(given)}")
+    for name, val in params.items():
+        if val is not None and not (0 < val < 1 or name == "beta" and val == 1):
+            raise ParameterViolationError(f"{name} must lie in (0,1{']' if name == 'beta' else ')'}, got {val}")
+    return bool(given)
+
+
 def correct_abelian(
     f: Cochain,
     budget: Optional[EnumerationBudget] = None,
@@ -444,7 +472,7 @@ def correct_abelian(
 
     With eta and eps given and ||delta(f)|| below eta^(2^(k+2)-1), the output
     coboundary's support must classify as non-local; a failure of that or of
-    any trace bound raises FalsificationError.
+    any trace bound raises FalsificationError.  Bad parameters are refused first.
     """
     budget = budget or EnumerationBudget.default()
     X, G, k = f.complex, f.group, f.dimension
@@ -452,13 +480,14 @@ def correct_abelian(
         raise NonAbelianGroupError("use correct_nonabelian for non-abelian groups")
     if not 1 <= k <= X.dimension - 2:
         raise BadDimensionError(f"correction needs 1 <= k <= d-2, got k={k}, d={X.dimension}")
+    classify = _classifies(eta=eta, eps=eps)
     current, trace, h = _correct(f, "abelian", budget)
     q = X.degree_bound()
     d = X.dimension
     trace.r_bound = X.face_count(d) * comb(d + 1, k + 2) * trace.initial_delta_weight
     trace.dist_bound = q * comb(d, k + 1) * trace.initial_delta_weight
     _check_trace_bounds(trace)
-    if eta is not None and eps is not None:
+    if classify:
         threshold = Fraction(eta) ** (2 ** (k + 2) - 1)
         if trace.initial_delta_weight <= threshold:
             support = FaceSet(X, k + 1, h.support())
@@ -486,19 +515,21 @@ def correct_nonabelian(
     """Correct a 1-cochain on a 3-complex until no vertex relabel improves it.
 
     With eta, eps, beta given and ||delta(f)|| <= beta*eta/2, the output
-    coboundary must classify as weakly-non-local with saturation 1/|G|.
+    coboundary must classify as weakly-non-local with saturation 1/|G|.  Bad
+    parameters are refused first.
     """
     budget = budget or EnumerationBudget.default()
     X, G = f.complex, f.group
     if X.dimension != 3:
         raise WrongDimensionError("the multiplicative correction path needs a 3-complex")
+    classify = _classifies(eta=eta, eps=eps, beta=beta)
     current, trace, final_delta = _correct(f, "nonabelian", budget)
     trace.diagnostics.append(saturation_diagnostic(final_delta))
     q = X.degree_bound()
     trace.r_bound = 4 * X.face_count(3) * trace.initial_delta_weight
     trace.dist_bound = 2 * q * trace.initial_delta_weight
     _check_trace_bounds(trace)
-    if eta is not None and eps is not None and beta is not None:
+    if classify:
         threshold = Fraction(beta) * Fraction(eta) / 2
         if trace.initial_delta_weight <= threshold:
             support = FaceSet(X, 2, final_delta.support())

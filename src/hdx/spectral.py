@@ -6,14 +6,15 @@ weight, then a uniform endpoint).  This choice makes both Cheeger-style
 inequalities used elsewhere sound when the certified upper bound is
 substituted for the true eigenvalue.
 
-``link_spectra`` certifies every proper link in one pass over the face table:
-the graph of link(sigma) has the faces sigma + u as vertices and the faces
-sigma + uv as edges, so two facet-table gathers give every link's edges and
-no link complex is built.  The graphs are grouped by vertex count, and each
-group gets one stacked eigensolve; ``second_eigenvalue`` is the same kernel on
-a stack of one graph.  ``cheeger_sweep`` reads the same stacks once for both
-the certificates and the exhaustive Cheeger checks, which decide every graph
-of one size together; ``cheeger_violations`` is that kernel on a stack of one.
+``link_spectra`` certifies every proper link, X itself as the link of ()
+included, in one pass over the face table: the graph of link(sigma) has the
+faces sigma + u as vertices and the faces sigma + uv as edges, so two
+facet-table gathers give every link's edges and no link complex is built.
+The graphs are grouped by vertex count, and each group gets one stacked
+eigensolve.  ``cheeger_sweep`` reads the same stacks once for both the
+certificates and the exhaustive Cheeger checks, which decide every graph of
+one size together.  ``underlying_graph`` and ``second_eigenvalue``, a dict
+graph and the same eigensolve on a stack of one, are the exact reference.
 """
 
 from __future__ import annotations
@@ -95,44 +96,23 @@ def _connected(edges: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def _certificates(
-    adj: np.ndarray, connected: Sequence[bool], witnesses: Sequence[Optional[Face]]
-) -> List[Optional[SpectralCertificate]]:
-    """One stacked eigensolve for graphs of one size n >= 2 without isolated
-    vertices, given by their edge-weight matrices adj (normalized in place):
-    each graph's certificate with its witness, or None when it is disconnected."""
-    scale = 1.0 / np.sqrt(adj.sum(axis=2))
-    adj *= scale[:, :, None]
-    adj *= scale[:, None, :]
-    eigs = np.linalg.eigvalsh(adj)
-    lams = np.minimum(np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -2])), 1.0).tolist()
-    return [
-        SpectralCertificate(lam, min(lam + EIG_TOLERANCE, 1.0), "dense eigensolve", sigma) if ok else None
-        for lam, ok, sigma in zip(lams, connected, witnesses)
-    ]
-
-
 def second_eigenvalue(graph: WeightedGraph) -> SpectralCertificate:
     """Largest absolute nontrivial walk eigenvalue with a certified upper bound."""
     n = len(graph.vertices)
     if n == 1:
         return SpectralCertificate(0.0, EIG_TOLERANCE, "trivial")
     index = {v: i for i, v in enumerate(graph.vertices)}
-    adj = np.zeros((1, n, n))
-    edges = np.zeros((1, n, n), dtype=bool)
+    edge = np.zeros((1, n, n), dtype=object)
     for (a, b), num in graph.edge_num.items():
-        i, j = index[a], index[b]
-        # Correctly rounded, as float(Fraction(num, den)) is.
-        adj[0, i, j] = adj[0, j, i] = num / graph.edge_den
-        edges[0, i, j] = edges[0, j, i] = True
-    if not _connected(edges)[0]:
+        edge[0, index[a], index[b]] = edge[0, index[b], index[a]] = num
+    if not _connected(edge > 0)[0]:
         raise DisconnectedGraphError("graph is disconnected; lambda = 1", witness=None)
-    (cert,) = _certificates(adj, (True,), (None,))
+    (cert,) = _stack_certificates(edge, np.array([graph.edge_den], dtype=object), [None])
     return cert
 
 
 def _link_stacks(complex: SimplicialComplex, k: int) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
-    """The graphs of the links of X(k), 0 <= k <= d - 2, read off the face
+    """The graphs of the links of X(k), -1 <= k <= d - 2, read off the face
     table, one stack per vertex count n: the positions in faces(k) of the
     faces sigma of the stack, the edge numerators num(sigma + uv) as symmetric
     (graphs, n, n) matrices with a zero diagonal, and their totals
@@ -177,41 +157,39 @@ def _link_stacks(complex: SimplicialComplex, k: int) -> Iterator[Tuple[List[int]
 def _stack_certificates(
     edge: np.ndarray, totals: np.ndarray, witnesses: Sequence[Optional[Face]]
 ) -> List[Optional[SpectralCertificate]]:
-    """The certificates of a stack from `_link_stacks`, or None for each
-    disconnected graph.  A float64 stack is divided in place into the walk
-    weights, as the eigensolve needs no numerators."""
+    """One stacked eigensolve for graphs of one size n >= 2 without isolated
+    vertices, given as `_link_stacks` gives them: each graph's certificate with
+    its witness, or None when it is disconnected.  A float64 stack is divided
+    and normalized in place; Python ints divide correctly rounded."""
     connected = _connected(edge > 0).tolist()
     if edge.dtype == object:
         edge = (edge / totals[:, None, None]).astype(np.float64)
     else:
         edge /= totals[:, None, None]
-    return _certificates(edge, connected, witnesses)
-
-
-def _root_certificate(graph: WeightedGraph) -> Optional[SpectralCertificate]:
-    """The certificate of the link of (), X itself, or None when disconnected."""
-    try:
-        cert = second_eigenvalue(graph)
-    except DisconnectedGraphError:
-        return None
-    return SpectralCertificate(cert.lambda_est, cert.lambda_plus, cert.method, ())
+    scale = 1.0 / np.sqrt(edge.sum(axis=2))
+    edge *= scale[:, :, None]
+    edge *= scale[:, None, :]
+    eigs = np.linalg.eigvalsh(edge)
+    lams = np.minimum(np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -2])), 1.0).tolist()
+    return [
+        SpectralCertificate(lam, min(lam + EIG_TOLERANCE, 1.0), "dense eigensolve", sigma) if ok else None
+        for lam, ok, sigma in zip(lams, connected, witnesses)
+    ]
 
 
 def link_spectra(complex: SimplicialComplex) -> Dict[Face, Optional[SpectralCertificate]]:
-    """The certificate of each proper link's underlying graph, witnessed by its
-    face sigma, or None when that graph is disconnected; in (k, faces(k))
-    order for k = -1, ..., d - 2.  The link of () is X itself; every other
-    link graph is read off the face table, with no link complex built."""
+    """The certificate of each proper link's graph, witnessed by its face sigma,
+    or None when that graph is disconnected, in (k, faces(k)) order for k = -1,
+    ..., d - 2; X itself is the link of ().  No link complex is built."""
     if complex.dimension < 1:
         raise BadDimensionError("local spectral expansion needs dimension >= 1")
-    spectra = {(): _root_certificate(underlying_graph(complex))}
-    for k in range(complex.dimension - 1):
+    levels = range(-1, complex.dimension - 1)
+    spectra: Dict[Face, Optional[SpectralCertificate]] = dict.fromkeys(s for k in levels for s in complex.faces(k))
+    for k in levels:
         faces = complex.faces(k)
-        out: List[Optional[SpectralCertificate]] = [None] * len(faces)
         for at, edge, totals in _link_stacks(complex, k):
-            for pos, cert in zip(at, _stack_certificates(edge, totals, [faces[pos] for pos in at])):
-                out[pos] = cert
-        spectra.update(zip(faces, out))
+            witnesses = [faces[pos] for pos in at]
+            spectra.update(zip(witnesses, _stack_certificates(edge, totals, witnesses)))
     return spectra
 
 
@@ -302,43 +280,20 @@ def _cheeger_counts(
     return int(fails)
 
 
-def cheeger_violations(graph: WeightedGraph, lam: Fraction) -> int:
-    """Failures of the two Cheeger inequalities over every proper nonempty
-    vertex subset of one graph: the stacked kernel `_cheeger_counts` on a
-    stack of one."""
-    n = len(graph.vertices)
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    vnum = [graph.vertex_num[v] for v in graph.vertices]
-    # int64 holds every partial sum below twice the totals; Python ints otherwise.
-    wide = 2 * max(sum(vnum), sum(graph.edge_num.values())) >= 2**63
-    dtype = object if wide else np.int64
-    adj = np.zeros((1, n, n), dtype=dtype)
-    for (a, b), num in graph.edge_num.items():
-        adj[0, index[a], index[b]] = adj[0, index[b], index[a]] = num
-    return _cheeger_counts(
-        np.array([vnum], dtype=dtype), adj, [graph.vertex_den], [graph.edge_den], [Fraction(lam)]
-    )
-
-
 def cheeger_sweep(X: SimplicialComplex, max_vertices: int = 14) -> Tuple[int, int, int]:
     """Exhaustive cut/internal-mass checks over every link graph of a complex.
 
     Returns (violations, graphs checked, subsets checked).  Disconnected link
     graphs are skipped; both inequalities use the certified eigenvalue bound
     and are decided exactly on integer numerators by `_cheeger_counts`.  The
-    link of () is X itself; the other link graphs are the stacks that
-    `link_spectra` certifies, read once for both.  In a pure complex a link
-    vertex u has degree sum_v num(sigma + uv) = (d - k - 1) num(sigma + u), so
-    the degrees over D = 2E stand for the vertex weights: both tests are
-    homogeneous in the vertex and in the edge numerators.
+    link graphs, X's own included, are the stacks that `link_spectra`
+    certifies, read once for both.  In a pure complex a link vertex u has
+    degree sum_v num(sigma + uv) = (d - k - 1) num(sigma + u), so the degrees
+    over D = 2E stand for the vertex weights: both tests are homogeneous in
+    the vertex and in the edge numerators.
     """
     violations = graphs = subsets = 0
-    root = underlying_graph(X)
-    cert = _root_certificate(root)
-    if cert is not None and len(root.vertices) <= max_vertices:
-        graphs, subsets = 1, 2 ** len(root.vertices) - 2
-        violations = cheeger_violations(root, cert.as_fraction())
-    for k in range(X.dimension - 1):
+    for k in range(-1, X.dimension - 1):
         for _, edge, totals in _link_stacks(X, k):
             n = edge.shape[1]
             if n > max_vertices:

@@ -200,6 +200,38 @@ def test_correct_wrong_dimension_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "path, params, message",
+    [
+        ("abelian", ["--eta", "0", "--eps", "1/2"], "eta must lie in (0,1), got 0"),
+        ("abelian", ["--eta=-1/4", "--eps", "1/2"], "eta must lie in (0,1), got -1/4"),
+        ("abelian", ["--eta", "1/4", "--eps", "1"], "eps must lie in (0,1), got 1"),
+        ("abelian", ["--eta", "1/4"], "a classification needs eta, eps; got only eta"),
+        ("abelian", ["--eps", "1/4", "--beta", "1/2"], "--beta applies to the nonabelian path only"),
+        ("nonabelian", ["--eta", "1/4", "--eps", "1/2"], "a classification needs eta, eps, beta; got only eta, eps"),
+        ("nonabelian", ["--beta", "1"], "a classification needs eta, eps, beta; got only beta"),
+        ("nonabelian", ["--eta", "1/4", "--eps", "1/2", "--beta", "0"], "beta must lie in (0,1], got 0"),
+        ("nonabelian", ["--eta", "1/4", "--eps", "1/2", "--beta", "3/2"], "beta must lie in (0,1], got 3/2"),
+    ],
+)
+def test_correct_refuses_bad_classification_parameters(tmp_path, capsys, path, params, message):
+    cpath = tmp_path / "c.txt"
+    main(["generate", "complete", "--n", "6", "--d", "3", "--out", str(cpath)])
+    X = SimplicialComplex.from_text(cpath.read_text())
+    fpath = tmp_path / "f.cochain"
+    fpath.write_text(cochain_to_text(Cochain(X, 1, group_from_spec("S3"), {(0, 1): 1})))
+    outdir = tmp_path / "o"
+    argv = ["correct", str(cpath), "--cochain", str(fpath), "--path", path, "--out", str(outdir)]
+    if path == "abelian":
+        argv += ["--group", "Z3"]
+    assert main(argv + params) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not outdir.exists()
+    # beta = 1 closes its interval: the full set runs.
+    if path == "nonabelian":
+        assert main(argv + ["--eta", "1/4", "--eps", "1/2", "--beta", "1"]) == 0
+
+
 @pytest.mark.parametrize("argv", [["verify", "none"], ["verify", "--bundle", "x"]], ids=["none", "bundle"])
 def test_verify_rejects_removed_arguments(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -550,3 +550,56 @@ def test_face_set_membership_reads_the_face_index(k4_skeleton):
         FaceSet.make(k4_skeleton, 1, [(0, 1), (9, 0), (6, 5)])
     with pytest.raises(BadDimensionError):
         FaceSet.make(k4_skeleton, 3, [])
+
+
+# -- link_index from the rank rows against the link-built definition ------------------
+
+
+def _reference_link_index(X, sigma, j):
+    """link_index as it was defined on the link complex: every face sigma + tau
+    of link(sigma)(j) looked up in the face index, its parity counted pair by pair."""
+    taus = X.link(sigma).faces(j)
+    index = X.face_index(j + len(sigma))
+    at = [index[tuple(sorted(sigma + tau))] for tau in taus]
+    odd = [sum(s > t for s in sigma for t in tau) % 2 == 1 for tau in taus]
+    return at, odd
+
+
+def _assert_link_index_matches_reference(X):
+    for s in range(-1, X.dimension):
+        for sigma in X.faces(s):
+            for j in range(-1, X.dimension - s):
+                at, odd = X.link_index(sigma, j)
+                assert (at.tolist(), odd.tolist()) == _reference_link_index(X, sigma, j), (sigma, j)
+                assert not at.flags.writeable and not odd.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_link_index_matches_the_link_built_definition_on_bundled_instances(name):
+    _assert_link_index_matches_reference(bundled_instances()[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_inputs(labels=WIDE_IDS))
+def test_link_index_matches_the_link_built_definition_on_wide_ids(inputs):
+    _assert_link_index_matches_reference(SimplicialComplex(*inputs))
+
+
+def test_link_index_matches_the_link_built_definition_on_a_weighted_complex():
+    _assert_link_index_matches_reference(SHARED_FACTOR)
+
+
+def test_link_index_takes_any_sequence_and_refuses_bad_faces(k4_skeleton):
+    # The triangles 012, 013 and 123; vertex 1 follows one vertex of 02 and 03.
+    at, odd = k4_skeleton.link_index([1], 1)
+    assert at.tolist() == [0, 1, 3] and odd.tolist() == [True, True, False]
+    assert all(a is b for a, b in zip(k4_skeleton.link_index((1,), 1), (at, odd)))
+    assert _error(lambda: k4_skeleton.link_index([9], 0)) == (UnknownFaceError, "face (9,) is not in the complex")
+    assert _error(lambda: k4_skeleton.link_index([1, 0], 0)) == (UnknownFaceError, "face (1, 0) is not in the complex")
+    top = BadDimensionError, "the link of a top-dimensional face is empty"
+    assert _error(lambda: k4_skeleton.link_index([0, 1, 2], 0)) == top
+    for j in (-2, 2):
+        assert _error(lambda: k4_skeleton.link_index([0], j)) == (
+            BadDimensionError,
+            f"no faces of dimension {j} in a 1-complex",
+        )

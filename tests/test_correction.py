@@ -8,6 +8,7 @@ from hdx import correction
 from hdx.cochains import (
     DELTA0_TERMS,
     Cochain,
+    act,
     coboundary_abelian,
     coboundary_nonabelian_0,
     coboundary_nonabelian_1,
@@ -17,6 +18,7 @@ from hdx.cochains import (
 from hdx.complexes import SimplicialComplex
 from hdx.correction import (
     _search_link,
+    _star,
     _triangles_at,
     correct_abelian,
     correct_nonabelian,
@@ -40,6 +42,7 @@ from hdx.errors import (
 from hdx.groups import group_from_spec
 from hdx.instances import complete_complex, glued_simplices, single_simplex, torus_complex
 from hdx.oracle import EnumerationBudget, enumerate_spaces, exact_distance
+from hdx.spectral import cheeger_sweep, link_spectra
 
 
 def test_zero_cochain_is_minimal(k4_skeleton, f2):
@@ -464,3 +467,68 @@ def test_locally_minimal_torus_systole(f2):
     assert is_minimal(lightest)
     ok, witness = is_locally_minimal(lightest)
     assert ok, witness
+
+
+# -- the step reads the face table, not the link complex ----------------------------
+
+
+def _link_built_triangles_at(f, v):
+    """_triangles_at as it was defined on the link complex: f's values on the
+    link's edges, acted on by the localization of f at v."""
+    link, index = f.complex.link((v,)), f.complex.face_index(1)
+    inside = f.row[[index[edge] for edge in link.faces(1)]]
+    return act(f.localize((v,)), Cochain.of_row(link, 1, f.group, inside)).row
+
+
+def test_star_tables_match_the_link_complex(t3):
+    for X in (complete_complex(7, 3), t3, glued_simplices(3, 2)):
+        for v in X.vertices():
+            link = X.link((v,))
+            for j in range(1, X.dimension + 1):
+                table, rim = _star(X, v, j)
+                assert table.tolist() == link.facets(j - 1).tolist(), (v, j)
+                assert [X.faces(j - 1)[r] for r in rim.tolist()] == list(link.faces(j - 1))
+        for spec in ("Z3", "S3"):
+            G = group_from_spec(spec)
+            f = random_cochain(X, 1, G, random.Random(5), 0.4)
+            for v in X.vertices():
+                assert _triangles_at(f, v).tolist() == _link_built_triangles_at(f, v).tolist(), (spec, v)
+
+
+def _planted(X, G, seed, noisy=2):
+    """A multiplicative 1-coboundary h(u) h(v)^-1 with `noisy` edges multiplied by noise."""
+    rng = random.Random(seed)
+    h = [rng.randrange(G.order) for _ in X.vertices()]
+    at = {v: i for i, v in enumerate(X.vertices())}
+    values = {(u, w): G.op(h[at[u]], G.inv(h[at[w]])) for u, w in X.faces(1)}
+    for edge in rng.sample(X.faces(1), noisy):
+        values[edge] = G.op(values[edge], rng.randrange(1, G.order))
+    return Cochain(X, 1, G, values)
+
+
+def _fast_side_results(tops, spec):
+    """link_spectra, cheeger_sweep and both correction paths' results on a
+    fresh complex, in plain values that compare across complexes."""
+    X, G = SimplicialComplex(3, tops), group_from_spec(spec)
+    f = _planted(X, G, 3)
+    out = [link_spectra(X), cheeger_sweep(X)]
+    if G.is_abelian:
+        v, g, h = one_step_abelian(coboundary_abelian(f))
+        fixed, trace = correct_abelian(f)
+        out += [v, g.values, h.values, fixed.values, trace.steps, trace.total_moved]
+    v, f_new, df = one_step_nonabelian(f)
+    fixed, trace = correct_nonabelian(f)
+    return out + [v, f_new.values, df.values, fixed.values, trace.steps, trace.diagnostics]
+
+
+@pytest.mark.parametrize("instance, spec", [("k7", "Z3"), ("k7", "S3"), ("t3", "Z2")])
+def test_fast_side_builds_no_link_complex(monkeypatch, t3, instance, spec):
+    # T3's vertex links have 14 vertices, so it runs both paths over Z2 only.
+    tops = complete_complex(7, 3).faces(3) if instance == "k7" else t3.faces(3)
+    want = _fast_side_results(tops, spec)
+
+    def no_link(self, sigma):
+        raise AssertionError(f"link of {sigma} built")
+
+    monkeypatch.setattr(SimplicialComplex, "link", no_link)
+    assert _fast_side_results(tops, spec) == want

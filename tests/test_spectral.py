@@ -14,10 +14,10 @@ from hdx.spectral import (
     EIG_TOLERANCE,
     SpectralCertificate,
     WeightedGraph,
+    _cheeger_counts,
     _link_stacks,
     cheeger_quantities,
     cheeger_sweep,
-    cheeger_violations,
     link_spectra,
     local_spectral_lambda,
     second_eigenvalue,
@@ -139,6 +139,24 @@ def test_certificate_fraction_is_exact_upper_bound():
     assert cert.as_fraction() >= Fraction(1, 4)
 
 
+def _violations_of_one(graph, lam):
+    """Failures of the two Cheeger inequalities over every proper nonempty
+    vertex subset of one graph: the stacked kernel `_cheeger_counts` on a
+    stack of one."""
+    n = len(graph.vertices)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    vnum = [graph.vertex_num[v] for v in graph.vertices]
+    # int64 holds every partial sum below twice the totals; Python ints otherwise.
+    wide = 2 * max(sum(vnum), sum(graph.edge_num.values())) >= 2**63
+    dtype = object if wide else np.int64
+    adj = np.zeros((1, n, n), dtype=dtype)
+    for (a, b), num in graph.edge_num.items():
+        adj[0, index[a], index[b]] = adj[0, index[b], index[a]] = num
+    return _cheeger_counts(
+        np.array([vnum], dtype=dtype), adj, [graph.vertex_den], [graph.edge_den], [Fraction(lam)]
+    )
+
+
 def _reference_violations(g, lam):
     """The Cheeger sweep in Fractions, one subset at a time."""
     verts = list(g.vertices)
@@ -178,7 +196,7 @@ def _check_against_reference(X):
                 pass
             for lam in lams:
                 want = _reference_violations(g, lam)
-                assert cheeger_violations(g, lam) == want, (sigma, lam)
+                assert _violations_of_one(g, lam) == want, (sigma, lam)
                 seen += want
     return seen
 
@@ -208,8 +226,8 @@ def test_cheeger_violations_on_the_four_cycle():
     # and internal mass 1/4 = (w + 0) w, so lambda = 0 is tight for both
     # inequalities on the four adjacent pairs, and any smaller lambda fails both.
     g = underlying_graph(cycle_graph(4))
-    assert cheeger_violations(g, Fraction(0)) == 0
-    assert cheeger_violations(g, Fraction(-1, 100)) == 8
+    assert _violations_of_one(g, Fraction(0)) == 0
+    assert _violations_of_one(g, Fraction(-1, 100)) == 8
 
 
 # -- the batched link pass against the per-link path ------------------------------
@@ -255,6 +273,15 @@ def _assert_matches_the_per_link_path(X):
 @pytest.mark.parametrize("name", sorted(bundled_instances()))
 def test_link_spectra_match_the_per_link_path_on_bundled_instances(name):
     _assert_matches_the_per_link_path(bundled_instances()[name])
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_the_root_certificate_is_the_single_graph_reference(name):
+    # The link of () comes out of the face table like every other link.
+    X = bundled_instances()[name]
+    want = second_eigenvalue(underlying_graph(X))
+    got = link_spectra(X)[()]
+    assert got == SpectralCertificate(want.lambda_est, want.lambda_plus, want.method, ())
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,7 +352,7 @@ def _link_built_sweep(X, max_vertices):
             continue
         graphs += 1
         subsets += 2 ** len(graph.vertices) - 2
-        violations += cheeger_violations(graph, cert.as_fraction())
+        violations += _violations_of_one(graph, cert.as_fraction())
     return violations, graphs, subsets
 
 
