@@ -109,7 +109,8 @@ class Cochain:
     @property
     def values(self) -> Mapping[Face, int]:
         """The non-identity values as a read-only {face: element} view."""
-        return MappingProxyType(dict(zip(self._faces_at(self.row), self.row[self.row != 0].tolist())))
+        faces = self.complex.faces_where(self.dimension, self.row)
+        return MappingProxyType(dict(zip(faces, self.row[self.row != 0].tolist())))
 
     def value(self, face: Face) -> int:
         """Value on the canonical (ascending) ordering of a face."""
@@ -124,16 +125,11 @@ class Cochain:
             raise UnknownFaceError(f"{ordered} repeats a vertex")
         return self.group.signed(self.value(tuple(sorted(ordered))), perm_parity(ordered))
 
-    def _faces_at(self, mask: np.ndarray) -> List[Face]:
-        """The k-faces where mask, a row over them, is nonzero."""
-        faces = self.complex.faces(self.dimension)
-        return [faces[j] for j in np.flatnonzero(mask).tolist()]
-
     def support(self) -> FrozenSet[Face]:
-        return frozenset(self._faces_at(self.row))
+        return frozenset(self.complex.faces_where(self.dimension, self.row))
 
     def weight(self) -> Fraction:
-        return self.complex.set_weight(self._faces_at(self.row), self.dimension)
+        return self.complex.mask_weight(self.row != 0, self.dimension)
 
     def is_zero(self) -> bool:
         return not self.row.any()
@@ -294,7 +290,7 @@ def coboundary_nonabelian_1(f: Cochain) -> Cochain:
 def distance(f: Cochain, g: Cochain) -> Fraction:
     """Weighted fraction of faces on which the two cochains differ."""
     f._require_same(g)
-    return f.complex.set_weight(f._faces_at(f.row != g.row), f.dimension)
+    return f.complex.mask_weight(f.row != g.row, f.dimension)
 
 
 def act(f0: Cochain, g1: Cochain) -> Cochain:

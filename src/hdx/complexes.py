@@ -145,6 +145,11 @@ class SimplicialComplex:
             self._faces[k] = tuple(map(tuple, self._ids[self._ranks[k]].tolist()))
         return self._faces[k]
 
+    def faces_where(self, k: int, mask: np.ndarray) -> List[Face]:
+        """The k-faces where mask, a row over faces(k), is nonzero, in order."""
+        faces = self.faces(k)
+        return [faces[j] for j in mask.nonzero()[0].tolist()]
+
     def face_count(self, k: int) -> int:
         return len(self.faces(k))
 
@@ -223,6 +228,10 @@ class SimplicialComplex:
     def set_weight(self, faces: Iterable[Face], k: int) -> Fraction:
         """Total P_k mass of a set of k-faces."""
         return Fraction(sum(self._numerators(faces, k)), self._den[k])
+
+    def mask_weight(self, mask: np.ndarray, k: int) -> Fraction:
+        """Total P_k mass of the k-faces where mask, a boolean row over faces(k), is true."""
+        return Fraction(int(self._rows[k][mask].sum()), self._den[k])
 
     def mutual_weight_sets(self, a_faces: Iterable[Face], k: int, b_faces, ell: int) -> Fraction:
         """Pr over a random k-face and a uniform ell-subface of landing in (A, B)."""

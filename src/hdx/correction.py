@@ -65,7 +65,7 @@ from .errors import (
     UndefinedCoboundaryError,
     WrongDimensionError,
 )
-from .expansion import classify_non_local, classify_weakly_non_local
+from .expansion import classify_non_local, classify_weakly_non_local, localized_weights
 from .groups import FiniteGroup
 from .oracle import (
     EnumerationBudget,
@@ -561,17 +561,11 @@ def saturation_diagnostic(f: Cochain) -> CheckReport:
     cancelled wholesale, so ||f_e|| <= 1 - 1/|G| whenever no local correction
     applies.  Reported per edge with the worst offender as witness.  The
     localized weight at e is the mass of f's support on the triangles
-    through e over num(e) C(d - 1, 1); one scatter of the supported triangles
-    over the facet table of X(2) gives every edge's mass.
+    through e over num(e) C(d - 1, 1), read off ``localized_weights``.
     """
     X, G = f.complex, f.group
     bound = 1 - Fraction(1, G.order)
-    on = f.row != 0
-    num = X.weight_numerators(2)
-    mass = np.zeros(X.face_count(1), dtype=num.dtype)
-    np.add.at(mass, X.facets(2)[on], num[on, None])
-    scale = X.dimension - 1
-    weights = [Fraction(m, n * scale) for m, n in zip(mass.tolist(), X.weight_numerators(1).tolist())]
+    weights = localized_weights(X, f.row != 0, 2, 1)
     worst = max(range(len(weights)), key=weights.__getitem__)
     return CheckReport(
         name="edge-saturation-bound",

@@ -3,20 +3,28 @@
 For a set A of k-faces, delta1(A) is the set of (k+1)-faces containing exactly
 one member of A; such a face yields an unsatisfied equation over every group.
 The thin hierarchy S_i collects the faces whose localized view of A is sparse;
-non-locality says A sits almost entirely on thin (k-1)-faces.  All comparisons
-are exact: thresholds eta^(a/b) go through integer cross-multiplication and
-cube-root bounds, and spectral terms enter only through certified rational
-upper bounds, so a reported violation of any checked inequality would be a
-genuine counterexample.
+non-locality says A sits almost entirely on thin (k-1)-faces.
+
+Every set is a boolean row over ``X.faces(k)`` (a cochain's support is
+``f.row != 0``), and every incidence is read from the facet tables
+(``SimplicialComplex.facets``), a face below codimension 1 by dropping places
+from the last one down.  One kernel, ``localized_weights``, gives ||A_sigma||
+for every sigma of a level; the hierarchy levels, weak non-locality and the
+correction layer's saturation diagnostic read it.  The face-by-face
+``SimplicialComplex.localized_weight`` and ``mutual_weight_sets`` remain as
+the references it is tested against.  All comparisons are exact: thresholds
+eta^(a/b) go through integer cross-multiplication and cube-root bounds, and
+spectral terms enter only through certified rational upper bounds, so a
+reported violation of any checked inequality would be a genuine
+counterexample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,9 +32,11 @@ from .complexes import Face, FaceSet, SimplicialComplex
 from .errors import (
     BadDimensionError,
     BadIndexError,
+    DimensionMismatchError,
     NotNonLocalError,
     NotWeaklyNonLocalError,
     ParameterViolationError,
+    UnknownFaceError,
     UnknownVariantError,
 )
 from .exact import frac_pow_le, quad_at_cbrt_is_nonneg
@@ -34,39 +44,45 @@ from .reporting import CheckReport
 
 ABELIAN = "abelian"
 NONABELIAN = "nonabelian"
+_ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThinHierarchy:
     """Per-level thin sets S_i for a set A of k-faces at sparsity eta.
 
     The additive path keeps every level i = k-1 .. -1 with threshold
     eta^(2^(k-i-1)) on the localized mass of the complement of the level
     above; the multiplicative path keeps S_(k-1) at threshold eta^(1/3) and
-    S_(k-2) at threshold eta.  Exponents are recorded as (num, den) pairs.
+    S_(k-2) at threshold eta.  A and each level are boolean rows over the
+    faces of their dimension; exponents are recorded as (num, den) pairs.
     """
 
     complex: SimplicialComplex
     k: int
     eta: Fraction
     path: str
-    set_a: FrozenSet[Face]
-    levels: Dict[int, FrozenSet[Face]]
+    members: np.ndarray
+    levels: Dict[int, np.ndarray]
     exponents: Dict[int, Tuple[int, int]]
 
-    def thin(self, i: int) -> FrozenSet[Face]:
+    def row(self, i: int) -> np.ndarray:
+        """S_i as a read-only boolean row over X.faces(i)."""
         if i not in self.levels:
             raise BadIndexError(f"no level {i} in this {self.path} hierarchy")
         return self.levels[i]
 
-    def fat(self, i: int) -> FrozenSet[Face]:
-        """Complement of S_i inside X(i); at level k it is the set A itself."""
-        if i == self.k:
-            return self.set_a
-        return frozenset(self.complex.faces(i)) - self.thin(i)
+    def thin(self, i: int) -> FrozenSet[Face]:
+        return frozenset(self.complex.faces_where(i, self.row(i)))
 
-    def fat_weight(self, i: int) -> Fraction:
-        return self.complex.set_weight(self.fat(i), i)
+    def members_of(self, a) -> np.ndarray:
+        """A's member row, once A is the set this hierarchy was built for."""
+        if a.complex is not self.complex or a.dimension != self.k:
+            raise DimensionMismatchError("the hierarchy was built on another complex or dimension")
+        members = _members(a)
+        if not np.array_equal(members, self.members):
+            raise DimensionMismatchError("the hierarchy was built for another set")
+        return members
 
 
 @dataclass(frozen=True)
@@ -79,11 +95,50 @@ class NonLocalVerdict:
     witness: Optional[Face] = None
 
 
-def _faces_of(a) -> Tuple[FrozenSet[Face], int, SimplicialComplex]:
-    if isinstance(a, FaceSet):
-        return a.faces, a.dimension, a.complex
-    # Cochain-like: use the support.
-    return a.support(), a.dimension, a.complex
+def _members(a) -> np.ndarray:
+    """The member row over X.faces(k) of a face set, or of a cochain's support."""
+    if not isinstance(a, FaceSet):
+        return a.row != 0
+    index = a.complex.face_index(a.dimension)
+    members = np.zeros(len(index), dtype=bool)
+    try:
+        members[[index[face] for face in a.faces]] = True
+    except KeyError as exc:
+        raise UnknownFaceError(f"face {exc.args[0]} is not a {a.dimension}-face of the complex") from None
+    return members
+
+
+def _subfaces(X: SimplicialComplex, at: np.ndarray, k: int, level: int) -> np.ndarray:
+    """Row r: the indices in X.faces(level) of the level-faces inside
+    X.faces(k)[at[r]], each once.  One facet table per step gathers every
+    chain of dropped places; the chains that drop places from the last one
+    down, which leaves the places below untouched, name each subface once."""
+    sub = at
+    for dim in range(k, level, -1):
+        sub = X.facets(dim)[sub]
+    if k - level > 1:
+        places = np.indices(sub.shape[1:]).reshape(k - level, -1)
+        sub = sub.reshape(len(at), places.shape[1])[:, (places[:-1] > places[1:]).all(axis=0)]
+    return sub
+
+
+def localized_weights(X: SimplicialComplex, members: np.ndarray, k: int, level: int) -> List[Fraction]:
+    """||A_sigma|| for every sigma in X(level), in order, where A is the set of
+    k-faces that members, a boolean row over them, marks: the numerators of the
+    members holding sigma, over num(sigma) C(d - level, k - level)."""
+    at = members.nonzero()[0]
+    num = X.weight_numerators(k)
+    mass = np.zeros(X.face_count(level), dtype=num.dtype)
+    np.add.at(mass, _subfaces(X, at, k, level), num[at, None])
+    scale = comb(X.dimension - level, k - level)
+    below = X.weight_numerators(level).tolist()
+    return [Fraction(m, n * scale) if m else _ZERO for m, n in zip(mass.tolist(), below)]
+
+
+def _sparse_level(X, members, k, level, eta, exp_num, exp_den) -> np.ndarray:
+    """The row of sigma in X(level) with ||members_sigma|| <= eta^(exp_num/exp_den)."""
+    weights = localized_weights(X, members, k, level)
+    return np.array([not w or frac_pow_le(w, eta, exp_num, exp_den) for w in weights], dtype=bool)
 
 
 def delta1(a: FaceSet) -> FaceSet:
@@ -98,126 +153,72 @@ def delta_i(a: FaceSet, i: int) -> FaceSet:
         raise BadDimensionError("no faces one dimension above a top-dimensional set")
     if not 0 <= i <= k + 2:
         raise BadIndexError(f"containment count {i} out of range 0..{k + 2}")
-    members = np.array([face in a.faces for face in X.faces(k)], dtype=bool)
-    hit = np.flatnonzero(members[X.facets(k + 1)].sum(axis=1) == i)
-    above = X.faces(k + 1)
-    return FaceSet(X, k + 1, frozenset(above[j] for j in hit.tolist()))
+    hit = _members(a)[X.facets(k + 1)].sum(axis=1) == i
+    return FaceSet(X, k + 1, frozenset(X.faces_where(k + 1, hit)))
 
 
 def thin_hierarchy(a, eta: Fraction, path: str = ABELIAN) -> ThinHierarchy:
     """Thin-face hierarchy below a set (or the support of a cochain) of k-faces."""
-    faces, k, X = _faces_of(a)
+    members, k, X = _members(a), a.dimension, a.complex
     eta = Fraction(eta)
     if not 0 < eta < 1:
         raise ParameterViolationError(f"eta must lie in (0,1), got {eta}")
     if path not in (ABELIAN, NONABELIAN):
         raise UnknownVariantError(f"unknown hierarchy path {path!r}")
-    levels: Dict[int, FrozenSet[Face]] = {}
-    exponents: Dict[int, Tuple[int, int]] = {}
-
     if path == NONABELIAN:
         if k < 1:
             raise BadDimensionError("the multiplicative path needs k >= 1")
-        levels[k - 1] = _sparse_level(X, faces, k, k - 1, eta, 1, 3)
-        exponents[k - 1] = (1, 3)
-        levels[k - 2] = _sparse_level(X, faces, k, k - 2, eta, 1, 1)
-        exponents[k - 2] = (1, 1)
-        return ThinHierarchy(X, k, eta, path, frozenset(faces), levels, exponents)
-
-    # Additive path: S_(k-1) thresholds the localization of A itself, then each
-    # S_i thresholds the localization of the complement of S_(i+1).
-    levels[k - 1] = _sparse_level(X, faces, k, k - 1, eta, 1, 1)
-    exponents[k - 1] = (1, 1)
-    for i in range(k - 2, -2, -1):
-        above_bad = frozenset(X.faces(i + 1)) - levels[i + 1]
-        exponent = 2 ** (k - i - 1)
-        levels[i] = _sparse_level(X, above_bad, i + 1, i, eta, exponent, 1)
-        exponents[i] = (exponent, 1)
-    return ThinHierarchy(X, k, eta, path, frozenset(faces), levels, exponents)
+        exponents = {k - 1: (1, 3), k - 2: (1, 1)}
+    else:
+        exponents = {i: (2 ** (k - i - 1), 1) for i in range(k - 1, -2, -1)}
+    # The multiplicative levels and the additive S_(k-1) threshold the localization
+    # of A itself; each lower additive S_i that of the complement of S_(i+1).
+    levels: Dict[int, np.ndarray] = {}
+    for i, (num, den) in exponents.items():
+        if path == NONABELIAN or i == k - 1:
+            levels[i] = _sparse_level(X, members, k, i, eta, num, den)
+        else:
+            levels[i] = _sparse_level(X, ~levels[i + 1], i + 1, i, eta, num, den)
+    for row in (members, *levels.values()):
+        row.flags.writeable = False
+    return ThinHierarchy(X, k, eta, path, members, levels, exponents)
 
 
-def _sparse_level(
-    X: SimplicialComplex,
-    members: FrozenSet[Face],
-    member_dim: int,
-    level: int,
-    eta: Fraction,
-    exp_num: int,
-    exp_den: int,
-) -> FrozenSet[Face]:
-    """Faces sigma of the level dimension with ||members_sigma|| <= eta^(exp_num/exp_den)."""
-    num = {}
-    for face in members:
-        w = X.weight_numerator(face)
-        for sub in combinations(face, level + 1):
-            num[sub] = num.get(sub, 0) + w
-    d = X.dimension
-    factor = comb(d - level, member_dim - level)
-    out = []
-    for sigma in X.faces(level):
-        mass_num = num.get(sigma, 0)
-        if mass_num == 0:
-            out.append(sigma)
-            continue
-        local = Fraction(mass_num, X.weight_numerator(sigma) * factor)
-        if frac_pow_le(local, eta, exp_num, exp_den):
-            out.append(sigma)
-    return frozenset(out)
+def _pinched(X: SimplicialComplex, at: np.ndarray, dim: int, fat: np.ndarray, thin: np.ndarray) -> np.ndarray:
+    """For the dim-faces at indices at: whether two of their facets in the row
+    fat meet in a face in the row thin.  Dropping place i and then a place
+    below i leaves the face without both."""
+    up, below = X.facets(dim)[at], X.facets(dim - 1)
+    out = np.zeros(len(at), dtype=bool)
+    for i in range(dim + 1):
+        for j in range(i):
+            out |= fat[up[:, i]] & fat[up[:, j]] & thin[below[up[:, i], j]]
+    return out
 
 
 def degenerate_above(f, hierarchy: ThinHierarchy) -> FaceSet:
     """(k+1)-faces holding two fat j-faces, for some level j <= k, that meet in a
     thin (j-1)-face; at level k the fat faces are the members of A.
 
-    Two j-faces inside a (k+1)-face meet in a (j-1)-face t exactly when they
-    are t plus one vertex each, so a face qualifies when some thin t inside it
-    extends by two of its other vertices to fat j-faces.  Each level maps
-    every thin t to the vertices that extend it to a fat face, read off the
-    facets of the fat faces.
+    Two such j-faces span a (j+1)-face, whose facets they are, so a face
+    qualifies when it holds a (j+1)-face pinched at level j.  Holding one
+    passes up the facet tables a dimension at a time.
     """
-    _, k, X = _faces_of(f)
-    levels: List[Dict[Face, Set[int]]] = []
-    for j in range(0, k + 1):
-        thin, extend = hierarchy.thin(j - 1), {}
-        for face in hierarchy.fat(j):
-            for i, u in enumerate(face):
-                t = face[:i] + face[i + 1 :]
-                if t in thin:
-                    extend.setdefault(t, set()).add(u)
-        levels.append(extend)
-    out = []
-    for above in X.faces(k + 1):
-        inside = set(above)
-        if any(
-            len(extend[t] & inside) >= 2
-            for j, extend in enumerate(levels)
-            for t in combinations(above, j)
-            if t in extend
-        ):
-            out.append(above)
-    return FaceSet(X, k + 1, frozenset(out))
+    members, k, X = hierarchy.members_of(f), hierarchy.k, hierarchy.complex
+    held = np.zeros(X.face_count(0), dtype=bool)
+    for j in range(k + 1):
+        fat = members if j == k else ~hierarchy.row(j)
+        at = np.arange(X.face_count(j + 1))
+        held = held[X.facets(j + 1)].any(axis=1) | _pinched(X, at, j + 1, fat, hierarchy.row(j - 1))
+    return FaceSet(X, k + 1, frozenset(X.faces_where(k + 1, held)))
 
 
 def degenerate_inside(a: FaceSet, hierarchy: ThinHierarchy) -> FaceSet:
     """Members of A with two facets outside S_(k-1) that meet in a face of S_(k-2)."""
-    k, X = a.dimension, a.complex
-    thin_high = hierarchy.thin(k - 1)
-    thin_low = hierarchy.thin(k - 2)
-    fat_high_universe = frozenset(X.faces(k - 1)) - thin_high
-    out = []
-    for face in a.faces:
-        hit = False
-        for drop in combinations(range(k + 1), 2):
-            t1 = tuple(v for j, v in enumerate(face) if j != drop[0])
-            t2 = tuple(v for j, v in enumerate(face) if j != drop[1])
-            if t1 in fat_high_universe and t2 in fat_high_universe:
-                inter = tuple(v for j, v in enumerate(face) if j not in drop)
-                if inter in thin_low:
-                    hit = True
-                    break
-        if hit:
-            out.append(face)
-    return FaceSet(X, k, frozenset(out))
+    k, X, members = a.dimension, a.complex, hierarchy.members_of(a)
+    at = members.nonzero()[0]
+    members[at] = _pinched(X, at, k, ~hierarchy.row(k - 1), hierarchy.row(k - 2))
+    return FaceSet(X, k, frozenset(X.faces_where(k, members)))
 
 
 def classify_non_local(a: FaceSet, eta: Fraction, eps: Fraction) -> NonLocalVerdict:
@@ -226,9 +227,14 @@ def classify_non_local(a: FaceSet, eta: Fraction, eps: Fraction) -> NonLocalVerd
     for name, val in (("eta", eta), ("eps", eps)):
         if not 0 < val < 1:
             raise ParameterViolationError(f"{name} must lie in (0,1), got {val}")
-    hierarchy = thin_hierarchy(a, eta, ABELIAN)
+    k, X, members = a.dimension, a.complex, _members(a)
     weight = a.weight
-    on_thin = a.complex.mutual_weight_sets(a.faces, a.dimension, hierarchy.thin(a.dimension - 1), a.dimension - 1)
+    # Pr over a k-face of A and one of its facets that the facet is in S_(k-1),
+    # the top level of the additive hierarchy.
+    at = members.nonzero()[0]
+    hits = _sparse_level(X, members, k, k - 1, eta, 1, 1)[X.facets(k)[at]].sum(axis=1)
+    total = sum(n * h for n, h in zip(X.weight_numerators(k)[at].tolist(), hits.tolist()))
+    on_thin = Fraction(total, X.weight_denominator(k) * (k + 1))
     passed = on_thin >= (1 - eps) * weight
     return NonLocalVerdict(
         passed,
@@ -248,18 +254,12 @@ def classify_weakly_non_local(
     k, X = a.dimension, a.complex
     if k < 1:
         raise BadDimensionError("weak non-locality needs k >= 1")
-    hierarchy = thin_hierarchy(a, eta, NONABELIAN)
-    weight = a.weight
-    thin_mass = X.set_weight(hierarchy.thin(k - 2), k - 2)
-    witness = None
-    saturated_ok = True
-    for tau in X.faces(k - 1):
-        local = X.localized_weight(a.faces, k, tau)
-        if local > 1 - alpha:
-            saturated_ok = False
-            witness = tau
-            break
-    passed = thin_mass >= 1 - eps * weight and saturated_ok
+    members, weight = _members(a), a.weight
+    # S_(k-2) of the multiplicative hierarchy.
+    thin_mass = X.mask_weight(_sparse_level(X, members, k, k - 2, eta, 1, 1), k - 2)
+    weights, bound = localized_weights(X, members, k, k - 1), 1 - alpha
+    witness = next((tau for tau, w in zip(X.faces(k - 1), weights) if w > bound), None)
+    passed = thin_mass >= 1 - eps * weight and witness is None
     return NonLocalVerdict(
         passed,
         measured={"weight": weight, "thin_mass": thin_mass},
@@ -387,7 +387,7 @@ def check_fat_mass_bound(hierarchy: ThinHierarchy, f_weight: Fraction) -> CheckR
     worst: Optional[Tuple[int, Fraction, Fraction]] = None
     passed = True
     for i in range(-1, k):
-        fat_w = hierarchy.fat_weight(i)
+        fat_w = X.mask_weight(~hierarchy.row(i), i)
         # fat_w < eta^(1 - 2^(k-i)) * f_weight  <=>  fat_w * eta^(2^(k-i) - 1) < f_weight
         exponent = 2 ** (k - i) - 1
         lhs = fat_w * eta**exponent
@@ -413,7 +413,7 @@ def check_empty_face_is_thin(hierarchy: ThinHierarchy, f_weight: Fraction) -> Ch
     k, eta = hierarchy.k, hierarchy.eta
     threshold = eta ** (2 ** (k + 1) - 1)
     applicable = f_weight <= threshold
-    bottom_mass = Fraction(1) if () in hierarchy.thin(-1) else Fraction(0)
+    bottom_mass = Fraction(1) if hierarchy.row(-1)[0] else Fraction(0)
     return CheckReport(
         name="empty-face-is-thin",
         passed=(not applicable) or bottom_mass == 1,
@@ -427,7 +427,7 @@ def check_upsilon_bound_abelian(
     f, hierarchy: ThinHierarchy, lambda_plus: Fraction
 ) -> CheckReport:
     """||Upsilon|| <= eta C(k+2,2) 2^(k+2) ||f||, assuming lambda <= eta^(2^(d-1))."""
-    faces, k, X = _faces_of(f)
+    members, k, X = hierarchy.members_of(f), hierarchy.k, hierarchy.complex
     lam, eta = Fraction(lambda_plus), hierarchy.eta
     if not frac_pow_le(lam, eta, 2 ** (X.dimension - 1), 1):
         raise ParameterViolationError(
@@ -435,7 +435,7 @@ def check_upsilon_bound_abelian(
         )
     ups = degenerate_above(f, hierarchy)
     lhs = ups.weight
-    f_weight = X.set_weight(faces, k)
+    f_weight = X.mask_weight(members, k)
     rhs = eta * comb(k + 2, 2) * 2 ** (k + 2) * f_weight
     return CheckReport(
         name="degenerate-above-set-mass",

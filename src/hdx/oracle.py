@@ -89,10 +89,10 @@ def space_size(group: FiniteGroup, face_count: int) -> int:
 # -- enumeration engine ----------------------------------------------------------
 
 
-def _numerators(values: Sequence[int]) -> np.ndarray:
-    """Weight numerators in the narrowest type that holds their sum (Python
-    ints past uint64), so weights computed with them are exact and small."""
-    return np.array(values, dtype=np.min_scalar_type(sum(values)))
+def _numerators(row: np.ndarray) -> np.ndarray:
+    """A row of weight numerators in the narrowest type that holds its sum
+    (Python ints past uint64), so weights computed with it are exact and small."""
+    return row.astype(np.min_scalar_type(sum(row.tolist())))
 
 
 class _Scan:
@@ -108,12 +108,11 @@ class _Scan:
 
     def __init__(self, X: SimplicialComplex, k: int, G: FiniteGroup):
         self.k, self.G = k, G
-        faces: List[Face] = list(X.faces(k))
-        self.m = len(faces)
-        self.nums = _numerators([X.weight_numerator(f) for f in faces])
+        self.m = X.face_count(k)
+        self.nums = _numerators(X.weight_numerators(k))
         self.track = k < X.dimension and (G.is_abelian or k <= 1)
         above: List[Face] = list(X.faces(k + 1)) if self.track else []
-        self.above_nums = _numerators([X.weight_numerator(f) for f in above])
+        self.above_nums = _numerators(X.weight_numerators(k + 1) if self.track else self.nums[:0])
         index = X.face_index(k)
         # roles[j, i]: the k-face left when position i is dropped from the j-th (k+1)-face.
         self.roles = np.array(
@@ -391,7 +390,7 @@ def exact_distance(
     else:
         raise BadDimensionError(f"unknown space tag {space!r}")
     X, k = f.complex, f.dimension
-    nums = _numerators([X.weight_numerator(face) for face in X.faces(k)])
+    nums = _numerators(X.weight_numerators(k))
     # The pool is sorted, so the first nearest row is the lexicographic minimum.
     dist = (pool != f.row) @ nums
     i = int(np.argmin(dist))
@@ -555,7 +554,7 @@ def cosystolic_expansion_constants(
         entry["b_size"] = len(b_rows)
         nontrivial = z_rows[~_rows_in(z_rows, b_rows)]
         if len(nontrivial):
-            weights = (nontrivial != 0) @ _numerators([X.weight_numerator(f) for f in X.faces(k)])
+            weights = (nontrivial != 0) @ _numerators(X.weight_numerators(k))
             entry["mu"] = Fraction(int(weights.min()), X.weight_denominator(k))
 
         pair_cost = spaces.c_count * max(len(z_rows), 1)

@@ -417,10 +417,10 @@ def suite_nonabelian(seed: int = 0, budget: Optional[EnumerationBudget] = None) 
         a = FaceSet.make(X3, k, a_faces)
         eta, eps, alpha = Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)
         verdict = classify_weakly_non_local(a, eta, eps, alpha)
-        # Direct re-evaluation of both defining conditions.
-        hierarchy = thin_hierarchy(a, eta, "nonabelian")
-        thin_mass = X3.set_weight(hierarchy.thin(k - 2), k - 2)
-        cond1 = thin_mass >= 1 - eps * a.weight
+        # Direct re-evaluation of both defining conditions, face by face:
+        # S_(k-2) holds the (k-2)-faces where A's localization is at most eta.
+        thin_low = [s for s in X3.faces(k - 2) if X3.localized_weight(a.faces, k, s) <= eta]
+        cond1 = X3.set_weight(thin_low, k - 2) >= 1 - eps * a.weight
         cond2 = all(
             X3.localized_weight(a.faces, k, tau) <= 1 - alpha for tau in X3.faces(k - 1)
         )

@@ -4,12 +4,14 @@ from itertools import combinations
 import pytest
 
 from hdx.cochains import Cochain, random_cochain
-from hdx.complexes import FaceSet
+from hdx.complexes import FaceSet, SimplicialComplex
 from hdx.errors import (
     BadDimensionError,
     BadIndexError,
+    DimensionMismatchError,
     NotNonLocalError,
     ParameterViolationError,
+    UnknownFaceError,
 )
 from hdx.expansion import (
     check_delta1_theorem_abelian,
@@ -28,6 +30,7 @@ from hdx.expansion import (
     delta_i,
     thin_hierarchy,
 )
+from hdx.exact import frac_pow_le
 from hdx.groups import group_from_spec
 from hdx.instances import complete_complex
 from hdx.oracle import enumerate_spaces
@@ -79,6 +82,13 @@ def test_delta_i_partition_identities(rng):
         assert weighted == 3 * a.weight
 
 
+def test_sets_outside_the_complex_are_refused(k4_skeleton):
+    stray = FaceSet(k4_skeleton, 1, frozenset({(0, 1), (0, 9)}))
+    for call in (delta1, lambda a: thin_hierarchy(a, Fraction(1, 2))):
+        with pytest.raises(UnknownFaceError):
+            call(stray)
+
+
 def test_delta_i_bad_index(k4_skeleton):
     a = faceset(k4_skeleton, 1, [(0, 1)])
     with pytest.raises(BadIndexError):
@@ -123,6 +133,59 @@ def test_hierarchy_exponent_schedule():
     assert hn.exponents == {1: (1, 3), 0: (1, 1)}
 
 
+def _huge_weighted_k6():
+    """K6^(3) with distinct top weights whose denominator is past 2^63, so every
+    numerator row holds Python ints."""
+    tops = list(combinations(range(6), 4))
+    weights = [Fraction(i + 1, 2**64 + 13) for i in range(len(tops) - 1)]
+    weights.append(1 - sum(weights))
+    return SimplicialComplex(3, tops, dict(zip(tops, weights)))
+
+
+def _levels_by_definition(a, eta, path):
+    """Each level face by face: the sigma whose localized weight, from
+    localized_weight, is at most the level's power of eta."""
+    X, k = a.complex, a.dimension
+
+    def sparse(members, dim, level, num, den):
+        return frozenset(
+            s for s in X.faces(level) if frac_pow_le(X.localized_weight(members, dim, s), eta, num, den)
+        )
+
+    if path == "nonabelian":
+        return {k - 1: sparse(a.faces, k, k - 1, 1, 3), k - 2: sparse(a.faces, k, k - 2, 1, 1)}
+    levels = {k - 1: sparse(a.faces, k, k - 1, 1, 1)}
+    for i in range(k - 2, -2, -1):
+        levels[i] = sparse(frozenset(X.faces(i + 1)) - levels[i + 1], i + 1, i, 2 ** (k - i - 1), 1)
+    return levels
+
+
+@pytest.mark.parametrize("name", ["k7", "t3", "huge-weighted-k6"])
+def test_hierarchy_levels_match_the_definition(name, t3, rng):
+    X = {"k7": lambda: complete_complex(7, 3), "t3": lambda: t3, "huge-weighted-k6": _huge_weighted_k6}[name]()
+    if name == "huge-weighted-k6":
+        assert all(X.weight_numerators(k).dtype == object for k in range(-1, 4))
+    thin_and_fat = set()
+    for _ in range(12):
+        k = rng.randint(1, 2)
+        faces = X.faces(k)
+        a = faceset(X, k, rng.sample(faces, k=rng.randint(0, len(faces) // 2)))
+        eta = Fraction(rng.randint(1, 9), 10)
+        for path in ("abelian", "nonabelian"):
+            h = thin_hierarchy(a, eta, path)
+            expected = _levels_by_definition(a, eta, path)
+            assert {i: h.thin(i) for i in h.levels} == expected, (name, k, eta, path)
+            thin_and_fat |= {(0 < len(level) < len(X.faces(i))) for i, level in expected.items()}
+        # The classifiers read the same levels; their masses against the references.
+        on_thin = X.mutual_weight_sets(a.faces, k, _levels_by_definition(a, eta, "abelian")[k - 1], k - 1)
+        assert classify_non_local(a, eta, Fraction(1, 2)).measured["weight_on_thin"] == on_thin
+        verdict = classify_weakly_non_local(a, eta, Fraction(1, 2), Fraction(1, 3))
+        assert verdict.measured["thin_mass"] == X.set_weight(expected[k - 2], k - 2)
+        saturated = [t for t in X.faces(k - 1) if X.localized_weight(a.faces, k, t) > Fraction(2, 3)]
+        assert verdict.witness == (saturated[0] if saturated else None)
+    assert True in thin_and_fat  # some level mixes thin and fat faces
+
+
 def test_fat_mass_bound_random(rng):
     X = complete_complex(7, 3)
     for _ in range(50):
@@ -137,13 +200,16 @@ def test_fat_mass_bound_random(rng):
 # -- degenerate-face sets -----------------------------------------------------------
 
 
-def _upsilon_pair_scan(X, hierarchy, k):
+def _upsilon_pair_scan(a, hierarchy):
     """Independent scan: (k+1)-faces holding two fat j-faces, j <= k, whose
-    union is a (j+1)-face and whose intersection is thin at level j-1."""
+    union is a (j+1)-face and whose intersection is thin at level j-1; the
+    fat j-faces are A at j = k and the complement of S_j below."""
+    X, k = a.complex, a.dimension
+    fats = [frozenset(X.faces(j)) - hierarchy.thin(j) for j in range(k)] + [a.faces]
     out = set()
     for above in X.faces(k + 1):
         for j in range(k + 1):
-            fat = [s for s in combinations(above, j + 1) if s in hierarchy.fat(j)]
+            fat = [s for s in combinations(above, j + 1) if s in fats[j]]
             if any(
                 len(set(s1) | set(s2)) == j + 2
                 and tuple(sorted(set(s1) & set(s2))) in hierarchy.thin(j - 1)
@@ -168,9 +234,72 @@ def test_upsilon_matches_pair_scan(rng):
             eta = Fraction(rng.randint(1, 9), 10)
             h = thin_hierarchy(a, eta)
             got = degenerate_above(a, h).faces
-            assert got == _upsilon_pair_scan(X, h, k), (n, d, k)
+            assert got == _upsilon_pair_scan(a, h), (n, d, k)
             hits += len(got)
     assert hits > 0
+
+
+def _inside_pair_scan(a, hierarchy):
+    """Independent scan: members of A with two facets outside S_(k-1) whose
+    intersection lies in S_(k-2)."""
+    X, k = a.complex, a.dimension
+    fat = frozenset(X.faces(k - 1)) - hierarchy.thin(k - 1)
+    thin = hierarchy.thin(k - 2)
+    return frozenset(
+        face
+        for face in a.faces
+        if any(
+            t1 in fat and t2 in fat and tuple(sorted(set(t1) & set(t2))) in thin
+            for t1, t2 in combinations(combinations(face, k), 2)
+        )
+    )
+
+
+def test_degenerate_inside_matches_pair_scan(rng):
+    # Dense stars of a few (k-1)-faces make fat (k-1)-faces that can meet in
+    # a thin (k-2)-face; random extra faces keep the rest of A sparse.
+    for n, d, k in ((7, 2, 1), (7, 3, 1), (7, 3, 2)):
+        X = complete_complex(n, d)
+        faces = X.faces(k)
+        hits = 0
+        for _ in range(25):
+            centers = rng.sample(X.faces(k - 1), k=rng.randint(1, 3))
+            star = [f for f in faces if any(set(c) <= set(f) for c in centers) and rng.random() < 0.9]
+            a = faceset(X, k, star + rng.sample(faces, k=rng.randint(0, 3)))
+            h = thin_hierarchy(a, Fraction(rng.randint(4, 9), 10), "nonabelian")
+            got = degenerate_inside(a, h).faces
+            assert got == _inside_pair_scan(a, h), (n, d, k)
+            hits += len(got)
+        assert hits > 0, (n, d, k)
+
+
+def test_hierarchy_for_another_set_is_refused(rng):
+    X = complete_complex(7, 3)
+    lam = local_spectral_lambda(X).as_fraction()
+    Z2 = group_from_spec("Z2")
+    small = Cochain(X, 2, Z2, {(0, 1, 2): 1})
+    big = FaceSet(X, 2, random_cochain(X, 2, Z2, rng, 0.3).support())
+    eta = Fraction(9, 10)
+    h_big, hn_big = thin_hierarchy(big, eta), thin_hierarchy(big, eta, "nonabelian")
+    small_set = FaceSet(X, 2, small.support())
+    edges = faceset(X, 1, [(0, 1)])
+    h_edges = thin_hierarchy(edges, eta)
+    other = complete_complex(6, 3)
+    h_other = thin_hierarchy(faceset(other, 2, [(0, 1, 2)]), eta)
+    with pytest.raises(DimensionMismatchError):
+        check_upsilon_bound_abelian(small, h_big, lam)
+    for f, h in ((small, h_big), (small_set, h_big), (small, h_edges), (edges, h_big), (small, h_other)):
+        with pytest.raises(DimensionMismatchError):
+            degenerate_above(f, h)
+    for h in (hn_big, h_other):
+        with pytest.raises(DimensionMismatchError):
+            degenerate_inside(small_set, h)
+        with pytest.raises(DimensionMismatchError):
+            check_upsilon_bound_nonabelian(small_set, h, lam)
+    # The hierarchy's own set passes, as a face set or as a cochain's support.
+    h_small = thin_hierarchy(small_set, eta)
+    assert degenerate_above(small, h_small).faces == _upsilon_pair_scan(small_set, h_small)
+    assert check_upsilon_bound_nonabelian(big, hn_big, lam).name == "degenerate-inside-set-mass"
 
 
 def test_upsilon_empty_set(k4_skeleton):
