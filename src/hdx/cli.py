@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .cochains import cochain_from_text, cochain_to_text
-from .complexes import FaceSet, SimplicialComplex
+from .complexes import SimplicialComplex
 from .correction import correct_abelian, correct_nonabelian
 from .errors import (
     BadParamsError,
@@ -25,12 +25,7 @@ from .errors import (
     ParseError,
     PremiseFailedError,
 )
-from .expansion import (
-    check_delta1_theorem_abelian,
-    classify_non_local,
-    classify_weakly_non_local,
-    delta1,
-)
+from .expansion import _delta1_bound, classify_non_local, classify_weakly_non_local, delta1
 from .groups import group_from_spec
 from .instances import complete_complex, glued_simplices, torus_complex
 from .oracle import (
@@ -222,7 +217,7 @@ def cmd_delta1(args) -> int:
     X = _load_complex(args.complex)
     group = group_from_spec(args.group) if args.group else None
     f = cochain_from_text(_read_text(args.cochain), X, group)
-    support = FaceSet(X, f.dimension, f.support())
+    support = f.support()
     d1 = delta1(support)
     from .spectral import local_spectral_lambda
 
@@ -241,7 +236,7 @@ def cmd_delta1(args) -> int:
         },
     }
     if verdict.passed:
-        check = check_delta1_theorem_abelian(support, cert.as_fraction(), args.eta, args.eps)
+        check = _delta1_bound(support, d1, cert.as_fraction(), verdict)
         report["expansion_check"] = check.as_dict()
     if args.alpha is not None:
         wverdict = classify_weakly_non_local(support, args.eta, args.eps, args.alpha)

@@ -27,11 +27,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .complexes import Face, SimplicialComplex, as_face
+from .complexes import Face, FaceSet, SimplicialComplex, as_face
 from .errors import (
     BadDimensionError,
     DimensionMismatchError,
@@ -125,8 +125,9 @@ class Cochain:
             raise UnknownFaceError(f"{ordered} repeats a vertex")
         return self.group.signed(self.value(tuple(sorted(ordered))), perm_parity(ordered))
 
-    def support(self) -> FrozenSet[Face]:
-        return frozenset(self.complex.faces_where(self.dimension, self.row))
+    def support(self) -> FaceSet:
+        """The faces with a non-identity value: the row f.row != 0 as a FaceSet."""
+        return FaceSet(self.complex, self.dimension, self.row != 0)
 
     def weight(self) -> Fraction:
         return self.complex.mask_weight(self.row != 0, self.dimension)

@@ -10,12 +10,12 @@ ranks: the (k+1)-subsets of all tops are sorted together, each run of equal
 rows is a face of ``faces(k)``, the layout of every cochain's value row, and
 its numerator in ``weight_numerators(k)`` sums the run.  The runs also give
 ``facets(k)``, the incidence of X(k) on X(k-1), and every link, which is closed
-the same way; ``link_index`` tables the faces sigma + tau through sigma.
+the same way; ``link_index`` tables the faces sigma + tau through sigma.  A
+``FaceSet``, such as a cochain's support, is a read-only boolean row over faces(k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -24,8 +24,8 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from .errors import BadDimensionError, DimensionMismatchError, DuplicateTopFaceError, EmptyInputError
-from .errors import NonUniformCardinalityError, ParseError, UnknownFaceError
+from .errors import BadDimensionError, BadParamsError, DimensionMismatchError, DuplicateTopFaceError
+from .errors import EmptyInputError, NonUniformCardinalityError, ParseError, UnknownFaceError
 
 Face = Tuple[int, ...]
 
@@ -359,33 +359,54 @@ class SimplicialComplex:
         return f"SimplicialComplex(d={self.dimension}, {sizes})"
 
 
-@dataclass(frozen=True)
 class FaceSet:
-    """A weighted subset of X(k), tied to its owning complex."""
+    """A set of k-faces of a complex: a read-only boolean row over
+    ``complex.faces(k)``, the layout of a cochain's value row.  Two sets are
+    equal when they share the complex object, k and the row."""
 
-    complex: SimplicialComplex
-    dimension: int
-    faces: FrozenSet[Face]
+    __slots__ = ("complex", "dimension", "row")
+
+    def __init__(self, complex: SimplicialComplex, dimension: int, row: np.ndarray):
+        count = complex.face_count(dimension)
+        if not isinstance(row, np.ndarray) or row.dtype != bool or row.shape != (count,):
+            raise BadParamsError(f"a set of {dimension}-faces needs a boolean row of length {count}")
+        row.flags.writeable = False
+        self.complex, self.dimension, self.row = complex, dimension, row
 
     @classmethod
     def make(cls, complex: SimplicialComplex, k: int, faces: Iterable[Iterable[int]]) -> "FaceSet":
-        members = frozenset(as_face(f) for f in faces)
+        members = {as_face(f) for f in faces}
         index = complex.face_index(k)
         stray = [face for face in members if face not in index]
         if stray:
             raise UnknownFaceError(f"faces {sorted(stray)[:3]} are not {k}-faces of the complex")
-        return cls(complex, k, members)
+        row = np.zeros(len(index), dtype=bool)
+        row[[index[face] for face in members]] = True
+        return cls(complex, k, row)
+
+    @property
+    def faces(self) -> FrozenSet[Face]:
+        return frozenset(self)
 
     @property
     def weight(self) -> Fraction:
-        return self.complex.set_weight(self.faces, self.dimension)
+        return self.complex.mask_weight(self.row, self.dimension)
 
     def __contains__(self, face: Face) -> bool:
-        return face in self.faces
+        at = self.complex.face_index(self.dimension).get(face)
+        return at is not None and bool(self.row[at])
 
     def __iter__(self):
-        return iter(sorted(self.faces))
+        """The members in sorted order, the order of faces(k)."""
+        return iter(self.complex.faces_where(self.dimension, self.row))
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return int(np.count_nonzero(self.row))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FaceSet) or self.complex is not other.complex:
+            return False
+        return self.dimension == other.dimension and np.array_equal(self.row, other.row)
+
+    def __hash__(self):
+        return hash((id(self.complex), self.dimension, self.row.tobytes()))

@@ -53,7 +53,7 @@ from .cochains import (
     oriented,
     term_columns,
 )
-from .complexes import FaceSet, SimplicialComplex
+from .complexes import SimplicialComplex
 from .errors import (
     AlreadyLocallyMinimalError,
     BadDimensionError,
@@ -490,8 +490,7 @@ def correct_abelian(
     if classify:
         threshold = Fraction(eta) ** (2 ** (k + 2) - 1)
         if trace.initial_delta_weight <= threshold:
-            support = FaceSet(X, k + 1, h.support())
-            verdict = classify_non_local(support, Fraction(eta), Fraction(eps))
+            verdict = classify_non_local(h.support(), Fraction(eta), Fraction(eps))
             trace.verdict = {
                 "kind": "non-local",
                 "passed": verdict.passed,
@@ -532,8 +531,8 @@ def correct_nonabelian(
     if classify:
         threshold = Fraction(beta) * Fraction(eta) / 2
         if trace.initial_delta_weight <= threshold:
-            support = FaceSet(X, 2, final_delta.support())
-            if support.faces:
+            support = final_delta.support()
+            if len(support):
                 verdict = classify_weakly_non_local(
                     support, Fraction(eta), Fraction(eps), Fraction(1, G.order)
                 )

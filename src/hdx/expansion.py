@@ -5,8 +5,8 @@ one member of A; such a face yields an unsatisfied equation over every group.
 The thin hierarchy S_i collects the faces whose localized view of A is sparse;
 non-locality says A sits almost entirely on thin (k-1)-faces.
 
-Every set is a boolean row over ``X.faces(k)`` (a cochain's support is
-``f.row != 0``), and every incidence is read from the facet tables
+Every set is a ``FaceSet``, a boolean row over ``X.faces(k)`` (a cochain's
+is ``f.support()``), and every incidence is read from the facet tables
 (``SimplicialComplex.facets``), a face below codimension 1 by dropping places
 from the last one down.  One kernel, ``localized_weights``, gives ||A_sigma||
 for every sigma of a level; the hierarchy levels, weak non-locality and the
@@ -36,7 +36,6 @@ from .errors import (
     NotNonLocalError,
     NotWeaklyNonLocalError,
     ParameterViolationError,
-    UnknownFaceError,
     UnknownVariantError,
 )
 from .exact import frac_pow_le, quad_at_cbrt_is_nonneg
@@ -54,15 +53,15 @@ class ThinHierarchy:
     The additive path keeps every level i = k-1 .. -1 with threshold
     eta^(2^(k-i-1)) on the localized mass of the complement of the level
     above; the multiplicative path keeps S_(k-1) at threshold eta^(1/3) and
-    S_(k-2) at threshold eta.  A and each level are boolean rows over the
-    faces of their dimension; exponents are recorded as (num, den) pairs.
+    S_(k-2) at threshold eta.  Each level is a boolean row over the faces of
+    its dimension; exponents are recorded as (num, den) pairs.
     """
 
     complex: SimplicialComplex
     k: int
     eta: Fraction
     path: str
-    members: np.ndarray
+    members: FaceSet
     levels: Dict[int, np.ndarray]
     exponents: Dict[int, Tuple[int, int]]
 
@@ -75,14 +74,11 @@ class ThinHierarchy:
     def thin(self, i: int) -> FrozenSet[Face]:
         return frozenset(self.complex.faces_where(i, self.row(i)))
 
-    def members_of(self, a) -> np.ndarray:
+    def members_of(self, a: FaceSet) -> np.ndarray:
         """A's member row, once A is the set this hierarchy was built for."""
-        if a.complex is not self.complex or a.dimension != self.k:
-            raise DimensionMismatchError("the hierarchy was built on another complex or dimension")
-        members = _members(a)
-        if not np.array_equal(members, self.members):
-            raise DimensionMismatchError("the hierarchy was built for another set")
-        return members
+        if a != self.members:
+            raise DimensionMismatchError("the hierarchy was built for another set, dimension or complex")
+        return a.row
 
 
 @dataclass(frozen=True)
@@ -95,17 +91,13 @@ class NonLocalVerdict:
     witness: Optional[Face] = None
 
 
-def _members(a) -> np.ndarray:
-    """The member row over X.faces(k) of a face set, or of a cochain's support."""
-    if not isinstance(a, FaceSet):
-        return a.row != 0
-    index = a.complex.face_index(a.dimension)
-    members = np.zeros(len(index), dtype=bool)
-    try:
-        members[[index[face] for face in a.faces]] = True
-    except KeyError as exc:
-        raise UnknownFaceError(f"face {exc.args[0]} is not a {a.dimension}-face of the complex") from None
-    return members
+def _in_unit_interval(**params) -> Tuple[Fraction, ...]:
+    """The parameters as Fractions, in order; ParameterViolationError unless each lies in (0, 1)."""
+    values = tuple(map(Fraction, params.values()))
+    for name, val in zip(params, values):
+        if not 0 < val < 1:
+            raise ParameterViolationError(f"{name} must lie in (0,1), got {val}")
+    return values
 
 
 def _subfaces(X: SimplicialComplex, at: np.ndarray, k: int, level: int) -> np.ndarray:
@@ -153,16 +145,13 @@ def delta_i(a: FaceSet, i: int) -> FaceSet:
         raise BadDimensionError("no faces one dimension above a top-dimensional set")
     if not 0 <= i <= k + 2:
         raise BadIndexError(f"containment count {i} out of range 0..{k + 2}")
-    hit = _members(a)[X.facets(k + 1)].sum(axis=1) == i
-    return FaceSet(X, k + 1, frozenset(X.faces_where(k + 1, hit)))
+    return FaceSet(X, k + 1, a.row[X.facets(k + 1)].sum(axis=1) == i)
 
 
-def thin_hierarchy(a, eta: Fraction, path: str = ABELIAN) -> ThinHierarchy:
-    """Thin-face hierarchy below a set (or the support of a cochain) of k-faces."""
-    members, k, X = _members(a), a.dimension, a.complex
-    eta = Fraction(eta)
-    if not 0 < eta < 1:
-        raise ParameterViolationError(f"eta must lie in (0,1), got {eta}")
+def thin_hierarchy(a: FaceSet, eta: Fraction, path: str = ABELIAN) -> ThinHierarchy:
+    """Thin-face hierarchy below a set of k-faces."""
+    members, k, X = a.row, a.dimension, a.complex
+    (eta,) = _in_unit_interval(eta=eta)
     if path not in (ABELIAN, NONABELIAN):
         raise UnknownVariantError(f"unknown hierarchy path {path!r}")
     if path == NONABELIAN:
@@ -179,9 +168,9 @@ def thin_hierarchy(a, eta: Fraction, path: str = ABELIAN) -> ThinHierarchy:
             levels[i] = _sparse_level(X, members, k, i, eta, num, den)
         else:
             levels[i] = _sparse_level(X, ~levels[i + 1], i + 1, i, eta, num, den)
-    for row in (members, *levels.values()):
+    for row in levels.values():
         row.flags.writeable = False
-    return ThinHierarchy(X, k, eta, path, members, levels, exponents)
+    return ThinHierarchy(X, k, eta, path, a, levels, exponents)
 
 
 def _pinched(X: SimplicialComplex, at: np.ndarray, dim: int, fat: np.ndarray, thin: np.ndarray) -> np.ndarray:
@@ -196,7 +185,7 @@ def _pinched(X: SimplicialComplex, at: np.ndarray, dim: int, fat: np.ndarray, th
     return out
 
 
-def degenerate_above(f, hierarchy: ThinHierarchy) -> FaceSet:
+def degenerate_above(a: FaceSet, hierarchy: ThinHierarchy) -> FaceSet:
     """(k+1)-faces holding two fat j-faces, for some level j <= k, that meet in a
     thin (j-1)-face; at level k the fat faces are the members of A.
 
@@ -204,31 +193,28 @@ def degenerate_above(f, hierarchy: ThinHierarchy) -> FaceSet:
     qualifies when it holds a (j+1)-face pinched at level j.  Holding one
     passes up the facet tables a dimension at a time.
     """
-    members, k, X = hierarchy.members_of(f), hierarchy.k, hierarchy.complex
+    members, k, X = hierarchy.members_of(a), hierarchy.k, hierarchy.complex
     held = np.zeros(X.face_count(0), dtype=bool)
     for j in range(k + 1):
         fat = members if j == k else ~hierarchy.row(j)
         at = np.arange(X.face_count(j + 1))
         held = held[X.facets(j + 1)].any(axis=1) | _pinched(X, at, j + 1, fat, hierarchy.row(j - 1))
-    return FaceSet(X, k + 1, frozenset(X.faces_where(k + 1, held)))
+    return FaceSet(X, k + 1, held)
 
 
 def degenerate_inside(a: FaceSet, hierarchy: ThinHierarchy) -> FaceSet:
     """Members of A with two facets outside S_(k-1) that meet in a face of S_(k-2)."""
-    k, X, members = a.dimension, a.complex, hierarchy.members_of(a)
-    at = members.nonzero()[0]
-    members[at] = _pinched(X, at, k, ~hierarchy.row(k - 1), hierarchy.row(k - 2))
-    return FaceSet(X, k, frozenset(X.faces_where(k, members)))
+    k, X = a.dimension, a.complex
+    at = hierarchy.members_of(a).nonzero()[0]
+    inside = np.zeros_like(a.row)
+    inside[at] = _pinched(X, at, k, ~hierarchy.row(k - 1), hierarchy.row(k - 2))
+    return FaceSet(X, k, inside)
 
 
 def classify_non_local(a: FaceSet, eta: Fraction, eps: Fraction) -> NonLocalVerdict:
     """A is non-local when its mass sits on thin (k-1)-faces up to an eps fraction."""
-    eta, eps = Fraction(eta), Fraction(eps)
-    for name, val in (("eta", eta), ("eps", eps)):
-        if not 0 < val < 1:
-            raise ParameterViolationError(f"{name} must lie in (0,1), got {val}")
-    k, X, members = a.dimension, a.complex, _members(a)
-    weight = a.weight
+    eta, eps = _in_unit_interval(eta=eta, eps=eps)
+    k, X, members, weight = a.dimension, a.complex, a.row, a.weight
     # Pr over a k-face of A and one of its facets that the facet is in S_(k-1),
     # the top level of the additive hierarchy.
     at = members.nonzero()[0]
@@ -247,14 +233,11 @@ def classify_weakly_non_local(
     a: FaceSet, eta: Fraction, eps: Fraction, alpha: Fraction
 ) -> NonLocalVerdict:
     """Thin (k-2)-mass at least 1 - eps*||A|| and no saturated (k-1)-face."""
-    eta, eps, alpha = Fraction(eta), Fraction(eps), Fraction(alpha)
-    for name, val in (("eta", eta), ("eps", eps), ("alpha", alpha)):
-        if not 0 < val < 1:
-            raise ParameterViolationError(f"{name} must lie in (0,1), got {val}")
+    eta, eps, alpha = _in_unit_interval(eta=eta, eps=eps, alpha=alpha)
     k, X = a.dimension, a.complex
     if k < 1:
         raise BadDimensionError("weak non-locality needs k >= 1")
-    members, weight = _members(a), a.weight
+    members, weight = a.row, a.weight
     # S_(k-2) of the multiplicative hierarchy.
     thin_mass = X.mask_weight(_sparse_level(X, members, k, k - 2, eta, 1, 1), k - 2)
     weights, bound = localized_weights(X, members, k, k - 1), 1 - alpha
@@ -272,43 +255,44 @@ def check_delta1_theorem_abelian(
     a: FaceSet, lambda_plus: Fraction, eta: Fraction, eps: Fraction
 ) -> CheckReport:
     """||delta1(A)|| >= (1 - C(k+2,2)(lambda + eta + 2 eps)) ||A|| for non-local A."""
-    lam = Fraction(lambda_plus)
     verdict = classify_non_local(a, eta, eps)
     if not verdict.passed:
         raise NotNonLocalError("the set is not non-local at these parameters")
-    k = a.dimension
-    lhs = delta1(a).weight
-    coefficient = 1 - comb(k + 2, 2) * (lam + Fraction(eta) + 2 * Fraction(eps))
-    rhs = coefficient * a.weight
+    return _delta1_bound(a, delta1(a), lambda_plus, verdict)
+
+
+def _delta1_bound(a: FaceSet, d1: FaceSet, lambda_plus: Fraction, verdict: NonLocalVerdict) -> CheckReport:
+    """check_delta1_theorem_abelian given delta1(A) and A's passing non-local verdict."""
+    lam, eta, eps, k = Fraction(lambda_plus), verdict.params["eta"], verdict.params["eps"], a.dimension
+    lhs = d1.weight
+    rhs = (1 - comb(k + 2, 2) * (lam + eta + 2 * eps)) * a.weight
     return CheckReport(
         name="delta1-lower-bound",
         passed=lhs >= rhs,
         lhs=lhs,
         rhs=rhs,
-        params={"lambda_plus": lam, "eta": Fraction(eta), "eps": Fraction(eps), "k": k},
+        params={"lambda_plus": lam, "eta": eta, "eps": eps, "k": k},
     )
 
 
-def check_delta1_theorem_nonabelian(
-    a: FaceSet,
-    lambda_plus: Fraction,
-    eta: Fraction,
-    eps: Fraction,
-    alpha: Fraction,
-) -> CheckReport:
-    """||delta1(A)|| >= alpha ||A|| for weakly-non-local A under the stated params.
-
-    Requires eps <= alpha / (3 d^3), lambda <= eps^2, eta <= eps^3.
-    """
-    lam = Fraction(lambda_plus)
-    eta, eps, alpha = Fraction(eta), Fraction(eps), Fraction(alpha)
-    d = a.complex.dimension
-    k = a.dimension
+def _require_nonabelian_premises(lam: Fraction, eta: Fraction, eps: Fraction, alpha: Fraction, d: int) -> None:
+    """The premises of the non-abelian statements on a d-complex, refused with the values given."""
     if eps > alpha / (3 * d**3) or lam > eps**2 or eta > eps**3:
         raise ParameterViolationError(
             f"need eps <= alpha/(3 d^3), lambda <= eps^2, eta <= eps^3; got "
             f"eps={eps}, alpha={alpha}, lambda_plus={lam}, eta={eta}, d={d}"
         )
+
+
+def check_delta1_theorem_nonabelian(
+    a: FaceSet, lambda_plus: Fraction, eta: Fraction, eps: Fraction, alpha: Fraction
+) -> CheckReport:
+    """||delta1(A)|| >= alpha ||A|| for weakly-non-local A under the stated params.
+
+    Requires eps <= alpha / (3 d^3), lambda <= eps^2, eta <= eps^3.
+    """
+    lam, eta, eps, alpha = Fraction(lambda_plus), Fraction(eta), Fraction(eps), Fraction(alpha)
+    _require_nonabelian_premises(lam, eta, eps, alpha, a.complex.dimension)
     verdict = classify_weakly_non_local(a, eta, eps, alpha)
     if not verdict.passed:
         raise NotWeaklyNonLocalError("the set is not weakly-non-local at these parameters")
@@ -319,7 +303,7 @@ def check_delta1_theorem_nonabelian(
         passed=lhs >= rhs,
         lhs=lhs,
         rhs=rhs,
-        params={"lambda_plus": lam, "eta": eta, "eps": eps, "alpha": alpha, "k": k},
+        params={"lambda_plus": lam, "eta": eta, "eps": eps, "alpha": alpha, "k": a.dimension},
     )
 
 
@@ -336,7 +320,7 @@ def check_vanishing_corollary_abelian(
         )
     if not f.is_cocycle():
         raise ParameterViolationError("input must be a cocycle")
-    support = FaceSet(X, f.dimension, f.support())
+    support = f.support()
     verdict = classify_non_local(support, eta, eps)
     passed = (not verdict.passed) or f.is_zero()
     return CheckReport(
@@ -345,7 +329,7 @@ def check_vanishing_corollary_abelian(
         lhs=f.weight(),
         rhs=Fraction(0),
         params={"lambda_plus": lam, "eta": eta, "eps": eps},
-        witness=None if passed else sorted(f.support())[:3],
+        witness=None if passed else list(support)[:3],
     )
 
 
@@ -354,11 +338,7 @@ def check_vanishing_corollary_nonabelian(
 ) -> CheckReport:
     """A weakly-non-local set with empty delta1 must be empty (under the params)."""
     lam, eta, eps, alpha = Fraction(lambda_plus), Fraction(eta), Fraction(eps), Fraction(alpha)
-    d = a.complex.dimension
-    if eps > alpha / (3 * d**3) or lam > eps**2 or eta > eps**3:
-        raise ParameterViolationError(
-            "need eps <= alpha/(3 d^3), lambda <= eps^2, eta <= eps^3"
-        )
+    _require_nonabelian_premises(lam, eta, eps, alpha, a.complex.dimension)
     if len(delta1(a)) != 0:
         raise ParameterViolationError("input must have empty delta1")
     verdict = classify_weakly_non_local(a, eta, eps, alpha)
@@ -424,19 +404,18 @@ def check_empty_face_is_thin(hierarchy: ThinHierarchy, f_weight: Fraction) -> Ch
 
 
 def check_upsilon_bound_abelian(
-    f, hierarchy: ThinHierarchy, lambda_plus: Fraction
+    a: FaceSet, hierarchy: ThinHierarchy, lambda_plus: Fraction
 ) -> CheckReport:
-    """||Upsilon|| <= eta C(k+2,2) 2^(k+2) ||f||, assuming lambda <= eta^(2^(d-1))."""
-    members, k, X = hierarchy.members_of(f), hierarchy.k, hierarchy.complex
+    """||Upsilon|| <= eta C(k+2,2) 2^(k+2) ||A||, assuming lambda <= eta^(2^(d-1))."""
+    hierarchy.members_of(a)  # another set's hierarchy is refused before the premise
+    k, X = a.dimension, a.complex
     lam, eta = Fraction(lambda_plus), hierarchy.eta
     if not frac_pow_le(lam, eta, 2 ** (X.dimension - 1), 1):
         raise ParameterViolationError(
             f"need lambda <= eta^(2^(d-1)); lambda_plus={lam}, eta={eta}"
         )
-    ups = degenerate_above(f, hierarchy)
-    lhs = ups.weight
-    f_weight = X.mask_weight(members, k)
-    rhs = eta * comb(k + 2, 2) * 2 ** (k + 2) * f_weight
+    lhs = degenerate_above(a, hierarchy).weight
+    rhs = eta * comb(k + 2, 2) * 2 ** (k + 2) * a.weight
     return CheckReport(
         name="degenerate-above-set-mass",
         passed=lhs <= rhs,

@@ -160,7 +160,7 @@ def suite_delta1(seed: int = 0, budget: Optional[EnumerationBudget] = None) -> S
         for _ in range(25):
             f = random_cochain(X, 1, G, rng, 0.3)
             df = f.coboundary()
-            d1 = delta1(FaceSet(X, 1, f.support()))
+            d1 = delta1(f.support())
             if not d1.weight <= df.weight():
                 violations += 1
     out.add(
@@ -236,7 +236,7 @@ def suite_hierarchy(seed: int = 0, budget: Optional[EnumerationBudget] = None) -
         G = group_from_spec(rng.choice(("Z2", "Z3")))
         f = random_cochain(X, k, G, rng, rng.choice((0.02, 0.1, 0.3)))
         eta = Fraction(rng.randint(1, 9), 10)
-        h = thin_hierarchy(FaceSet(X, k, f.support()), eta)
+        h = thin_hierarchy(f.support(), eta)
         w = f.weight()
         if not check_fat_mass_bound(h, w).passed:
             fat_failures += 1
@@ -253,9 +253,10 @@ def suite_hierarchy(seed: int = 0, budget: Optional[EnumerationBudget] = None) -
         G = group_from_spec("Z2")
         f = random_cochain(X3, k, G, rng, 0.15)
         eta = Fraction(rng.randint(80, 99), 100)
-        h = thin_hierarchy(FaceSet(X3, k, f.support()), eta)
+        a = f.support()
+        h = thin_hierarchy(a, eta)
         try:
-            report = check_upsilon_bound_abelian(f, h, lam3)
+            report = check_upsilon_bound_abelian(a, h, lam3)
         except ParameterViolationError:
             continue
         applicable += 1
@@ -419,10 +420,10 @@ def suite_nonabelian(seed: int = 0, budget: Optional[EnumerationBudget] = None) 
         verdict = classify_weakly_non_local(a, eta, eps, alpha)
         # Direct re-evaluation of both defining conditions, face by face:
         # S_(k-2) holds the (k-2)-faces where A's localization is at most eta.
-        thin_low = [s for s in X3.faces(k - 2) if X3.localized_weight(a.faces, k, s) <= eta]
+        thin_low = [s for s in X3.faces(k - 2) if X3.localized_weight(a_faces, k, s) <= eta]
         cond1 = X3.set_weight(thin_low, k - 2) >= 1 - eps * a.weight
         cond2 = all(
-            X3.localized_weight(a.faces, k, tau) <= 1 - alpha for tau in X3.faces(k - 1)
+            X3.localized_weight(a_faces, k, tau) <= 1 - alpha for tau in X3.faces(k - 1)
         )
         if verdict.passed != (cond1 and cond2):
             wnl_failures += 1

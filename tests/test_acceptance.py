@@ -142,7 +142,7 @@ def test_criterion_04_delta1_theorem_sweep():
             faces = X.faces(k)
             for size in (1, 2, 3):
                 for chosen in combinations(faces, size):
-                    a = FaceSet(X, k, frozenset(chosen))
+                    a = FaceSet.make(X, k, chosen)
                     verdict = classify_non_local(a, eta, eps)
                     if not verdict.passed:
                         continue
@@ -183,7 +183,7 @@ def test_criterion_06_hierarchy_bounds():
         G = group_from_spec(rng.choice(ABELIAN_GROUPS))
         f = random_cochain(X, k, G, rng, rng.choice((0.02, 0.1, 0.3, 0.6)))
         eta = Fraction(rng.randint(1, 19), 20)
-        h = thin_hierarchy(FaceSet(X, k, f.support()), eta)
+        h = thin_hierarchy(f.support(), eta)
         w = f.weight()
         if not check_fat_mass_bound(h, w).passed:
             fat_fail += 1
@@ -194,9 +194,10 @@ def test_criterion_06_hierarchy_bounds():
     for _ in range(500):
         f = random_cochain(X3, 2, group_from_spec("Z2"), rng, rng.choice((0.05, 0.2)))
         eta = Fraction(rng.randint(85, 99), 100)
-        h = thin_hierarchy(FaceSet(X3, 2, f.support()), eta)
+        a = f.support()
+        h = thin_hierarchy(a, eta)
         try:
-            if not check_upsilon_bound_abelian(f, h, lam3).passed:
+            if not check_upsilon_bound_abelian(a, h, lam3).passed:
                 ups_fail += 1
             ups_checked += 1
         except ParameterViolationError:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hdx import expansion
 from hdx.cli import main
 from hdx.cochains import Cochain, cochain_from_text, cochain_to_text, random_cochain
 from hdx.complexes import SimplicialComplex
@@ -94,6 +95,33 @@ def test_delta1_builds_no_link_complex(tmp_path, monkeypatch):
     argv = ["delta1", str(cpath), "--cochain", str(fpath), "--alpha", "1/2", "--format", "json"]
     assert main(argv + ["--out", str(out)]) == 0
     assert json.loads(out.read_text())["lambda_plus"] == 0.2000000010000002  # 1/5 on K6, an edge link
+
+
+def test_delta1_computes_each_level_and_delta1_once(tmp_path, monkeypatch):
+    cpath = tmp_path / "k8.txt"
+    main(["generate", "complete", "--n", "8", "--d", "3", "--out", str(cpath)])
+    fpath = tmp_path / "two.cochain"
+    fpath.write_text("dim 1 group Z2\n0 1 1\n2 3 1\n")
+    levels, counts = [], []
+    sparse_level, delta_i = expansion._sparse_level, expansion.delta_i
+
+    def logged_level(X, members, k, level, *args):
+        levels.append((k, level))
+        return sparse_level(X, members, k, level, *args)
+
+    def logged_delta_i(a, i):
+        counts.append(i)
+        return delta_i(a, i)
+
+    monkeypatch.setattr(expansion, "_sparse_level", logged_level)
+    monkeypatch.setattr(expansion, "delta_i", logged_delta_i)
+    out = tmp_path / "d1.json"
+    argv = ["delta1", str(cpath), "--cochain", str(fpath), "--alpha", "1/2", "--eta", "9/10", "--eps", "1/2"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["non_local"]["passed"] and report["expansion_check"]["passed"]
+    # S_0 for the non-local verdict, S_(-1) for the weak one, and one delta1.
+    assert levels == [(1, 0), (1, -1)] and counts == [1]
 
 
 def test_delta1_star_cochain(tmp_path):

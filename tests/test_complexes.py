@@ -552,6 +552,39 @@ def test_face_set_membership_reads_the_face_index(k4_skeleton):
         FaceSet.make(k4_skeleton, 3, [])
 
 
+def test_face_set_is_a_read_only_row_with_value_equality(k4_skeleton, rng):
+    from hdx.cochains import random_cochain
+    from hdx.groups import group_from_spec
+
+    a = FaceSet.make(k4_skeleton, 1, [(0, 1), (2, 3)])
+    assert a.row.tolist() == [True, False, False, False, False, True]
+    with pytest.raises(ValueError):
+        a.row[1] = True
+    f = random_cochain(complete_complex(6, 3), 2, group_from_spec("Z3"), rng, 0.4)
+    support = f.support()
+    assert support.row.tolist() == (f.row != 0).tolist() and len(support) == np.count_nonzero(f.row)
+    again = FaceSet.make(f.complex, 2, support.faces)
+    assert again == support and hash(again) == hash(support)
+    assert again != FaceSet.make(f.complex, 2, list(support)[1:]) and again != support.faces
+    # Equal rows on another complex object, or another k, are other sets.
+    twin = complete_complex(4, 2)
+    assert FaceSet.make(twin, 1, [(0, 1), (2, 3)]) != a
+    assert FaceSet.make(k4_skeleton, 0, []) != FaceSet.make(k4_skeleton, 2, [])  # four vertices, four triangles
+    assert len({a, FaceSet.make(k4_skeleton, 1, [(2, 3), (0, 1)])}) == 1
+
+
+def test_face_set_iterates_in_sorted_order_on_wide_ids():
+    # Vertex ids below 0 and past 2^63, as in the console-script wide-id complex.
+    H, B = 99999999999999999999, 2**64
+    X = SimplicialComplex(2, [(-5, 0, H), (-5, 0, B), (-5, H, B), (0, H, B)])
+    for k in range(3):
+        faces = X.faces(k)
+        for size in range(len(faces) + 1):
+            a = FaceSet.make(X, k, faces[::-1][:size])
+            assert list(a) == sorted(a.faces) and len(a) == size
+            assert all(face in a for face in a.faces) and sum(face in a for face in faces) == size
+
+
 # -- link_index from the rank rows against the link-built definition ------------------
 
 

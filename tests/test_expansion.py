@@ -1,12 +1,15 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hdx.cochains import Cochain, random_cochain
 from hdx.complexes import FaceSet, SimplicialComplex
 from hdx.errors import (
     BadDimensionError,
+    HdxError,
     BadIndexError,
     DimensionMismatchError,
     NotNonLocalError,
@@ -57,7 +60,7 @@ def test_delta1_star_is_empty(k4_skeleton):
 
 
 def test_delta1_empty_set(k4_skeleton):
-    assert len(delta1(FaceSet(k4_skeleton, 1, frozenset()))) == 0
+    assert len(delta1(faceset(k4_skeleton, 1, []))) == 0
 
 
 def test_delta_i_star(k4_skeleton):
@@ -83,10 +86,14 @@ def test_delta_i_partition_identities(rng):
 
 
 def test_sets_outside_the_complex_are_refused(k4_skeleton):
-    stray = FaceSet(k4_skeleton, 1, frozenset({(0, 1), (0, 9)}))
-    for call in (delta1, lambda a: thin_hierarchy(a, Fraction(1, 2))):
-        with pytest.raises(UnknownFaceError):
-            call(stray)
+    # A stray face cannot enter a set, and a row must be a boolean row over X(k).
+    with pytest.raises(UnknownFaceError):
+        FaceSet.make(k4_skeleton, 1, [(0, 1), (0, 9)])
+    for row in (np.zeros(6, dtype=np.int64), np.zeros(5, dtype=bool), np.zeros((6, 1), dtype=bool), [False] * 6):
+        with pytest.raises(HdxError):
+            FaceSet(k4_skeleton, 1, row)
+    with pytest.raises(HdxError):
+        FaceSet(k4_skeleton, 3, np.zeros(0, dtype=bool))
 
 
 def test_delta_i_bad_index(k4_skeleton):
@@ -110,7 +117,7 @@ def test_hierarchy_k4_example(k4_skeleton):
 
 
 def test_hierarchy_empty_set_is_all_thin(k4_skeleton):
-    h = thin_hierarchy(FaceSet(k4_skeleton, 1, frozenset()), Fraction(1, 3))
+    h = thin_hierarchy(faceset(k4_skeleton, 1, []), Fraction(1, 3))
     assert h.thin(0) == frozenset(k4_skeleton.faces(0))
     assert h.thin(-1) == frozenset({()})
 
@@ -193,7 +200,7 @@ def test_fat_mass_bound_random(rng):
         G = group_from_spec(rng.choice(("Z2", "Z3")))
         f = random_cochain(X, k, G, rng, rng.choice((0.05, 0.2, 0.5)))
         eta = Fraction(rng.randint(1, 9), 10)
-        h = thin_hierarchy(FaceSet(X, k, f.support()), eta)
+        h = thin_hierarchy(f.support(), eta)
         assert check_fat_mass_bound(h, f.weight()).passed
 
 
@@ -278,32 +285,36 @@ def test_hierarchy_for_another_set_is_refused(rng):
     lam = local_spectral_lambda(X).as_fraction()
     Z2 = group_from_spec("Z2")
     small = Cochain(X, 2, Z2, {(0, 1, 2): 1})
-    big = FaceSet(X, 2, random_cochain(X, 2, Z2, rng, 0.3).support())
+    big = random_cochain(X, 2, Z2, rng, 0.3).support()
     eta = Fraction(9, 10)
     h_big, hn_big = thin_hierarchy(big, eta), thin_hierarchy(big, eta, "nonabelian")
-    small_set = FaceSet(X, 2, small.support())
+    small_set = small.support()
     edges = faceset(X, 1, [(0, 1)])
     h_edges = thin_hierarchy(edges, eta)
     other = complete_complex(6, 3)
     h_other = thin_hierarchy(faceset(other, 2, [(0, 1, 2)]), eta)
+    # The same set on an equal complex built again: equal rows, another complex.
+    twin = complete_complex(7, 3)
+    h_twin = thin_hierarchy(faceset(twin, 2, [(0, 1, 2)]), eta)
     with pytest.raises(DimensionMismatchError):
-        check_upsilon_bound_abelian(small, h_big, lam)
-    for f, h in ((small, h_big), (small_set, h_big), (small, h_edges), (edges, h_big), (small, h_other)):
+        check_upsilon_bound_abelian(small_set, h_big, lam)
+    cases = ((small_set, h_big), (small_set, h_edges), (edges, h_big), (small_set, h_other), (small_set, h_twin))
+    for a, h in cases + ((small, thin_hierarchy(small_set, eta)),):
         with pytest.raises(DimensionMismatchError):
-            degenerate_above(f, h)
+            degenerate_above(a, h)
     for h in (hn_big, h_other):
         with pytest.raises(DimensionMismatchError):
             degenerate_inside(small_set, h)
         with pytest.raises(DimensionMismatchError):
             check_upsilon_bound_nonabelian(small_set, h, lam)
-    # The hierarchy's own set passes, as a face set or as a cochain's support.
+    # The hierarchy's own set passes, as a cochain's support or built face by face.
     h_small = thin_hierarchy(small_set, eta)
-    assert degenerate_above(small, h_small).faces == _upsilon_pair_scan(small_set, h_small)
+    assert degenerate_above(faceset(X, 2, [(0, 1, 2)]), h_small).faces == _upsilon_pair_scan(small_set, h_small)
     assert check_upsilon_bound_nonabelian(big, hn_big, lam).name == "degenerate-inside-set-mass"
 
 
 def test_upsilon_empty_set(k4_skeleton):
-    a = FaceSet(k4_skeleton, 1, frozenset())
+    a = faceset(k4_skeleton, 1, [])
     h = thin_hierarchy(a, Fraction(1, 2))
     assert len(degenerate_above(a, h)) == 0
     hn = thin_hierarchy(a, Fraction(1, 2), "nonabelian")
@@ -314,9 +325,9 @@ def test_upsilon_bound_abelian_needs_spectral_premise():
     X = complete_complex(7, 3)
     lam = local_spectral_lambda(X).as_fraction()
     f = Cochain(X, 2, group_from_spec("Z2"), {(0, 1, 2): 1})
-    h_small = thin_hierarchy(FaceSet(X, 2, f.support()), Fraction(1, 10))
+    h_small = thin_hierarchy(f.support(), Fraction(1, 10))
     with pytest.raises(ParameterViolationError):
-        check_upsilon_bound_abelian(f, h_small, lam)
+        check_upsilon_bound_abelian(f.support(), h_small, lam)
 
 
 def test_upsilon_bound_abelian_random(rng):
@@ -327,9 +338,9 @@ def test_upsilon_bound_abelian_random(rng):
         G = group_from_spec("Z2")
         f = random_cochain(X, 2, G, rng, 0.2)
         eta = Fraction(rng.randint(85, 99), 100)  # keeps lambda <= eta^(2^(d-1))
-        h = thin_hierarchy(FaceSet(X, 2, f.support()), eta)
+        h = thin_hierarchy(f.support(), eta)
         try:
-            report = check_upsilon_bound_abelian(f, h, lam)
+            report = check_upsilon_bound_abelian(f.support(), h, lam)
         except ParameterViolationError:
             continue
         applicable += 1
@@ -353,7 +364,7 @@ def test_upsilon_bound_nonabelian_random(rng):
 
 def test_classify_empty_set_non_local():
     X = complete_complex(6, 2)
-    verdict = classify_non_local(FaceSet(X, 1, frozenset()), Fraction(1, 4), Fraction(1, 4))
+    verdict = classify_non_local(faceset(X, 1, []), Fraction(1, 4), Fraction(1, 4))
     assert verdict.passed
 
 
@@ -379,12 +390,19 @@ def test_classify_parameter_validation(k4_skeleton):
         classify_non_local(a, Fraction(2), Fraction(1, 4))
     with pytest.raises(ParameterViolationError):
         classify_weakly_non_local(a, Fraction(1, 4), Fraction(1, 4), Fraction(0))
+    # Both ends of (0, 1) are refused, by name.
+    with pytest.raises(ParameterViolationError, match=re.escape("eps must lie in (0,1), got 1")):
+        classify_non_local(a, Fraction(1, 4), Fraction(1))
+    with pytest.raises(ParameterViolationError, match=re.escape("eta must lie in (0,1), got 0")):
+        thin_hierarchy(a, Fraction(0))
+    with pytest.raises(ParameterViolationError, match=re.escape("alpha must lie in (0,1), got 1")):
+        classify_weakly_non_local(a, Fraction(1, 4), Fraction(1, 4), Fraction(1))
 
 
 def test_classify_weakly_non_local():
     X = complete_complex(7, 3)
     assert classify_weakly_non_local(
-        FaceSet(X, 2, frozenset()), Fraction(1, 4), Fraction(1, 4), Fraction(1, 6)
+        faceset(X, 2, []), Fraction(1, 4), Fraction(1, 4), Fraction(1, 6)
     ).passed
     # Saturate one edge: every triangle over it belongs to the set.
     saturated = faceset(X, 2, [t for t in X.faces(2) if set((0, 1)) <= set(t)])
@@ -469,7 +487,7 @@ def test_delta1_theorem_nonabelian_gate_and_empty_set():
     alpha = Fraction(1, 2)
     eps = alpha / 81
     eta = eps**3
-    report = check_delta1_theorem_nonabelian(FaceSet(X, 2, frozenset()), Fraction(0), eta, eps, alpha)
+    report = check_delta1_theorem_nonabelian(faceset(X, 2, []), Fraction(0), eta, eps, alpha)
     assert report.passed and report.lhs == 0 and report.rhs == 0
     with pytest.raises(NotWeaklyNonLocalError):
         check_delta1_theorem_nonabelian(
@@ -512,8 +530,10 @@ def test_vanishing_corollary_zero_passes():
 
 def test_vanishing_corollary_nonabelian_gate():
     X = complete_complex(7, 3)
-    a = FaceSet(X, 2, frozenset())
-    with pytest.raises(ParameterViolationError):
+    a = faceset(X, 2, [])
+    # The same premise check, with the same detailed message, as the delta1 theorem.
+    detail = "; got eps=1/10, alpha=1/2, lambda_plus=1/4, eta=1/10, d=3"
+    with pytest.raises(ParameterViolationError, match=re.escape(detail)):
         check_vanishing_corollary_nonabelian(
             a, Fraction(1, 4), Fraction(1, 10), Fraction(1, 10), Fraction(1, 2)
         )

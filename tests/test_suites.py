@@ -31,7 +31,7 @@ def test_injected_bug_is_caught(monkeypatch):
             for above in X.faces(k + 1)
             if any(set(f) <= set(above) for f in a.faces)
         ]
-        return FaceSet(X, k + 1, frozenset(out))
+        return FaceSet.make(X, k + 1, out)
 
     monkeypatch.setattr(suites, "delta1", touching_instead_of_exactly_one)
     result = suites.suite_delta1(seed=0)
