@@ -18,13 +18,7 @@ from typing import Dict, Optional
 from .cochains import cochain_from_text, cochain_to_text
 from .complexes import SimplicialComplex
 from .correction import correct_abelian, correct_nonabelian
-from .errors import (
-    BadParamsError,
-    BudgetExceededError,
-    HdxError,
-    ParseError,
-    PremiseFailedError,
-)
+from .errors import BadParamsError, BudgetExceededError, HdxError, ParseError
 from .expansion import _delta1_bound, classify_non_local, classify_weakly_non_local, delta1
 from .groups import group_from_spec
 from .instances import complete_complex, glued_simplices, torus_complex
@@ -329,9 +323,6 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except PremiseFailedError as exc:
-        sys.stderr.write(f"refused: {exc}\n")
-        return 3
     except HdxError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

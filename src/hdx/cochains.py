@@ -41,7 +41,7 @@ from .errors import (
     UndefinedCoboundaryError,
     UnknownFaceError,
 )
-from .groups import FiniteGroup, group_from_spec
+from .groups import FiniteGroup, _row_dtype, group_from_spec
 
 
 def perm_parity(ordered: Tuple[int, ...]) -> int:
@@ -53,11 +53,6 @@ def perm_parity(ordered: Tuple[int, ...]) -> int:
         if ordered[i] > ordered[j]
     )
     return -1 if inversions % 2 else 1
-
-
-def _dtype(G: FiniteGroup):
-    """int64 while the sum of two element indices fits in it, Python ints past that."""
-    return np.int64 if G.order <= 2**62 else object
 
 
 def oriented(G: FiniteGroup, values: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -80,7 +75,7 @@ class Cochain:
         """The cochain with the given {face: element} values, validated; absent
         faces carry the identity."""
         index = complex.face_index(dimension)
-        row = np.zeros(len(index), dtype=_dtype(group))
+        row = np.zeros(len(index), dtype=_row_dtype(group.order))
         for face, idx in (values or {}).items():
             face = tuple(face)
             if face not in index:
@@ -97,7 +92,7 @@ class Cochain:
     ) -> "Cochain":
         """The cochain whose value row over complex.faces(dimension) is row, trusted."""
         f = cls.__new__(cls)
-        f._set(complex, dimension, group, np.asarray(row, dtype=_dtype(group)))
+        f._set(complex, dimension, group, np.asarray(row, dtype=_row_dtype(group.order)))
         return f
 
     def _set(self, complex, dimension, group, row) -> None:

@@ -139,11 +139,15 @@ class SimplicialComplex:
     # -- structure ---------------------------------------------------------
 
     def faces(self, k: int) -> Tuple[Face, ...]:
+        if k not in self._faces:
+            self._faces[k] = tuple(map(tuple, self._ids[self._ranks_of(k)].tolist()))
+        return self._faces[k]
+
+    def _ranks_of(self, k: int) -> np.ndarray:
+        """The vertex ranks of faces(k), one face per row."""
         if not -1 <= k <= self.dimension:
             raise BadDimensionError(f"no faces of dimension {k} in a {self.dimension}-complex")
-        if k not in self._faces:
-            self._faces[k] = tuple(map(tuple, self._ids[self._ranks[k]].tolist()))
-        return self._faces[k]
+        return self._ranks[k]
 
     def faces_where(self, k: int, mask: np.ndarray) -> List[Face]:
         """The k-faces where mask, a row over faces(k), is nonzero, in order."""
@@ -151,7 +155,7 @@ class SimplicialComplex:
         return [faces[j] for j in mask.nonzero()[0].tolist()]
 
     def face_count(self, k: int) -> int:
-        return len(self.faces(k))
+        return len(self._ranks_of(k))
 
     def has_face(self, face: Face) -> bool:
         k = len(face) - 1

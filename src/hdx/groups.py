@@ -1,9 +1,11 @@
 """Finite groups with 0-based element indices (index 0 is always the identity).
 
 Abelian groups are written additively in the rest of the library (their
-identity plays the role of 0), non-abelian groups multiplicatively, but both
-share the same integer-indexed interface: ``op``, ``inv``, and
-``op_array``/``inv_array`` for elementwise use on numpy index arrays.
+identity plays the role of 0), non-abelian groups multiplicatively.  Every
+group defines only ``op_array``/``inv_array``, elementwise on numpy index
+arrays or Python ints, and derives the scalar ``op``/``inv`` from them.  A table
+group (S_m, D_m, a table file) holds one read-only int64 Cayley table and one
+inverse row; Z_m and direct products compute factor by factor with no table.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import json
 import re
 from itertools import permutations
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import BadParamsError, ParseError
 
@@ -21,59 +25,40 @@ from .errors import BadParamsError, ParseError
 MAX_TABLE_ORDER = 512
 
 
+def _row_dtype(order: int):
+    """int64 while the sum of two element indices fits in it, Python ints past that."""
+    return np.int64 if order <= 2**62 else object
+
+
 class FiniteGroup:
     """A finite group on elements ``0..order-1`` with identity ``0``."""
 
     name: str
     spec: str
     order: int
-    _is_abelian: Optional[bool] = None
-    _tables: Optional[tuple] = None
-
-    def op(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
+    is_abelian: bool
 
     def op_array(self, a, b):
-        """Elementwise ``op`` on int64 arrays of element indices."""
-        return self._cayley()[0][a, b]
+        """Elementwise product of element indices: numpy arrays or Python ints."""
+        raise NotImplementedError
 
     def inv_array(self, a):
-        """Elementwise ``inv`` on an int64 array of element indices."""
-        return self._cayley()[1][a]
+        """Elementwise inverse of element indices: a numpy array or a Python int."""
+        raise NotImplementedError
 
-    def _cayley(self) -> tuple:
-        """The Cayley table and inverse map as int64 arrays, built once per group."""
-        if self._tables is None:
-            import numpy as np
+    def op(self, a: int, b: int) -> int:
+        return int(self.op_array(a, b))
 
-            n = self.order
-            mul = np.array([[self.op(a, b) for b in range(n)] for a in range(n)], dtype=np.int64)
-            inv = np.array([self.inv(a) for a in range(n)], dtype=np.int64)
-            self._tables = (mul, inv)
-        return self._tables
-
-    def elements(self) -> range:
-        return range(self.order)
+    def inv(self, a: int) -> int:
+        return int(self.inv_array(a))
 
     def signed(self, a: int, sign: int) -> int:
         """Return ``a`` for sign +1 and the inverse of ``a`` for sign -1."""
         return a if sign >= 0 else self.inv(a)
 
-    @property
-    def is_abelian(self) -> bool:
-        if self._is_abelian is None:
-            self._is_abelian = all(
-                self.op(a, b) == self.op(b, a)
-                for a in self.elements()
-                for b in self.elements()
-            )
-        return self._is_abelian
-
     def check_axioms(self) -> None:
-        """Exhaustively verify identity, inverses, and associativity.
+        """Exhaustively verify identity, inverses, associativity and the
+        ``is_abelian`` flag on the Cayley table read through ``op_array``.
 
         Raises BadParamsError on the first violation.  Quadratic/cubic in the
         order, so guarded by MAX_TABLE_ORDER.
@@ -85,24 +70,21 @@ class FiniteGroup:
             raise BadParamsError(
                 f"exhaustive axiom check limited to order {MAX_TABLE_ORDER}, got {n}"
             )
-        for a in range(n):
-            if self.op(0, a) != a or self.op(a, 0) != a:
-                raise BadParamsError(f"element 0 is not an identity at {a}")
-            b = self.inv(a)
-            if not 0 <= b < n or self.op(a, b) != 0 or self.op(b, a) != 0:
-                raise BadParamsError(f"element {a} has no valid inverse")
+        every = np.arange(n, dtype=np.int64)
+        table = np.asarray(self.op_array(every[:, None], every), dtype=np.int64)
+        inv = np.asarray(self.inv_array(every), dtype=np.int64)
+        bad = np.flatnonzero((table[0] != every) | (table[:, 0] != every))
+        if bad.size:
+            raise BadParamsError(f"element 0 is not an identity at {bad[0]}")
+        bad = np.flatnonzero((table[every, inv] != 0) | (table[inv, every] != 0))
+        if bad.size:
+            raise BadParamsError(f"element {bad[0]} has no valid inverse")
         # Row a compares (ab)c, read as table[ab][c], with a(bc), read as table[a][bc].
-        table = self._cayley()[0]
         for a in range(n):
             if not (table[table[a]] == table[a][table]).all():
                 raise BadParamsError(f"associativity fails for left factor {a}")
-        declared = self._is_abelian
-        if declared is not None:
-            actual = all(
-                self.op(a, b) == self.op(b, a) for a in range(n) for b in range(n)
-            )
-            if actual != declared:
-                raise BadParamsError("is_abelian flag inconsistent with the table")
+        if self.is_abelian != bool((table == table.T).all()):
+            raise BadParamsError("is_abelian flag inconsistent with the table")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, order={self.order})"
@@ -117,21 +99,20 @@ class CyclicGroup(FiniteGroup):
         self.order = m
         self.name = f"Z{m}"
         self.spec = self.name
-        self._is_abelian = True
-
-    def op(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def inv(self, a: int) -> int:
-        return (-a) % self.order
+        self.is_abelian = True
 
     # The arithmetic is elementwise, so no table: the order of Z_m is unbounded.
-    op_array = op
-    inv_array = inv
+    def op_array(self, a, b):
+        return (a + b) % self.order
+
+    def inv_array(self, a):
+        return -a % self.order
 
 
 class DirectProductGroup(FiniteGroup):
-    """Direct product with mixed-radix element indices (left factor is slow)."""
+    """Direct product with mixed-radix element indices (left factor is slow).
+    Digits are int64 for factors of order up to 2^62, which a table factor
+    indexes with, Python ints past that; indices join in the product's dtype."""
 
     def __init__(self, factors: Sequence[FiniteGroup]):
         if len(factors) < 2:
@@ -142,29 +123,21 @@ class DirectProductGroup(FiniteGroup):
             self.order *= g.order
         self.spec = "x".join(g.spec for g in self.factors)
         self.name = self.spec
-        self._is_abelian = all(g.is_abelian for g in self.factors)
+        self.is_abelian = all(g.is_abelian for g in self.factors)
 
-    def _split(self, a: int) -> Tuple[int, ...]:
+    def _split(self, a) -> list:
         parts = []
         for g in reversed(self.factors):
-            a, r = divmod(a, g.order)
-            parts.append(r)
-        return tuple(reversed(parts))
+            parts.append(np.asarray(a % g.order, dtype=_row_dtype(g.order)))
+            a = a // g.order
+        return parts[::-1]
 
-    def _join(self, parts: Sequence[int]) -> int:
+    def _join(self, parts):
         a = 0
         for g, p in zip(self.factors, parts):
-            a = a * g.order + p
+            a = a * g.order + np.asarray(p).astype(_row_dtype(self.order), copy=False)
         return a
 
-    def op(self, a: int, b: int) -> int:
-        pa, pb = self._split(a), self._split(b)
-        return self._join([g.op(x, y) for g, x, y in zip(self.factors, pa, pb)])
-
-    def inv(self, a: int) -> int:
-        return self._join([g.inv(x) for g, x in zip(self.factors, self._split(a))])
-
-    # Factor by factor, like op and inv, so no table of order^2 entries is built.
     def op_array(self, a, b):
         pa, pb = self._split(a), self._split(b)
         return self._join([g.op_array(x, y) for g, x, y in zip(self.factors, pa, pb)])
@@ -180,33 +153,30 @@ class TableGroup(FiniteGroup):
         n = len(table)
         if n == 0 or n > MAX_TABLE_ORDER:
             raise BadParamsError(f"table order must be in 1..{MAX_TABLE_ORDER}, got {n}")
-        rows: List[Tuple[int, ...]] = []
+        cells = np.empty((n, n), dtype=np.int64)
         for i, row in enumerate(table):
-            vals = tuple(int(x) for x in row)
-            if len(vals) != n or any(not 0 <= v < n for v in vals):
-                raise BadParamsError(f"table row {i} is not a permutation of 0..{n - 1}")
-            rows.append(vals)
+            try:
+                cells[i] = row
+            except (TypeError, ValueError, OverflowError):  # not ints, wrong length, past int64
+                cells[i] = -1
+        bad = np.flatnonzero((np.sort(cells, axis=1) != np.arange(n)).any(axis=1))
+        if bad.size:
+            raise BadParamsError(f"table row {bad[0]} is not a permutation of 0..{n - 1}")
         self.order = n
         self.name = name
         self.spec = spec or name
-        self._table = rows
-        self._inv = [0] * n
-        for a in range(n):
-            found = None
-            for b in range(n):
-                if rows[a][b] == 0 and rows[b][a] == 0:
-                    found = b
-                    break
-            if found is None:
-                raise BadParamsError(f"element {a} has no two-sided inverse")
-            self._inv[a] = found
+        self.table = cells
+        # Row a holds the identity at the candidate inverse of a; check_axioms tests both sides.
+        self.inverse = self.table.argmin(axis=1)
+        self.table.flags.writeable = self.inverse.flags.writeable = False
+        self.is_abelian = bool((self.table == self.table.T).all())
         self.check_axioms()
 
-    def op(self, a: int, b: int) -> int:
-        return self._table[a][b]
+    def op_array(self, a, b):
+        return self.table[a, b]
 
-    def inv(self, a: int) -> int:
-        return self._inv[a]
+    def inv_array(self, a):
+        return self.inverse[a]
 
 
 class SymmetricGroup(TableGroup):
@@ -225,15 +195,11 @@ class SymmetricGroup(TableGroup):
             n *= i
             if n > MAX_TABLE_ORDER:
                 raise BadParamsError(f"S{m} has order {m}! > {MAX_TABLE_ORDER}")
-        perms = list(permutations(range(m)))
-        index = {p: i for i, p in enumerate(perms)}
-        table = [
-            [index[tuple(pa[pb[x]] for x in range(m))] for pb in perms]
-            for pa in perms
-        ]
-        self.perms = perms
-        super().__init__(f"S{m}", table)
-        self._is_abelian = m <= 2
+        self.perms = list(permutations(range(m)))
+        perms = np.array(self.perms, dtype=np.int64)
+        # perms[:, perms][a, b, x] = pa[pb[x]]; as m base-m digits, lexicographic is numeric order.
+        places = m ** np.arange(m - 1, -1, -1)
+        super().__init__(f"S{m}", np.searchsorted(perms @ places, perms[:, perms] @ places))
 
 
 class DihedralGroup(TableGroup):
@@ -245,17 +211,10 @@ class DihedralGroup(TableGroup):
         n = 2 * m
         if n > MAX_TABLE_ORDER:
             raise BadParamsError(f"D{m} has order {n} > {MAX_TABLE_ORDER}")
-
-        def mul(a: int, b: int) -> int:
-            i, j = a % m, a // m
-            p, q = b % m, b // m
-            # (r^i s^j)(r^p s^q) = r^(i + p*(-1)^j) s^(j+q)
-            rot = (i + (p if j == 0 else -p)) % m
-            return rot + m * ((j + q) % 2)
-
-        table = [[mul(a, b) for b in range(n)] for a in range(n)]
-        super().__init__(f"D{m}", table)
-        self._is_abelian = m <= 2
+        i, j = np.arange(n) % m, np.arange(n) // m
+        # (r^i s^j)(r^p s^q) = r^(i + p*(-1)^j) s^(j+q)
+        rot = (i[:, None] + (1 - 2 * j[:, None]) * i) % m
+        super().__init__(f"D{m}", rot + m * ((j[:, None] + j) % 2))
 
 
 _ATOM_RE = re.compile(r"^([ZSD])(\d+)$")

@@ -228,6 +228,108 @@ def test_correct_wrong_dimension_exit_code(tmp_path):
     assert code == 2
 
 
+def _k6_cochain(tmp_path, text):
+    """K6^(3) and a 1-cochain file on it, as CLI arguments."""
+    cpath, fpath = tmp_path / "k6.txt", tmp_path / "f.cochain"
+    cpath.write_text(complete_complex(6, 3).to_text())
+    fpath.write_text(text)
+    return [str(cpath), "--cochain", str(fpath), "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("path, second", [("nonabelian", "S3"), ("abelian", "Z2")])
+def test_correct_over_a_product_past_2_62_is_refused_by_the_budget(tmp_path, capsys, path, second):
+    # Rows of a group with 2^70 * |G2| elements hold Python ints; its digits split without divmod.
+    argv = _k6_cochain(tmp_path, f"dim 1 group Z1180591620717411303424x{second}\n0 1 2\n3 4 5\n")
+    assert main(["correct", *argv, "--path", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: link correction scan at 0 needs ") and "states, over the budget of " in err
+
+
+def test_correct_nonabelian_classifies_the_corrected_support(tmp_path):
+    argv = _k6_cochain(tmp_path, "dim 1 group S3\n0 1 1\n3 4 2\n")
+    assert main(["correct", *argv, "--path", "nonabelian", "--eta", "9/10", "--eps", "1/2", "--beta", "1"]) == 0
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text())
+    assert verdict["classification"] == {
+        "kind": "weakly-non-local",
+        "measured": {"weight": "0/1"},
+        "params": {"alpha": "1/6", "eps": "1/2", "eta": "9/10"},
+        "passed": True,
+    }
+    assert (verdict["steps"], verdict["final_delta_weight"]) == (2, "0/1")
+
+
+# Q8 = {1, -1, i, -i, j, -j, k, -k} in that index order, a group only a table file names.
+Q8 = [
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 0, 3, 2, 5, 4, 7, 6],
+    [2, 3, 1, 0, 6, 7, 5, 4],
+    [3, 2, 0, 1, 7, 6, 4, 5],
+    [4, 5, 7, 6, 1, 0, 2, 3],
+    [5, 4, 6, 7, 0, 1, 3, 2],
+    [6, 7, 4, 5, 3, 2, 1, 0],
+    [7, 6, 5, 4, 2, 3, 0, 1],
+]
+
+
+def test_quaternion_table_group_runs_analyze_and_correct(tmp_path):
+    path = tmp_path / "q8.json"
+    path.write_text(json.dumps({"name": "Q8", "table": Q8}))
+    q8 = load_table_group(path)
+    assert not q8.is_abelian
+    assert (q8.op(2, 4), q8.op(4, 2), q8.op(2, 2), q8.inv(6)) == (6, 7, 1, 7)  # ij = k, ji = -k, i^2 = -1
+    k5 = tmp_path / "k5.txt"
+    k5.write_text(complete_complex(5, 2).to_text())
+    out = tmp_path / "analyze.json"
+    assert main(["analyze", str(k5), "--group", f"table:{path}", "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["links"]["0"]["coboundary_expansion"] == {"0": "4/3"}
+    assert report["cosystolic"]["0"]["epsilon"] == "5/4"
+    assert report["cosystolic"]["1"]["skipped"].startswith("C^1 scan needs 1073741824 states")
+    argv = _k6_cochain(tmp_path, f"dim 1 group table:{path}\n0 1 2\n3 4 5\n")
+    assert main(["correct", *argv, "--path", "nonabelian"]) == 0
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text())
+    assert (verdict["steps"], verdict["final_delta_weight"], verdict["classification"]) == (2, "0/1", None)
+
+
+def test_table_views_of_analyze_and_delta1(tmp_path, capsys):
+    cpath = tmp_path / "k5.txt"
+    cpath.write_text(complete_complex(5, 2).to_text())
+    assert main(["analyze", str(cpath)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "complex:" and "group: Z2" in lines and "lambda: 0.3333333343333333" in lines
+    at = lines.index("links:")
+    assert lines[at + 1 : at + 4] == ["  0:", "    coboundary_expansion:", "      0: 4/3"]
+    fpath = tmp_path / "f.cochain"
+    fpath.write_text("dim 1 group Z2\n0 1 1\n")
+    assert main(["delta1", str(cpath), "--cochain", str(fpath)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line in ("delta1_size: 3", "delta1_weight: 3/10", "support_size: 1", "support_weight: 1/10"):
+        assert line in lines
+    assert lines[lines.index("non_local:") + 4 :][:2] == ["  params:", "    eps: 1/16"]
+
+
+def test_analyze_reports_a_disconnected_vertex_link(tmp_path):
+    # The bowtie: two triangles that meet only at vertex 0, whose link is two disjoint edges.
+    cpath = tmp_path / "bowtie.txt"
+    cpath.write_text("dim 2\n0 1 2\n0 3 4\n")
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(cpath), "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["links"]["0"] == {"lambda": 1.0, "connected": False}
+    assert report["lambda"] == 1.0
+    assert report["disconnected_links"] == [[0]]
+
+
+def test_analyze_marks_link_constants_over_the_budget_skipped(tmp_path):
+    cpath = tmp_path / "k5.txt"
+    cpath.write_text(complete_complex(5, 2).to_text())
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(cpath), "--budget", "8", "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert all(report["links"][str(v)]["coboundary_expansion"] == {"0": "skipped"} for v in range(5))
+    assert report["cosystolic"]["0"]["skipped"] == "C^0 scan needs 32 states, over the budget of 8"
+
+
 @pytest.mark.parametrize(
     "path, params, message",
     [

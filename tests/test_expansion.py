@@ -63,6 +63,18 @@ def test_delta1_empty_set(k4_skeleton):
     assert len(delta1(faceset(k4_skeleton, 1, []))) == 0
 
 
+def test_delta1_of_a_support_lists_no_faces_above(monkeypatch):
+    # The set, its size and its weight are rows over the face table: no (k+1)-face tuple is built.
+    X = complete_complex(8, 2)
+    f = Cochain(X, 1, group_from_spec("Z2"), {(0, 1): 1, (2, 3): 1})
+    listed = []
+    faces = SimplicialComplex.faces
+    monkeypatch.setattr(SimplicialComplex, "faces", lambda self, k: listed.append(k) or faces(self, k))
+    d1 = delta1(f.support())
+    assert (len(d1), d1.weight) == (12, Fraction(12, 56))
+    assert 2 not in listed
+
+
 def test_delta_i_star(k4_skeleton):
     star = faceset(k4_skeleton, 1, [(0, 1), (0, 2), (0, 3)])
     assert delta_i(star, 2).faces == frozenset({(0, 1, 2), (0, 1, 3), (0, 2, 3)})

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -31,14 +32,14 @@ def test_cyclic_basics():
 def test_axioms_exhaustive(spec):
     g = group_from_spec(spec)
     g.check_axioms()
-    for a in g.elements():
+    for a in range(g.order):
         assert g.op(a, g.inv(a)) == 0
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_abelian_flag_matches_table(spec):
     g = group_from_spec(spec)
-    actual = all(g.op(a, b) == g.op(b, a) for a in g.elements() for b in g.elements())
+    actual = all(g.op(a, b) == g.op(b, a) for a in range(g.order) for b in range(g.order))
     assert g.is_abelian == actual
 
 
@@ -89,6 +90,37 @@ def test_array_ops_match_scalar_ops(spec):
     assert g.inv_array(a).tolist() == [g.inv(int(x)) for x in a]
 
 
+Z2_70 = "Z1180591620717411303424"  # Z_(2^70)
+
+
+@pytest.mark.parametrize("spec", [Z2_70 + "xS3", "S3x" + Z2_70, Z2_70 + "xZ2"])
+def test_products_past_2_62_compute_on_python_ints(spec):
+    # Past 2^62 elements a cochain row holds Python ints: digits split with // and %,
+    # a table factor reads int64 digits and the indices join as Python ints.
+    g = group_from_spec(spec)
+    big, small = (g.factors[0], g.factors[1]) if spec.startswith("Z") else (g.factors[1], g.factors[0])
+    rng = random.Random(spec)
+    a = np.array([rng.randrange(g.order) for _ in range(30)] + [0, g.order - 1], dtype=object)
+    b = a[::-1].copy()
+    got, inv = g.op_array(a, b), g.inv_array(a)
+    assert got.dtype == inv.dtype == object
+    assert got.tolist() == [g.op(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert inv.tolist() == [g.inv(x) for x in a.tolist()]
+    assert all(type(x) is int for x in got.tolist() + inv.tolist())
+
+    def pair(x):  # (element of Z_2^70, element of the small factor)
+        hi, lo = divmod(x, g.factors[1].order)
+        return (hi, lo) if spec.startswith("Z") else (lo, hi)
+
+    def index(z, s):
+        return z * small.order + s if spec.startswith("Z") else s * big.order + z
+
+    for x, y, xy, xi in zip(a.tolist(), b.tolist(), got.tolist(), inv.tolist()):
+        (zx, sx), (zy, sy) = pair(x), pair(y)
+        assert xy == index((zx + zy) % big.order, small.op(sx, sy))
+        assert xi == index(-zx % big.order, small.inv(sx))
+
+
 def test_spec_parsing_errors():
     with pytest.raises(ParseError):
         group_from_spec("")
@@ -112,6 +144,9 @@ def test_table_group_roundtrip(tmp_path):
 def test_table_group_rejects_bad_tables():
     with pytest.raises(BadParamsError):
         TableGroup("bad", [[0, 1], [1, 1]])  # second row not a permutation
+    for rows in ([[0, 1], [1]], [[0, 1], [1, 0, 0]], [[0, 1], [1, 2**70]]):  # short, long, past int64
+        with pytest.raises(BadParamsError, match="table row 1 is not a permutation"):
+            TableGroup("bad", rows)
     with pytest.raises(BadParamsError):
         TableGroup("bad", [[1, 0], [0, 1]])  # index 0 not the identity
     # A magma table that is a latin square but not associative.
