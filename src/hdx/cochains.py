@@ -18,8 +18,9 @@ Every coboundary is a product of f over the facets of a face, read from the
 complex's facet table (``SimplicialComplex.facets``): a term list names the
 facets in order, each as (i, inverted) for the face without its i-th vertex.
 One numpy kernel, ``face_products``, evaluates such products for whole blocks
-of value rows; the coboundaries, the vertex action ``act`` and the exhaustive
-scans of the correction layer all run on it.
+of value rows; the coboundaries and the vertex action ``act`` run on it, and
+the exhaustive scans of the correction layer build their per-face cost tables
+with it.
 """
 
 from __future__ import annotations

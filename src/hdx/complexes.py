@@ -10,8 +10,9 @@ ranks: the (k+1)-subsets of all tops are sorted together, each run of equal
 rows is a face of ``faces(k)``, the layout of every cochain's value row, and
 its numerator in ``weight_numerators(k)`` sums the run.  The runs also give
 ``facets(k)``, the incidence of X(k) on X(k-1), and every link, which is closed
-the same way; ``link_index`` tables the faces sigma + tau through sigma.  A
-``FaceSet``, such as a cochain's support, is a read-only boolean row over faces(k).
+the same way; ``link_index`` tables the faces sigma + tau through sigma from
+one vertex-to-face incidence per dimension.  A ``FaceSet``, such as a
+cochain's support, is a read-only boolean row over faces(k).
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class SimplicialComplex:
         for k, row in self._rows.items():
             self._rows[k] = row.astype(np.int64 if self._den[k] < 2**63 else object, copy=False)
             self._rows[k].flags.writeable = False
-        self._faces, self._index, self._facets, self._links, self._link_index = {}, {}, {}, {}, {}
+        self._faces, self._index, self._facets, self._links, self._link_index, self._stars = {}, {}, {}, {}, {}, {}
         return self
 
     # -- structure ---------------------------------------------------------
@@ -294,8 +295,9 @@ class SimplicialComplex:
         """For the j-faces tau of link(sigma), in order: the index of sigma + tau
         in faces(j + |sigma|), and whether that ordering is odd, having an odd
         number of pairs s > t with s in sigma, t in tau.  Built once, read-only,
-        from the rank rows: the faces holding sigma in index order (their taus'
-        order); sigma's i-th vertex, in column c, exceeds c - i vertices of tau."""
+        from the star of sigma's first vertex (``_star_of``): the faces there
+        that hold all of sigma, in index order (their taus' order); sigma's
+        i-th vertex, in column c, exceeds c - i vertices of tau."""
         sigma = tuple(sigma)
         if (sigma, j) not in self._link_index:
             self.require_face(sigma)
@@ -304,13 +306,35 @@ class SimplicialComplex:
                 raise BadDimensionError("the link of a top-dimensional face is empty")
             if not -1 <= j < d - s:
                 raise BadDimensionError(f"no faces of dimension {j} in a {d - s - 1}-complex")
-            rows = self._ranks[j + s + 1]
-            mine = (rows[:, :, None] == self._ranks[s][self.face_index(s)[sigma]]).any(axis=2)
-            at = np.flatnonzero(mine.sum(axis=1) == len(sigma))
-            odd = (mine[at] @ np.arange(rows.shape[1]) - comb(len(sigma), 2)) % 2 == 1
+            k = j + s + 1
+            if not sigma:
+                at, odd = np.arange(len(self._ranks[k])), np.zeros(len(self._ranks[k]), dtype=bool)
+            else:
+                ranks = self._ranks[s][self.face_index(s)[sigma]]
+                at, column = self._star_of(int(ranks[0]), k)
+                if len(sigma) == 1:
+                    odd = column % 2 == 1
+                else:
+                    mine = (self._ranks[k][at][:, :, None] == ranks).any(axis=2)
+                    held = mine.sum(axis=1) == len(sigma)
+                    at, odd = at[held], (mine[held] @ np.arange(k + 1) - comb(len(sigma), 2)) % 2 == 1
             at.flags.writeable = odd.flags.writeable = False
             self._link_index[sigma, j] = (at, odd)
         return self._link_index[sigma, j]
+
+    def _star_of(self, rank: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The indices of the k-faces holding the vertex of the given rank, in
+        order, and the vertex's column in each.  One stable argsort of the rank
+        rows of X(k) lists every vertex's k-faces, in index order, as a run;
+        built once per k."""
+        if k not in self._stars:
+            flat = self._ranks[k].ravel()
+            order = np.argsort(flat, kind="stable")
+            starts = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=len(self._ids)))))
+            self._stars[k] = (*np.divmod(order, k + 1), starts)
+        faces, columns, starts = self._stars[k]
+        run = slice(starts[rank], starts[rank + 1])
+        return faces[run].copy(), columns[run]
 
     def degree_bound(self) -> int:
         """Max number of top faces containing any single vertex."""

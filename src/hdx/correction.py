@@ -10,31 +10,38 @@ respect their a-priori bounds, and when the input coboundary is small enough
 the output classification is verified; any violation raises
 FalsificationError rather than passing silently.
 
-Both paths run one link search, ``_search_link``, and one loop over the
-vertices.  A step at v rewrites the (j-1)-cochain on the faces through v and
-scores every j-face of the star of v by its weight: the additive path scores
-h_v + delta(w) on the link, the multiplicative path the triangles
-x(u) f(vu) f(uw) f(wv) x(w)^-1 for new edge values f'(v, u) = x(u) f(v, u).
-The reported decrease is thus the exact drop of the coboundary weight.
+Both paths run one vertex search, ``_best_link_search``, over the link
+searches that ``_search_link`` describes.  A step at v rewrites the
+(j-1)-cochain on the faces through v and scores every j-face of the star of v
+by its weight: the additive path scores h_v + delta(w) on the link, the
+multiplicative path the triangles x(u) f(vu) f(uw) f(wv) x(w)^-1 for new edge
+values f'(v, u) = x(u) f(v, u).  The reported decrease is thus the exact drop
+of the coboundary weight.
 
 Every exhaustive search here (the link searches of a step and the minimality
-scans) is one block scan, ``_scan_first_min``.  It walks G^n in lexicographic
-mixed-radix order, the order of ``itertools.product``, in blocks of about
-``_BLOCK_CELLS`` cells, so memory stays flat.  A block's face values come from
-the face-product kernel of ``cochains`` on columns read from the facet table
-of the complex, its face weights from one matrix-vector product of the
-non-identity mask; a link search reads the star of v, and its facet table,
-from X's own tables (``_star``) and builds no link.  The first minimum wins:
-argmin within a block, a strict comparison across blocks, so ties resolve
-exactly as in a plain loop over ``product``.  A link search first keeps the
-tied minimizers that rewrite the least weight, so a step moves as little as
-it can.
+scans) is one block scan, ``_scan_first_min``.  A face's value depends only on
+the coordinates its terms read, so the scan first tables each face's weight
+on every assignment to them: one ``face_products`` call evaluates every face
+on the grid G^t of its t terms (t = 2 in both link searches).  It then walks
+G^n in lexicographic mixed-radix order, the order of ``itertools.product``,
+in blocks of at most about ``_BLOCK_CELLS`` cells, so memory stays flat as
+long as one scan's tables fit that bound too.  A block fixes a prefix of the
+coordinates and leaves the rest free, and its weights are the sum of the face
+tables, each broadcast along its own axes.
+A link search reads the star of v, and its facet table, from X's own tables
+(``_star``) and builds no link; stars with the same facet table, such as
+every star of K_n^(d), are scanned together, one table per face for all of
+them.  The first minimum wins: argmin within a block, a strict comparison
+across blocks, so ties resolve exactly as in a plain loop over ``product``.
+A link search first keeps the tied minimizers that rewrite the least
+weight, so a step moves as little as it can.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, isqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -79,59 +86,180 @@ from .spectral import local_spectral_lambda
 
 # -- the block scan ----------------------------------------------------------------
 
-#: Cells (rows x columns) per block of the assignment scan; bounds its memory.
-_BLOCK_CELLS = 1 << 12
+#: Cells per block of the assignment scan, stacked rows included; the stack is
+#: cut so that its cost tables fit it too.  Bounds the scan's memory.
+_BLOCK_CELLS = 1 << 16
 
 
 def _scan_first_min(
     G: FiniteGroup,
     n: int,
-    const: Sequence[int],
+    const: Sequence,
     left: Sequence[np.ndarray],
     right: Sequence[np.ndarray],
-    weights: Sequence[int],
+    weights: Sequence,
     stop_below: Optional[int] = None,
-    moved: Optional[Sequence[int]] = None,
-) -> Tuple[int, Tuple[int, ...]]:
-    """First x in G^n, in ``product`` order, minimizing the weighted count of faces
-    whose value  x[left...] * const * x[right...]  is not the identity.
+    moved: Optional[Sequence] = None,
+):
+    """First x in G^n (n >= 1), in ``product`` order, minimizing the weighted count
+    of faces whose value  x[left...] * const * x[right...]  is not the identity.
 
-    The columns are those of ``face_products``, which evaluates each block of
-    consecutive assignments; argmin keeps the first minimum in a block and a
-    strict comparison the first across blocks.  With ``moved``, one weight per
-    coordinate of x, the minimizers are first ranked by the moved weight of
-    their non-identity coordinates; only the rows that tie a block's minimum
-    are weighed.  With ``stop_below`` the scan ends at the first block whose
-    minimum falls below it.  Returns (weight, assignment).
+    The columns are those of ``face_products``.  With ``moved``, one weight
+    per coordinate of x, the minimizers are first ranked by the moved weight
+    of their non-identity coordinates.  Both ranks fold into one key per
+    assignment, weight * M + moved weight with M past every moved sum, so the
+    scan looks for the first minimal key (``_cost_tables``, ``_first_min_keys``).
+    With ``stop_below`` the scan may end at the first block whose minimum
+    falls below it, returning that block's first minimum.
+
+    const, weights and moved may also carry one row per scan, the columns
+    shared: the rows are scanned together, each face's table built and added
+    once for the whole stack, and the result is a list with one entry per row.
+    Returns (weight, assignment).
     """
-    m = len(const)
-    w, mw = _exact(weights), _exact([0] * n if moved is None else moved)
-    const_row = np.asarray(const, dtype=np.int64)
-    order, total = G.order, G.order**n
-    place = order ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // max(m, n))
-    best: Optional[Tuple[Tuple[int, int], Tuple[int, ...]]] = None
-    for start in range(0, total, rows):
-        x = np.arange(start, min(start + rows, total), dtype=np.int64)[:, None] // place % order
-        counts = (face_products(G, x, const_row, left, right) != 0) @ w
-        low = counts.min()
-        if best is not None and low > best[0][0]:
-            continue
-        ties = np.flatnonzero(counts == low)
-        shift = (x[ties] != 0) @ mw
-        i = int(ties[np.argmin(shift)])
-        key = (int(low), int(shift.min()))
-        if best is None or key < best[0]:
-            best = (key, tuple(int(a) for a in x[i]))
-            if stop_below is not None and key[0] < stop_below:
-                break
-    assert best is not None
-    return best[0][0], best[1]
+    stacked = np.ndim(const) == 2
+    const = np.asarray(const)
+    const = const if stacked else const[None, :]
+    rows, m = const.shape
+    w = np.asarray(weights, dtype=object).reshape(rows, m)
+    mw = None if moved is None else np.asarray(moved, dtype=object).reshape(rows, n)
+    scale = np.ones(rows, dtype=object) if mw is None else mw.sum(axis=1) + 1
+    # The largest key is (sum of weights + 1) * M - 1; past int64, keys are Python ints.
+    dtype = np.int64 if ((w.sum(axis=1) + 1) * scale).max() <= 2**63 else object
+    keyed = (w * scale[:, None]).astype(dtype)
+    per_row = m * G.order ** (len(left) + len(right)) + n * G.order
+    cut = max(1, _BLOCK_CELLS // per_row)
+    found = []
+    for lo in range(0, rows, cut):
+        part = slice(lo, lo + cut)
+        moved_part = None if mw is None else mw[part].astype(dtype)
+        tables = _cost_tables(G, n, const[part], left, right, keyed[part], moved_part)
+        keys = _first_min_keys(G.order, n, len(const[part]), tables, dtype, stop_below, scale[part])
+        found += [(key // M, x) for (key, x), M in zip(keys, scale[part].tolist())]
+    return found if stacked else found[0]
 
 
-def _exact(weights: Sequence[int]) -> np.ndarray:
-    """Weights as int64, or Python ints when their sum could pass int64."""
-    return np.array(weights, dtype=np.int64 if sum(weights) < 2**63 else object)
+def _cost_tables(
+    G: FiniteGroup,
+    n: int,
+    const: np.ndarray,
+    left: Sequence[np.ndarray],
+    right: Sequence[np.ndarray],
+    keyed: np.ndarray,
+    moved: Optional[np.ndarray],
+) -> Dict[Tuple[int, ...], np.ndarray]:
+    """Per set of coordinates that some face reads, the summed key weight of
+    those faces on every assignment to the set: a (rows, |G|, ..., |G|) table,
+    one axis per coordinate in increasing order.  Each face is evaluated once,
+    on the grid of its t terms: one ``face_products`` call for every face and
+    row, each term reading the slot of its coordinate's rank in the face.  The
+    moved weight of a coordinate joins the first table that reads it, or a
+    table of its own."""
+    cols = [*left, *right]
+    t, order = len(cols), G.order
+    rows, m = const.shape
+    terms = np.stack(cols, axis=1) if t else np.zeros((m, 0), dtype=np.intp)
+    coords = terms % n
+    ranked = np.sort(coords, axis=1)
+    fresh = np.ones(ranked.shape, dtype=bool)
+    fresh[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    slots = (fresh[:, None, :] & (ranked[:, None, :] < coords[:, :, None])).sum(axis=2) + t * (terms >= n)
+    grid = np.arange(order**t)[:, None] // order ** np.arange(t - 1, -1, -1) % order
+    slots = [np.tile(slots[:, i], rows) for i in range(t)]
+    values = face_products(G, grid, const.reshape(-1), slots[: len(left)], slots[len(left) :])
+    cost = (values != 0).T.reshape(rows, m, order**t) * keyed[:, :, None]
+    faces: Dict[Tuple[int, ...], List[int]] = {}
+    for f, (row, new) in enumerate(zip(ranked.tolist(), fresh.tolist())):
+        faces.setdefault(tuple(c for c, y in zip(row, new) if y), []).append(f)
+    owner = {}
+    if moved is not None:
+        # Coordinate i's moved weight joins the first face reading it, on i's slot.
+        for key, members in faces.items():
+            for slot, i in enumerate(key):
+                owner.setdefault(i, (members[0], slot))
+        owned = sorted(owner)
+        at, slot = zip(*(owner[i] for i in owned)) if owned else ((), ())
+        np.add.at(cost, (slice(None), list(at)), moved[:, owned, None] * (grid[:, list(slot)] != 0).T)
+    grid_of = cost.reshape((rows, m) + (order,) * t)
+    tables = {}
+    for key, members in faces.items():
+        # Slots past the face's coordinates are unread: their first value stands for all.
+        table = grid_of[:, members[0]] if len(members) == 1 else grid_of[:, members].sum(axis=1)
+        tables[key] = table[(Ellipsis,) + (0,) * (t - len(key))]
+    for i in range(n if moved is not None else 0):
+        if i not in owner:
+            tables[(i,)] = moved[:, i, None] * (np.arange(order) != 0)
+    return tables
+
+
+def _first_min_keys(
+    order: int,
+    n: int,
+    rows: int,
+    tables: Dict[Tuple[int, ...], np.ndarray],
+    dtype,
+    stop_below: Optional[int],
+    scale: np.ndarray,
+) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Per row, the first minimal key over G^n in ``product`` order, and its
+    assignment, by blocks of at most about ``_BLOCK_CELLS`` cells.
+
+    A block fixes a prefix of the coordinates, takes a run of values of the
+    next one, the split coordinate, and every value of the rest; its keys are
+    the sum of the tables, each indexed at the prefix and broadcast along its
+    other coordinates.  Tables that read only free coordinates add up to the
+    same base in every block, so they are summed once.  argmin keeps a row's
+    first minimum in a block and a strict comparison the first across blocks.
+    """
+    free = 0
+    while free < n - 1 and rows * max(order, 2) ** (free + 1) <= _BLOCK_CELLS:
+        free += 1
+    split, span = n - 1 - free, order**free
+    run = min(order, max(1, _BLOCK_CELLS // (rows * span)))
+
+    def spread(key, table, prefix, start, width):
+        index, shape = [slice(None)], [rows, 1] + [1] * free
+        for i in key:
+            if i < split:
+                index.append(prefix[i])
+            elif i == split:
+                index.append(slice(start, start + width))
+                shape[1] = width
+            else:
+                index.append(slice(None))
+                shape[1 + i - split] = order
+        return table[tuple(index)].reshape(shape)
+
+    base = np.zeros((rows, 1) + (order,) * free, dtype=dtype)
+    fixed = []
+    for key, table in tables.items():
+        if all(i > split for i in key):
+            base += spread(key, table, (), 0, 1)
+        else:
+            fixed.append((key, table))
+    every = np.arange(rows)
+    best = cells = None
+    prefixes = enumerate(product(range(order), repeat=split))
+    for number, prefix, start in ((*p, start) for p in prefixes for start in range(0, order, run)):
+        width = min(run, order - start)
+        block = np.empty((rows, width) + (order,) * free, dtype=dtype)
+        block[...] = base
+        for key, table in fixed:
+            block += spread(key, table, prefix, start, width)
+        block = block.reshape(rows, -1)
+        at = block.argmin(axis=1)
+        low, cell = block[every, at], (number * order + start) * span + at
+        if best is None:
+            best, cells = low, cell
+        else:
+            better = low < best
+            best, cells = np.where(better, low, best), np.where(better, cell, cells)
+        if stop_below is not None and all(k // M < stop_below for k, M in zip(best.tolist(), scale.tolist())):
+            break
+    return [
+        (key, tuple(cell // order ** (n - 1 - i) % order for i in range(n)))
+        for key, cell in zip(best.tolist(), cells.tolist())
+    ]
 
 
 def _inverse(terms: Terms) -> Terms:
@@ -205,6 +333,52 @@ class _LinkSearch:
     assignment: Tuple[int, ...]
 
 
+class _Star:
+    """The star of a vertex v that a link search at v scans: the mass of the
+    target's support there, the numerators of its j-faces v + tau and of the
+    (j-1)-faces v + sigma an assignment rewrites, and its facet table."""
+
+    __slots__ = ("vertex", "old", "weights", "moved", "table")
+
+    def __init__(self, vertex: int, old: int, weights: np.ndarray, moved: np.ndarray, table: np.ndarray):
+        self.vertex, self.old, self.weights, self.moved, self.table = vertex, old, weights, moved, table
+
+
+def _stars(target: Cochain, vertices: Sequence[int], budget: EnumerationBudget) -> List[_Star]:
+    """The stars at the vertices, in order, that meet the support of the
+    j-cochain target, each checked against the budget before any is scanned."""
+    X, G, j = target.complex, target.group, target.dimension
+    stars = []
+    for v in vertices:
+        at = X.link_index((v,), j - 1)[0]
+        weights = X.weight_numerators(j)[at]
+        old = sum(num for num, hit in zip(weights.tolist(), target.row[at].tolist()) if hit)
+        if not old:
+            continue
+        lower = X.link_index((v,), j - 2)[0]
+        budget.ensure(space_size(G, len(lower)), f"link correction scan at {v}")
+        stars.append(_Star(v, old, weights, X.weight_numerators(j - 1)[lower], _star(X, v, j)[0]))
+    return stars
+
+
+def _scan_stars(
+    target: Cochain, stars: Sequence[_Star], local: Callable[[int], np.ndarray], left: Terms, right: Terms
+) -> List[_LinkSearch]:
+    """The best assignment at each of stars sharing one facet table, from one
+    stacked scan; its decrease may be zero or less."""
+    table, n = stars[0].table, len(stars[0].moved)
+    found = _scan_first_min(
+        target.group,
+        n,
+        np.stack([local(star.vertex) for star in stars]),
+        term_columns(table, n, left),
+        term_columns(table, n, right),
+        np.stack([star.weights for star in stars]),
+        moved=np.stack([star.moved for star in stars]),
+    )
+    return [_LinkSearch(star.vertex, star.old - new, x) for star, (new, x) in zip(stars, found)]
+
+
 def _search_link(
     target: Cochain,
     v: int,
@@ -228,30 +402,11 @@ def _search_link(
     not scanned; the budget is checked before that skip, so refusals do not
     depend on it.
     """
-    X, G, j = target.complex, target.group, target.dimension
-    at = X.link_index((v,), j - 1)[0]
-    star = X.weight_numerators(j)[at].tolist()
-    old_star = sum(num for num, hit in zip(star, target.row[at].tolist()) if hit)
-    if not old_star:
+    stars = _stars(target, [v], budget)
+    if not stars or stars[0].old <= beat:
         return None
-    lower = X.link_index((v,), j - 2)[0]
-    n = len(lower)
-    budget.ensure(space_size(G, n), f"link correction scan at {v}")
-    if old_star <= beat:
-        return None
-    table, _ = _star(X, v, j)
-    new_star, assignment = _scan_first_min(
-        G,
-        n,
-        local(v),
-        term_columns(table, n, left),
-        term_columns(table, n, right),
-        star,
-        moved=X.weight_numerators(j - 1)[lower].tolist(),
-    )
-    if old_star - new_star <= beat:
-        return None
-    return _LinkSearch(v, old_star - new_star, assignment)
+    found = _scan_stars(target, stars, local, left, right)[0]
+    return found if found.decrease_num > beat else None
 
 
 def _star(X: SimplicialComplex, v: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -278,11 +433,23 @@ def _best_link_search(
     right: Terms,
     budget: EnumerationBudget,
 ) -> _LinkSearch:
-    """The vertex search with the largest decrease, ties to the smallest id."""
+    """The vertex search with the largest decrease, ties to the smallest id.
+
+    Stars with the same facet table, such as every star of K_n^(d), share one
+    stacked scan.  A star whose old mass cannot beat the best decrease found
+    so far, ties included, is not scanned."""
+    stars = _stars(target, sorted(target.complex.vertices()), budget)
+    shapes: Dict[Tuple, List[_Star]] = {}
+    for star in stars:
+        shapes.setdefault((len(star.moved), star.table.shape, star.table.tobytes()), []).append(star)
+    # Searches rank by (decrease, -vertex); the first to beat must decrease.
     best: Optional[_LinkSearch] = None
-    for v in sorted(target.complex.vertices()):
-        beat = best.decrease_num if best else 0
-        best = _search_link(target, v, local, left, right, budget, beat) or best
+    floor = (0, 1)
+    for group in shapes.values():
+        live = [star for star in group if (star.old, -star.vertex) > floor]
+        for found in _scan_stars(target, live, local, left, right) if live else ():
+            if (found.decrease_num, -found.vertex) > floor:
+                best, floor = found, (found.decrease_num, -found.vertex)
     if best is None:
         raise AlreadyLocallyMinimalError("no vertex link admits a decreasing correction")
     return best

@@ -24,6 +24,9 @@ from .errors import BadParamsError, ParseError
 #: checks are supported.  Structured groups (Z_m) work past this limit.
 MAX_TABLE_ORDER = 512
 
+#: Cells per block of check_axioms' associativity comparison.
+_AXIOM_CELLS = 1 << 16
+
 
 def _row_dtype(order: int):
     """int64 while the sum of two element indices fits in it, Python ints past that."""
@@ -79,10 +82,20 @@ class FiniteGroup:
         bad = np.flatnonzero((table[every, inv] != 0) | (table[inv, every] != 0))
         if bad.size:
             raise BadParamsError(f"element {bad[0]} has no valid inverse")
-        # Row a compares (ab)c, read as table[ab][c], with a(bc), read as table[a][bc].
-        for a in range(n):
-            if not (table[table[a]] == table[a][table]).all():
-                raise BadParamsError(f"associativity fails for left factor {a}")
+        # Left factor a compares (ab)c, read as table[ab][c], with a(bc), read as
+        # table[a][bc]: a block of left factors at a time, in buffers reused
+        # from block to block.  Entries are element indices, so take may clip.
+        rows = min(n, max(1, _AXIOM_CELLS // (n * n)))
+        lhs, rhs = np.empty((2, rows, n, n), dtype=np.int64)
+        same = np.empty((rows, n, n), dtype=bool)
+        for a in range(0, n, rows):
+            k = min(rows, n - a)
+            np.take(table, table[a : a + k], axis=0, out=lhs[:k], mode="clip")
+            np.take(table[a : a + k], table, axis=1, out=rhs[:k], mode="clip")
+            np.equal(lhs[:k], rhs[:k], out=same[:k])
+            bad = np.flatnonzero(~same[:k].reshape(k, -1).all(axis=1))
+            if bad.size:
+                raise BadParamsError(f"associativity fails for left factor {a + bad[0]}")
         if self.is_abelian != bool((table == table.T).all()):
             raise BadParamsError("is_abelian flag inconsistent with the table")
 

@@ -40,11 +40,9 @@ def tetrahedron():
     return single_simplex(3)
 
 
-@pytest.fixture(scope="session")
-def t3():
-    """T3, the Freudenthal triangulation of the 3-torus (Z/3)^3: each unit cube
-    cut into six tetrahedra along its main diagonal, 162 in all."""
-    n = 3
+def freudenthal_torus(n):
+    """The Freudenthal triangulation of the 3-torus (Z/n)^3: each unit cube
+    cut into six tetrahedra along its main diagonal, 6 n^3 in all."""
 
     def vid(p):
         return (p[0] % n) * n * n + (p[1] % n) * n + p[2] % n
@@ -58,6 +56,12 @@ def t3():
                 tet.append(vid(p))
             tops.add(tuple(sorted(tet)))
     return SimplicialComplex(3, sorted(tops))
+
+
+@pytest.fixture(scope="session")
+def t3():
+    """T3, the Freudenthal 3-torus for n = 3: 162 tetrahedra."""
+    return freudenthal_torus(3)
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from hdx.correction import (
     one_step_nonabelian,
 )
 from hdx.errors import AlreadyLocallyMinimalError
-from hdx.groups import group_from_spec
+from hdx.groups import TableGroup, group_from_spec
 from hdx.instances import complete_complex
 from hdx.oracle import EnumerationBudget
 
@@ -327,3 +327,154 @@ def test_weight_numerators_past_int64_stay_exact():
     for _ in range(10):
         f = random_cochain(X, 1, G, rng, 0.5)
         assert is_minimal(f) == brute_is_minimal(f)
+
+
+# -- the factor-table kernel against product() on random term columns ----------------
+
+#: Q8 = {1, -1, i, -i, j, -j, k, -k} as a table group.
+Q8 = TableGroup(
+    "Q8",
+    [
+        [0, 1, 2, 3, 4, 5, 6, 7],
+        [1, 0, 3, 2, 5, 4, 7, 6],
+        [2, 3, 1, 0, 6, 7, 5, 4],
+        [3, 2, 0, 1, 7, 6, 4, 5],
+        [4, 5, 7, 6, 1, 0, 2, 3],
+        [5, 4, 6, 7, 0, 1, 3, 2],
+        [6, 7, 4, 5, 3, 2, 1, 0],
+        [7, 6, 5, 4, 2, 3, 0, 1],
+    ],
+)
+KERNEL_GROUPS = [group_from_spec(spec) for spec in ("Z2", "Z3", "Z2xZ2", "S3", "D4")] + [Q8]
+
+
+def random_scan(rng, G, t, n, m):
+    """Kernel inputs for m faces of t terms over G^n, each term inverted at
+    random: most faces read t distinct coordinates, as the facets of a face
+    do, and some read a coordinate twice."""
+    places = [rng.sample(range(n), t) if rng.random() < 0.7 else rng.choices(range(n), k=t) for _ in range(m)]
+    cols = [np.array([face[i] + n * rng.randrange(2) for face in places]) for i in range(t)]
+    split = rng.randrange(t + 1)
+    const = [rng.randrange(G.order) for _ in range(m)]
+    return const, cols[:split], cols[split:]
+
+
+def face_weight_of(G, const, left, right, weights):
+    """x -> the weight of the faces whose x[left...] * const * x[right...] is not the identity."""
+
+    def weight_of(x):
+        xs = list(x) + [G.inv(a) for a in x]
+        total = 0
+        for f, c in enumerate(const):
+            acc = c
+            for cols in reversed(left):
+                acc = G.op(xs[cols[f]], acc)
+            for cols in right:
+                acc = G.op(acc, xs[cols[f]])
+            total += weights[f] if acc else 0
+        return total
+
+    return weight_of
+
+
+def moved_weight_of(moved):
+    return lambda x: sum(w for w, a in zip(moved, x) if a)
+
+
+def block_sizes(G, n):
+    """_BLOCK_CELLS values that put the split coordinate at every position,
+    with runs of one value, of two, and of all of them."""
+    return sorted({G.order**free * run for free in range(n) for run in (1, 2, G.order)} | {1})
+
+
+@pytest.mark.parametrize("G", KERNEL_GROUPS, ids=lambda G: G.name)
+def test_factor_tables_match_product_on_random_columns(monkeypatch, G):
+    rng = random.Random(G.name)
+    for t in (1, 2, 3, 4):
+        n = 5 if G.order <= 3 else 4
+        const, left, right = random_scan(rng, G, t, n, rng.randint(1, 6))
+        weights = [rng.randint(1, 9) for _ in const]
+        moved = [rng.randint(0, 4) for _ in range(n)]
+        weight_of = face_weight_of(G, const, left, right, weights)
+        want = first_min(G, n, weight_of)
+        want_moved = first_min(G, n, weight_of, moved_weight_of(moved))
+        for cells in block_sizes(G, n) + [1 << 16]:
+            monkeypatch.setattr(correction, "_BLOCK_CELLS", cells)
+            assert _scan_first_min(G, n, const, left, right, weights) == want, (t, cells)
+            assert _scan_first_min(G, n, const, left, right, weights, moved=moved) == want_moved, (t, cells)
+
+
+@pytest.mark.parametrize("G", KERNEL_GROUPS[:4], ids=lambda G: G.name)
+def test_stop_below_ends_on_a_weight_below_it_or_the_first_minimum(monkeypatch, G):
+    rng = random.Random(f"stop-{G.name}")
+    for t in (1, 2, 3):
+        n = 4
+        const, left, right = random_scan(rng, G, t, n, 5)
+        weights = [rng.randint(1, 9) for _ in const]
+        weight_of = face_weight_of(G, const, left, right, weights)
+        low, first = first_min(G, n, weight_of)
+        for stop in (low, low + 1, weight_of((0,) * n) + 1):
+            for cells in block_sizes(G, n):
+                monkeypatch.setattr(correction, "_BLOCK_CELLS", cells)
+                got, x = _scan_first_min(G, n, const, left, right, weights, stop_below=stop)
+                assert got == weight_of(x)
+                assert got < stop if low < stop else (got, x) == (low, first)
+
+
+def test_weights_past_int64_scan_with_python_ints(monkeypatch):
+    # Five faces of weight near 2^62 sum past 2^63, and the moved scale of a
+    # stacked row multiplies them further: the keys must stay exact.
+    G = group_from_spec("S3")
+    rng = random.Random(9)
+    n = 4
+    const, left, right = random_scan(rng, G, 2, n, 5)
+    weights = [2**62 + rng.randrange(2**40) for _ in const]
+    moved = [2**61 + i for i in range(n)]
+    weight_of = face_weight_of(G, const, left, right, weights)
+    want = first_min(G, n, weight_of, moved_weight_of(moved))
+    assert sum(weights) >= 2**63 and all(isinstance(w, int) for w in want[1])
+    for cells in (6, 36, 1 << 16):
+        monkeypatch.setattr(correction, "_BLOCK_CELLS", cells)
+        assert _scan_first_min(G, n, const, left, right, weights, moved=moved) == want
+        assert _scan_first_min(G, n, const, left, right, weights) == first_min(G, n, weight_of)
+
+
+@pytest.mark.parametrize("cells", [1, 16, 200, 1 << 16])
+def test_a_stacked_call_equals_its_per_row_calls(monkeypatch, cells):
+    # Rows share the columns and differ in const, weights and moved weights;
+    # small blocks also cut the stack.
+    monkeypatch.setattr(correction, "_BLOCK_CELLS", cells)
+    rng = random.Random(cells)
+    for G in (group_from_spec("Z3"), group_from_spec("S3"), Q8):
+        n = 4
+        const, left, right = random_scan(rng, G, 2, n, 6)
+        rows = 5
+        consts = np.array([[rng.randrange(G.order) for _ in const] for _ in range(rows)])
+        weights = np.array([[rng.randint(1, 9) for _ in const] for _ in range(rows)])
+        moved = np.array([[rng.randint(0, 4) for _ in range(n)] for _ in range(rows)])
+        stacked = _scan_first_min(G, n, consts, left, right, weights, moved=moved)
+        single = [_scan_first_min(G, n, c, left, right, w, moved=mw) for c, w, mw in zip(consts, weights, moved)]
+        assert stacked == single
+        for row, (c, w, mw) in enumerate(zip(consts.tolist(), weights.tolist(), moved.tolist())):
+            weight_of = face_weight_of(G, c, left, right, w)
+            assert stacked[row] == first_min(G, n, weight_of, moved_weight_of(mw)), (G.name, row)
+
+
+def test_stacked_link_searches_equal_the_per_vertex_searches():
+    # Every star of K_n^(3) has the same facet table, so a step scans them in
+    # one stacked call; each vertex's result must be its own search's.
+    budget = EnumerationBudget()
+    X = complete_complex(6, 3)
+    for spec in ("Z3", "S3"):
+        G = group_from_spec(spec)
+        f = random_cochain(X, 1, G, random.Random(spec), 0.4)
+        df = coboundary_nonabelian_1(f)
+        local = partial(_triangles_at, f)
+        stars = correction._stars(df, X.vertices(), budget)
+        assert len({star.table.tobytes() for star in stars}) == 1
+        stacked = correction._scan_stars(df, stars, local, DELTA0_TERMS[:1], DELTA0_TERMS[1:])
+        for star, found in zip(stars, stacked):
+            v = star.vertex
+            assert found == correction._scan_stars(df, [star], local, DELTA0_TERMS[:1], DELTA0_TERMS[1:])[0]
+            y = tuple(G.op(x, f.eval((v, u))) for (u,), x in zip(X.link((v,)).faces(0), found.assignment))
+            assert brute_link_nonabelian(f, v) == ((found.decrease_num, y) if found.decrease_num > 0 else None)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import freudenthal_torus
 from hdx.complexes import FaceSet, SimplicialComplex
 from hdx.errors import (
     BadDimensionError,
@@ -620,6 +621,33 @@ def test_link_index_matches_the_link_built_definition_on_wide_ids(inputs):
 
 def test_link_index_matches_the_link_built_definition_on_a_weighted_complex():
     _assert_link_index_matches_reference(SHARED_FACTOR)
+
+
+def _scanned_link_index(X, sigma, j):
+    """link_index as a scan of every rank row of X(j + |sigma|) for the rows
+    holding all of sigma's ranks, O(|X|) per (sigma, j)."""
+    rows = X._ranks[j + len(sigma)]
+    ranks = X._ranks[len(sigma) - 1][X.face_index(len(sigma) - 1)[sigma]]
+    mine = (rows[:, :, None] == ranks).any(axis=2)
+    at = np.flatnonzero(mine.sum(axis=1) == len(sigma))
+    odd = (mine[at] @ np.arange(rows.shape[1]) - comb(len(sigma), 2)) % 2 == 1
+    return at.tolist(), odd.tolist()
+
+
+@pytest.mark.parametrize("name", ["T3", "T5", "K7^(3)", "weighted"])
+def test_link_index_from_the_vertex_incidence_matches_the_row_scan(name):
+    X = {
+        "T3": lambda: freudenthal_torus(3),
+        "T5": lambda: freudenthal_torus(5),
+        "K7^(3)": lambda: complete_complex(7, 3),
+        "weighted": lambda: SHARED_FACTOR,
+    }[name]()
+    for s in range(-1, X.dimension):
+        for sigma in X.faces(s):
+            for j in range(-1, X.dimension - s):
+                at, odd = X.link_index(sigma, j)
+                assert (at.tolist(), odd.tolist()) == _scanned_link_index(X, sigma, j), (sigma, j)
+                assert not at.flags.writeable and not odd.flags.writeable
 
 
 def test_link_index_takes_any_sequence_and_refuses_bad_faces(k4_skeleton):

@@ -163,6 +163,29 @@ def test_table_group_rejects_bad_tables():
         )
 
 
+@pytest.mark.parametrize("cells", [36, 72, 108, 144, 1 << 16])
+def test_associativity_names_the_smallest_failing_left_factor(monkeypatch, cells):
+    # A loop of order 6 (identity 0, two-sided inverses) in which exactly the
+    # left factors 3, 4 and 5 break associativity.  The check compares blocks
+    # of cells // 36 left factors: 1; 2, with 3 after 2; 3, with 3 first; 4,
+    # with 3 last; all 6.
+    rows = [
+        [0, 1, 2, 3, 4, 5],
+        [1, 2, 0, 4, 5, 3],
+        [2, 0, 1, 5, 3, 4],
+        [3, 5, 4, 2, 0, 1],
+        [4, 3, 5, 0, 1, 2],
+        [5, 4, 3, 1, 2, 0],
+    ]
+    failing = [
+        a for a in range(6) if any(rows[rows[a][b]][c] != rows[a][rows[b][c]] for b in range(6) for c in range(6))
+    ]
+    assert failing == [3, 4, 5]
+    monkeypatch.setattr(groups, "_AXIOM_CELLS", cells)
+    with pytest.raises(BadParamsError, match="^associativity fails for left factor 3$"):
+        TableGroup("loop", rows)
+
+
 def _no_listing(*args):
     raise AssertionError("permutations listed for a group past the table limit")
 
