@@ -20,14 +20,16 @@ of the coboundary weight.
 
 Every exhaustive search here (the link searches of a step and the minimality
 scans) is one block scan, ``_scan_first_min``.  A face's value depends only on
-the coordinates its terms read, so the scan first tables each face's weight
-on every assignment to them: one ``face_products`` call evaluates every face
-on the grid G^t of its t terms (t = 2 in both link searches).  It then walks
-G^n in lexicographic mixed-radix order, the order of ``itertools.product``,
-in blocks of at most about ``_BLOCK_CELLS`` cells, so memory stays flat as
-long as one scan's tables fit that bound too.  A block fixes a prefix of the
-coordinates and leaves the rest free, and its weights are the sum of the face
-tables, each broadcast along its own axes.
+the coordinates its terms read (two in both link searches), so the scan
+tables the summed weight of the faces that read the same coordinates on
+every assignment to them, evaluating the faces with ``face_products`` on a
+grid of those assignments.  It walks G^n in lexicographic mixed-radix order,
+the order of ``itertools.product``, in blocks of at most about
+``_BLOCK_CELLS`` cells.  A block fixes a prefix of the coordinates and leaves
+the rest free, and its weights are the sum of the tables, each broadcast
+along its own axes.  Tables that fit that bound together are built once over
+all of G; a larger one is built again over each block's part of G, so the
+scan's memory stays within a few blocks whatever the group.
 A link search reads the star of v, and its facet table, from X's own tables
 (``_star``) and builds no link; stars with the same facet table, such as
 every star of K_n^(d), are scanned together, one table per face for all of
@@ -39,10 +41,11 @@ weight, so a step moves as little as it can.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, isqrt
+from itertools import accumulate, product
+from math import comb, factorial, isqrt, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,8 +89,9 @@ from .spectral import local_spectral_lambda
 
 # -- the block scan ----------------------------------------------------------------
 
-#: Cells per block of the assignment scan, stacked rows included; the stack is
-#: cut so that its cost tables fit it too.  Bounds the scan's memory.
+#: Cells per block of the assignment scan, stacked rows included.  Every array
+#: the scan builds, its face tables and face products included, has at most
+#: about this many cells (times the number of terms of a face).
 _BLOCK_CELLS = 1 << 16
 
 
@@ -108,14 +112,14 @@ def _scan_first_min(
     per coordinate of x, the minimizers are first ranked by the moved weight
     of their non-identity coordinates.  Both ranks fold into one key per
     assignment, weight * M + moved weight with M past every moved sum, so the
-    scan looks for the first minimal key (``_cost_tables``, ``_first_min_keys``).
-    With ``stop_below`` the scan may end at the first block whose minimum
-    falls below it, returning that block's first minimum.
+    scan looks for the first minimal key (``_first_min_keys``).  With
+    ``stop_below`` the scan may end at the first block whose minimum falls
+    below it, returning that block's first minimum.
 
     const, weights and moved may also carry one row per scan, the columns
-    shared: the rows are scanned together, each face's table built and added
-    once for the whole stack, and the result is a list with one entry per row.
-    Returns (weight, assignment).
+    shared: rows whose face tables fit one block together are scanned
+    together, each table built and added once for the whole stack, and the
+    result is a list with one entry per row.  Returns (weight, assignment).
     """
     stacked = np.ndim(const) == 2
     const = np.asarray(const)
@@ -127,77 +131,99 @@ def _scan_first_min(
     # The largest key is (sum of weights + 1) * M - 1; past int64, keys are Python ints.
     dtype = np.int64 if ((w.sum(axis=1) + 1) * scale).max() <= 2**63 else object
     keyed = (w * scale[:, None]).astype(dtype)
-    per_row = m * G.order ** (len(left) + len(right)) + n * G.order
-    cut = max(1, _BLOCK_CELLS // per_row)
+    faces = _Faces(n, m, left, right)
+    # Rows stack while their tables fit one block together.
+    cut = max(1, _BLOCK_CELLS // sum(G.order ** len(key) for key in faces.keys))
     found = []
     for lo in range(0, rows, cut):
         part = slice(lo, lo + cut)
         moved_part = None if mw is None else mw[part].astype(dtype)
-        tables = _cost_tables(G, n, const[part], left, right, keyed[part], moved_part)
-        keys = _first_min_keys(G.order, n, len(const[part]), tables, dtype, stop_below, scale[part])
+        keys = _first_min_keys(G, n, faces, const[part], keyed[part], moved_part, stop_below, scale[part])
         found += [(key // M, x) for (key, x), M in zip(keys, scale[part].tolist())]
     return found if stacked else found[0]
 
 
+class _Faces:
+    """The faces of a scan grouped by the set of coordinates they read, its
+    key.  ``keys`` run by size, and key i holds the faces at[bounds[i] :
+    bounds[i + 1]]; ``runs`` are the (first, stop) spans of keys of one size.
+    A term of a face reads the slot of its coordinate's rank in the key
+    (``slots``), inverted or not (``inverted``), both in ``at`` order, and
+    ``split`` terms multiply on the left."""
+
+    __slots__ = ("keys", "at", "bounds", "owner", "runs", "slots", "inverted", "split")
+
+    def __init__(self, n: int, m: int, left: Sequence[np.ndarray], right: Sequence[np.ndarray]):
+        cols = [*left, *right]
+        terms = np.stack(cols, axis=1) if cols else np.zeros((m, 0), dtype=np.intp)
+        coords = terms % n
+        ranked = np.sort(coords, axis=1)
+        fresh = np.ones(ranked.shape, dtype=bool)
+        fresh[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        slots = (fresh[:, None, :] & (ranked[:, None, :] < coords[:, :, None])).sum(axis=2)
+        grouped: Dict[Tuple[int, ...], List[int]] = {}
+        for f, row in enumerate(ranked.tolist()):
+            grouped.setdefault(tuple(dict.fromkeys(row)), []).append(f)
+        self.keys = sorted(grouped, key=len)
+        sizes = [len(grouped[key]) for key in self.keys]
+        self.at = np.array([f for key in self.keys for f in grouped[key]], dtype=np.intp)
+        self.bounds = [0, *accumulate(sizes)]
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        lengths = [len(key) for key in self.keys]
+        self.runs = [(lengths.index(k), lengths.index(k) + lengths.count(k)) for k in sorted(set(lengths))]
+        self.slots, self.inverted, self.split = slots[self.at], (terms >= n)[self.at], len(left)
+
+
 def _cost_tables(
     G: FiniteGroup,
-    n: int,
+    faces: _Faces,
     const: np.ndarray,
-    left: Sequence[np.ndarray],
-    right: Sequence[np.ndarray],
     keyed: np.ndarray,
-    moved: Optional[np.ndarray],
-) -> Dict[Tuple[int, ...], np.ndarray]:
-    """Per set of coordinates that some face reads, the summed key weight of
-    those faces on every assignment to the set: a (rows, |G|, ..., |G|) table,
-    one axis per coordinate in increasing order.  Each face is evaluated once,
-    on the grid of its t terms: one ``face_products`` call for every face and
-    row, each term reading the slot of its coordinate's rank in the face.  The
-    moved weight of a coordinate joins the first table that reads it, or a
-    table of its own."""
-    cols = [*left, *right]
-    t, order = len(cols), G.order
-    rows, m = const.shape
-    terms = np.stack(cols, axis=1) if t else np.zeros((m, 0), dtype=np.intp)
-    coords = terms % n
-    ranked = np.sort(coords, axis=1)
-    fresh = np.ones(ranked.shape, dtype=bool)
-    fresh[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    slots = (fresh[:, None, :] & (ranked[:, None, :] < coords[:, :, None])).sum(axis=2) + t * (terms >= n)
-    grid = np.arange(order**t)[:, None] // order ** np.arange(t - 1, -1, -1) % order
-    slots = [np.tile(slots[:, i], rows) for i in range(t)]
-    values = face_products(G, grid, const.reshape(-1), slots[: len(left)], slots[len(left) :])
-    cost = (values != 0).T.reshape(rows, m, order**t) * keyed[:, :, None]
-    faces: Dict[Tuple[int, ...], List[int]] = {}
-    for f, (row, new) in enumerate(zip(ranked.tolist(), fresh.tolist())):
-        faces.setdefault(tuple(c for c, y in zip(row, new) if y), []).append(f)
-    owner = {}
-    if moved is not None:
-        # Coordinate i's moved weight joins the first face reading it, on i's slot.
-        for key, members in faces.items():
-            for slot, i in enumerate(key):
-                owner.setdefault(i, (members[0], slot))
-        owned = sorted(owner)
-        at, slot = zip(*(owner[i] for i in owned)) if owned else ((), ())
-        np.add.at(cost, (slice(None), list(at)), moved[:, owned, None] * (grid[:, list(slot)] != 0).T)
-    grid_of = cost.reshape((rows, m) + (order,) * t)
-    tables = {}
-    for key, members in faces.items():
-        # Slots past the face's coordinates are unread: their first value stands for all.
-        table = grid_of[:, members[0]] if len(members) == 1 else grid_of[:, members].sum(axis=1)
-        tables[key] = table[(Ellipsis,) + (0,) * (t - len(key))]
-    for i in range(n if moved is not None else 0):
-        if i not in owner:
-            tables[(i,)] = moved[:, i, None] * (np.arange(order) != 0)
-    return tables
+    first: int,
+    stop: int,
+    ranges: Sequence[Tuple[int, int]],
+) -> np.ndarray:
+    """The summed key weight of the faces of keys first..stop-1, of one size,
+    on every assignment to each key's coordinates, coordinate c taking the
+    values ranges[c] = (start, count): a (keys, rows, count, ..., count)
+    array, one axis per slot.  The keys' coordinates must have the same
+    counts, slot by slot.
+
+    The keys share one grid of positions in their ranges, and a term reads
+    its slot's grid column shifted to its coordinate's range; one
+    ``face_products`` call evaluates a chunk of faces, of at most about
+    ``_BLOCK_CELLS`` values, on the grid.
+    """
+    rows, t = len(const), faces.slots.shape[1]
+    keys = faces.keys[first:stop]
+    counts = tuple(ranges[c][1] for c in keys[0])
+    k, box = len(counts), prod(counts)
+    grid = np.indices(counts).reshape(k, box).T
+    starts = np.array([start for start, _ in ranges], dtype=np.intp)
+    x = (grid[:, None, :] + starts[np.array(keys, dtype=np.intp).reshape(len(keys), k)]).reshape(box, -1)
+    sums = np.zeros((len(keys), rows, box), dtype=keyed.dtype)
+    bounds = faces.bounds[first : stop + 1]
+    chunk = max(1, _BLOCK_CELLS // (box * rows))
+    for lo in range(bounds[0], bounds[-1], chunk):
+        hi = min(lo + chunk, bounds[-1])
+        f, own = faces.at[lo:hi], faces.owner[lo:hi] - first
+        cols = own[:, None] * k + faces.slots[lo:hi] + faces.inverted[lo:hi] * x.shape[1]
+        cols = [np.tile(cols[:, i], rows) for i in range(t)]
+        values = face_products(G, x, const[:, f].reshape(-1), cols[: faces.split], cols[faces.split :])
+        cost = (values != 0).T.reshape(rows, hi - lo, box) * keyed[:, f, None]
+        # Each key's faces are contiguous: sum the runs that start in this chunk.
+        heads = [0] + [b - lo for b in bounds[1:-1] if lo < b < hi]
+        sums[own[heads]] += np.add.reduceat(cost, heads, axis=1).transpose(1, 0, 2)
+    return sums.reshape((len(keys), rows) + counts)
 
 
 def _first_min_keys(
-    order: int,
+    G: FiniteGroup,
     n: int,
-    rows: int,
-    tables: Dict[Tuple[int, ...], np.ndarray],
-    dtype,
+    faces: _Faces,
+    const: np.ndarray,
+    keyed: np.ndarray,
+    moved: Optional[np.ndarray],
     stop_below: Optional[int],
     scale: np.ndarray,
 ) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -205,47 +231,76 @@ def _first_min_keys(
     assignment, by blocks of at most about ``_BLOCK_CELLS`` cells.
 
     A block fixes a prefix of the coordinates, takes a run of values of the
-    next one, the split coordinate, and every value of the rest; its keys are
-    the sum of the tables, each indexed at the prefix and broadcast along its
-    other coordinates.  Tables that read only free coordinates add up to the
-    same base in every block, so they are summed once.  argmin keeps a row's
-    first minimum in a block and a strict comparison the first across blocks.
+    next one, the split coordinate, and every value of the rest, the free
+    ones.  Its keys are the sum of the face tables (``_cost_tables``) on the
+    block's ranges, each broadcast along its free and split axes.  The
+    smallest tables, up to ``_BLOCK_CELLS`` cells in all, cover all of G and
+    are built once, then indexed at each block's ranges; the rest are built
+    over each block's ranges, so none is larger than a block.  Tables that
+    read only free coordinates are the same in every block, and the first
+    block sums them once into a base.  The moved weight of an assignment adds
+    up over its coordinates: the free ones' joins the base, and the prefix's
+    and the split coordinate's rides on a table into the block's first sum.
+    argmin keeps a row's first minimum in a block and a strict comparison the
+    first across blocks.
     """
+    order, rows = G.order, len(const)
     free = 0
     while free < n - 1 and rows * max(order, 2) ** (free + 1) <= _BLOCK_CELLS:
         free += 1
     split, span = n - 1 - free, order**free
     run = min(order, max(1, _BLOCK_CELLS // (rows * span)))
 
-    def spread(key, table, prefix, start, width):
+    def spread(key, table, ranges, whole):
+        # A whole table covers all of G: index it at the block's ranges.
         index, shape = [slice(None)], [rows, 1] + [1] * free
-        for i in key:
-            if i < split:
-                index.append(prefix[i])
-            elif i == split:
-                index.append(slice(start, start + width))
-                shape[1] = width
-            else:
-                index.append(slice(None))
-                shape[1 + i - split] = order
-        return table[tuple(index)].reshape(shape)
+        for c in key:
+            start, count = ranges[c]
+            index.append(slice(start, start + count))
+            if c >= split:
+                shape[1 + c - split] = count
+        return (table[tuple(index)] if whole else table).reshape(shape)
 
-    base = np.zeros((rows, 1) + (order,) * free, dtype=dtype)
-    fixed = []
-    for key, table in tables.items():
-        if all(i > split for i in key):
-            base += spread(key, table, (), 0, 1)
-        else:
-            fixed.append((key, table))
+    # Keys run by size, so the whole tables are those of the first keys.
+    everything = [(0, order)] * n
+    wholes = bisect_right(list(accumulate(rows * order ** len(key) for key in faces.keys)), _BLOCK_CELLS)
+    kept = []
+    for lo, hi in faces.runs:
+        if lo < wholes:
+            hi = min(hi, wholes)
+            kept += zip(faces.keys[lo:hi], _cost_tables(G, faces, const, keyed, lo, hi, everything))
+    todo, base = list(range(wholes, len(faces.keys))), None
+    nonzero = np.arange(order) != 0
     every = np.arange(rows)
     best = cells = None
     prefixes = enumerate(product(range(order), repeat=split))
     for number, prefix, start in ((*p, start) for p in prefixes for start in range(0, order, run)):
         width = min(run, order - start)
-        block = np.empty((rows, width) + (order,) * free, dtype=dtype)
-        block[...] = base
-        for key, table in fixed:
-            block += spread(key, table, prefix, start, width)
+        ranges = [(a, 1) for a in prefix] + [(start, width)] + [(0, order)] * free
+        built = [(faces.keys[i], _cost_tables(G, faces, const, keyed, i, i + 1, ranges)[0]) for i in todo]
+        if base is None:
+            # Tables that read only free coordinates are the same in every block.
+            base = np.zeros((rows, 1) + (order,) * free, dtype=keyed.dtype)
+            for tables, whole in ((kept, True), (built, False)):
+                for key, table in tables:
+                    if not key or key[0] > split:
+                        base += spread(key, table, ranges, whole)
+            for c in range(split + 1, n if moved is not None else 0):
+                base += spread((c,), moved[:, c, None] * nonzero, ranges, True)
+            kept = [(key, table) for key, table in kept if key and key[0] <= split]
+            built = [(key, table) for key, table in built if key and key[0] <= split]
+            todo = [i for i in todo if faces.keys[i] and faces.keys[i][0] <= split]
+        parts = [spread(key, table, ranges, True) for key, table in kept]
+        parts += [spread(key, table, ranges, False) for key, table in built]
+        lead = np.zeros((rows, width), dtype=keyed.dtype)
+        if moved is not None:
+            lead += (moved[:, :split] * nonzero[list(prefix)]).sum(axis=1)[:, None]
+            lead += moved[:, split, None] * nonzero[start : start + width]
+        # The lead rides on one part into the sum that makes the block.
+        lead = lead.reshape((rows, width) + (1,) * free)
+        block = base + (lead + parts.pop() if parts else lead)
+        for part in parts:
+            block += part
         block = block.reshape(rows, -1)
         at = block.argmin(axis=1)
         low, cell = block[every, at], (number * order + start) * span + at
@@ -256,10 +311,8 @@ def _first_min_keys(
             best, cells = np.where(better, low, best), np.where(better, cell, cells)
         if stop_below is not None and all(k // M < stop_below for k, M in zip(best.tolist(), scale.tolist())):
             break
-    return [
-        (key, tuple(cell // order ** (n - 1 - i) % order for i in range(n)))
-        for key, cell in zip(best.tolist(), cells.tolist())
-    ]
+    digits = cells[:, None] // order ** np.arange(n - 1, -1, -1) % order
+    return [(key, tuple(x)) for key, x in zip(best.tolist(), digits.tolist())]
 
 
 def _inverse(terms: Terms) -> Terms:
@@ -442,14 +495,17 @@ def _best_link_search(
     shapes: Dict[Tuple, List[_Star]] = {}
     for star in stars:
         shapes.setdefault((len(star.moved), star.table.shape, star.table.tobytes()), []).append(star)
-    # Searches rank by (decrease, -vertex); the first to beat must decrease.
+    # Searches rank by (decrease, -vertex), and only a positive decrease counts.
     best: Optional[_LinkSearch] = None
-    floor = (0, 1)
+
+    def beats(decrease: int, v: int) -> bool:
+        return decrease > 0 and (best is None or (decrease, -v) > (best.decrease_num, -best.vertex))
+
     for group in shapes.values():
-        live = [star for star in group if (star.old, -star.vertex) > floor]
+        live = [star for star in group if beats(star.old, star.vertex)]
         for found in _scan_stars(target, live, local, left, right) if live else ():
-            if (found.decrease_num, -found.vertex) > floor:
-                best, floor = found, (found.decrease_num, -found.vertex)
+            if beats(found.decrease_num, found.vertex):
+                best = found
     if best is None:
         raise AlreadyLocallyMinimalError("no vertex link admits a decreasing correction")
     return best

@@ -1,6 +1,7 @@
 """The correction layer's block scan against a brute-force product() reference."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -478,3 +479,34 @@ def test_stacked_link_searches_equal_the_per_vertex_searches():
             assert found == correction._scan_stars(df, [star], local, DELTA0_TERMS[:1], DELTA0_TERMS[1:])[0]
             y = tuple(G.op(x, f.eval((v, u))) for (u,), x in zip(X.link((v,)).faces(0), found.assignment))
             assert brute_link_nonabelian(f, v) == ((found.decrease_num, y) if found.decrease_num > 0 else None)
+
+
+def test_tables_past_the_block_size_are_built_block_by_block(monkeypatch):
+    # Eight faces x0 + c +- x1 over Z256 have one table of 2^16 cells, 64
+    # blocks of 2^10: the scan builds it over each block's ranges, so what it
+    # holds at once stays within a few blocks.  The reference scores all of
+    # G^2 at once, in product() order.
+    G = group_from_spec("Z256")
+    rng = random.Random(11)
+    n, m, rows = 2, 8, 3
+    signs = np.array([rng.choice((1, -1)) for _ in range(m)])
+    left, right = [np.zeros(m, dtype=np.intp)], [np.where(signs > 0, 1, 1 + n)]
+    consts = np.array([[rng.randrange(G.order) for _ in range(m)] for _ in range(rows)])
+    weights = np.array([[rng.randint(1, 9) for _ in range(m)] for _ in range(rows)])
+    moved = np.array([[rng.randint(0, 4) for _ in range(n)] for _ in range(rows)])
+    x0, x1 = np.divmod(np.arange(G.order**n), G.order)
+    want = []
+    for c, w, mw in zip(consts, weights, moved):
+        weight = ((x0[:, None] + c + signs * x1[:, None]) % G.order != 0) @ w
+        first = int(np.argmin(weight * (mw.sum() + 1) + (x0 != 0) * mw[0] + (x1 != 0) * mw[1]))
+        want.append((int(weight[first]), (int(x0[first]), int(x1[first]))))
+    monkeypatch.setattr(correction, "_BLOCK_CELLS", 1 << 10)
+    tracemalloc.start()
+    try:
+        stacked = _scan_first_min(G, n, consts, left, right, weights, moved=moved)
+        single = _scan_first_min(G, n, consts[0], left, right, weights[0], moved=moved[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (stacked, single) == (want, want[0])
+    assert peak < 32 * 8 * correction._BLOCK_CELLS

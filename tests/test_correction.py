@@ -532,3 +532,38 @@ def test_fast_side_builds_no_link_complex(monkeypatch, t3, instance, spec):
 
     monkeypatch.setattr(SimplicialComplex, "link", no_link)
     assert _fast_side_results(tops, spec) == want
+
+
+def relabeled(X, shift):
+    """X with every vertex id moved by shift, weights kept."""
+    tops = X.faces(X.dimension)
+    weights = {tuple(v + shift for v in top): X.face_weight(top) for top in tops}
+    return SimplicialComplex(X.dimension, list(weights), weights)
+
+
+def test_a_step_needs_a_positive_decrease_whatever_the_vertex_ids(f2):
+    # A lone triangle of the tetrahedron boundary is locally minimal: no
+    # vertex link gains by a correction, also with the vertices at -4..-1.
+    for shift in (0, -4):
+        X = relabeled(complete_complex(4, 2), shift)
+        h = Cochain(X, 2, f2, {(shift, shift + 1, shift + 2): 1})
+        with pytest.raises(AlreadyLocallyMinimalError):
+            one_step_abelian(h)
+
+
+@pytest.mark.parametrize("correct", [correct_abelian, correct_nonabelian])
+def test_negative_vertex_ids_shift_the_trace_and_nothing_else(t3, f2, correct):
+    # Moving every id by the same amount keeps the order of the vertices, so
+    # the runs take the same steps at the moved vertices and end cleanly at
+    # the same nonzero local minimum, where no search decreases the weight.
+    f = random_cochain(t3, 1, f2, random.Random(1), 0.5)
+    _, trace = correct(f)
+    assert trace.final_delta_weight > 0
+    for shift in (-30, -3):
+        Y = relabeled(t3, shift)
+        g = Cochain(Y, 1, f2, {tuple(v + shift for v in face): val for face, val in f.values.items()})
+        _, moved = correct(g)
+        assert [(s.vertex - shift, s.delta_weight_after, s.moved) for s in moved.steps] == [
+            (s.vertex, s.delta_weight_after, s.moved) for s in trace.steps
+        ]
+        assert moved.final_delta_weight == trace.final_delta_weight
