@@ -9,6 +9,7 @@ overridden with --budget or the HDX_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -94,6 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", type=Path, default=None)
     ver.add_argument("--format", choices=("json", "table"), default="json")
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args starts every call from
+    a fresh namespace, so no option carries over from one call to the next."""
+    return build_parser()
 
 
 def _budget(args) -> EnumerationBudget:
@@ -312,8 +320,7 @@ def emit_failure_records(report: Dict[str, object], outdir: Path) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "generate": cmd_generate,
         "analyze": cmd_analyze,

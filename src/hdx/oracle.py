@@ -1,12 +1,19 @@
 """Brute-force ground truth: full cochain-space enumeration on small instances.
 
 Everything here is an independent slow path.  One block odometer (`_Scan`)
-walks C^k in lexicographic order for every group, `_BLOCK_STATES` consecutive
-states at a time: a block's digits come from the state indices, its weights
-from one product with the face numerators, and its coboundary from the
-oracle's own role array over X(k+1), never from `cochains`.  Coboundary rows
-are sorted and merged by exact keys, int64 words that each code a run of
-faces in mixed radix, so images compare in numpy for any number of faces.
+walks C^k in lexicographic order for every group, at most `_BLOCK_STATES`
+states at a time.  A state is a prefix on the first faces and a suffix on the
+last L, the most faces whose assignments fit in a block, and a block is a run
+of prefixes, each with every suffix.  The suffix digits and weights are
+tables built once per scan, and a block writes only its prefix digits and
+adds its prefix weights.  Coboundaries come from the oracle's own role array
+over X(k+1), never from `cochains`: for abelian groups d is additive, so a
+block's coboundaries are its prefixes' added to a suffix table built once;
+non-abelian groups run the op chain on the block.  Each coboundary row is
+turned once into its exact key, int64 words that each code a run of faces in
+mixed radix, by one integer product with the places; keys are sorted and
+merged, so images compare in numpy for any number of faces, and the rows are
+decoded from the surviving keys.
 Z^k and B^k are sorted value rows for every group: 2-D arrays with one row
 per vector over X(k), in lexicographic order, and a `Cochain` is built only
 for a returned witness.  For two-element groups they are spans over GF(2):
@@ -99,11 +106,15 @@ class _Scan:
     """Block odometer over the assignments to X(k), with their coboundaries.
 
     State i is the i-th vector of C^k in lexicographic order: its value on the
-    j-th k-face is (i // g^(m-1-j)) % g, the first face most significant.
-    `blocks` yields the states `_BLOCK_STATES` at a time with their
-    coboundaries on X(k+1).  Nothing is tracked at the top dimension, nor
-    above dimension 1 for non-abelian groups, so there a coboundary row has
-    no entries and every state is a cocycle.
+    j-th k-face is (i // g^(m-1-j)) % g, the first face most significant.  A
+    state is a prefix, its values on the first h faces, followed by a suffix,
+    its values on the last L = m - h, where L is the most faces with
+    g^L <= `_BLOCK_STATES`.  A block is a run of consecutive prefixes, each
+    with every suffix, so the suffix digits, weights and (for a linear d)
+    coboundaries are tables built once per scan, and a block adds only its
+    prefixes.  Nothing is tracked at the top dimension, nor above dimension 1
+    for non-abelian groups, so there a coboundary row has no entries and
+    every state is a cocycle.
     """
 
     def __init__(self, X: SimplicialComplex, k: int, G: FiniteGroup):
@@ -111,6 +122,8 @@ class _Scan:
         self.m = X.face_count(k)
         self.nums = _numerators(X.weight_numerators(k))
         self.track = k < X.dimension and (G.is_abelian or k <= 1)
+        # An additive d splits: d(prefix, suffix) = d(prefix, 0) + d(0, suffix).
+        self.linear = self.track and (G.is_abelian or k == -1)
         above: List[Face] = list(X.faces(k + 1)) if self.track else []
         self.above_nums = _numerators(X.weight_numerators(k + 1) if self.track else self.nums[:0])
         index = X.face_index(k)
@@ -121,29 +134,57 @@ class _Scan:
         # Signed and wide enough for a + b: Z_m adds before it reduces.
         self.dtype = np.min_scalar_type(-2 * G.order)
         # A key word codes `width` faces below 2^63.
-        self.width = 1
-        while self.width < len(above) and G.order ** (self.width + 1) < 2**63:
-            self.width += 1
+        n, width = len(above), 1
+        while width < n and G.order ** (width + 1) < 2**63:
+            width += 1
+        self.width = width
+        # places[j, w]: the place of face j in word w, the first face of a word most significant.
+        self.places = np.zeros((n, max(1, -(-n // width))), dtype=np.int64)
+        for j in range(n):
+            self.places[j, j // width] = G.order ** (min(n, (j // width + 1) * width) - 1 - j)
 
     def blocks(
         self, budget: EnumerationBudget, what: str
-    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Yield (start, digits, delta) for each block, in lexicographic order.
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield (start, digits, delta, weights) for each block, in lexicographic order.
 
         digits holds the states start, start + 1, ... as rows of values on
-        X(k), and delta their coboundaries as rows of values on X(k+1).
+        X(k), delta their coboundaries as rows of values on X(k+1), and
+        weights their weight numerators.  digits is one buffer, rewritten
+        from block to block: copy what outlives the block.
         """
-        g, total = self.G.order, space_size(self.G, self.m)
-        budget.ensure(total, what)
-        # Index arithmetic in the narrowest type that holds the state count.
-        index_type = np.min_scalar_type(total)
-        place = np.array([g ** (self.m - 1 - j) for j in range(self.m)], dtype=index_type)
-        for start in range(0, total, _BLOCK_STATES):
-            index = np.arange(start, min(start + _BLOCK_STATES, total), dtype=index_type)
-            digits = index[:, None] // place
-            digits %= g
-            digits = digits.astype(self.dtype)
-            yield start, digits, self.delta(digits)
+        G, g, m = self.G, self.G.order, self.m
+        budget.ensure(space_size(G, m), what)
+        tail = 0
+        while tail < m and g ** (tail + 1) <= _BLOCK_STATES:
+            tail += 1
+        h, suffixes, prefixes = m - tail, g**tail, g ** (m - tail)
+        run = min(prefixes, max(1, _BLOCK_STATES // suffixes))
+        # The suffix digits are written once, into every prefix slot of the buffer.
+        buffer = np.zeros((run * suffixes, m), dtype=self.dtype)
+        for j in range(tail):
+            grid = buffer[:suffixes].reshape(g**j, g, g ** (tail - 1 - j), m)
+            grid[:, :, :, h + j] = np.arange(g, dtype=self.dtype)[:, None]
+        buffer.reshape(run, suffixes, m)[1:, :, h:] = buffer[:suffixes, h:]
+        # Prefix 0 is all zeros, so the first slot gives d(0, suffix) and the suffix weights.
+        suffix_delta = self.delta(buffer[:suffixes]) if self.linear and suffixes > 1 else None
+        suffix_weights = (buffer[:suffixes, h:] != 0) @ self.nums[h:]
+        # Index arithmetic in the narrowest type that holds the prefix count and g.
+        index_type = np.min_scalar_type(max(prefixes, g))
+        place = np.array([g ** (h - 1 - j) for j in range(h)], dtype=index_type)
+        for first in range(0, prefixes, run):
+            count = min(run, prefixes - first)
+            prefix = np.arange(first, first + count, dtype=index_type)[:, None] // place % g
+            digits = buffer[: count * suffixes]
+            digits.reshape(count, suffixes, m)[:, :, :h] = prefix[:, None, :]
+            if suffix_delta is None:
+                delta = self.delta(digits)
+            else:
+                # Each prefix slot starts with suffix 0: its first row is (prefix, 0).
+                delta = G.op_array(self.delta(digits[::suffixes])[:, None], suffix_delta)
+                delta = delta.astype(self.dtype, copy=False).reshape(len(digits), -1)
+            weights = ((prefix != 0) @ self.nums[:h])[:, None] + suffix_weights
+            yield first * suffixes, digits, delta, weights.reshape(-1)
 
     def delta(self, digits: np.ndarray) -> np.ndarray:
         """The coboundary of each row of digits, one column per (k+1)-face."""
@@ -170,13 +211,19 @@ class _Scan:
         Each word codes its faces in mixed radix, the first most significant,
         so rows and their keys sort alike, past int64 and past one byte a digit.
         """
-        n = delta.shape[1]
-        keys = np.zeros((len(delta), max(1, -(-n // self.width))), dtype=np.int64)
-        for j in range(n):
-            word = keys[:, j // self.width]
-            word *= self.G.order
-            word += delta[:, j]
-        return keys
+        return delta @ self.places
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """The coboundary rows that keys code, one face at a time."""
+        g, n = self.G.order, len(self.roles)
+        out = np.empty((len(keys), n), dtype=self.dtype)
+        code, digit = np.empty((2, len(keys)), dtype=np.int64)
+        for w in range(keys.shape[1]):
+            code[:] = keys[:, w]
+            for j in range(min(n, (w + 1) * self.width) - 1, w * self.width - 1, -1):
+                np.divmod(code, g, out=(code, digit))
+                out[:, j] = digit
+        return out
 
 
 def _digits(code: int, base: int, length: int) -> Tuple[int, ...]:
@@ -194,38 +241,39 @@ def _images(
     when nonzero), with the index of its first preimage and the least weight
     numerator of its preimages, as three aligned arrays.
 
-    Block rows wait in a list and merge into the table once they outnumber it,
-    so each row is sorted O(1) times.  Indices are held in the narrowest
-    type that fits them.
+    Each kept row becomes its key once, in its block.  Block keys wait in a
+    list and merge into the table once they outnumber it, so each key is
+    sorted O(1) times; the rows are decoded from the final keys.  Indices are
+    held in the narrowest type that fits them.
     """
     index_type = np.min_scalar_type(space_size(scan.G, scan.m))
     parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     table = waiting = 0
-    for start, digits, delta in scan.blocks(budget, what):
-        keep = np.flatnonzero(delta.any(axis=1)) if nonzero else np.arange(len(delta))
-        first = (keep + start).astype(index_type)
-        parts.append((delta[keep], first, ((digits[keep] != 0) @ scan.nums)))
+    for start, _digits, delta, weights in scan.blocks(budget, what):
+        keys = scan.keys(delta)
+        # A key is 0 exactly where its row is.
+        keep = np.flatnonzero(keys.any(axis=1)) if nonzero else np.arange(len(keys))
+        parts.append((keys[keep], (keep + start).astype(index_type), weights[keep]))
         waiting += len(keep)
         if waiting > max(table, _BLOCK_STATES):
-            parts = [_merge(scan, parts)]
+            parts = [_merge(parts)]
             table, waiting = len(parts[0][0]), 0
-    return _merge(scan, parts)
+    keys, first, light = _merge(parts)
+    return scan.rows(keys), first, light
 
 
-def _merge(scan: _Scan, parts: list) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One row per distinct image of parts, sorted, keeping the first index
+def _merge(parts: list) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One key per distinct key of parts, sorted, keeping the first index
     and the least weight.  Parts come in scan order, and the sort is stable.
     Empties parts, so its blocks are freed before the sort."""
-    rows, first, light = (np.concatenate(a) for a in zip(*parts))
+    keys, first, light = (np.concatenate(a) for a in zip(*parts))
     parts.clear()
-    keys = scan.keys(rows)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     new = np.ones(len(keys), dtype=bool)
     new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     starts = np.flatnonzero(new)
-    pick = order[starts]
-    return rows[pick], first[pick], np.minimum.reduceat(light[order], starts)
+    return keys[starts], first[order[starts]], np.minimum.reduceat(light[order], starts)
 
 
 def _first_min_ratio(num: np.ndarray, den: np.ndarray) -> int:
@@ -331,7 +379,7 @@ def cocycle_list(
             budget.ensure(2**scan.m, f"cocycle scan in dimension {k}")
             return _f2_span(_f2_eliminate(_f2_incidence(scan))[1], scan.m, scan.dtype)
     blocks = scan.blocks(budget, f"Z^{k} scan")
-    return np.concatenate([digits[~delta.any(axis=1)] for _start, digits, delta in blocks])
+    return np.concatenate([digits[~delta.any(axis=1)] for _start, digits, delta, _w in blocks])
 
 
 def coboundary_list(
@@ -439,7 +487,7 @@ def _min_ratio_scan(
     pool_rows = np.asarray(pool, dtype=scan.dtype).reshape(len(pool), scan.m)
     best_ratio: Optional[Tuple[int, int]] = None
     best_vec: Optional[Tuple[int, ...]] = None
-    for _start, digits, delta in scan.blocks(budget, what):
+    for _start, digits, delta, _weights in scan.blocks(budget, what):
         moving = np.flatnonzero(delta.any(axis=1))
         if not len(moving):
             continue

@@ -198,6 +198,30 @@ def test_budget_zero_is_honoured_and_negative_rejected(tmp_path, monkeypatch, ca
     assert "HDX_BUDGET" in capsys.readouterr().err
 
 
+def test_back_to_back_calls_share_one_parser_and_no_options(tmp_path, monkeypatch, capsys):
+    from hdx import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    monkeypatch.delenv("HDX_BUDGET", raising=False)
+    cpath, out = tmp_path / "c.txt", tmp_path / "report.json"
+    assert main(["generate", "complete", "--n", "4", "--d", "2", "--out", str(cpath)]) == 0
+    argv = ["analyze", str(cpath), "--format", "json"]
+    assert main(argv + ["--group", "Z3", "--budget", "0", "--out", str(out)]) == 0
+    refused = json.loads(out.read_text())
+    # The next call names no group, budget or output: each takes its default again.
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (refused["group"], report["group"]) == ("Z3", "Z2")
+    assert refused["cosystolic"]["0"]["skipped"].endswith("over the budget of 0")
+    assert report["cosystolic"]["0"] == {"epsilon": "4/3", "mu": None, "skipped": None, "z_size": 2, "b_size": 2}
+    assert main(["generate", "complete", "--n", "3", "--d", "1"]) == 0
+    assert capsys.readouterr().out == complete_complex(3, 1).to_text()
+    assert len(built) == 1
+
+
 def test_analyze_refuses_cosystolic_dimensions_one_at_a_time(tmp_path):
     cpath = tmp_path / "c.txt"
     main(["generate", "complete", "--n", "4", "--d", "2", "--out", str(cpath)])

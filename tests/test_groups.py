@@ -90,6 +90,37 @@ def test_array_ops_match_scalar_ops(spec):
     assert g.inv_array(a).tolist() == [g.inv(int(x)) for x in a]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 128, 256, 2**40, 2**70])
+def test_cyclic_array_ops_match_the_modulo_form(m):
+    # The subtract-and-zero forms give the values and dtypes of (a + b) % m and
+    # -a % m on reduced elements: numpy rows in the narrowest signed dtype that
+    # holds 2m - 2 (Python-int object rows past 2^62), numpy scalars and 0-d arrays.
+    g = CyclicGroup(m)
+    dtype = np.min_scalar_type(-2 * m) if m <= 2**62 else object
+    rng = random.Random(m)
+    values = sorted({0, m - 1, m // 2} | {rng.randrange(m) for _ in range(40)})
+    a = np.array(values, dtype=dtype)
+    pairs = [(a[:, None], a[None, :]), (a, a[::-1].copy())]
+    if dtype is not object:
+        pairs += [(a.dtype.type(m - 1), a.dtype.type(m // 2)), (np.asarray(a[-1]), np.asarray(a[0]))]
+    for x, y in pairs:
+        for got, want in ((g.op_array(x, y), (x + y) % m), (g.inv_array(x), -x % m)):
+            assert type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.asarray(got).tolist() == np.asarray(want).tolist()
+    assert g.op_array(m - 1, m - 1) == (2 * m - 2) % m and g.inv_array(0) == 0
+
+
+def test_direct_product_ops_on_scalars_and_0d_arrays():
+    # _split hands each Z_m factor 0-d int64 arrays; their sums are numpy scalars.
+    g = group_from_spec("Z2xZ3")
+    for x in range(g.order):
+        for y in range(g.order):
+            want = 3 * ((x // 3 + y // 3) % 2) + (x % 3 + y % 3) % 3
+            assert int(g.op_array(np.int64(x), np.int64(y))) == want
+            assert int(g.op_array(np.asarray(x), np.asarray(y))) == want
+        assert int(g.inv_array(np.asarray(x))) == 3 * (x // 3) + (-x % 3) % 3
+
+
 Z2_70 = "Z1180591620717411303424"  # Z_(2^70)
 
 

@@ -61,6 +61,9 @@ def test_trivial_group_spaces():
     assert spaces.c_count == 1
     assert len(spaces.cocycles) == 1
     assert len(spaces.coboundaries) == 1
+    # Past 64 faces the one state is still one block of one row.
+    spaces = enumerate_spaces(complete_complex(12, 2), G, 1)
+    assert spaces.cocycles.tolist() == spaces.coboundaries.tolist() == [[0] * 66]
 
 
 def test_inclusion_chain_and_quotient(rng):
@@ -461,6 +464,57 @@ def test_enumerated_spaces_match_product_enumeration(monkeypatch, name, spec):
             assert list(map(tuple, spaces.coboundaries.tolist())) == images, (k, block)
 
 
+@pytest.mark.parametrize(
+    "name, spec, k",
+    [("k4", spec, k) for spec in ("Z3", "Z2xZ2") for k in (0, 1, 2)]
+    + [("k4", "S3", 0), ("triangle", "S3", 1), ("triangle", "Z17", 0), ("weighted-k4", "Z3", 1)],
+)
+@pytest.mark.parametrize("block", [_BLOCK_STATES, 7, 1])
+def test_block_stream_is_the_product_enumeration(monkeypatch, name, spec, k, block):
+    # Blocks of whole prefixes with every suffix concatenate to C^k in
+    # lexicographic order, with each state's coboundary and weight numerator:
+    # the whole space in one block (4^4 <= 2^10), one state a block, a suffix
+    # of one face for g > 7 (Z17), and the op chain for non-abelian S3.
+    X, G = _COMPLEXES[name](), group_from_spec(spec)
+    monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
+    states = list(product(range(G.order), repeat=X.face_count(k)))
+    nums = [X.weight_numerator(face) for face in X.faces(k)]
+    tracked = k < X.dimension
+    seen = 0
+    for start, digits, delta, weights in _Scan(X, k, G).blocks(EnumerationBudget(), "test scan"):
+        assert start == seen and 1 <= len(digits) <= block
+        assert len(digits) == len(delta) == len(weights)
+        rows = states[start : start + len(digits)]
+        assert list(map(tuple, digits.tolist())) == rows
+        expected = [_coboundary_vector(X, G, k, row) for row in rows] if tracked else [()] * len(rows)
+        assert list(map(tuple, delta.tolist())) == expected
+        assert weights.tolist() == [sum(n for n, v in zip(nums, row) if v) for row in rows]
+        seen += len(digits)
+    assert seen == len(states)
+
+
+@pytest.mark.parametrize(
+    "n, spec, width",
+    [(12, "Z2", 62), (10, "Z3", 39), (5, "Z2097152", 2), (5, "Z4294967311", 1)],
+)
+def test_keys_decode_to_their_rows_over_several_words(n, spec, width):
+    # The edges of K_n, coded `width` faces to an int64 word: each key row
+    # takes several words, the last one short where width does not divide
+    # the edge count, sorts like its coboundary row and decodes back to it.
+    X, G = complete_complex(n, 1), group_from_spec(spec)
+    scan = _Scan(X, 0, G)
+    edges = X.face_count(1)
+    assert scan.width == width and G.order**width < 2**63 <= G.order ** (width + 1)
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, G.order, size=(200, edges)).astype(scan.dtype)
+    rows[:2] = [0], [G.order - 1]
+    keys = scan.keys(rows)
+    assert keys.dtype == np.int64 and keys.shape == (200, -(-edges // width))
+    assert np.array_equal(scan.rows(keys), rows) and scan.rows(keys).dtype == scan.dtype
+    order = np.lexsort(keys.T[::-1])
+    assert rows[order].tolist() == sorted(rows.tolist())
+
+
 def test_fiber_keys_past_int64():
     # K12^(1) at k = 0 has 66 edges, so a coboundary's code reaches 2^66 and
     # its key takes two int64 words.
@@ -482,6 +536,8 @@ def test_coboundary_list_sorts_multi_byte_values():
     X = SimplicialComplex(1, [(0, 1)])
     images = coboundary_list(X, group_from_spec("Z300"), 1, EnumerationBudget())
     assert images.tolist() == [[v] for v in range(300)]
+    # At the top dimension the 300 states fit one block with no prefix faces.
+    assert np.array_equal(cocycle_list(X, group_from_spec("Z300"), 1, EnumerationBudget()), images)
 
 
 @pytest.mark.parametrize(
