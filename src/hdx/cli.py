@@ -23,11 +23,7 @@ from .errors import BadParamsError, BudgetExceededError, HdxError, ParseError
 from .expansion import _delta1_bound, classify_non_local, classify_weakly_non_local, delta1
 from .groups import group_from_spec
 from .instances import complete_complex, glued_simplices, torus_complex
-from .oracle import (
-    EnumerationBudget,
-    coboundary_expansion_constant,
-    cosystolic_expansion_constants,
-)
+from .oracle import EnumerationBudget, cosystolic_expansion_constants, link_constants
 from .reporting import dumps_report, render_table, to_jsonable
 from .spectral import link_spectra
 from .suites import SUITE_NAMES, run_suites
@@ -157,6 +153,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    """Report the complex, the walk spectrum of every proper link, the
+    coboundary-expansion constants of every connected link (read from
+    ``link_constants``, one scan per link shape; a refused scan is
+    "skipped"), and the cosystolic constants of X itself."""
     budget = _budget(args)
     X = _load_complex(args.complex)
     G = group_from_spec(args.group)
@@ -168,10 +168,13 @@ def cmd_analyze(args) -> int:
         },
         "group": G.spec,
     }
+    spectra = link_spectra(X)
+    connected = [sigma for sigma, cert in spectra.items() if sigma != () and cert is not None]
+    betas = dict(zip(connected, link_constants(X, G, budget, connected)))
     links: Dict[str, object] = {}
     global_lambda = None
     disconnected = []
-    for sigma, cert in link_spectra(X).items():
+    for sigma, cert in spectra.items():
         key = "root" if sigma == () else " ".join(map(str, sigma))
         if cert is None:
             links[key] = {"lambda": 1.0, "connected": False}
@@ -181,17 +184,10 @@ def cmd_analyze(args) -> int:
         if global_lambda is None or cert.lambda_plus > global_lambda:
             global_lambda = cert.lambda_plus
         if sigma != ():
-            sub = X.link(sigma)
-            beta_entry = {}
-            top_k = sub.dimension if G.is_abelian else min(sub.dimension, 2)
-            for kk in range(0, top_k):
-                try:
-                    const = coboundary_expansion_constant(sub, G, kk, budget)
-                except BudgetExceededError:
-                    beta_entry[str(kk)] = "skipped"
-                    continue
-                beta_entry[str(kk)] = None if const.vacuous else const.epsilon
-            links[key]["coboundary_expansion"] = beta_entry
+            links[key]["coboundary_expansion"] = {
+                str(k): "skipped" if isinstance(epsilon, BudgetExceededError) else epsilon
+                for k, epsilon in enumerate(betas[sigma])
+            }
     report["links"] = links
     report["lambda"] = 1.0 if disconnected else global_lambda
     report["disconnected_links"] = disconnected

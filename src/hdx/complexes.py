@@ -11,7 +11,8 @@ rows is a face of ``faces(k)``, the layout of every cochain's value row, and
 its numerator in ``weight_numerators(k)`` sums the run.  The runs also give
 ``facets(k)``, the incidence of X(k) on X(k-1), and every link, which is closed
 the same way; ``link_index`` tables the faces sigma + tau through sigma from
-one vertex-to-face incidence per dimension.  A ``FaceSet``, such as a
+one vertex-to-face incidence per dimension, and ``star_facets`` the facet
+table of a vertex's link in X's own indices.  A ``FaceSet``, such as a
 cochain's support, is a read-only boolean row over faces(k).
 """
 
@@ -135,6 +136,7 @@ class SimplicialComplex:
             self._rows[k] = row.astype(np.int64 if self._den[k] < 2**63 else object, copy=False)
             self._rows[k].flags.writeable = False
         self._faces, self._index, self._facets, self._links, self._link_index, self._stars = {}, {}, {}, {}, {}, {}
+        self._star_facets: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         return self
 
     # -- structure ---------------------------------------------------------
@@ -321,6 +323,22 @@ class SimplicialComplex:
             at.flags.writeable = odd.flags.writeable = False
             self._link_index[sigma, j] = (at, odd)
         return self._link_index[sigma, j]
+
+    def star_facets(self, v: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The facet table of link(v)(j-1), read from the facet table of X(j):
+        the facets of v + tau that hold v are v + each facet of tau, in order,
+        given by their taus' positions in link(v)(j-2).  Also the index in
+        X(j-1) of each tau, the facet of v + tau without v.  Built once per
+        (v, j), read-only."""
+        if (v, j) not in self._star_facets:
+            at, lower = self.link_index((v,), j - 1)[0], self.link_index((v,), j - 2)[0]
+            facets = self.facets(j)[at]
+            pos = np.searchsorted(lower, facets)
+            holds = lower.take(pos, mode="clip") == facets
+            table, rim = pos[holds].reshape(len(at), j), facets[~holds]
+            table.flags.writeable = rim.flags.writeable = False
+            self._star_facets[v, j] = (table, rim)
+        return self._star_facets[v, j]
 
     def _star_of(self, rank: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """The indices of the k-faces holding the vertex of the given rank, in

@@ -31,10 +31,11 @@ along its own axes.  Tables that fit that bound together are built once over
 all of G; a larger one is built again over each block's part of G, so the
 scan's memory stays within a few blocks whatever the group.
 A link search reads the star of v, and its facet table, from X's own tables
-(``_star``) and builds no link; stars with the same facet table, such as
-every star of K_n^(d), are scanned together, one table per face for all of
-them.  The first minimum wins: argmin within a block, a strict comparison
-across blocks, so ties resolve exactly as in a plain loop over ``product``.
+(``star_facets``, built once per complex) and builds no link; stars with the
+same facet table, such as every star of K_n^(d), are scanned together, one
+table per face for all of them.  The first minimum wins: argmin within a
+block, a strict comparison across blocks, so ties resolve exactly as in a
+plain loop over ``product``.
 A link search first keeps the tied minimizers that rewrite the least
 weight, so a step moves as little as it can.
 """
@@ -410,7 +411,7 @@ def _stars(target: Cochain, vertices: Sequence[int], budget: EnumerationBudget) 
             continue
         lower = X.link_index((v,), j - 2)[0]
         budget.ensure(space_size(G, len(lower)), f"link correction scan at {v}")
-        stars.append(_Star(v, old, weights, X.weight_numerators(j - 1)[lower], _star(X, v, j)[0]))
+        stars.append(_Star(v, old, weights, X.weight_numerators(j - 1)[lower], X.star_facets(v, j)[0]))
     return stars
 
 
@@ -460,17 +461,6 @@ def _search_link(
         return None
     found = _scan_stars(target, stars, local, left, right)[0]
     return found if found.decrease_num > beat else None
-
-
-def _star(X: SimplicialComplex, v: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The facet table of link(v)(j-1), read from X's facet table of X(j): the
-    facets of v + tau that hold v are v + each facet of tau, in order.  Also
-    the index in X(j-1) of each tau, the facet of v + tau without v."""
-    at, lower = X.link_index((v,), j - 1)[0], X.link_index((v,), j - 2)[0]
-    facets = X.facets(j)[at]
-    pos = np.searchsorted(lower, facets)
-    holds = lower.take(pos, mode="clip") == facets
-    return pos[holds].reshape(len(at), j), facets[~holds]
 
 
 def _local(f: Cochain, v: int) -> np.ndarray:
@@ -552,7 +542,7 @@ def _triangles_at(f: Cochain, v: int) -> np.ndarray:
     """f(vu) f(uw) f(wv) on each edge uw of link(v), as a value row over the
     link's edges: the vertex action of u -> f(v, u) on f's values there, one
     face-product call on the star's facet table."""
-    table, rim = _star(f.complex, v, 2)
+    table, rim = f.complex.star_facets(v, 2)
     spokes = _local(f, v)
     left, right = (term_columns(table, len(spokes), terms) for terms in (DELTA0_TERMS[:1], DELTA0_TERMS[1:]))
     return face_products(f.group, spokes[None, :], f.row[rim], left, right)[0]

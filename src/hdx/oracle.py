@@ -25,7 +25,8 @@ dimension 0 for every group) and the table stays small; otherwise they
 measure every state against a pool of cocycles.  Distances and expansion
 constants are exact rational minima with deterministic witnesses, a scan over
 budget is refused for the dimension that needs it, and nothing is shared with
-the fast paths these results are checked against.
+the fast paths these results are checked against.  Link constants are scanned
+once per order-preserving link shape (``link_constants``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -568,6 +569,12 @@ class CosystolicConstants:
         return min(vals) if vals else None
 
 
+def _checked_dims(X: SimplicialComplex, G: FiniteGroup) -> range:
+    """The dimensions k with a coboundary over G below the top: every
+    0 <= k < d for an abelian group, k <= 1 otherwise."""
+    return range(0, X.dimension if G.is_abelian else min(X.dimension, 2))
+
+
 def cosystolic_expansion_constants(
     X: SimplicialComplex,
     G: FiniteGroup,
@@ -583,7 +590,7 @@ def cosystolic_expansion_constants(
     """
     budget = budget or EnumerationBudget.default()
     if dims is None:
-        dims = range(0, X.dimension) if G.is_abelian else range(0, min(2, X.dimension))
+        dims = _checked_dims(X, G)
     out = CosystolicConstants(G.spec)
     for k in dims:
         entry: Dict[str, object] = {"epsilon": None, "mu": None, "skipped": None}
@@ -727,30 +734,65 @@ def _support_hits(
     return hit
 
 
+def _link_shape(lk: SimplicialComplex) -> Tuple:
+    """A link up to the order-preserving renaming of its vertices onto
+    0..n-1: its dimension, its renamed tops (still sorted), their numerators
+    by value and their denominator.  The renaming keeps every face's index
+    and orientation, so links of one shape scan identically."""
+    d, rank = lk.dimension, {v: i for i, v in enumerate(lk.vertices())}
+    tops = tuple(tuple(rank[v] for v in top) for top in lk.faces(d))
+    return d, tops, tuple(lk.weight_numerators(d).tolist()), lk.weight_denominator(d)
+
+
+def link_constants(
+    X: SimplicialComplex,
+    G: FiniteGroup,
+    budget: EnumerationBudget,
+    sigmas: Iterable[Face],
+) -> Iterator[Tuple[Union[Fraction, None, BudgetExceededError], ...]]:
+    """For each sigma, in order, the coboundary-expansion constant of
+    link(sigma) over G in each dimension it has one (k < dim, and k <= 1 for
+    a non-abelian G): epsilon, None when vacuous, or the BudgetExceededError
+    that refused the scan.  Each link shape (``_link_shape``) is scanned once
+    per call and its constants are reused for every later sigma of that
+    shape; nothing outlives the call."""
+    done: Dict[Tuple, tuple] = {}
+    for sigma in sigmas:
+        lk = X.link(sigma)
+        shape = _link_shape(lk)
+        if shape not in done:
+            found = []
+            for k in _checked_dims(lk, G):
+                try:
+                    const = coboundary_expansion_constant(lk, G, k, budget)
+                except BudgetExceededError as exc:
+                    found.append(exc)
+                    continue
+                found.append(None if const.vacuous else const.epsilon)
+            done[shape] = tuple(found)
+        yield done[shape]
+
+
 def link_coboundary_beta(
     X: SimplicialComplex,
     G: FiniteGroup,
     budget: Optional[EnumerationBudget] = None,
 ) -> Tuple[Optional[Fraction], Optional[Face]]:
-    """Min coboundary-expansion constant over all proper links, with a witness.
+    """Min coboundary-expansion constant over all proper links, with the first
+    sigma that attains it, or (None, None) when every constant is vacuous.
 
-    Links of dimension < 1 are skipped (no equations).  Returns (None, sigma)
-    when some link has a vacuous or zero constant in a checkable dimension.
-    """
+    The links of faces(0), ..., faces(d-1), in order, are read from
+    ``link_constants``, one scan per link shape.  A refused scan raises its
+    BudgetExceededError at the first sigma that needs it, before any later
+    link is scanned."""
     budget = budget or EnumerationBudget.default()
+    sigmas = [sigma for i in range(X.dimension) for sigma in X.faces(i)]
     best: Optional[Fraction] = None
     witness: Optional[Face] = None
-    for i in range(0, X.dimension):
-        for sigma in X.faces(i):
-            lk = X.link(sigma)
-            if lk.dimension < 1:
-                continue
-            top_k = lk.dimension if G.is_abelian else min(lk.dimension, 2)
-            for k in range(0, top_k):
-                const = coboundary_expansion_constant(lk, G, k, budget)
-                if const.vacuous:
-                    continue
-                if best is None or const.epsilon < best:
-                    best, witness = const.epsilon, sigma
+    for sigma, constants in zip(sigmas, link_constants(X, G, budget, sigmas)):
+        for epsilon in constants:
+            if isinstance(epsilon, BudgetExceededError):
+                raise epsilon
+            if epsilon is not None and (best is None or epsilon < best):
+                best, witness = epsilon, sigma
     return best, witness
-

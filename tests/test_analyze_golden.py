@@ -1,14 +1,26 @@
 """Golden outputs of `hdx analyze --format json`: the SHA-256 of the report on
-bundled instances over abelian and non-abelian groups, pinned so that a change
-to the oracle's odometer that moves any byte of a constant, a witness-bearing
-value or a refusal shows."""
+bundled instances and one weighted complex over abelian and non-abelian
+groups, pinned so that a change to the oracle's odometer, or to how links of
+one shape share their scans, that moves any byte of a constant, a
+witness-bearing value or a refusal shows."""
 
 import hashlib
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from hdx.cli import main
+from hdx.complexes import SimplicialComplex
 from hdx.instances import bundled_instances
+
+
+def _weighted_k6():
+    """K6^(3) with top weights 1 + sum(t) % 3, so links of one renamed shape differ in weight."""
+    tops = list(combinations(range(6), 4))
+    raw = {t: 1 + sum(t) % 3 for t in tops}
+    return SimplicialComplex(3, tops, {t: Fraction(r, sum(raw.values())) for t, r in raw.items()})
+
 
 #: (bundled instance, group) -> SHA-256 of the JSON report, recorded before
 #: the odometer was split into prefix and suffix tables.
@@ -22,6 +34,12 @@ GOLDEN = {
     ("k4-skeleton", "Z17"): "4dbfe5a95f3a12c802a3c86d9a73496d453e31a7101dc511d814b0ccd032037d",
     ("torus-7", "Z2"): "24a5a4bbd10fc437a5a15a64370705617f65979e4ef6d81fd05ba74531b8d243",
     ("complete-3-6", "S3"): "0480c7c82ed580679f8f99c7a791dd9219a0009f2fee5d800eab587a906a64c0",
+    # Recorded before link constants were scanned once per link shape, when
+    # every link was scanned on its own.
+    ("complete-3-6", "Z2"): "8d6c2091b04227b23823684fcc92e1013033a8fa47ca40cf97a54cfa93c40320",
+    ("complete-3-7", "Z2"): "140f2261b232a24eb249934829b42cb77c6deeca84fe00e1085341159c9257f5",
+    ("weighted-3-6", "Z2"): "444462abf9b814869533696e55f5defd79a8f5302910f25503b4c9029ff5812f",
+    ("weighted-3-6", "S3"): "54302f8e7bd4728a964035d962d74db8cf7927ea8b345a95c4e6e9baf984b8f1",
 }
 
 
@@ -29,6 +47,7 @@ GOLDEN = {
 def test_analyze_reports_match_their_golden_hashes(tmp_path, monkeypatch, capsys, name, spec):
     monkeypatch.delenv("HDX_BUDGET", raising=False)
     path = tmp_path / "complex.txt"
-    path.write_text(bundled_instances()[name].to_text())
+    instances = {**bundled_instances(), "weighted-3-6": _weighted_k6()}
+    path.write_text(instances[name].to_text())
     assert main(["analyze", str(path), "--group", spec, "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN[name, spec]

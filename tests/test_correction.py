@@ -18,7 +18,6 @@ from hdx.cochains import (
 from hdx.complexes import SimplicialComplex
 from hdx.correction import (
     _search_link,
-    _star,
     _triangles_at,
     correct_abelian,
     correct_nonabelian,
@@ -485,7 +484,7 @@ def test_star_tables_match_the_link_complex(t3):
         for v in X.vertices():
             link = X.link((v,))
             for j in range(1, X.dimension + 1):
-                table, rim = _star(X, v, j)
+                table, rim = X.star_facets(v, j)
                 assert table.tolist() == link.facets(j - 1).tolist(), (v, j)
                 assert [X.faces(j - 1)[r] for r in rim.tolist()] == list(link.faces(j - 1))
         for spec in ("Z3", "S3"):

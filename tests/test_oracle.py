@@ -1,4 +1,6 @@
+import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -6,6 +8,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import hdx.oracle
+from hdx.cli import main
 from hdx.cochains import Cochain, coboundary_abelian, random_cochain
 from hdx.complexes import SimplicialComplex
 from hdx.errors import BadDimensionError, BudgetExceededError, ParseError, UndefinedCoboundaryError
@@ -32,6 +36,7 @@ from hdx.oracle import (
     enumerate_spaces,
     exact_distance,
     link_coboundary_beta,
+    link_constants,
     min_nontrivial_cocycle_weight,
     space_size,
 )
@@ -723,3 +728,171 @@ def test_oracle_does_not_call_the_fast_coboundary(monkeypatch):
         (Fraction(4, 3), None, 3, 3),
         (Fraction(9, 4), None, 27, 27),
     ]
+
+
+# -- link constants: one scan per order-preserving link shape --------------------------
+
+
+def _per_link(X, G, budget, sigmas):
+    """Each sigma's link constants as one scan per (sigma, k) gives them, a
+    refusal as its message, one sigma at a time."""
+    for sigma in sigmas:
+        lk = X.link(sigma)
+        row = []
+        for k in range(lk.dimension if G.is_abelian else min(lk.dimension, 2)):
+            try:
+                const = coboundary_expansion_constant(lk, G, k, budget)
+            except BudgetExceededError as exc:
+                row.append(str(exc))
+                continue
+            row.append(None if const.vacuous else const.epsilon)
+        yield tuple(row)
+
+
+def _shared(X, G, budget, sigmas):
+    return tuple(
+        tuple(str(c) if isinstance(c, BudgetExceededError) else c for c in row)
+        for row in link_constants(X, G, budget, sigmas)
+    )
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The links that link_constants scans, one entry per call of
+    coboundary_expansion_constant."""
+    seen = []
+    real = hdx.oracle.coboundary_expansion_constant
+
+    def counted(X, G, k, budget=None):
+        seen.append((X, k))
+        return real(X, G, k, budget)
+
+    monkeypatch.setattr(hdx.oracle, "coboundary_expansion_constant", counted)
+    return seen
+
+
+def _vertex_links(X):
+    return [(v,) for v in X.vertices()]
+
+
+def _weighted_k5():
+    """K5^(2) with top weights 1 + sum(t) % 3: every vertex link is K4 on
+    ranks 0..3, with different weights."""
+    tops = list(combinations(range(5), 3))
+    raw = {t: 1 + sum(t) % 3 for t in tops}
+    return SimplicialComplex(2, tops, {t: Fraction(r, sum(raw.values())) for t, r in raw.items()})
+
+
+def test_links_with_other_weights_do_not_share_a_scan(f2, s3, scans):
+    X = _weighted_k5()
+    sigmas = _vertex_links(X)
+    for G in (f2, s3):
+        reference = tuple(_per_link(X, G, EnumerationBudget(), sigmas))
+        # The same renamed tops carry different constants, so a key without weights would show.
+        assert len({row for row in reference}) > 1
+        assert _shared(X, G, EnumerationBudget(), sigmas) == reference
+    assert len(scans) == 2 * len(sigmas)
+
+
+def test_isomorphic_links_under_other_orders_stay_separate(f2, scans):
+    torus = torus_complex()
+    perm = list(range(7))
+    random.Random(3).shuffle(perm)
+    X = SimplicialComplex(2, [tuple(sorted(perm[v] for v in t)) for t in torus.faces(2)])
+    sigmas = _vertex_links(X)
+    shapes = set()
+    for sigma in sigmas:
+        lk = X.link(sigma)
+        names = sorted(lk.vertices())
+        shapes.add(tuple(tuple(names.index(v) for v in top) for top in lk.faces(1)))
+    # Every vertex link is a 6-cycle, but not the same one under the renaming that keeps order.
+    assert 1 < len(shapes)
+    assert _shared(X, f2, EnumerationBudget(), sigmas) == tuple(_per_link(X, f2, EnumerationBudget(), sigmas))
+    assert len(scans) == len(shapes)
+
+
+def test_link_constants_with_python_int_numerators(f2, z3):
+    # Top weights over a shared denominator past 2^63, so some links hold Python-int rows.
+    N = 2**64 + 1
+    X = SimplicialComplex(
+        2,
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+        {(0, 1, 2): Fraction(1, N), (0, 1, 3): Fraction(2, N), (0, 2, 3): Fraction(3, N), (1, 2, 3): Fraction(N - 6, N)},
+    )
+    sigmas = _vertex_links(X)
+    assert any(X.link(sigma).weight_numerators(1).dtype == object for sigma in sigmas)
+    for G in (f2, z3):
+        assert _shared(X, G, EnumerationBudget(), sigmas) == tuple(_per_link(X, G, EnumerationBudget(), sigmas))
+
+
+def test_a_refused_shape_is_skipped_at_every_link(tmp_path, capsys, monkeypatch, f2, scans):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    X = complete_complex(6, 3)
+    path = tmp_path / "k6.txt"
+    path.write_text(X.to_text())
+    # 2^10 states for C^1 of a vertex link K5^(2): refused; C^0 and the edge links fit.
+    assert main(["analyze", str(path), "--budget", "500", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    sigmas = [f for k in (0, 1) for f in X.faces(k)]
+    reference = _per_link(X, f2, EnumerationBudget(500), sigmas)
+    got = [report["links"][" ".join(map(str, sigma))]["coboundary_expansion"] for sigma in sigmas]
+    assert [{str(k): "skipped" if isinstance(c, str) else c for k, c in enumerate(row)} for row in reference] == [
+        {k: c if c == "skipped" or c is None else Fraction(c) for k, c in entry.items()} for entry in got
+    ]
+    assert all(entry["1"] == "skipped" for entry in got[:6])
+    assert len(scans) == 3
+
+
+def test_link_coboundary_beta_matches_the_per_link_loop(f2, s3, monkeypatch):
+    def per_link_beta(X, G, budget):
+        sigmas = [sigma for i in range(X.dimension) for sigma in X.faces(i)]
+        best = witness = None
+        for sigma, row in zip(sigmas, _per_link(X, G, budget, sigmas)):
+            for c in row:
+                if isinstance(c, str):
+                    raise BudgetExceededError(c)
+                if c is not None and (best is None or c < best):
+                    best, witness = c, sigma
+        return best, witness
+
+    def outcome(beta, X, G):
+        try:
+            return beta(X, G, EnumerationBudget())
+        except BudgetExceededError as exc:
+            return str(exc)
+
+    instances = bundled_instances()
+    for name in ("tetrahedron", "complete-3-6", "torus-7", "projective-plane-6", "glued-tetrahedra"):
+        for G in (f2, s3):
+            X = instances[name]
+            assert outcome(link_coboundary_beta, X, G) == outcome(per_link_beta, X, G), (name, G.spec)
+    assert link_coboundary_beta(_weighted_k5(), f2) == per_link_beta(_weighted_k5(), f2, EnumerationBudget())
+
+    # Vertex 0's link is one edge and fits; vertex 1's needs 2^5 states and is the first refused.
+    X = SimplicialComplex(2, [(0, 1, 2)] + list(combinations(range(1, 6), 3)))
+    asked = []
+    real_link = SimplicialComplex.link
+
+    def logged(self, sigma):
+        asked.append(tuple(sigma))
+        return real_link(self, sigma)
+
+    monkeypatch.setattr(SimplicialComplex, "link", logged)
+    small = EnumerationBudget(20)
+    with pytest.raises(BudgetExceededError) as want:
+        per_link_beta(X, f2, small)
+    where, asked[:] = asked[-1], []
+    with pytest.raises(BudgetExceededError) as got:
+        link_coboundary_beta(X, f2, small)
+    assert str(got.value) == str(want.value)
+    assert asked[-1] == where == (1,)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_analyze_scans_each_link_shape_of_a_complete_complex_once(tmp_path, capsys, monkeypatch, scans, n):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    path = tmp_path / "complex.txt"
+    path.write_text(complete_complex(n, 3).to_text())
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    # Vertex links K_(n-1)^(2) in k = 0, 1 and edge links K_(n-2)^(1) in k = 0; one scan per (sigma, k) is 27 or 35.
+    assert [(X.dimension, k) for X, k in scans] == [(2, 0), (2, 1), (1, 0)]
