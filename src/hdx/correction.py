@@ -3,7 +3,7 @@
 A cochain is minimal when no coboundary shift reduces its weight, and locally
 minimal when every vertex localization is minimal in its link.  The correction
 loop repeatedly fixes the vertex whose link admits the largest weight decrease
-(ties to the smallest vertex id; within a link, see ``_search_link``), so
+(ties to the smallest vertex id; within a link, see ``_scan_stars``), so
 traces are reproducible.  Each run checks its own contracts:
 the coboundary weight strictly decreases, the step count and total movement
 respect their a-priori bounds, and when the input coboundary is small enough
@@ -11,7 +11,7 @@ the output classification is verified; any violation raises
 FalsificationError rather than passing silently.
 
 Both paths run one vertex search, ``_best_link_search``, over the link
-searches that ``_search_link`` describes.  A step at v rewrites the
+searches that ``_scan_stars`` describes.  A step at v rewrites the
 (j-1)-cochain on the faces through v and scores every j-face of the star of v
 by its weight: the additive path scores h_v + delta(w) on the link, the
 multiplicative path the triangles x(u) f(vu) f(uw) f(wv) x(w)^-1 for new edge
@@ -28,8 +28,9 @@ the order of ``itertools.product``, in blocks of at most about
 ``_BLOCK_CELLS`` cells.  A block fixes a prefix of the coordinates and leaves
 the rest free, and its weights are the sum of the tables, each broadcast
 along its own axes.  Tables that fit that bound together are built once over
-all of G; a larger one is built again over each block's part of G, so the
-scan's memory stays within a few blocks whatever the group.
+all of G; a larger one is built over a block's part of G and again only when
+a block leaves that part, so the scan's memory stays within a few blocks
+whatever the group.
 A link search reads the star of v, and its facet table, from X's own tables
 (``star_facets``, built once per complex) and builds no link; stars with the
 same facet table, such as every star of K_n^(d), are scanned together, one
@@ -45,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, groupby, product
 from math import comb, factorial, isqrt, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -188,7 +189,8 @@ def _cost_tables(
     on every assignment to each key's coordinates, coordinate c taking the
     values ranges[c] = (start, count): a (keys, rows, count, ..., count)
     array, one axis per slot.  The keys' coordinates must have the same
-    counts, slot by slot.
+    counts, slot by slot.  Those ranges are the table's box: all of G, or
+    the part of G of the block it is built for (``_first_min_keys``).
 
     The keys share one grid of positions in their ranges, and a term reads
     its slot's grid column shifted to its coordinate's range; one
@@ -233,17 +235,20 @@ def _first_min_keys(
 
     A block fixes a prefix of the coordinates, takes a run of values of the
     next one, the split coordinate, and every value of the rest, the free
-    ones.  Its keys are the sum of the face tables (``_cost_tables``) on the
-    block's ranges, each broadcast along its free and split axes.  The
-    smallest tables, up to ``_BLOCK_CELLS`` cells in all, cover all of G and
-    are built once, then indexed at each block's ranges; the rest are built
-    over each block's ranges, so none is larger than a block.  Tables that
-    read only free coordinates are the same in every block, and the first
-    block sums them once into a base.  The moved weight of an assignment adds
-    up over its coordinates: the free ones' joins the base, and the prefix's
-    and the split coordinate's rides on a table into the block's first sum.
-    argmin keeps a row's first minimum in a block and a strict comparison the
-    first across blocks.
+    ones.  Its keys are the sum of the face tables (``_cost_tables``), each
+    sliced to the block's ranges and broadcast along its free and split axes.
+    The store holds one table per key, over a box of its coordinates' values:
+    the smallest tables, up to ``_BLOCK_CELLS`` cells in all, cover all of G,
+    and the rest the box of the block they were built for, so none is larger
+    than a block.  A box table is built again only when a block leaves its
+    box, in one call with those of the next keys that do too and whose
+    coordinates take the same counts.
+    Tables that read only free coordinates are the same in every block: they
+    are summed into a base once, one at a time, before the walk.  The
+    moved weight of an assignment adds up over its coordinates: the free
+    ones' joins the base, and the prefix's and the split coordinate's rides
+    on a table into the block's first sum.  argmin keeps a row's first
+    minimum in a block and a strict comparison the first across blocks.
     """
     order, rows = G.order, len(const)
     free = 0
@@ -252,47 +257,56 @@ def _first_min_keys(
     split, span = n - 1 - free, order**free
     run = min(order, max(1, _BLOCK_CELLS // (rows * span)))
 
-    def spread(key, table, ranges, whole):
-        # A whole table covers all of G: index it at the block's ranges.
+    def spread(key, box, table, ranges):
+        # The table's part in the ranges, relative to its box, shaped to broadcast on the block.
         index, shape = [slice(None)], [rows, 1] + [1] * free
         for c in key:
-            start, count = ranges[c]
-            index.append(slice(start, start + count))
+            (start, count), low = ranges[c], box[c][0]
+            index.append(slice(start - low, start - low + count))
             if c >= split:
                 shape[1 + c - split] = count
-        return (table[tuple(index)] if whole else table).reshape(shape)
+        return table[tuple(index)].reshape(shape)
 
-    # Keys run by size, so the whole tables are those of the first keys.
+    # Key i -> (box, table): the table over the ranges of box on the key's coordinates.
+    store = {}
+
+    def build(lo, hi, ranges):
+        # The tables of keys lo..hi-1 over the ranges, from one call.
+        tables = _cost_tables(G, faces, const, keyed, lo, hi, ranges)
+        store.update(zip(range(lo, hi), ((ranges, table) for table in tables)))
+
+    # Keys run by size, so the tables over all of G are those of the first keys.
     everything = [(0, order)] * n
     wholes = bisect_right(list(accumulate(rows * order ** len(key) for key in faces.keys)), _BLOCK_CELLS)
-    kept = []
     for lo, hi in faces.runs:
         if lo < wholes:
-            hi = min(hi, wholes)
-            kept += zip(faces.keys[lo:hi], _cost_tables(G, faces, const, keyed, lo, hi, everything))
-    todo, base = list(range(wholes, len(faces.keys))), None
+            build(lo, min(hi, wholes), everything)
     nonzero = np.arange(order) != 0
+    base = np.zeros((rows, 1) + (order,) * free, dtype=keyed.dtype)
+    walked = []
+    for i, key in enumerate(faces.keys):
+        if key and key[0] <= split:
+            walked.append(i)
+            continue
+        if i >= wholes:
+            build(i, i + 1, everything)
+        base += spread(key, *store.pop(i), everything)
+    for c in range(split + 1, n if moved is not None else 0):
+        base += spread((c,), everything, moved[:, c, None] * nonzero, everything)
+    boxed = [i for i in walked if i >= wholes]
     every = np.arange(rows)
     best = cells = None
     prefixes = enumerate(product(range(order), repeat=split))
     for number, prefix, start in ((*p, start) for p in prefixes for start in range(0, order, run)):
         width = min(run, order - start)
         ranges = [(a, 1) for a in prefix] + [(start, width)] + [(0, order)] * free
-        built = [(faces.keys[i], _cost_tables(G, faces, const, keyed, i, i + 1, ranges)[0]) for i in todo]
-        if base is None:
-            # Tables that read only free coordinates are the same in every block.
-            base = np.zeros((rows, 1) + (order,) * free, dtype=keyed.dtype)
-            for tables, whole in ((kept, True), (built, False)):
-                for key, table in tables:
-                    if not key or key[0] > split:
-                        base += spread(key, table, ranges, whole)
-            for c in range(split + 1, n if moved is not None else 0):
-                base += spread((c,), moved[:, c, None] * nonzero, ranges, True)
-            kept = [(key, table) for key, table in kept if key and key[0] <= split]
-            built = [(key, table) for key, table in built if key and key[0] <= split]
-            todo = [i for i in todo if faces.keys[i] and faces.keys[i][0] <= split]
-        parts = [spread(key, table, ranges, True) for key, table in kept]
-        parts += [spread(key, table, ranges, False) for key, table in built]
+        # The tables whose box the block leaves, one call per run of
+        # consecutive keys whose coordinates take the same counts.
+        leaving = [i for i in boxed if i not in store or any(store[i][0][c] != ranges[c] for c in faces.keys[i])]
+        for _, group in groupby(enumerate(leaving), lambda p: (p[1] - p[0], [ranges[c][1] for c in faces.keys[p[1]]])):
+            group = [i for _, i in group]
+            build(group[0], group[-1] + 1, ranges)
+        parts = [spread(faces.keys[i], *store[i], ranges) for i in walked]
         lead = np.zeros((rows, width), dtype=keyed.dtype)
         if moved is not None:
             lead += (moved[:, :split] * nonzero[list(prefix)]).sum(axis=1)[:, None]
@@ -398,12 +412,12 @@ class _Star:
         self.vertex, self.old, self.weights, self.moved, self.table = vertex, old, weights, moved, table
 
 
-def _stars(target: Cochain, vertices: Sequence[int], budget: EnumerationBudget) -> List[_Star]:
-    """The stars at the vertices, in order, that meet the support of the
-    j-cochain target, each checked against the budget before any is scanned."""
+def _stars(target: Cochain, budget: EnumerationBudget) -> List[_Star]:
+    """The stars, by vertex id, that meet the support of the j-cochain target,
+    each checked against the budget before any is scanned."""
     X, G, j = target.complex, target.group, target.dimension
     stars = []
-    for v in vertices:
+    for v in sorted(X.vertices()):
         at = X.link_index((v,), j - 1)[0]
         weights = X.weight_numerators(j)[at]
         old = sum(num for num, hit in zip(weights.tolist(), target.row[at].tolist()) if hit)
@@ -418,8 +432,19 @@ def _stars(target: Cochain, vertices: Sequence[int], budget: EnumerationBudget) 
 def _scan_stars(
     target: Cochain, stars: Sequence[_Star], local: Callable[[int], np.ndarray], left: Terms, right: Terms
 ) -> List[_LinkSearch]:
-    """The best assignment at each of stars sharing one facet table, from one
-    stacked scan; its decrease may be zero or less."""
+    """The link search at each of stars sharing one facet table, from one
+    stacked scan; its decrease may be zero or less.
+
+    The star of v holds one j-face v + tau per (j-1)-face tau of link(v),
+    weighted by its numerator.  An assignment x of the (j-2)-faces of the link
+    gives every tau the value  x[left...] * local(v)[tau] * x[right...], local(v)
+    being a value row over the (j-1)-faces of the link.  The x minimizing the
+    mass of the non-identity values wins; among those, the x whose non-identity
+    entries carry the least mass of the faces v + sigma they rewrite, then the
+    first in product order.  The decrease is the old star mass, that of
+    target's support in the star, less the new one: the exact drop of the
+    weight numerator of target.
+    """
     table, n = stars[0].table, len(stars[0].moved)
     found = _scan_first_min(
         target.group,
@@ -431,36 +456,6 @@ def _scan_stars(
         moved=np.stack([star.moved for star in stars]),
     )
     return [_LinkSearch(star.vertex, star.old - new, x) for star, (new, x) in zip(stars, found)]
-
-
-def _search_link(
-    target: Cochain,
-    v: int,
-    local: Callable[[int], np.ndarray],
-    left: Terms,
-    right: Terms,
-    budget: EnumerationBudget,
-    beat: int = 0,
-) -> Optional[_LinkSearch]:
-    """Best correction of the j-cochain target at v, if it gains more than ``beat``.
-
-    The star of v holds one j-face v + tau per (j-1)-face tau of link(v),
-    weighted by its numerator.  An assignment x of the (j-2)-faces of the link
-    gives every tau the value  x[left...] * local(v)[tau] * x[right...], local(v)
-    being a value row over the (j-1)-faces of the link.  The x minimizing the
-    mass of the non-identity values wins; among those, the x whose non-identity
-    entries carry the least mass of the faces v + sigma they rewrite, then the
-    first in product order.  The old star mass is the mass of target's support
-    in the star, so the decrease is the exact drop of the weight numerator of
-    target.  A star whose old mass is at most ``beat`` cannot gain more and is
-    not scanned; the budget is checked before that skip, so refusals do not
-    depend on it.
-    """
-    stars = _stars(target, [v], budget)
-    if not stars or stars[0].old <= beat:
-        return None
-    found = _scan_stars(target, stars, local, left, right)[0]
-    return found if found.decrease_num > beat else None
 
 
 def _local(f: Cochain, v: int) -> np.ndarray:
@@ -476,16 +471,16 @@ def _best_link_search(
     right: Terms,
     budget: EnumerationBudget,
 ) -> _LinkSearch:
-    """The vertex search with the largest decrease, ties to the smallest id.
+    """The link search (``_scan_stars``) with the largest decrease, ties to
+    the smallest vertex id; only a positive decrease counts.
 
     Stars with the same facet table, such as every star of K_n^(d), share one
     stacked scan.  A star whose old mass cannot beat the best decrease found
-    so far, ties included, is not scanned."""
-    stars = _stars(target, sorted(target.complex.vertices()), budget)
+    so far, ties included, is not scanned; every star is checked against the
+    budget first, so refusals do not depend on that skip."""
     shapes: Dict[Tuple, List[_Star]] = {}
-    for star in stars:
+    for star in _stars(target, budget):
         shapes.setdefault((len(star.moved), star.table.shape, star.table.tobytes()), []).append(star)
-    # Searches rank by (decrease, -vertex), and only a positive decrease counts.
     best: Optional[_LinkSearch] = None
 
     def beats(decrease: int, v: int) -> bool:

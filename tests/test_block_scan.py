@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 import numpy as np
@@ -22,7 +22,6 @@ from hdx.cochains import (
 from hdx.complexes import SimplicialComplex
 from hdx.correction import (
     _scan_first_min,
-    _search_link,
     _triangles_at,
     is_minimal,
     one_step_abelian,
@@ -35,6 +34,32 @@ from hdx.oracle import EnumerationBudget
 
 ABELIAN = ("Z2", "Z3", "Z4", "Z2xZ2")
 NONABELIAN = ("S3", "D4")
+
+
+class Tabulated:
+    """A group's scalar product and inverse read from its Cayley table and
+    inverse list, built from G.op and G.inv: the references below call them
+    millions of times."""
+
+    def __init__(self, G):
+        self.order = G.order
+        self.table = [[G.op(a, b) for b in range(G.order)] for a in range(G.order)]
+        self.inverse = [G.inv(a) for a in range(G.order)]
+
+    def op(self, a, b):
+        return self.table[a][b]
+
+    def inv(self, a):
+        return self.inverse[a]
+
+    def signed(self, a, sign):
+        return a if sign >= 0 else self.inverse[a]
+
+
+@cache
+def tabulated(G):
+    """G's Tabulated, built once per group."""
+    return Tabulated(G)
 
 
 def first_min(G, n, weight_of, moved_of=lambda x: 0):
@@ -64,21 +89,22 @@ def alternating_shift(G, face, g, even_sign):
 
 
 def brute_link_abelian(h, v):
-    X, G, j = h.complex, h.group, h.dimension
+    X, G, j = h.complex, tabulated(h.group), h.dimension
     link = X.link((v,))
     hv = h.localize((v,))
     if hv.is_zero():
         return None
     lower, faces = link.faces(j - 2), link.faces(j - 1)
     star = {face: X.weight_numerator(tuple(sorted((v,) + face))) for face in faces}
-    old = sum(star[face] for face in hv.values)
+    values = dict(hv.values)
+    old = sum(star[face] for face in values)
 
     def weight_of(x):
         g = dict(zip(lower, x))
         return sum(
             star[face]
             for face in faces
-            if G.op(hv.values.get(face, 0), alternating_shift(G, face, g, 1))
+            if G.op(values.get(face, 0), alternating_shift(G, face, g, 1))
         )
 
     new, x = first_min(G, len(lower), weight_of, moved_at(X, v, lower))
@@ -89,7 +115,7 @@ def brute_link_nonabelian(f, v):
     """Every link edge uw scored by its triangle vuw, over offsets x in
     product() order; returns the new edge values y(u) = f'(v, u) = x(u) f(v, u)
     of the first minimizer.  The triangle carries y(u) f(uw) y(w)^-1."""
-    X, G = f.complex, f.group
+    X, G = f.complex, tabulated(f.group)
     link = X.link((v,))
     vertices = [u for (u,) in link.faces(0)]
     star = {(u, w): X.weight_numerator(tuple(sorted((v, u, w)))) for (u, w) in link.faces(1)}
@@ -100,16 +126,18 @@ def brute_link_nonabelian(f, v):
     )
     if not old:
         return None
+    spokes = [f.eval((v, u)) for u in vertices]
+    rim = {edge: f.value(edge) for edge in star}
 
     def new_values(x):
-        return tuple(G.op(a, f.eval((v, u))) for a, u in zip(x, vertices))
+        return tuple(G.op(a, spoke) for a, spoke in zip(x, spokes))
 
     def weight_of(x):
         yv = dict(zip(vertices, new_values(x)))
         return sum(
             num
             for (u, w), num in star.items()
-            if G.op(G.op(yv[u], f.value((u, w))), G.inv(yv[w]))
+            if G.op(G.op(yv[u], rim[u, w]), G.inv(yv[w]))
         )
 
     new, x = first_min(G, len(vertices), weight_of, moved_at(X, v, link.faces(0)))
@@ -126,37 +154,48 @@ def lift(G, v, lower, x):
     return values
 
 
-def search_abelian(h, v, budget):
+def link_searches(target, local, left, right, budget):
+    """vertex -> the link search at that vertex, each star scanned on its own;
+    a vertex with no star, or with a decrease <= 0, is left out."""
+    stars = correction._stars(target, budget)
+    found = (correction._scan_stars(target, [star], local, left, right)[0] for star in stars)
+    return {got.vertex: got for got in found if got.decrease_num > 0}
+
+
+def search_abelian(h, budget):
+    """vertex -> (decrease, assignment) of the additive step's searches."""
     right = additive_terms(h.dimension - 2)
-    got = _search_link(h, v, lambda u: h.localize((u,)).row, (), right, budget)
-    return None if got is None else (got.decrease_num, got.assignment)
+    found = link_searches(h, lambda u: h.localize((u,)).row, (), right, budget)
+    return {v: (got.decrease_num, got.assignment) for v, got in found.items()}
 
 
-def search_nonabelian(f, v, budget):
-    """The step's search at v, with its offsets turned into new edge values."""
+def search_nonabelian(f, budget):
+    """vertex -> (decrease, new edge values) of the multiplicative step's
+    searches, the offsets turned into new edge values."""
     df = coboundary_nonabelian_1(f)
-    local = partial(_triangles_at, f)
-    got = _search_link(df, v, local, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
-    if got is None:
-        return None
-    lower = f.complex.link((v,)).faces(0)
-    y = tuple(f.group.op(x, f.eval((v, u))) for (u,), x in zip(lower, got.assignment))
-    return got.decrease_num, y
+    found = link_searches(df, partial(_triangles_at, f), DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
+    searches = {}
+    for v, got in found.items():
+        lower = f.complex.link((v,)).faces(0)
+        y = tuple(f.group.op(x, f.eval((v, u))) for (u,), x in zip(lower, got.assignment))
+        searches[v] = got.decrease_num, y
+    return searches
 
 
 def brute_is_minimal(f):
-    X, G, k = f.complex, f.group, f.dimension
-    target = sum(X.weight_numerator(face) for face in f.values)
+    X, G, k = f.complex, tabulated(f.group), f.dimension
     faces = X.faces(k)
-    if G.is_abelian or k == 0:
+    values, nums = dict(f.values), {face: X.weight_numerator(face) for face in faces}
+    target = sum(nums[face] for face in values)
+    if f.group.is_abelian or k == 0:
         lower = X.faces(k - 1)
 
         def weight_of(x):
             g = dict(zip(lower, x))
             return sum(
-                X.weight_numerator(face)
+                nums[face]
                 for face in faces
-                if G.op(f.values.get(face, 0), alternating_shift(G, face, g, -1))
+                if G.op(values.get(face, 0), alternating_shift(G, face, g, -1))
             )
 
     elif k == 1:
@@ -165,20 +204,20 @@ def brute_is_minimal(f):
         def weight_of(x):
             hv = dict(zip(lower, x))
             return sum(
-                X.weight_numerator((u, w))
+                nums[u, w]
                 for (u, w) in faces
-                if G.op(G.op(hv[u], f.values.get((u, w), 0)), G.inv(hv[w]))
+                if G.op(G.op(hv[u], values.get((u, w), 0)), G.inv(hv[w]))
             )
 
     else:
         lower = X.faces(1)
 
         def weight_of(x):
-            shift = coboundary_nonabelian_1(Cochain(X, 1, G, dict(zip(lower, x))))
+            shift = coboundary_nonabelian_1(Cochain(X, 1, f.group, dict(zip(lower, x)))).values
             return sum(
-                X.weight_numerator(face)
+                nums[face]
                 for face in faces
-                if G.op(f.values.get(face, 0), G.inv(shift.values.get(face, 0)))
+                if G.op(values.get(face, 0), G.inv(shift.get(face, 0)))
             )
 
     return first_min(G, len(lower), weight_of)[0] >= target
@@ -191,8 +230,9 @@ def check_abelian_links(rng, specs, shapes):
         for n, d, j in shapes:
             X = complete_complex(n, d)
             h = random_cochain(X, j, G, rng, 0.4)
+            searches = search_abelian(h, budget)
             for v in X.vertices():
-                assert search_abelian(h, v, budget) == brute_link_abelian(h, v), (spec, n, d, j, v)
+                assert searches.get(v) == brute_link_abelian(h, v), (spec, n, d, j, v)
 
 
 def check_nonabelian_links(rng, specs, n):
@@ -202,8 +242,9 @@ def check_nonabelian_links(rng, specs, n):
         G = group_from_spec(spec)
         for density in (0.2, 0.5):
             f = random_cochain(X, 1, G, rng, density)
+            searches = search_nonabelian(f, budget)
             for v in X.vertices():
-                assert search_nonabelian(f, v, budget) == brute_link_nonabelian(f, v), (spec, density, v)
+                assert searches.get(v) == brute_link_nonabelian(f, v), (spec, density, v)
 
 
 def test_abelian_link_search_matches_brute_force():
@@ -362,6 +403,7 @@ def random_scan(rng, G, t, n, m):
 
 def face_weight_of(G, const, left, right, weights):
     """x -> the weight of the faces whose x[left...] * const * x[right...] is not the identity."""
+    G = tabulated(G)
 
     def weight_of(x):
         xs = list(x) + [G.inv(a) for a in x]
@@ -471,7 +513,7 @@ def test_stacked_link_searches_equal_the_per_vertex_searches():
         f = random_cochain(X, 1, G, random.Random(spec), 0.4)
         df = coboundary_nonabelian_1(f)
         local = partial(_triangles_at, f)
-        stars = correction._stars(df, X.vertices(), budget)
+        stars = correction._stars(df, budget)
         assert len({star.table.tobytes() for star in stars}) == 1
         stacked = correction._scan_stars(df, stars, local, DELTA0_TERMS[:1], DELTA0_TERMS[1:])
         for star, found in zip(stars, stacked):
@@ -510,3 +552,39 @@ def test_tables_past_the_block_size_are_built_block_by_block(monkeypatch):
         tracemalloc.stop()
     assert (stacked, single) == (want, want[0])
     assert peak < 32 * 8 * correction._BLOCK_CELLS
+
+
+def test_a_table_is_built_again_only_when_a_block_leaves_its_box(monkeypatch):
+    # Over Z3^4 with one row and _BLOCK_CELLS = 3, a block fixes x0 and x1,
+    # takes one value of x2 and leaves x3 free.  The unary table of the face
+    # x3 c x3 fits the cap and covers all of G; each pair x_a c x_b^-1 has a
+    # table of 9 cells, built over the box of the block at hand and kept
+    # while the blocks stay in that box.  So the scan builds the unary table
+    # once and one table per (pair, box) that the walk visits, a box it
+    # comes back to counted again.
+    G = group_from_spec("Z3")
+    n = 4
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    left = [np.array([a for a, _ in pairs] + [3])]
+    right = [np.array([b + n for _, b in pairs] + [3])]
+    rng = random.Random(13)
+    const = [rng.randrange(G.order) for _ in range(len(pairs) + 1)]
+    weights = [rng.randint(1, 9) for _ in const]
+    moved = [rng.randint(0, 4) for _ in range(n)]
+    built = []
+
+    def counted(G, faces, const, keyed, first, stop, ranges):
+        built.append(stop - first)
+        return cost_tables(G, faces, const, keyed, first, stop, ranges)
+
+    cost_tables = correction._cost_tables
+    monkeypatch.setattr(correction, "_cost_tables", counted)
+    monkeypatch.setattr(correction, "_BLOCK_CELLS", 3)
+    got = _scan_first_min(G, n, const, left, right, weights, moved=moved)
+    assert got == first_min(G, n, face_weight_of(G, const, left, right, weights), moved_weight_of(moved))
+    blocks = [[(a, 1), (b, 1), (c, 1), (0, 3)] for a, b, c in product(range(3), repeat=3)]
+    visits = 0
+    for key in pairs:
+        boxes = [[block[c] for c in key] for block in blocks]
+        visits += 1 + sum(box != last for last, box in zip(boxes, boxes[1:]))
+    assert sum(built) == 1 + visits

@@ -17,7 +17,8 @@ from hdx.cochains import (
 )
 from hdx.complexes import SimplicialComplex
 from hdx.correction import (
-    _search_link,
+    _scan_stars,
+    _stars,
     _triangles_at,
     correct_abelian,
     correct_nonabelian,
@@ -216,10 +217,11 @@ def test_nonabelian_link_decrease_is_the_coboundary_drop():
         for seed in range(30):
             f = random_cochain(X, 1, G, random.Random(seed), 0.3)
             df = coboundary_nonabelian_1(f)
-            for v in X.vertices():
+            for star in _stars(df, budget):
+                v = star.vertex
                 local = partial(_triangles_at, f)
-                found = _search_link(df, v, local, DELTA0_TERMS[:1], DELTA0_TERMS[1:], budget)
-                if found is None:
+                found = _scan_stars(df, [star], local, DELTA0_TERMS[:1], DELTA0_TERMS[1:])[0]
+                if found.decrease_num <= 0:
                     continue
                 improving += 1
                 values = {e: val for e, val in f.values.items() if v not in e}

@@ -58,10 +58,15 @@ CASES = {
     "k6-Q8": (6, "dim 1 group table:q8.json\n0 1 2\n3 4 5\n", "nonabelian"),
     # 17^5 assignments per link: the link scans run in many blocks.
     "k6-Z17": (6, "dim 1 group Z17\n0 1 3\n2 5 7\n", "abelian"),
+    # 256^3 assignments per link and three pair tables of 2^16 cells: one
+    # covers all of G, one reads only free coordinates, and one is built over
+    # each block's part of G.
+    "tetrahedron-Z256": (4, "dim 1 group Z256\n0 1 3\n1 2 200\n", "abelian"),
 }
 
 #: name -> SHA-256 of (trace.jsonl, verdict.json, corrected.cochain), recorded
-#: before the link searches were stacked and scored from cost tables.
+#: before the link searches were stacked and scored from cost tables, and for
+#: tetrahedron-Z256 before the scan kept its block tables across blocks.
 GOLDEN = {
     'k6-Q8': (
         '6b72bf0af36418e62b36fe690e0ca8fc81156ddb3bda0c131fd624053ad56c55',
@@ -87,6 +92,11 @@ GOLDEN = {
         'e271bcdcc7f8e0982b81be3361bff1ed7526b3376db5e42b38d488c0bb3f362c',
         '45f76f7337da6a87d89afcd6806fa8129448aee5962668b03ac9d7831a064ca9',
         'c44602918f533abc9a2848f0f07b9c72118d2698bc3406bb9763dd5ccdfde392',
+    ),
+    'tetrahedron-Z256': (
+        '2e1fa4d835a17891aa89686be96be49f412d4e2d88544482d2099cd736da4751',
+        '6202b7dff6a7f3a0145a6c294abd13380e71380d33f275850d3b42affd48b2c3',
+        'ca3ff73da5c4ac2b7befc492607f8853c9adb410c96961a928ee5d0bdd183639',
     ),
     't3-Z2': (
         'c4f33306195b0f1ba814d6920515c38839ef379af9894ffc17f51e838e6fb5a8',
