@@ -14,6 +14,13 @@ the same way; ``link_index`` tables the faces sigma + tau through sigma from
 one vertex-to-face incidence per dimension, and ``star_facets`` the facet
 table of a vertex's link in X's own indices.  A ``FaceSet``, such as a
 cochain's support, is a read-only boolean row over faces(k).
+
+A complex file is read in bulk: a ``dim d`` header, then the body in chunks
+of lines, each chunk's words converted to int64 by one numpy call (a chunk
+with a weight suffix, a malformed word or an id past int64 is read line by
+line, and names the first bad line).  Row widths are checked first, so no
+reshape uses an unchecked width; the ids are then ranked by one sort, and
+repeated vertices and duplicate tops are found on the rank array.
 """
 
 from __future__ import annotations
@@ -52,6 +59,50 @@ def _facet_places(n: int, k: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
+def _id_array(values: Sequence[int]) -> np.ndarray:
+    """Vertex ids as one array: int64 while every id fits, Python ints past that."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _row_order(rows: np.ndarray, base: int) -> np.ndarray:
+    """The stable lexicographic order of rows of values in range(base): a
+    lexsort, or from 256 rows, where it measures faster, one stable argsort of
+    each row's mixed-radix index while base^columns fits int64.  Runs of
+    presorted rows make that sort cheap, and an index below 2^16 is sorted as
+    uint16, which numpy radix-sorts."""
+    cells = base ** rows.shape[1]
+    if len(rows) < 256 or cells >= 2**63:
+        return np.lexsort(rows.T[::-1])
+    key = np.ravel_multi_index(rows.T, (base,) * rows.shape[1])
+    return (key.astype(np.uint16) if cells <= 2**16 else key).argsort(kind="stable")
+
+
+def _read_line(line: str, weights: Dict[Face, Fraction]) -> List[int]:
+    """The vertex ids of one stripped, non-blank line of a complex file, entering
+    its ``w p/q`` weight, if any, into weights."""
+    parts = line.split()
+    at = parts.index("w") if "w" in parts else len(parts)
+    if at < len(parts) and at != len(parts) - 2:
+        raise ParseError(f"malformed weight suffix in {line!r}")
+    try:
+        row = list(map(int, parts[:at]))
+        if at < len(parts):
+            # An exponent names a huge integer in a few characters; weights are p/q.
+            if "e" in parts[at + 1].lower():
+                raise ValueError("exponent in a weight")
+            weights[as_face(row)] = Fraction(parts[at + 1])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed line {line!r}") from exc
+    return row
+
+
+# Lines of a complex file converted per numpy call; bounds the word lists held at once.
+_CHUNK_LINES = 512
+
+
 class SimplicialComplex:
     """Immutable pure d-dimensional complex with rational face weights."""
 
@@ -62,31 +113,42 @@ class SimplicialComplex:
         top_weights: Optional[Mapping[Face, Fraction]] = None,
     ):
         raws = [tuple(raw) for raw in top_faces]
-        self._load(dimension, [[int(v) for v in raw] for raw in raws], raws.__getitem__, top_weights)
+        flat = _id_array([int(v) for raw in raws for v in raw])
+        self._load(dimension, flat, list(map(len, raws)), raws.__getitem__, top_weights)
 
-    def _load(self, dimension: int, rows: Sequence[Sequence[int]], shown: Callable[[int], Tuple], top_weights):
-        """Validate top faces given as rows of int vertex ids, naming the first offender
-        in input order as shown(i) prints it, and close them over their vertex ranks."""
+    def _load(self, dimension: int, flat: np.ndarray, widths: List[int], shown: Callable[[int], Tuple], top_weights):
+        """Validate top faces given as one array of vertex ids, split into rows of
+        the given widths, naming the first offender in input order as shown(i)
+        prints it, and close them over their vertex ranks.  Widths are checked
+        before any reshape, so a huge dimension is one more wrong width; the ids
+        are ranked by a sort, and duplicate tops found by one sort of the rows."""
         if dimension < 0:
             raise BadDimensionError(f"dimension must be >= 0, got {dimension}")
+        if not widths:
+            raise EmptyInputError("at least one top face is required")
         width = dimension + 1
-        good = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-        flat = list(chain.from_iterable(rows[:good]))
-        ids = sorted(set(flat))
-        dtype = np.int64 if not ids or -(2**63) <= ids[0] <= ids[-1] < 2**63 else object
-        ids, flat = np.array(ids, dtype=dtype), np.array(flat, dtype=dtype)
-        tops = np.sort(np.searchsorted(ids, flat).reshape(good, width), axis=1, kind="stable")
+
+        def uneven(i: int) -> NonUniformCardinalityError:
+            return NonUniformCardinalityError(f"top face {shown(i)} does not have {width} distinct vertices")
+
+        good = len(widths)
+        if widths.count(width) != good:
+            good = next(i for i, w in enumerate(widths) if w != width)
+        if good == 0:
+            raise uneven(0)
+        flat = flat[: good * width]
+        ids = np.sort(flat)
+        ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+        tops = np.sort(np.searchsorted(ids, flat).reshape(good, width), axis=1)
         repeated = (tops[:, 1:] == tops[:, :-1]).any(axis=1)
-        order = np.lexsort(tops.T[::-1])
+        order = _row_order(tops, len(ids))
         tops = tops[order]
         twice = order[1:][(tops[1:] == tops[:-1]).all(axis=1)]
         bad = min([good, *np.flatnonzero(repeated)[:1].tolist(), *twice.tolist()])
-        if bad < len(rows):
+        if bad < len(widths):
             if bad == good or repeated[bad]:
-                raise NonUniformCardinalityError(f"top face {shown(bad)} does not have {width} distinct vertices")
-            raise DuplicateTopFaceError(f"top face {as_face(rows[bad])} listed twice")
-        if not rows:
-            raise EmptyInputError("at least one top face is required")
+                raise uneven(bad)
+            raise DuplicateTopFaceError(f"top face {as_face(shown(bad))} listed twice")
         if top_weights is None:
             return self._close(dimension, ids, tops, np.ones(len(tops), dtype=np.int64), len(tops))
         weights = []
@@ -123,7 +185,7 @@ class SimplicialComplex:
         for k in range(dimension):
             subsets = _subsets(dimension + 1, k + 1)
             sub = tops[:, subsets].reshape(len(tops) * len(subsets), k + 1)
-            order = np.lexsort(sub.T[::-1])
+            order = _row_order(sub, len(ids))
             sub = sub[order]
             first = np.empty(len(sub), dtype=bool)
             first[0] = True
@@ -365,40 +427,56 @@ class SimplicialComplex:
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"dim {self.dimension}"]
-        weighted = not self.is_uniform
-        for top, w in self.top_weights.items():
-            lines.append(" ".join(map(str, top)) + (f" w {w.numerator}/{w.denominator}" if weighted else ""))
-        return "\n".join(lines) + "\n"
+        """The complex file: the header, then one sorted top per line, with a
+        ``w p/q`` suffix on every line unless the complex is uniform."""
+        d = self.dimension
+        lines = [" ".join(map(str, top)) for top in self.faces(d)]
+        if not self.is_uniform:
+            lines = [f"{line} w {w.numerator}/{w.denominator}" for line, w in zip(lines, self.top_weights.values())]
+        return "\n".join([f"dim {d}", *lines]) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "SimplicialComplex":
-        lines = [line.strip() for line in text.splitlines() if line.strip()]
-        if not lines or not lines[0].startswith("dim "):
+        """Read a complex file: a ``dim d`` header, exactly, then one top per
+        line.  Blank lines are skipped.  The body is read in chunks of
+        ``_CHUNK_LINES`` lines, each split into words and converted to int64 by
+        one numpy call, which parses a word as ``int`` does; a chunk that call
+        refuses (a weight suffix, a malformed word, an id past int64) is read
+        line by line by ``_read_line``, which names the first malformed line.
+        Widths, repeated vertices and duplicate tops are then checked on arrays
+        by ``_load``."""
+        lines = text.splitlines()
+        at = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+        header = lines[at].strip() if at < len(lines) else ""
+        if not header.startswith("dim "):
             raise ParseError("complex file must start with a 'dim d' header")
         try:
-            dimension = int(lines[0].split()[1])
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"bad header {lines[0]!r}") from exc
-        rows: List[List[int]] = []
-        weights = {}
-        for line in lines[1:]:
-            parts = line.split()
-            at = parts.index("w") if "w" in parts else len(parts)
-            if at < len(parts) and at != len(parts) - 2:
-                raise ParseError(f"malformed weight suffix in {line!r}")
+            _, word = header.split()
+            dimension = int(word)
+        except ValueError as exc:
+            raise ParseError(f"bad header {header!r}") from exc
+        widths: List[int] = []
+        chunks: List[np.ndarray] = []
+        weights: Dict[Face, Fraction] = {}
+        for start in range(at + 1, len(lines), _CHUNK_LINES):
+            chunk = lines[start : start + _CHUNK_LINES]
+            rows = list(map(str.split, chunk))
             try:
-                rows.append(list(map(int, parts[:at])))
-                if at < len(parts):
-                    # An exponent names a huge integer in a few characters; weights are p/q.
-                    if "e" in parts[at + 1].lower():
-                        raise ValueError("exponent in a weight")
-                    weights[as_face(rows[-1])] = Fraction(parts[at + 1])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"malformed line {line!r}") from exc
-        if weights and len(weights) != len(rows):
+                chunks.append(np.array(list(chain.from_iterable(rows)), dtype=np.int64))
+                widths.extend(filter(None, map(len, rows)))
+            except (ValueError, OverflowError):
+                rows = [_read_line(line.strip(), weights) for line in chunk if line.strip()]
+                chunks.append(_id_array(list(chain.from_iterable(rows))))
+                widths.extend(map(len, rows))
+        if weights and len(weights) != len(widths):
             raise ParseError("either all or no top faces may carry weights")
-        return cls.__new__(cls)._load(dimension, rows, lambda i: as_face(rows[i]), weights or None)
+        flat = np.concatenate(chunks or [np.zeros(0, dtype=np.int64)])
+
+        def shown(i: int) -> Face:
+            start = sum(widths[:i])
+            return as_face(flat[start : start + widths[i]].tolist())
+
+        return cls.__new__(cls)._load(dimension, flat, widths, shown, weights or None)
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"|X({k})|={len(self._ranks[k])}" for k in range(self.dimension + 1))

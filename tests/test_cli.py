@@ -474,6 +474,8 @@ def _cochain_file(tmp_path, text):
     [
         (_complex_file, "dim 2\n0 1 2 w 1/0\n"),
         (_complex_file, "dim 2\n0 1 2 w 1e9999999\n"),
+        (_complex_file, "dim 2 junk\n0 1 2\n"),
+        (_complex_file, "dim 1 group Z2\n0 1 1\n2 3 1\n"),
         (_table_file, {"table": [["a"]]}),
         (_table_bytes, b'{"table": [[0]], "name": "\xff"}'),
         (_table_file, {"table": 5}),
@@ -483,6 +485,8 @@ def _cochain_file(tmp_path, text):
     ids=[
         "zero-denominator-weight",
         "weight-exponent",
+        "header-trailing-tokens",
+        "cochain-as-complex",
         "non-integer-table",
         "table-not-utf8",
         "non-list-table",
@@ -496,6 +500,14 @@ def test_malformed_input_raises_parse_error(tmp_path, capsys, make, content):
         parse(*args)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_huge_header_dimension_exits_2_naming_the_first_top(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("dim 99999999999999999999999\n0 1 2\n")
+    assert main(["analyze", str(path)]) == 2
+    width = 10**23
+    assert capsys.readouterr().err == f"error: top face (0, 1, 2) does not have {width} distinct vertices\n"
 
 
 def _unreadable(tmp_path, kind):

@@ -1,8 +1,10 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import freudenthal_torus
+from hdx import complexes
 from hdx.complexes import FaceSet, SimplicialComplex
 from hdx.errors import (
     BadDimensionError,
@@ -451,6 +454,25 @@ def test_closure_matches_the_reference_on_wide_numerators(tiny):
     _assert_closure_and_links_match_reference(wide_k4(tiny), 2, list(weights), weights)
 
 
+@pytest.mark.parametrize("n, d", [(12, 2), (42, 2), (9, 3)])
+def test_closure_matches_the_reference_where_rows_sort_by_one_key(n, d):
+    """From 256 rows the top faces and the closure's subsets are ordered by one
+    mixed-radix key per row: uint16 below 2^16 cells, int64 past that (42^3 =
+    74088).  The vertices are shuffled, so the rows do not arrive sorted."""
+    labels = list(range(n))
+    random.Random(n).shuffle(labels)
+    tops = [tuple(labels[v] for v in top) for top in combinations(range(n), d + 1)]
+    _assert_matches_reference(SimplicialComplex(d, tops), d, tops)
+
+
+@pytest.mark.parametrize("base, columns", [(5, 1), (5, 3), (40, 3), (300, 2), (3000, 3), (2**22, 3)])
+def test_row_order_is_the_stable_lexicographic_order(base, columns):
+    rows = np.random.default_rng(base).integers(0, base, size=(600, columns))
+    rows[::7] = rows[3]
+    assert np.array_equal(complexes._row_order(rows, base), np.lexsort(rows.T[::-1]))
+    assert np.array_equal(complexes._row_order(rows[:100], base), np.lexsort(rows[:100].T[::-1]))
+
+
 HUGE = 99999999999999999999
 
 
@@ -488,28 +510,31 @@ WIDTH = NonUniformCardinalityError, "top face {} does not have 3 distinct vertic
 TWICE = DuplicateTopFaceError, "top face {} listed twice"
 
 
-@pytest.mark.parametrize(
-    "tops, expected, shown, read",
-    [
-        # The error type and message, the offender as the constructor names it, and as
-        # the text reader names it: that reader hands over each top face sorted.
-        ([(0, 1, 2), (0, 1), (3, 4)], WIDTH, (0, 1), (0, 1)),
-        ([(0, 1, 2), (2, 1, 1), (0, 1)], WIDTH, (2, 1, 1), (1, 1, 2)),
-        ([(0, 1, 2), (0, 1, 2, 3)], WIDTH, (0, 1, 2, 3), (0, 1, 2, 3)),
-        ([(0, 1, 2), (3, 4, 5), (5, 4, 3), (2, 1, 0)], TWICE, (3, 4, 5), (3, 4, 5)),
-        ([(0, 1, 2), (2, 1, 0), (0, 1)], TWICE, (0, 1, 2), (0, 1, 2)),
-        ([(0, 1, 2), (0, 1), (2, 1, 0)], WIDTH, (0, 1), (0, 1)),
-        ([(0, 1, 2), (3, 3, 4), (3, 4, 3)], WIDTH, (3, 3, 4), (3, 3, 4)),
-        ([(0, 1, 2), (2, 0, 1), (5, 5, 6)], TWICE, (0, 1, 2), (0, 1, 2)),
-        ([(HUGE, -5, 0), (0, HUGE, -5)], TWICE, (-5, 0, HUGE), (-5, 0, HUGE)),
-        ([(4, HUGE, 4), (0, 1, 2)], WIDTH, (4, HUGE, 4), (4, 4, HUGE)),
-    ],
-)
+# The error type and message, the offender as the constructor names it, and as
+# the text reader names it: that reader hands over each top face sorted.
+OFFENDERS = [
+    ([(0, 1, 2), (0, 1), (3, 4)], WIDTH, (0, 1), (0, 1)),
+    ([(0, 1, 2), (2, 1, 1), (0, 1)], WIDTH, (2, 1, 1), (1, 1, 2)),
+    ([(0, 1, 2), (0, 1, 2, 3)], WIDTH, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ([(0, 1, 2), (3, 4, 5), (5, 4, 3), (2, 1, 0)], TWICE, (3, 4, 5), (3, 4, 5)),
+    ([(0, 1, 2), (2, 1, 0), (0, 1)], TWICE, (0, 1, 2), (0, 1, 2)),
+    ([(0, 1, 2), (0, 1), (2, 1, 0)], WIDTH, (0, 1), (0, 1)),
+    ([(0, 1, 2), (3, 3, 4), (3, 4, 3)], WIDTH, (3, 3, 4), (3, 3, 4)),
+    ([(0, 1, 2), (2, 0, 1), (5, 5, 6)], TWICE, (0, 1, 2), (0, 1, 2)),
+    ([(HUGE, -5, 0), (0, HUGE, -5)], TWICE, (-5, 0, HUGE), (-5, 0, HUGE)),
+    ([(4, HUGE, 4), (0, 1, 2)], WIDTH, (4, HUGE, 4), (4, 4, HUGE)),
+]
+
+
+def _text_of(d, tops):
+    return f"dim {d}\n" + "".join(" ".join(map(str, top)) + "\n" for top in tops)
+
+
+@pytest.mark.parametrize("tops, expected, shown, read", OFFENDERS)
 def test_validation_names_the_first_offender_in_input_order(tops, expected, shown, read):
     error, message = expected
     assert _error(lambda: SimplicialComplex(2, tops)) == (error, message.format(shown))
-    text = "dim 2\n" + "".join(" ".join(map(str, top)) + "\n" for top in tops)
-    assert _error(lambda: SimplicialComplex.from_text(text)) == (error, message.format(read))
+    assert _error(lambda: SimplicialComplex.from_text(_text_of(2, tops))) == (error, message.format(read))
 
 
 @pytest.mark.parametrize(
@@ -544,6 +569,210 @@ def test_validation_names_the_first_offender_in_input_order(tops, expected, show
 )
 def test_weight_and_header_errors_keep_their_type_and_message(build, expected):
     assert _error(build) == expected
+
+
+# -- the bulk text reader against the per-line reference ------------------------------
+
+
+def _reference_from_text(text):
+    """The per-line complex-file reader the bulk reader replaced, with its
+    loader's checks written as one loop over the lines in input order; the
+    header must be exactly ``dim d``."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines or not lines[0].startswith("dim "):
+        raise ParseError("complex file must start with a 'dim d' header")
+    try:
+        _, dimension = lines[0].split()
+        dimension = int(dimension)
+    except ValueError as exc:
+        raise ParseError(f"bad header {lines[0]!r}") from exc
+    rows, weights = [], {}
+    for line in lines[1:]:
+        parts = line.split()
+        at = parts.index("w") if "w" in parts else len(parts)
+        if at < len(parts) and at != len(parts) - 2:
+            raise ParseError(f"malformed weight suffix in {line!r}")
+        try:
+            rows.append(list(map(int, parts[:at])))
+            if at < len(parts):
+                if "e" in parts[at + 1].lower():
+                    raise ValueError("exponent in a weight")
+                weights[tuple(sorted(rows[-1]))] = Fraction(parts[at + 1])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"malformed line {line!r}") from exc
+    if weights and len(weights) != len(rows):
+        raise ParseError("either all or no top faces may carry weights")
+    if dimension < 0:
+        raise BadDimensionError(f"dimension must be >= 0, got {dimension}")
+    seen = set()
+    for row in rows:
+        face = tuple(sorted(row))
+        if len(row) != dimension + 1 or len(set(row)) != len(row):
+            raise NonUniformCardinalityError(f"top face {face} does not have {dimension + 1} distinct vertices")
+        if face in seen:
+            raise DuplicateTopFaceError(f"top face {face} listed twice")
+        seen.add(face)
+    return SimplicialComplex(dimension, rows, weights or None)
+
+
+def _outcome(read, text):
+    """What a reader makes of a text: every dimension's faces, numerators and
+    denominator, and the vertex ids; or the error's type and message."""
+    try:
+        X = read(text)
+    except HdxError as exc:
+        return type(exc), str(exc)
+    rows = [(X.faces(k), X.weight_numerators(k).tolist(), X.weight_denominator(k)) for k in range(-1, X.dimension + 1)]
+    return rows, X.vertices()
+
+
+#: Words that int() reads, and words it refuses, in the forms numpy must treat alike.
+TOKENS = ["+5", "007", "-0", "1_000", "٣٣", "𝟓", "nan", "1.", "0b1", "_1", "²", "1__0", "0x1", "1e3", "-", "½"]
+EDGE_IDS = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1]
+
+
+def _second_chunk(line):
+    """A file whose first chunk holds distinct triangles and whose second chunk
+    starts with the given line."""
+    tops = list(combinations(range(16), 3))[: complexes._CHUNK_LINES]
+    return _text_of(2, tops) + line + "\n" + "13 14 15\n"
+
+
+READER_CORPUS = [
+    # Whitespace: tabs, runs of spaces, CRLF, blank and leading-blank lines, and
+    # the other separators str.splitlines and str.split know.
+    "dim 2\r\n0 1 2\r\n\r\n1\t2  3\r\n",
+    "\n\n  \t\ndim 2\n\t0 1 2 \n   \n1 2 3\n\n",
+    "  dim   2  \n0  1\t\t2\n",
+    "dim 2\x0c0 1 2\x1c1 2 3 2\xa03 4\x85\x0b",
+    "dim 1\r\n0 1 w 1/3\r\n\r\n1\t2 w 2/3\r\n",
+    "dim\t2\n0 1 2\n",
+    "dim 2\n0 1 2\n1\t x  2\n",
+    "",
+    "\n \n",
+    # Ids at the ends of int64 and just past them.
+    _text_of(1, [(EDGE_IDS[0], EDGE_IDS[1]), (0, EDGE_IDS[0])]),
+    _text_of(1, [(EDGE_IDS[0], EDGE_IDS[2]), (EDGE_IDS[1], EDGE_IDS[3]), (0, EDGE_IDS[3])]),
+    _text_of(2, [(EDGE_IDS[2], EDGE_IDS[2], 0), (0, 1, 2)]),
+    # The first line of the second chunk: a wrong width, a duplicate top, a
+    # repeated vertex, a malformed word, a lone weight, an id past int64.
+    _second_chunk("0 1"),
+    _second_chunk("2 1 0"),
+    _second_chunk("5 5 6"),
+    _second_chunk("0 x  2"),
+    _second_chunk("0 1 15 w 1/2"),
+    _second_chunk(f"0 1 {2**64}"),
+    _second_chunk(f"0 1 {2**64} 5"),
+    # The header: exactly "dim d"; a huge d is one more wrong width.
+    "dim 2 junk\n0 1 2\n",
+    "dim 1 group Z2\n0 1 1\n2 3 1\n",
+    "dim 99999999999999999999999\n0 1 2\n",
+    "dim 99999999999999999999999\n",
+    "dim\n0 1 2\n",
+    "dim 2.0\n0 1 2\n",
+    # The text forms of the cases of test_weight_and_header_errors_keep_their_type_and_message.
+    "dim -1\n0\n",
+    "dim 1\n0 1 w 1\n1 2\n",
+    "dim 1\n1 2 w 3/2\n0 1 w -1/2\n",
+    "dim 1\n0 1 w 1/2\n1 2 w 1/3\n",
+    "dim 1\n0 1 w 1/2\n1 2\n",
+    "dim 1\n0 1 w 1/2\n1 0 w 1/2\n",
+    "dim 1\n0 1\n1 x\n",
+    "dim 2\n",
+    "dim 2\n0 1 2 w 1/0\n",
+    "dim 2\n0 1 2 w 1e9999999\n",
+    "dim 2\n0 1 2 w\n",
+    "dim 2\nw 1/2\n",
+    # Every case of test_validation_names_the_first_offender_in_input_order.
+    *(_text_of(2, tops) for tops, *_ in OFFENDERS),
+    # Every listed word, alone and beside the same value written plainly.
+    *(f"dim 2\n{word} 8 9\n1 2 3\n" for word in TOKENS),
+    *(f"dim 1\n{word} 5\n5 1000\n" for word in TOKENS),
+]
+
+
+@pytest.mark.parametrize("text", READER_CORPUS)
+def test_the_bulk_reader_matches_the_per_line_reference(text):
+    assert _outcome(SimplicialComplex.from_text, text) == _outcome(_reference_from_text, text)
+
+
+def test_the_corpus_reaches_both_outcomes_and_both_id_types():
+    outcomes = [_outcome(SimplicialComplex.from_text, text) for text in READER_CORPUS]
+    kinds = {outcome[0] for outcome in outcomes if isinstance(outcome[0], type)}
+    assert kinds == {ParseError, BadDimensionError, EmptyInputError, NonUniformCardinalityError, DuplicateTopFaceError}
+    assert sum(not isinstance(outcome[0], type) for outcome in outcomes) >= 15
+    wide = SimplicialComplex.from_text(_second_chunk(f"0 1 {2**64}"))
+    assert wide._ids.dtype == object and wide.vertices()[-1] == 2**64
+    assert SimplicialComplex.from_text(_text_of(1, [EDGE_IDS[:2], (0, EDGE_IDS[0])]))._ids.dtype == np.int64
+
+
+LINE_WORDS = st.sampled_from([*map(str, range(40)), "-0", "+1", "007", "1_0", "٣", "x", str(2**63), str(-(2**63) - 1)])
+
+
+@st.composite
+def complex_texts(draw):
+    """Complex files of a few short lines: mostly d + 1 ids, now and then
+    another width, a malformed word or a blank line, joined by assorted
+    whitespace; in one file of four every line, or nearly, carries a weight."""
+    d = draw(st.sampled_from([-1, 0, 1, 1, 2, 2, 2, 3]))
+    weighted = draw(st.sampled_from([0, 0, 0, 1]))
+    lines = [f"dim {d}"]
+    for _ in range(draw(st.integers(min_value=0, max_value=9))):
+        size = draw(st.sampled_from([d + 1] * 20 + [0, 1, 2, 3, 4, 5]))
+        words = draw(st.lists(LINE_WORDS, min_size=size, max_size=size))
+        if draw(st.integers(min_value=0, max_value=9)) < 9 * weighted:
+            words += ["w", draw(st.sampled_from(["1/2", "1/2", "1/3", "1/4", "1", "0", "x"]))]
+        lines.append(draw(st.sampled_from([" ", "\t", "  ", " \t"])).join(words))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\n\n"])) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(complex_texts())
+def test_the_bulk_reader_matches_the_reference_in_chunks_of_two_lines(text):
+    with mock.patch.object(complexes, "_CHUNK_LINES", 2):
+        assert _outcome(SimplicialComplex.from_text, text) == _outcome(_reference_from_text, text)
+
+
+def test_a_huge_dimension_names_the_first_top_at_both_entry_points():
+    expected = NonUniformCardinalityError, f"top face (0, 1, 2) does not have {10**30 + 1} distinct vertices"
+    assert _error(lambda: SimplicialComplex(10**30, [(0, 1, 2)])) == expected
+    assert _error(lambda: SimplicialComplex.from_text(f"dim {10**30}\n0 1 2\n")) == expected
+
+
+@pytest.mark.parametrize("header", ["dim 2 junk", "dim 1 group Z2"])
+def test_a_header_is_exactly_dim_d(header):
+    text = f"{header}\n0 1 2\n1 2 3\n"
+    assert _error(lambda: SimplicialComplex.from_text(text)) == (ParseError, f"bad header {header!r}")
+
+
+#: SHA-256 of to_text, recorded before to_text stopped building a Fraction per top.
+TO_TEXT_SHA256 = {
+    "K20^(2)": "3d1276b61c8fbd6d7eac80200a3765b4e1b2f299cbda896026e90feba041093d",
+    "K14^(3)": "b3fcba85a6354522f87e5e47bfcd2ebebda1f083fa4177a07dcfede2242ea3f8",
+    "torus-7": "97bd5c5922574e0bb6b25d5843474127c829f76cdaa9c12497cd2c41285b3957",
+    "wide": "463908d449bad5fb63f80f6506e039b338943b77b321e78c494a708449fa5e4d",
+    "weighted": "9209efee05d6ddabb9d5bc5264a6cfe4b1ea80b33b92dedba38f9e85be6f94f3",
+}
+
+
+def _to_text_cases():
+    H, B = 99999999999999999999, 2**64
+    weights = dict(zip(combinations(range(4), 3), map(Fraction, ["1/3", "1/6", "1/4", "1/4"])))
+    return {
+        "K20^(2)": lambda: complete_complex(20, 2),
+        "K14^(3)": lambda: complete_complex(14, 3),
+        "torus-7": torus_complex,
+        "wide": lambda: SimplicialComplex(2, [(-5, 0, H), (-5, 0, B), (-5, H, B), (0, H, B)]),
+        "weighted": lambda: SimplicialComplex(2, list(weights), weights),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(TO_TEXT_SHA256))
+def test_to_text_bytes_are_pinned(name):
+    X = _to_text_cases()[name]()
+    text = X.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == TO_TEXT_SHA256[name]
+    assert SimplicialComplex.from_text(text).to_text() == text
 
 
 def test_face_set_membership_reads_the_face_index(k4_skeleton):
