@@ -9,20 +9,26 @@ tables built once per scan, and a block writes only its prefix digits and
 adds its prefix weights.  Coboundaries come from the oracle's own role array
 over X(k+1), never from `cochains`: for abelian groups d is additive, so a
 block's coboundaries are its prefixes' added to a suffix table built once;
-non-abelian groups run the op chain on the block.  Each coboundary row is
-turned once into its exact key, int64 words that each code a run of faces in
-mixed radix, by one integer product with the places; keys are sorted and
-merged, so images compare in numpy for any number of faces, and the rows are
-decoded from the surviving keys.
+non-abelian groups run the op chain on the block.  Where whole images are
+listed (B^k past GF(2), and ratio scans of larger abelian groups above
+dimension 0), each coboundary row is turned once into its exact key, int64
+words that each code a run of faces in mixed radix, by one integer product
+with the places; keys are sorted and merged, so images compare in numpy for
+any number of faces, and the rows are decoded from the surviving keys.
 Z^k and B^k are sorted value rows for every group: 2-D arrays with one row
 per vector over X(k), in lexicographic order, and a `Cochain` is built only
 for a returned witness.  For two-element groups they are spans over GF(2):
 the kernel and the row space of the incidence rows, listed at a cost of |Z|
 or |B| rather than 2^|X(k)|, with face 0 in the highest bit so sorted masks
-are sorted rows.  Ratio scans keep one table row per coboundary fiber wherever
-dist(f, Z^k) is the lightest weight in the fiber of df (abelian groups, and
-dimension 0 for every group) and the table stays small; otherwise they
-measure every state against a pool of cocycles.  Distances and expansion
+are sorted rows.  Z^0 is the locally constant rows, one value per component
+of the 1-skeleton, listed in product order.  Ratio scans keep one table
+entry per coboundary fiber wherever dist(f, Z^k) is the lightest weight in
+the fiber of df (abelian groups, and dimension 0 for every group) and the
+table stays small; otherwise they measure every state against a pool of
+cocycles.  The fibers are cosets of Z^k, so, as with a code's syndromes, df
+on a few (k+1)-faces that fix it (a spanning forest at k = 0, the GF(2)
+pivot columns for two-element groups) indexes its table entry directly;
+larger abelian groups above dimension 0 sort keys.  Distances and expansion
 constants are exact rational minima with deterministic witnesses, a scan over
 budget is refused for the dimension that needs it, and nothing is shared with
 the fast paths these results are checked against.  Link constants are scanned
@@ -50,7 +56,9 @@ from .groups import FiniteGroup
 
 DEFAULT_MAX_STATES = 2**24
 BUDGET_ENV_VAR = "HDX_BUDGET"
-_MAX_FIBERS = 2**16  # fiber-table rows in a ratio scan, about |X(k+1)| + 16 bytes each
+# Fiber-table entries in a ratio scan: a first index, a weight and a norm, at
+# most 24 bytes each, and a key row per entry where keys are sorted.
+_MAX_FIBERS = 2**16
 _BLOCK_STATES = 2**10  # states per block of the odometer; bounds its memory
 _POOL_CELLS = 2**16  # face comparisons per step of a pool scan
 
@@ -187,6 +195,13 @@ class _Scan:
             weights = ((prefix != 0) @ self.nums[:h])[:, None] + suffix_weights
             yield first * suffixes, digits, delta, weights.reshape(-1)
 
+    def cut(self, faces: Sequence[int]) -> "_Scan":
+        """This scan with its coboundary rows kept on the given (k+1)-faces
+        alone; its blocks split and charge the budget as this scan's do."""
+        out = object.__new__(_Scan)
+        out.__dict__.update(self.__dict__, roles=self.roles[faces])
+        return out
+
     def delta(self, digits: np.ndarray) -> np.ndarray:
         """The coboundary of each row of digits, one column per (k+1)-face."""
         G, k = self.G, self.k
@@ -233,6 +248,13 @@ def _digits(code: int, base: int, length: int) -> Tuple[int, ...]:
     for i in range(length - 1, -1, -1):
         code, out[i] = divmod(code, base)
     return tuple(out)
+
+
+def _digit_rows(codes: np.ndarray, base: int, length: int) -> np.ndarray:
+    """The mixed-radix digits of each code, most significant first, one row
+    per code, in the codes' dtype."""
+    place = np.array([base ** (length - 1 - j) for j in range(length)], dtype=codes.dtype)
+    return codes[:, None] // place % base
 
 
 def _images(
@@ -339,6 +361,77 @@ def _f2_span(basis: Sequence[int], m: int, dtype: np.dtype) -> np.ndarray:
     return bits[:, 8 * width - m :].astype(dtype)
 
 
+def _forest(scan: _Scan) -> Tuple[List[int], List[int]]:
+    """A spanning forest of the 1-skeleton, by union-find on a k = 0 scan's
+    roles: the edges that join two trees, in face order, and each vertex's
+    root, the first vertex of its component."""
+    parent = list(range(scan.m))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    edges = []
+    for j, (v, u) in enumerate(scan.roles.tolist()):
+        a, b = root(u), root(v)
+        if a != b:
+            # The smaller vertex stays the root, so each root is its component's first vertex.
+            parent[max(a, b)] = min(a, b)
+            edges.append(j)
+    return edges, [root(v) for v in range(scan.m)]
+
+
+def _fiber_faces(scan: _Scan) -> Optional[List[int]]:
+    """(k+1)-faces S, in face order, on which df -> df|S maps B^{k+1}
+    one-to-one onto G^S, or None where none is known.
+
+    At k = 0, for every group, S is a spanning forest: f is fixed by its
+    values at the roots and df on the forest edges, and any values on those
+    edges are some df's.  For two-element groups at k >= 1, S is the pivot
+    columns of a row-space basis over GF(2): their leading bits are
+    distinct, so the projection is triangular.  Abelian groups with more
+    elements at k >= 1 get None.
+    """
+    if scan.k == 0:
+        return _forest(scan)[0]
+    if scan.G.order != 2:
+        return None
+    top = len(scan.roles) - 1
+    return sorted(top - (row.bit_length() - 1) for row in _f2_eliminate(_f2_incidence(scan))[0])
+
+
+def _fiber_table(
+    scan: _Scan, faces: List[int], budget: EnumerationBudget, what: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every df != 0, in the order of its syndrome (df on faces, read in
+    base |G|, the first face most significant): the index of its first
+    preimage, the least weight numerator of its preimages and the weight
+    numerator of df, as three aligned arrays.
+
+    faces are ``_fiber_faces(scan)``, so each syndrome is one fiber, and a
+    block's syndromes index the table directly.  Syndrome 0 is df = 0 and is
+    dropped.  The weight of each df is read from its first preimage, decoded
+    and pushed through the full coboundary a block of rows at a time.
+    """
+    g, states = scan.G.order, space_size(scan.G, scan.m)
+    index_type = np.min_scalar_type(states)
+    first = np.full(g ** len(faces), states, dtype=index_type)
+    lightest = np.full(len(first), sum(scan.nums.tolist()), dtype=scan.nums.dtype)
+    place = g ** np.arange(len(faces) - 1, -1, -1, dtype=np.int64)
+    for start, _digits, delta, weights in scan.cut(faces).blocks(budget, what):
+        code = delta @ place
+        np.minimum.at(first, code, np.arange(start, start + len(code), dtype=index_type))
+        np.minimum.at(lightest, code, weights)
+    first, lightest = first[1:], lightest[1:]
+    norms = np.zeros(len(first), dtype=scan.above_nums.dtype)
+    for lo in range(0, len(first), _BLOCK_STATES):
+        rows = _digit_rows(first[lo : lo + _BLOCK_STATES], g, scan.m).astype(scan.dtype)
+        norms[lo : lo + _BLOCK_STATES] = (scan.delta(rows) != 0) @ scan.above_nums
+    return first, lightest, norms
+
+
 def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Whether each value row of rows is a row of table, both over the same
     faces.  Rows compare as byte strings of one dtype, in a binary search."""
@@ -370,7 +463,10 @@ def cocycle_list(
     is undefined).
 
     At the top dimension every cochain is a cocycle, which the generic scan
-    finds because it tracks no coboundary there.
+    finds because it tracks no coboundary there.  Below it, Z^0 is the
+    locally constant rows, one value per component, listed in product order
+    over the components numbered by their first vertex: so in sorted order.
+    It is charged as the scan of C^0 it replaces.
     """
     scan = _Scan(X, k, G)
     if k < X.dimension:
@@ -379,6 +475,13 @@ def cocycle_list(
         if G.order == 2:
             budget.ensure(2**scan.m, f"cocycle scan in dimension {k}")
             return _f2_span(_f2_eliminate(_f2_incidence(scan))[1], scan.m, scan.dtype)
+        if k == 0:
+            budget.ensure(space_size(G, scan.m), "Z^0 scan")
+            # Components numbered in the order of their first vertex.
+            component = np.unique(_forest(scan)[1], return_inverse=True)[1]
+            count = int(component.max()) + 1
+            codes = np.arange(G.order**count, dtype=np.min_scalar_type(G.order**count))
+            return _digit_rows(codes, G.order, count)[:, component].astype(scan.dtype)
     blocks = scan.blocks(budget, f"Z^{k} scan")
     return np.concatenate([digits[~delta.any(axis=1)] for _start, digits, delta, _w in blocks])
 
@@ -458,8 +561,15 @@ def _min_ratio_scan(
     """First minimum of ||df|| / dist(f, Z^k) over the f in C^k with df != 0.
 
     pool is Z^k (or B^k where it equals Z^k) as value rows.  Returns the
-    ratio and the vector of f, or (None, None) when df = 0 for every f.  The scan runs in lexicographic
-    order, so ties keep the smallest vector.
+    ratio and the vector of f, or (None, None) when df = 0 for every f.  The
+    scan runs in lexicographic order, so ties keep the smallest vector.
+
+    Where the ratio depends on df alone and |C^k| / |pool| fibers fit
+    `_MAX_FIBERS`, one table entry per fiber holds its first preimage and its
+    lightest weight.  With ``_fiber_faces`` the entry is indexed by the
+    syndrome, df on those faces in base |G|; otherwise (abelian |G| > 2 at
+    k >= 1) the images are sorted by key.  The entries are then ranked by
+    first preimage, so both tables give one ratio and one witness.
     """
     scan = _Scan(X, k, G)
     den_k = X.weight_denominator(k)
@@ -471,14 +581,17 @@ def _min_ratio_scan(
         # is the coset f - Z^k, and for k = 0 it is {f c : c locally constant}.
         # So the ratio depends on df alone, and the first minimizer is the
         # first preimage of the image whose ratio is least, ties going to the
-        # image seen first.  The table keeps, per image, its first preimage
-        # and its lightest weight.
-        images, first, lightest = _images(scan, budget, what, nonzero=True)
+        # image seen first.
+        faces = _fiber_faces(scan)
+        if faces is None:
+            images, first, lightest = _images(scan, budget, what, nonzero=True)
+            norms = (images != 0) @ scan.above_nums
+        else:
+            first, lightest, norms = _fiber_table(scan, faces, budget, what)
         if not len(first):
             return None, None
         seen = np.argsort(first)
-        images, first, lightest = images[seen], first[seen], lightest[seen]
-        norms = (images != 0) @ scan.above_nums
+        first, lightest, norms = first[seen], lightest[seen], norms[seen]
         i = _first_min_ratio(norms, lightest)
         best = Fraction(int(norms[i]) * den_k, den_k1 * int(lightest[i]))
         return best, _digits(int(first[i]), G.order, scan.m)

@@ -1,8 +1,9 @@
 """Golden outputs of `hdx analyze --format json`: the SHA-256 of the report on
-bundled instances and one weighted complex over abelian and non-abelian
-groups, pinned so that a change to the oracle's odometer, or to how links of
-one shape share their scans, that moves any byte of a constant, a
-witness-bearing value or a refusal shows."""
+bundled instances, one weighted complex and one disconnected complex over
+abelian and non-abelian groups, pinned so that a change to the oracle's
+odometer, its fiber tables, or to how links of one shape share their scans,
+that moves any byte of a constant, a witness-bearing value or a refusal
+shows."""
 
 import hashlib
 from fractions import Fraction
@@ -40,6 +41,14 @@ GOLDEN = {
     ("complete-3-7", "Z2"): "140f2261b232a24eb249934829b42cb77c6deeca84fe00e1085341159c9257f5",
     ("weighted-3-6", "Z2"): "444462abf9b814869533696e55f5defd79a8f5302910f25503b4c9029ff5812f",
     ("weighted-3-6", "S3"): "54302f8e7bd4728a964035d962d74db8cf7927ea8b345a95c4e6e9baf984b8f1",
+    # Recorded before the ratio scans indexed their fiber tables by syndrome
+    # and Z^0 was listed from the components: the GF(2) pivot syndromes of
+    # k = 1 on 15 edges, S3 over the torus, and Z^0 of two components, whose
+    # k = 0 pair scan over D4 costs 8^6 * 64 = 2^24 states, the default budget.
+    ("projective-plane-6", "Z2"): "737f5c99189afe2d03ba34887f26f65f98ed218db14beecee5ab182b6a9d2731",
+    ("torus-7", "S3"): "52c2ed22bc60be69b27d8fdc9c2129eac4764518bbc8eef68ea4c63246a45c9d",
+    ("two-triangles", "S3"): "b215ddde6306cb701c094599ad2aaa04ef01ac0a47409fee46e4c17752a7f77f",
+    ("two-triangles", "D4"): "0a85ef4b318c261213adf09cd80baf2a9ee2d1aff937182df759c299e8e05a30",
 }
 
 
@@ -47,7 +56,11 @@ GOLDEN = {
 def test_analyze_reports_match_their_golden_hashes(tmp_path, monkeypatch, capsys, name, spec):
     monkeypatch.delenv("HDX_BUDGET", raising=False)
     path = tmp_path / "complex.txt"
-    instances = {**bundled_instances(), "weighted-3-6": _weighted_k6()}
+    instances = {
+        **bundled_instances(),
+        "weighted-3-6": _weighted_k6(),
+        "two-triangles": SimplicialComplex(2, [(0, 1, 2), (3, 4, 5)]),
+    }
     path.write_text(instances[name].to_text())
     assert main(["analyze", str(path), "--group", spec, "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN[name, spec]

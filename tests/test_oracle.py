@@ -347,6 +347,8 @@ _COMPLEXES = {
     # Disconnected: Z^0 is the locally constant maps, larger than B^0.
     "two-edges": lambda: SimplicialComplex(1, [(0, 1), (2, 3)]),
     "path-and-edge": lambda: SimplicialComplex(1, [(0, 1), (1, 2), (3, 4)]),
+    "two-components": lambda: SimplicialComplex(2, [(0, 1, 2), (3, 4, 5)]),
+    "k5-3": lambda: complete_complex(5, 3),
 }
 
 
@@ -387,15 +389,17 @@ def test_coboundary_constant_matches_pair_scan(monkeypatch, name, spec, k):
     _check_coboundary_constant(monkeypatch, _COMPLEXES[name](), group_from_spec(spec), k)
 
 
-@pytest.mark.parametrize(
-    "name, spec, k",
+_COSYSTOLIC_CASES = (
     [("torus", "Z2", 0), ("k5", "Z2", 0), ("k5", "Z2", 1), ("k5", "Z3", 0)]
     + [("rp2", "Z2", 0), ("rp2", "Z2", 1), ("rp2", "Z3", 0), ("k4", "Z4", 1)]
     + [("two-edges", "S3", 0), ("two-edges", "D4", 0), ("path-and-edge", "S3", 0)]
     + [("triangle", "S3", 1), ("two-triangles", "S3", 1)]
     + [("weighted-k4", "Z3", 1), ("weighted-k4", "S3", 0)]
-    + [("weighted-two-triangles", "Z2", 0), ("weighted-two-triangles", "S3", 1)],
+    + [("weighted-two-triangles", "Z2", 0), ("weighted-two-triangles", "S3", 1)]
 )
+
+
+@pytest.mark.parametrize("name, spec, k", _COSYSTOLIC_CASES)
 def test_cosystolic_ratio_scan_matches_pair_scan(monkeypatch, name, spec, k):
     X, G = _COMPLEXES[name](), group_from_spec(spec)
     best, best_vec, pool = _pair_scan_first_minimizer(X, G, k, "Z")
@@ -424,11 +428,33 @@ def test_ratio_scan_past_the_fiber_bound_matches_pair_scan(monkeypatch, name, sp
         assert _min_ratio_scan(X, G, k, pool, EnumerationBudget(), "test scan") == (best, best_vec)
 
 
+def _path(n):
+    """The path on n vertices; over Z2 at k = 0 its ratio scan has 2^(n-1) images."""
+    return SimplicialComplex(1, [(i, i + 1) for i in range(n - 1)])
+
+
 def test_ratio_scan_past_the_fiber_bound_keeps_no_table(monkeypatch):
-    # A path on 14 vertices over Z2 at k = 0 has 2^14 / 2 = 8192 images.
-    X = SimplicialComplex(1, [(i, i + 1) for i in range(13)])
-    G = group_from_spec("Z2")
+    # A path on 14 vertices over Z2 at k = 0 has 2^14 / 2 = 8192 images: the
+    # table is built at a bound of 8192 fibers and not at 8191, and both
+    # scans find the same ratio and witness.
+    X, G = _path(14), group_from_spec("Z2")
     pool = [(0,) * 14, (1,) * 14]
+    built = []
+    build_table = hdx.oracle._fiber_table
+    monkeypatch.setattr("hdx.oracle._fiber_table", lambda *a: built.append(a) or build_table(*a))
+    monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 8192)
+    table = _min_ratio_scan(X, G, 0, pool, EnumerationBudget(), "test scan")
+    assert len(built) == 1
+    monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 8191)
+    assert _min_ratio_scan(X, G, 0, pool, EnumerationBudget(), "test scan") == table
+    assert len(built) == 1
+
+
+def test_ratio_scan_past_the_fiber_bound_holds_less_memory(monkeypatch):
+    # On the path on 16 vertices the table has 2^15 entries, and it dominates
+    # the scan's peak: one bound lower, the pool scan holds a block at a time.
+    X, G = _path(16), group_from_spec("Z2")
+    pool = [(0,) * 16, (1,) * 16]
 
     def traced_scan():
         tracemalloc.start()
@@ -438,12 +464,79 @@ def test_ratio_scan_past_the_fiber_bound_keeps_no_table(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 8192)
+    monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 2**15)
     table, table_peak = traced_scan()
-    monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 8191)
+    monkeypatch.setattr("hdx.oracle._MAX_FIBERS", 2**15 - 1)
     pooled, pool_peak = traced_scan()
     assert pooled == table
     assert pool_peak * 4 < table_peak
+
+
+@pytest.mark.parametrize(
+    "name, spec, k",
+    [
+        (name, spec, 0)
+        for name in ("k4", "k5", "rp2", "torus", "two-edges", "path-and-edge")
+        for spec in ("Z2", "S3", "D4")
+    ]
+    + [(name, "Z2", 1) for name in ("k4", "k5", "rp2", "torus")]
+    + [("k5-3", "Z2", k) for k in (1, 2)],
+)
+def test_fiber_faces_index_the_coboundaries_one_to_one(name, spec, k):
+    # B^{k+1} restricted to S is all of G^S, each value once: a syndrome is
+    # one fiber of d, and every syndrome is some df's.
+    X, G = _COMPLEXES[name](), group_from_spec(spec)
+    faces = hdx.oracle._fiber_faces(_Scan(X, k, G))
+    assert faces == sorted(set(faces))
+    images = coboundary_list(X, G, k + 1, EnumerationBudget())
+    syndromes = set(map(tuple, images[:, faces].tolist()))
+    assert len(syndromes) == len(images) == G.order ** len(faces)
+
+
+def test_fiber_faces_are_none_for_larger_abelian_groups_above_dimension_zero(k4_skeleton):
+    for spec in ("Z3", "Z2xZ2", "Z4"):
+        assert hdx.oracle._fiber_faces(_Scan(k4_skeleton, 1, group_from_spec(spec))) is None
+
+
+@pytest.mark.parametrize("name, spec, k", _COSYSTOLIC_CASES)
+def test_key_sort_fiber_table_matches_the_syndrome_table(monkeypatch, name, spec, k):
+    # With no syndrome faces every fiber table takes the sorted-key path,
+    # which finds the same first minimizer at every block size.
+    X, G = _COMPLEXES[name](), group_from_spec(spec)
+    best, best_vec, pool = _pair_scan_first_minimizer(X, G, k, "Z")
+    monkeypatch.setattr("hdx.oracle._fiber_faces", lambda scan: None)
+    for block in _BLOCKS:
+        monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
+        assert _min_ratio_scan(X, G, k, pool, EnumerationBudget(), "test scan") == (best, best_vec)
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z3", "S3", "D4"])
+@pytest.mark.parametrize("name", ["k4", "two-edges", "path-and-edge", "two-triangles", "two-components"])
+def test_zero_cocycles_from_components_match_the_filtered_scan(name, spec):
+    # Z^0, listed as the locally constant rows, is the C^0 scan's cocycles:
+    # the same rows, in the same order, of the same dtype.
+    X, G = _COMPLEXES[name](), group_from_spec(spec)
+    scan = _Scan(X, 0, G)
+    blocks = scan.blocks(EnumerationBudget(), "test scan")
+    scanned = np.concatenate([digits[~delta.any(axis=1)] for _s, digits, delta, _w in blocks])
+    listed = cocycle_list(X, G, 0, EnumerationBudget())
+    assert listed.dtype == scanned.dtype and np.array_equal(listed, scanned)
+
+
+def test_zero_cocycle_listing_keeps_its_charge(monkeypatch, s3):
+    # Z^0 of two triangles over S3 is charged as the 6^6-state scan of C^0.
+    X = _COMPLEXES["two-components"]()
+    f = Cochain(X, 0, s3, {(0,): 1})
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(6**6 - 1))
+    refusal = "Z^0 scan needs 46656 states, over the budget of 46655"
+    with pytest.raises(BudgetExceededError) as caught:
+        exact_distance(f, "Z")
+    assert str(caught.value) == refusal
+    with pytest.raises(BudgetExceededError) as caught:
+        cocycle_list(X, s3, 0, EnumerationBudget.default())
+    assert str(caught.value) == refusal
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(6**6))
+    assert exact_distance(f, "Z") == (Fraction(1, 6), Cochain(X, 0, s3, {}))
 
 
 @pytest.mark.parametrize("name, spec", [("k4", "Z3"), ("two-triangles", "S3")])
