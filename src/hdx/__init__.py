@@ -57,6 +57,7 @@ from .instances import (
     complete_complex,
     glued_simplices,
     single_simplex,
+    torus3_complex,
     torus_complex,
 )
 from .oracle import (

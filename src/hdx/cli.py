@@ -22,7 +22,7 @@ from .correction import correct_abelian, correct_nonabelian
 from .errors import BadParamsError, BudgetExceededError, HdxError, ParseError
 from .expansion import _delta1_bound, classify_non_local, classify_weakly_non_local, delta1
 from .groups import group_from_spec
-from .instances import complete_complex, glued_simplices, torus_complex
+from .instances import complete_complex, glued_simplices, torus3_complex, torus_complex
 from .oracle import EnumerationBudget, cosystolic_expansion_constants, link_constants
 from .reporting import dumps_report, render_table, to_jsonable
 from .spectral import link_spectra
@@ -44,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a complex file for a named family")
-    gen.add_argument("kind", choices=("complete", "file", "glued-simplices", "torus"))
-    gen.add_argument("--n", type=int, default=None, help="vertex count (complete)")
+    gen.add_argument("kind", choices=("complete", "file", "glued-simplices", "torus", "torus3"))
+    gen.add_argument("--n", type=int, default=None, help="vertex count (complete), side (torus3)")
     gen.add_argument("--d", type=int, default=None, help="dimension")
     gen.add_argument("--count", type=int, default=2, help="simplex count (glued-simplices)")
     gen.add_argument("--input", type=Path, default=None, help="source file (kind=file)")
@@ -140,6 +140,10 @@ def cmd_generate(args) -> int:
         X = glued_simplices(args.d, args.count)
     elif args.kind == "torus":
         X = torus_complex()
+    elif args.kind == "torus3":
+        if args.n is None:
+            raise BadParamsError("generate torus3 needs --n")
+        X = torus3_complex(args.n)
     else:
         if args.input is None:
             raise BadParamsError("generate file needs --input")

@@ -45,19 +45,8 @@ from .errors import (
 from .groups import FiniteGroup, _row_dtype, group_from_spec
 
 
-def perm_parity(ordered: Tuple[int, ...]) -> int:
-    """+1 for an even permutation of the sorted tuple, -1 for an odd one."""
-    inversions = sum(
-        1
-        for i in range(len(ordered))
-        for j in range(i + 1, len(ordered))
-        if ordered[i] > ordered[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def oriented(G: FiniteGroup, values: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """values with the entries at odd orderings inverted (the sign -1 of ``signed``)."""
+    """values with the entries at odd orderings inverted."""
     return np.where(odd, G.inv_array(values), values) if odd.any() else values
 
 
@@ -107,19 +96,6 @@ class Cochain:
         """The non-identity values as a read-only {face: element} view."""
         faces = self.complex.faces_where(self.dimension, self.row)
         return MappingProxyType(dict(zip(faces, self.row[self.row != 0].tolist())))
-
-    def value(self, face: Face) -> int:
-        """Value on the canonical (ascending) ordering of a face."""
-        at = self.complex.face_index(self.dimension).get(tuple(face))
-        if at is None:
-            raise UnknownFaceError(f"{face} is not a {self.dimension}-face of the complex")
-        return int(self.row[at])
-
-    def eval(self, ordered: Tuple[int, ...]) -> int:
-        ordered = tuple(ordered)
-        if len(set(ordered)) != len(ordered):
-            raise UnknownFaceError(f"{ordered} repeats a vertex")
-        return self.group.signed(self.value(tuple(sorted(ordered))), perm_parity(ordered))
 
     def support(self) -> FaceSet:
         """The faces with a non-identity value: the row f.row != 0 as a FaceSet."""

@@ -55,10 +55,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inv_array(a))
 
-    def signed(self, a: int, sign: int) -> int:
-        """Return ``a`` for sign +1 and the inverse of ``a`` for sign -1."""
-        return a if sign >= 0 else self.inv(a)
-
     def check_axioms(self) -> None:
         """Exhaustively verify identity, inverses, associativity and the
         ``is_abelian`` flag on the Cayley table read through ``op_array``.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Dict
 
 from .complexes import SimplicialComplex
@@ -41,6 +41,30 @@ def torus_complex() -> SimplicialComplex:
         tops.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
         tops.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
     return SimplicialComplex(2, tops)
+
+
+def torus3_complex(n: int) -> SimplicialComplex:
+    """The Freudenthal triangulation of the 3-torus (Z/n)^3: every unit cube
+    cut into six tetrahedra along its main diagonal, one per order in which
+    the three coordinates step up, 6 n^3 in all.  Vertex (x, y, z) is
+    x n^2 + y n + z.  From n = 3 on the tetrahedra are distinct and every
+    vertex link has 14 vertices; below that they are not a complex."""
+    if n < 3:
+        raise BadParamsError(f"the Freudenthal 3-torus needs n >= 3, got {n}")
+
+    def vertex(p):
+        return p[0] % n * n * n + p[1] % n * n + p[2] % n
+
+    tops = []
+    for corner in product(range(n), repeat=3):
+        for order in permutations(range(3)):
+            p = list(corner)
+            tet = [vertex(p)]
+            for axis in order:
+                p[axis] += 1
+                tet.append(vertex(p))
+            tops.append(tet)
+    return SimplicialComplex(3, tops)
 
 
 def projective_plane_complex() -> SimplicialComplex:

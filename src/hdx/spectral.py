@@ -6,15 +6,15 @@ weight, then a uniform endpoint).  This choice makes both Cheeger-style
 inequalities used elsewhere sound when the certified upper bound is
 substituted for the true eigenvalue.
 
-``link_spectra`` certifies every proper link, X itself as the link of ()
-included, in one pass over the face table: the graph of link(sigma) has the
-faces sigma + u as vertices and the faces sigma + uv as edges, so two
-facet-table gathers give every link's edges and no link complex is built.
-The graphs are grouped by vertex count, and each group gets one stacked
-eigensolve.  ``cheeger_sweep`` reads the same stacks once for both the
-certificates and the exhaustive Cheeger checks, which decide every graph of
-one size together.  ``underlying_graph`` and ``second_eigenvalue``, a dict
-graph and the same eigensolve on a stack of one, are the exact reference.
+Every proper link, X itself as the link of () included, is read off the face
+table with no link complex built (`_link_stacks`), one stack of graphs per
+vertex count.  The graphs of a stack that are exactly equal form one class,
+certified once (`_stack_certificates`): many links of a regular complex share
+a graph, and graphs equal only up to a relabeling are not merged, so each
+certificate is hex-equal to a per-link eigensolve.  ``link_spectra``,
+``local_spectral_lambda`` and ``cheeger_sweep`` all read those classes.
+``underlying_graph`` and ``second_eigenvalue``, a dict graph and the same
+eigensolve on a stack of one, are the exact reference.
 """
 
 from __future__ import annotations
@@ -107,8 +107,19 @@ def second_eigenvalue(graph: WeightedGraph) -> SpectralCertificate:
         edge[0, index[a], index[b]] = edge[0, index[b], index[a]] = num
     if not _connected(edge > 0)[0]:
         raise DisconnectedGraphError("graph is disconnected; lambda = 1", witness=None)
-    (cert,) = _stack_certificates(edge, np.array([graph.edge_den], dtype=object), [None])
-    return cert
+    _, _, _, lams = _stack_certificates(edge, np.array([graph.edge_den], dtype=object))
+    return _certificate(float(lams[0]), None)
+
+
+def _certificate(lam: float, witness: Optional[Face]) -> SpectralCertificate:
+    return SpectralCertificate(lam, min(lam + EIG_TOLERANCE, 1.0), "dense eigensolve", witness)
+
+
+def _levels(complex: SimplicialComplex) -> range:
+    """k = -1, ..., d - 2: the dimensions whose faces have links of dimension >= 1."""
+    if complex.dimension < 1:
+        raise BadDimensionError("local spectral expansion needs dimension >= 1")
+    return range(-1, complex.dimension - 1)
 
 
 def _link_stacks(complex: SimplicialComplex, k: int) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
@@ -116,7 +127,9 @@ def _link_stacks(complex: SimplicialComplex, k: int) -> Iterator[Tuple[List[int]
     table, one stack per vertex count n: the positions in faces(k) of the
     faces sigma of the stack, the edge numerators num(sigma + uv) as symmetric
     (graphs, n, n) matrices with a zero diagonal, and their totals
-    E = C(d - k, 2) num(sigma).
+    E = C(d - k, 2) num(sigma).  Equal links give equal matrices here only
+    when their vertices come in the same order; `_stack_certificates` merges
+    exactly those.
 
     The graph of link(sigma) has a vertex u per (k+1)-face sigma + u, in index
     order, which is the order of u, and an edge uv of walk weight
@@ -154,14 +167,42 @@ def _link_stacks(complex: SimplicialComplex, k: int) -> Iterator[Tuple[List[int]
         del edge
 
 
+def _classes(edge: np.ndarray, totals: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """The classes of exactly equal graphs of a stack, the same edge numerators
+    and the same total compared by value: the position of the first graph of
+    each class, in order, and each graph's class.  One dict pass keyed by each
+    graph's bytes: a float64 stack's whole numerators are exact in the
+    narrowest unsigned type that holds the largest, which leaves fewer bytes
+    to hash; an object stack is keyed by its Python ints."""
+    flat = edge.reshape(len(totals), -1)
+    if edge.dtype == object:
+        rows = [tuple(row) for row in flat.tolist()]
+    else:
+        buf = flat.astype(np.min_scalar_type(int(flat.max()))).tobytes()
+        width = len(buf) // len(totals)
+        rows = [buf[at : at + width] for at in range(0, len(buf), width)]
+    seen: Dict[object, int] = {}
+    pos = [seen.setdefault(key, g) for g, key in enumerate(zip(rows, totals.tolist()))]
+    first = list(seen.values())
+    classes = np.empty(len(pos), dtype=np.intp)
+    classes[first] = range(len(first))
+    return first, classes[pos]
+
+
 def _stack_certificates(
-    edge: np.ndarray, totals: np.ndarray, witnesses: Sequence[Optional[Face]]
-) -> List[Optional[SpectralCertificate]]:
-    """One stacked eigensolve for graphs of one size n >= 2 without isolated
-    vertices, given as `_link_stacks` gives them: each graph's certificate with
-    its witness, or None when it is disconnected.  A float64 stack is divided
-    and normalized in place; Python ints divide correctly rounded."""
-    connected = _connected(edge > 0).tolist()
+    edge: np.ndarray, totals: np.ndarray
+) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Certify a stack of graphs of one size n >= 2 without isolated vertices,
+    given as `_link_stacks` gives them, once per class of exactly equal graphs
+    (`_classes`): one connectivity test and one matrix of a stacked eigensolve
+    per class.  Returns the classes' first positions, each graph's class and,
+    per class, whether its graph is connected and its walk eigenvalue
+    lambda_est.  Only the copy of the distinct graphs is divided and
+    normalized, so the caller's stack is left as it was; Python ints divide
+    correctly rounded."""
+    first, classes = _classes(edge, totals)
+    edge, totals = edge[first], totals[first]
+    connected = _connected(edge > 0)
     if edge.dtype == object:
         edge = (edge / totals[:, None, None]).astype(np.float64)
     else:
@@ -170,42 +211,51 @@ def _stack_certificates(
     edge *= scale[:, :, None]
     edge *= scale[:, None, :]
     eigs = np.linalg.eigvalsh(edge)
-    lams = np.minimum(np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -2])), 1.0).tolist()
-    return [
-        SpectralCertificate(lam, min(lam + EIG_TOLERANCE, 1.0), "dense eigensolve", sigma) if ok else None
-        for lam, ok, sigma in zip(lams, connected, witnesses)
-    ]
+    lams = np.minimum(np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -2])), 1.0)
+    return first, classes, connected, lams
+
+
+def _level_spectra(complex: SimplicialComplex, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per face of X(k), in faces(k) order: whether its link graph is
+    connected, and its walk eigenvalue lambda_est, read from its class."""
+    connected = np.zeros(complex.face_count(k), dtype=bool)
+    lam = np.zeros(complex.face_count(k))
+    for at, edge, totals in _link_stacks(complex, k):
+        _, classes, ok, lams = _stack_certificates(edge, totals)
+        connected[at], lam[at] = ok[classes], lams[classes]
+    return connected, lam
 
 
 def link_spectra(complex: SimplicialComplex) -> Dict[Face, Optional[SpectralCertificate]]:
     """The certificate of each proper link's graph, witnessed by its face sigma,
     or None when that graph is disconnected, in (k, faces(k)) order for k = -1,
     ..., d - 2; X itself is the link of ().  No link complex is built."""
-    if complex.dimension < 1:
-        raise BadDimensionError("local spectral expansion needs dimension >= 1")
-    levels = range(-1, complex.dimension - 1)
-    spectra: Dict[Face, Optional[SpectralCertificate]] = dict.fromkeys(s for k in levels for s in complex.faces(k))
-    for k in levels:
-        faces = complex.faces(k)
-        for at, edge, totals in _link_stacks(complex, k):
-            witnesses = [faces[pos] for pos in at]
-            spectra.update(zip(witnesses, _stack_certificates(edge, totals, witnesses)))
+    spectra: Dict[Face, Optional[SpectralCertificate]] = {}
+    for k in _levels(complex):
+        connected, lam = _level_spectra(complex, k)
+        for sigma, ok, lam_est in zip(complex.faces(k), connected.tolist(), lam.tolist()):
+            spectra[sigma] = _certificate(lam_est, sigma) if ok else None
     return spectra
 
 
 def local_spectral_lambda(complex: SimplicialComplex) -> SpectralCertificate:
     """Max walk eigenvalue over the underlying graphs of all links (incl. the empty
-    face), witnessed by the first link that attains it."""
-    best: Optional[SpectralCertificate] = None
-    for sigma, cert in link_spectra(complex).items():
-        if cert is None:
-            raise DisconnectedGraphError(
-                f"link of {sigma} has a disconnected underlying graph", witness=sigma
-            )
-        if best is None or cert.lambda_plus > best.lambda_plus:
-            best = cert
+    face), witnessed by the first link that attains it: the certificate
+    `link_spectra` gives that link, reduced from per-level arrays with no
+    other certificate built.  The first disconnected link raises, with its
+    face as the witness."""
+    best: Optional[Tuple[float, float, Face]] = None  # (lambda_plus, lambda_est, witness)
+    for k in _levels(complex):
+        connected, lam = _level_spectra(complex, k)
+        if not connected.all():
+            sigma = complex.faces(k)[int(np.argmin(connected))]
+            raise DisconnectedGraphError(f"link of {sigma} has a disconnected underlying graph", witness=sigma)
+        plus = np.minimum(lam + EIG_TOLERANCE, 1.0)
+        top = int(np.argmax(plus))
+        if best is None or plus[top] > best[0]:
+            best = (float(plus[top]), float(lam[top]), complex.faces(k)[top])
     assert best is not None
-    return best
+    return _certificate(best[1], best[2])
 
 
 def cheeger_quantities(graph: WeightedGraph, subset: Iterable[int]) -> Tuple[Fraction, Fraction]:
@@ -242,9 +292,11 @@ def _cheeger_counts(
     vertex_den: Sequence[int],
     edge_den: Sequence[int],
     lams: Sequence[Fraction],
+    copies: Optional[Sequence[int]] = None,
 ) -> int:
     """Failures of the two Cheeger inequalities over every proper nonempty
-    vertex subset A of each graph of a stack, with w = ||A||:
+    vertex subset A of each graph of a stack, with w = ||A||, graph g counted
+    copies[g] times (once by default):
 
         ||E(A, A^c)|| >= 2 (1 - lam) w (1 - w)   and   ||E(A)|| <= (w + lam) w.
 
@@ -265,6 +317,7 @@ def _cheeger_counts(
     scalars = np.array(
         [(lam.numerator, lam.denominator, d, e) for lam, d, e in zip(lams, vertex_den, edge_den)], dtype=object
     ).reshape(len(lams), 4, 1)
+    copies = np.ones(len(lams), dtype=np.int64) if copies is None else np.asarray(copies, dtype=np.int64)
     step = max(1, _CHEEGER_ROWS // max(len(masks), 1))
     fails = 0
     for lo in range(0, len(lams), step):
@@ -275,9 +328,10 @@ def _cheeger_counts(
         w, cut, internal = (x.astype(object) for x in (w, cut, inside2 // 2))
         p, q, D, E = scalars[lo : lo + step].transpose(1, 0, 2)
         scale = q * D * D
-        fails += np.count_nonzero(cut * scale < 2 * (q - p) * E * w * (D - w))
-        fails += np.count_nonzero(internal * scale > (q * w + p * D) * w * E)
-    return int(fails)
+        per_graph = np.count_nonzero(cut * scale < 2 * (q - p) * E * w * (D - w), axis=1)
+        per_graph += np.count_nonzero(internal * scale > (q * w + p * D) * w * E, axis=1)
+        fails += int(per_graph @ copies[lo : lo + step])
+    return fails
 
 
 def cheeger_sweep(X: SimplicialComplex, max_vertices: int = 14) -> Tuple[int, int, int]:
@@ -287,10 +341,11 @@ def cheeger_sweep(X: SimplicialComplex, max_vertices: int = 14) -> Tuple[int, in
     graphs are skipped; both inequalities use the certified eigenvalue bound
     and are decided exactly on integer numerators by `_cheeger_counts`.  The
     link graphs, X's own included, are the stacks that `link_spectra`
-    certifies, read once for both.  In a pure complex a link vertex u has
-    degree sum_v num(sigma + uv) = (d - k - 1) num(sigma + u), so the degrees
-    over D = 2E stand for the vertex weights: both tests are homogeneous in
-    the vertex and in the edge numerators.
+    certifies, and each class of exactly equal graphs is certified and
+    checked once, counted as many times as it has graphs.  In a pure complex
+    a link vertex u has degree sum_v num(sigma + uv) = (d - k - 1)
+    num(sigma + u), so the degrees over D = 2E stand for the vertex weights:
+    both tests are homogeneous in the vertex and in the edge numerators.
     """
     violations = graphs = subsets = 0
     for k in range(-1, X.dimension - 1):
@@ -298,16 +353,17 @@ def cheeger_sweep(X: SimplicialComplex, max_vertices: int = 14) -> Tuple[int, in
             n = edge.shape[1]
             if n > max_vertices:
                 continue
-            # Exact integers: every partial sum is at most D = 2E < 2^54, so int64 holds it.
-            nums = edge.astype(np.int64) if edge.dtype == np.float64 else edge
-            certs = _stack_certificates(edge, totals, [None] * len(totals))
-            keep = [g for g, cert in enumerate(certs) if cert is not None]
-            if not keep:
+            first, classes, connected, lams = _stack_certificates(edge, totals)
+            keep = np.flatnonzero(connected)
+            if not keep.size:
                 continue
-            nums, totals = nums[keep], [int(e) for e in totals[keep]]
-            graphs += len(keep)
-            subsets += len(keep) * (2**n - 2)
-            violations += _cheeger_counts(
-                nums.sum(axis=2), nums, [2 * e for e in totals], totals, [certs[g].as_fraction() for g in keep]
-            )
+            copies = np.bincount(classes)[keep]
+            at = [first[c] for c in keep.tolist()]
+            # Exact integers: every partial sum is at most D = 2E < 2^54, so int64 holds it.
+            nums = edge[at].astype(np.int64) if edge.dtype == np.float64 else edge[at]
+            totals = [int(e) for e in totals[at]]
+            graphs += int(copies.sum())
+            subsets += int(copies.sum()) * (2**n - 2)
+            lam_bounds = [_certificate(lam, None).as_fraction() for lam in lams[keep].tolist()]
+            violations += _cheeger_counts(nums.sum(axis=2), nums, [2 * e for e in totals], totals, lam_bounds, copies)
     return violations, graphs, subsets

@@ -5,9 +5,10 @@ from itertools import permutations
 
 import pytest
 
-from hdx.groups import group_from_spec
 from hdx.complexes import SimplicialComplex
-from hdx.instances import complete_complex, single_simplex
+from hdx.errors import UnknownFaceError
+from hdx.groups import group_from_spec
+from hdx.instances import complete_complex, single_simplex, torus3_complex
 
 
 @pytest.fixture
@@ -40,6 +41,32 @@ def tetrahedron():
     return single_simplex(3)
 
 
+def perm_parity(ordered):
+    """+1 for an even permutation of the sorted tuple, -1 for an odd one."""
+    inversions = sum(
+        1 for i in range(len(ordered)) for j in range(i + 1, len(ordered)) if ordered[i] > ordered[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def signed(G, a, sign):
+    """a for sign +1 and the inverse of a in G for sign -1."""
+    return a if sign >= 0 else G.inv(a)
+
+
+def cochain_eval(f, ordered):
+    """The value of the cochain f on an ordered face: its value on the sorted
+    face, inverted for an odd ordering; a repeated vertex, or a face that is
+    not in the complex, raises UnknownFaceError."""
+    ordered = tuple(ordered)
+    if len(set(ordered)) != len(ordered):
+        raise UnknownFaceError(f"{ordered} repeats a vertex")
+    at = f.complex.face_index(f.dimension).get(tuple(sorted(ordered)))
+    if at is None:
+        raise UnknownFaceError(f"{ordered} is not a {f.dimension}-face of the complex")
+    return signed(f.group, int(f.row[at]), perm_parity(ordered))
+
+
 def freudenthal_torus(n):
     """The Freudenthal triangulation of the 3-torus (Z/n)^3: each unit cube
     cut into six tetrahedra along its main diagonal, 6 n^3 in all."""
@@ -61,7 +88,7 @@ def freudenthal_torus(n):
 @pytest.fixture(scope="session")
 def t3():
     """T3, the Freudenthal 3-torus for n = 3: 162 tetrahedra."""
-    return freudenthal_torus(3)
+    return torus3_complex(3)
 
 
 @pytest.fixture

@@ -344,7 +344,7 @@ def test_criterion_08_oracle_equivalence():
         # is_cocycle (sparse coboundary) vs membership in the enumerated space.
         if G.is_abelian or k <= 1:
             spaces = enumerate_spaces(X, G, k)
-            in_z = [f.value(face) for face in X.faces(k)] in spaces.cocycles.tolist()
+            in_z = f.row.tolist() in spaces.cocycles.tolist()
             if f.is_cocycle() != in_z:
                 failures += 1
         # distance (sparse support diff) vs a full face-by-face re-evaluation.

@@ -20,7 +20,7 @@ _PENDING_PROFILE = "a corollary of the paper, to be run on the witnesses of an e
 KEPT = {
     "oracle.exact_distance": "reference that tests check the correction and the support search against",
     "correction.is_locally_minimal": "reference that tests check the correction loop against",
-    "cochains.Cochain.eval": "ordered-face evaluation that the coboundary reference tests use",
+    "groups.FiniteGroup.inv": "scalar inverse beside op, which the group tests and reference coboundaries use",
     "expansion.check_vanishing_corollary_abelian": _PENDING_PROFILE,
     "expansion.check_vanishing_corollary_nonabelian": _PENDING_PROFILE,
     "spectral.cheeger_quantities": "exact reference the integer Cheeger sweep is checked against",

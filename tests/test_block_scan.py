@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import cochain_eval, perm_parity, signed
 from hdx import correction
 from hdx.cochains import (
     DELTA0_TERMS,
@@ -16,7 +17,6 @@ from hdx.cochains import (
     additive_terms,
     coboundary_abelian,
     coboundary_nonabelian_1,
-    perm_parity,
     random_cochain,
 )
 from hdx.complexes import SimplicialComplex
@@ -84,7 +84,7 @@ def alternating_shift(G, face, g, even_sign):
     acc = 0
     for i in range(len(face)):
         sign = even_sign if i % 2 == 0 else -even_sign
-        acc = G.op(acc, G.signed(g[face[:i] + face[i + 1 :]], sign))
+        acc = G.op(acc, signed(G, g[face[:i] + face[i + 1 :]], sign))
     return acc
 
 
@@ -122,12 +122,12 @@ def brute_link_nonabelian(f, v):
     old = sum(
         num
         for (u, w), num in star.items()
-        if G.op(G.op(f.eval((v, u)), f.eval((u, w))), f.eval((w, v)))
+        if G.op(G.op(cochain_eval(f, (v, u)), cochain_eval(f, (u, w))), cochain_eval(f, (w, v)))
     )
     if not old:
         return None
-    spokes = [f.eval((v, u)) for u in vertices]
-    rim = {edge: f.value(edge) for edge in star}
+    spokes = [cochain_eval(f, (v, u)) for u in vertices]
+    rim = {edge: cochain_eval(f, edge) for edge in star}
 
     def new_values(x):
         return tuple(G.op(a, spoke) for a, spoke in zip(x, spokes))
@@ -150,7 +150,7 @@ def lift(G, v, lower, x):
     for tau, val in zip(lower, x):
         if val:
             ordered = (v,) + tau
-            values[tuple(sorted(ordered))] = G.signed(val, perm_parity(ordered))
+            values[tuple(sorted(ordered))] = signed(G, val, perm_parity(ordered))
     return values
 
 
@@ -177,7 +177,7 @@ def search_nonabelian(f, budget):
     searches = {}
     for v, got in found.items():
         lower = f.complex.link((v,)).faces(0)
-        y = tuple(f.group.op(x, f.eval((v, u))) for (u,), x in zip(lower, got.assignment))
+        y = tuple(f.group.op(x, cochain_eval(f, (v, u))) for (u,), x in zip(lower, got.assignment))
         searches[v] = got.decrease_num, y
     return searches
 
@@ -519,7 +519,7 @@ def test_stacked_link_searches_equal_the_per_vertex_searches():
         for star, found in zip(stars, stacked):
             v = star.vertex
             assert found == correction._scan_stars(df, [star], local, DELTA0_TERMS[:1], DELTA0_TERMS[1:])[0]
-            y = tuple(G.op(x, f.eval((v, u))) for (u,), x in zip(X.link((v,)).faces(0), found.assignment))
+            y = tuple(G.op(x, cochain_eval(f, (v, u))) for (u,), x in zip(X.link((v,)).faces(0), found.assignment))
             assert brute_link_nonabelian(f, v) == ((found.decrease_num, y) if found.decrease_num > 0 else None)
 
 

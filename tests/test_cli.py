@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import freudenthal_torus
 from hdx import expansion
 from hdx.cli import main
 from hdx.cochains import Cochain, cochain_from_text, cochain_to_text, random_cochain
@@ -44,6 +45,28 @@ def test_generate_torus(tmp_path):
     X = SimplicialComplex.from_text(out.read_text())
     assert X.face_count(2) == 14
     assert X.face_count(0) == 7
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_generate_torus3_is_the_freudenthal_torus(tmp_path, n):
+    out = tmp_path / "t3.txt"
+    assert main(["generate", "torus3", "--n", str(n), "--out", str(out)]) == 0
+    assert out.read_text() == freudenthal_torus(n).to_text()
+    X = SimplicialComplex.from_text(out.read_text())
+    assert (X.face_count(0), X.face_count(3)) == (n**3, 6 * n**3)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "2"], "the Freudenthal 3-torus needs n >= 3, got 2"),
+        (["--n", "-3"], "the Freudenthal 3-torus needs n >= 3, got -3"),
+        ([], "generate torus3 needs --n"),
+    ],
+)
+def test_generate_torus3_refuses_a_side_below_three(capsys, argv, message):
+    assert main(["generate", "torus3", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_generate_file_canonicalizes(tmp_path):

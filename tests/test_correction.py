@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from conftest import cochain_eval
 from hdx import correction
 from hdx.cochains import (
     DELTA0_TERMS,
@@ -226,7 +227,7 @@ def test_nonabelian_link_decrease_is_the_coboundary_drop():
                 improving += 1
                 values = {e: val for e, val in f.values.items() if v not in e}
                 for (u,), x in zip(X.link((v,)).faces(0), found.assignment):
-                    y = G.op(x, f.eval((v, u)))
+                    y = G.op(x, cochain_eval(f, (v, u)))
                     edge, val = ((v, u), y) if v < u else ((u, v), G.inv(y))
                     if val:
                         values[edge] = val

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import signed
 from hdx import groups
 from hdx.errors import BadParamsError, ParseError
 from hdx.groups import (
@@ -22,10 +23,10 @@ def test_cyclic_basics():
     assert z2.op(1, 1) == 0
     z3 = CyclicGroup(3)
     assert z3.inv(1) == 2
-    assert z3.signed(1, -1) == 2
-    assert z3.signed(2, 1) == 2
+    assert signed(z3, 1, -1) == 2
+    assert signed(z3, 2, 1) == 2
     z5 = CyclicGroup(5)
-    assert z5.signed(2, 1) == 2
+    assert signed(z5, 2, 1) == 2
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

@@ -277,7 +277,7 @@ def _coboundary_vector(X, G, k, vec):
     """df on X(k+1), as a value vector, for the value vector vec on X(k)."""
     f = Cochain(X, k, G, {face: v for face, v in zip(X.faces(k), vec) if v})
     df = f.coboundary()
-    return tuple(df.value(face) for face in X.faces(k + 1))
+    return tuple(df.row.tolist())
 
 
 def _pair_scan_first_minimizer(X, G, k, space):
@@ -313,7 +313,7 @@ def _pair_scan_first_minimizer(X, G, k, space):
 
 
 def _vector(f, k):
-    return tuple(f.value(face) for face in f.complex.faces(k))
+    return tuple(f.row.tolist())
 
 
 def _weighted_k4():

@@ -10,12 +10,14 @@ from test_complexes import weighted_complexes, wide_k4
 from hdx.complexes import SimplicialComplex
 from hdx.errors import BadDimensionError, DisconnectedGraphError, UnknownVertexError
 from hdx.instances import bundled_instances, complete_complex, glued_simplices, single_simplex
+from hdx import spectral
 from hdx.spectral import (
     EIG_TOLERANCE,
     SpectralCertificate,
     WeightedGraph,
     _cheeger_counts,
     _link_stacks,
+    _stack_certificates,
     cheeger_quantities,
     cheeger_sweep,
     link_spectra,
@@ -422,3 +424,151 @@ def test_cheeger_sweep_builds_no_link_complex(monkeypatch):
 
     monkeypatch.setattr(SimplicialComplex, "link", no_link)
     assert cheeger_sweep(complete_complex(6, 3)) == (0, 1 + 6 + 15, 62 + 6 * 30 + 15 * 14)
+
+
+# -- each class of exactly equal link graphs certified once ------------------------
+
+
+def _first_max_over_link_spectra(X):
+    """local_spectral_lambda's contract read off link_spectra: the face of the
+    first disconnected link, or the first certificate of maximal lambda_plus."""
+    best = None
+    for sigma, cert in link_spectra(X).items():
+        if cert is None:
+            return sigma
+        if best is None or cert.lambda_plus > best.lambda_plus:
+            best = cert
+    return best
+
+
+def _assert_local_lambda_is_the_first_max(X):
+    want = _first_max_over_link_spectra(X)
+    if isinstance(want, SpectralCertificate):
+        got = local_spectral_lambda(X)
+        assert got == want
+        assert (got.lambda_est.hex(), got.lambda_plus.hex()) == (want.lambda_est.hex(), want.lambda_plus.hex())
+    else:
+        with pytest.raises(DisconnectedGraphError) as err:
+            local_spectral_lambda(X)
+        assert err.value.witness == want
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The number of matrices np.linalg.eigvalsh has been given since the start."""
+    count = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        count[0] += len(a) if a.ndim == 3 else 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "build, graphs, distinct",
+    [
+        (lambda request: complete_complex(7, 3), 29, 3),
+        (lambda request: complete_complex(40, 2), 41, 2),
+        (lambda request: complete_complex(14, 3), 106, 3),
+        (lambda request: request.getfixturevalue("t3"), 217, 53),
+    ],
+)
+def test_each_distinct_link_graph_is_solved_once(request, solved, build, graphs, distinct):
+    X = build(request)
+    assert len(link_spectra(X)) == graphs
+    assert solved[0] == distinct
+    local_spectral_lambda(X)
+    assert solved[0] == 2 * distinct
+
+
+def test_the_cheeger_sweep_solves_each_distinct_link_graph_once(solved):
+    # K7^(3): one root, 7 equal vertex links and 21 equal edge links.
+    assert cheeger_sweep(complete_complex(7, 3)) == (0, 29, 126 + 7 * 62 + 21 * 30)
+    assert solved[0] == 3
+
+
+def test_identical_disconnected_links_read_none_and_the_first_is_the_witness():
+    # Three bowties, centred at 0, 5 and 10, joined by two triangles away from
+    # the centres: the three vertex links are the same two disjoint edges, one
+    # class of the stack of 4-vertex links.
+    bowties = [(0, 1, 2), (0, 3, 4), (5, 6, 7), (5, 8, 9), (10, 11, 12), (10, 13, 14)]
+    X = SimplicialComplex(2, bowties + [(2, 3, 6), (4, 7, 11)])
+    centres = [(0,), (5,), (10,)]
+    ((at, edge, totals),) = [stack for stack in _link_stacks(X, 0) if stack[1].shape[1] == 4]
+    _, classes, connected, _ = _stack_certificates(edge, totals)
+    (c,) = {classes[at.index(X.face_index(0)[v])] for v in centres}
+    assert not connected[c]
+    spectra = link_spectra(X)
+    assert spectra[()] is not None and all(spectra[v] is None for v in centres)
+    assert next(sigma for sigma, cert in spectra.items() if cert is None) == (0,)
+    with pytest.raises(DisconnectedGraphError) as err:
+        local_spectral_lambda(X)
+    assert err.value.witness == (0,)
+    _assert_matches_the_per_link_path(X)
+
+
+def _two_wide_k4(tiny):
+    """Two disjoint copies of wide_k4(tiny), each of mass 1/2: the vertex links
+    of one copy equal those of the other, on Python-int numerators."""
+    weights = {}
+    for shift in (0, 4):
+        for top, w in wide_k4(tiny).top_weights.items():
+            weights[tuple(v + shift for v in top)] = w / 2
+    return SimplicialComplex(2, list(weights), weights)
+
+
+@pytest.mark.parametrize("tiny", [(3**20, 7**9), (3**45, 7**40)])
+def test_object_stacks_merge_by_value_and_stay_hex_equal(tiny):
+    X = _two_wide_k4(tiny)
+    ((at, edge, totals),) = list(_link_stacks(X, 0))
+    assert edge.dtype == object and at == list(range(8))
+    first, classes, connected, _ = _stack_certificates(edge, totals)
+    assert first == [0, 1, 2, 3] and classes.tolist() == [0, 1, 2, 3, 0, 1, 2, 3] and connected.all()
+    _assert_matches_the_per_link_path(X)
+    _assert_local_lambda_is_the_first_max(X)
+    spectra, alone = link_spectra(X), link_spectra(wide_k4(tiny))
+    for v in range(4):
+        assert spectra[(v,)].lambda_est.hex() == spectra[(v + 4,)].lambda_est.hex() == alone[(v,)].lambda_est.hex()
+
+
+def test_certification_and_the_sweep_leave_the_link_stacks_unchanged(monkeypatch):
+    for X in (complete_complex(7, 3), wide_k4((3**45, 7**40)), glued_simplices(3, 2)):
+        for k in range(-1, X.dimension - 1):
+            for _, edge, totals in _link_stacks(X, k):
+                before = edge.copy(), totals.copy()
+                _stack_certificates(edge, totals)
+                assert edge.dtype == before[0].dtype and (edge == before[0]).all() and (totals == before[1]).all()
+        seen = []
+
+        def recording(X, k, stacks=_link_stacks):
+            for at, edge, totals in stacks(X, k):
+                seen.append((edge, edge.copy(), totals, totals.copy()))
+                yield at, edge, totals
+
+        monkeypatch.setattr(spectral, "_link_stacks", recording)
+        cheeger_sweep(X)
+        monkeypatch.undo()
+        assert seen and all((e == e0).all() and (t == t0).all() for e, e0, t, t0 in seen)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_local_lambda_is_the_first_max_over_link_spectra_on_bundled_instances(name):
+    _assert_local_lambda_is_the_first_max(bundled_instances()[name])
+
+
+def test_local_lambda_is_the_first_max_over_link_spectra_on_t3_and_k8(t3):
+    for X in (t3, complete_complex(8, 3)):
+        _assert_local_lambda_is_the_first_max(X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_complexes())
+def test_local_lambda_is_the_first_max_over_link_spectra_on_weighted_complexes(X):
+    if X.dimension < 1:
+        with pytest.raises(BadDimensionError):
+            local_spectral_lambda(X)
+    else:
+        _assert_local_lambda_is_the_first_max(X)
