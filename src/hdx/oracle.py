@@ -9,30 +9,29 @@ tables built once per scan, and a block writes only its prefix digits and
 adds its prefix weights.  Coboundaries come from the oracle's own role array
 over X(k+1), never from `cochains`: for abelian groups d is additive, so a
 block's coboundaries are its prefixes' added to a suffix table built once;
-non-abelian groups run the op chain on the block.  Where whole images are
-listed (B^k past GF(2), and ratio scans of larger abelian groups above
-dimension 0), each coboundary row is turned once into its exact key, int64
-words that each code a run of faces in mixed radix, by one integer product
-with the places; keys are sorted and merged, so images compare in numpy for
-any number of faces, and the rows are decoded from the surviving keys.
-Z^k and B^k are sorted value rows for every group: 2-D arrays with one row
-per vector over X(k), in lexicographic order, and a `Cochain` is built only
-for a returned witness.  For two-element groups they are spans over GF(2):
-the kernel and the row space of the incidence rows, listed at a cost of |Z|
-or |B| rather than 2^|X(k)|, with face 0 in the highest bit so sorted masks
-are sorted rows.  Z^0 is the locally constant rows, one value per component
-of the 1-skeleton, listed in product order.  Ratio scans keep one table
-entry per coboundary fiber wherever dist(f, Z^k) is the lightest weight in
-the fiber of df (abelian groups, and dimension 0 for every group) and the
-table stays small; otherwise they measure every state against a pool of
-cocycles.  The fibers are cosets of Z^k, so, as with a code's syndromes, df
-on a few (k+1)-faces that fix it (a spanning forest at k = 0, the GF(2)
-pivot columns for two-element groups) indexes its table entry directly;
-larger abelian groups above dimension 0 sort keys.  Distances and expansion
-constants are exact rational minima with deterministic witnesses, a scan over
-budget is refused for the dimension that needs it, and nothing is shared with
-the fast paths these results are checked against.  Link constants are scanned
-once per order-preserving link shape (``link_constants``).
+non-abelian groups run the op chain on the block.  Z^k and B^k are sorted
+value rows for every group: 2-D arrays with one row per vector over X(k), in
+lexicographic order, and a `Cochain` is built only for a returned witness.
+For two-element groups they are spans over GF(2): the kernel and the row
+space of the incidence rows, listed at a cost of |Z| or |B| rather than
+2^|X(k)|, with face 0 in the highest bit so sorted masks are sorted rows.
+Z^0 is the locally constant rows, one value per component of the 1-skeleton,
+listed in product order.  Ratio scans keep one table entry per coboundary
+fiber wherever dist(f, Z^k) is the lightest weight in the fiber of df
+(abelian groups, and dimension 0 for every group) and the table stays small;
+otherwise they measure every state against a pool of cocycles.  The fibers
+are cosets of Z^k, so, as with a code's syndromes, df on a few (k+1)-faces
+that fix it indexes its table entry directly: a spanning forest at k = 0, the
+GF(2) pivot columns for two-element groups, and otherwise faces whose signed
+incidence rows generate every row of d over the integers, which fix df over
+every abelian group at once.  With torsion some syndromes are no df's, and
+they are dropped.  B^k past GF(2) is read from the same table, d of each
+fiber's first preimage; only the multiplicative B^2, which has no syndromes,
+sorts and merges its raw rows.  Distances and expansion constants are exact
+rational minima with deterministic witnesses, a scan over budget is refused
+for the dimension that needs it, and nothing is shared with the fast paths
+these results are checked against.  Link constants are scanned once per
+order-preserving link shape (``link_constants``).
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .groups import FiniteGroup
 DEFAULT_MAX_STATES = 2**24
 BUDGET_ENV_VAR = "HDX_BUDGET"
 # Fiber-table entries in a ratio scan: a first index, a weight and a norm, at
-# most 24 bytes each, and a key row per entry where keys are sorted.
+# most 24 bytes each.
 _MAX_FIBERS = 2**16
 _BLOCK_STATES = 2**10  # states per block of the odometer; bounds its memory
 _POOL_CELLS = 2**16  # face comparisons per step of a pool scan
@@ -142,15 +141,6 @@ class _Scan:
         ).reshape(len(above), k + 2)
         # Signed and wide enough for a + b: Z_m adds before it reduces.
         self.dtype = np.min_scalar_type(-2 * G.order)
-        # A key word codes `width` faces below 2^63.
-        n, width = len(above), 1
-        while width < n and G.order ** (width + 1) < 2**63:
-            width += 1
-        self.width = width
-        # places[j, w]: the place of face j in word w, the first face of a word most significant.
-        self.places = np.zeros((n, max(1, -(-n // width))), dtype=np.int64)
-        for j in range(n):
-            self.places[j, j // width] = G.order ** (min(n, (j // width + 1) * width) - 1 - j)
 
     def blocks(
         self, budget: EnumerationBudget, what: str
@@ -221,26 +211,6 @@ class _Scan:
         # Table groups answer in int64; keep rows narrow.
         return out.astype(self.dtype, copy=False)
 
-    def keys(self, delta: np.ndarray) -> np.ndarray:
-        """Exact sort keys of coboundary rows: one int64 word per run of faces.
-
-        Each word codes its faces in mixed radix, the first most significant,
-        so rows and their keys sort alike, past int64 and past one byte a digit.
-        """
-        return delta @ self.places
-
-    def rows(self, keys: np.ndarray) -> np.ndarray:
-        """The coboundary rows that keys code, one face at a time."""
-        g, n = self.G.order, len(self.roles)
-        out = np.empty((len(keys), n), dtype=self.dtype)
-        code, digit = np.empty((2, len(keys)), dtype=np.int64)
-        for w in range(keys.shape[1]):
-            code[:] = keys[:, w]
-            for j in range(min(n, (w + 1) * self.width) - 1, w * self.width - 1, -1):
-                np.divmod(code, g, out=(code, digit))
-                out[:, j] = digit
-        return out
-
 
 def _digits(code: int, base: int, length: int) -> Tuple[int, ...]:
     """The mixed-radix digits of code, most significant first."""
@@ -257,46 +227,12 @@ def _digit_rows(codes: np.ndarray, base: int, length: int) -> np.ndarray:
     return codes[:, None] // place % base
 
 
-def _images(
-    scan: _Scan, budget: EnumerationBudget, what: str, nonzero: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every distinct coboundary of the scan, in increasing order (only df != 0
-    when nonzero), with the index of its first preimage and the least weight
-    numerator of its preimages, as three aligned arrays.
-
-    Each kept row becomes its key once, in its block.  Block keys wait in a
-    list and merge into the table once they outnumber it, so each key is
-    sorted O(1) times; the rows are decoded from the final keys.  Indices are
-    held in the narrowest type that fits them.
-    """
-    index_type = np.min_scalar_type(space_size(scan.G, scan.m))
-    parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    table = waiting = 0
-    for start, _digits, delta, weights in scan.blocks(budget, what):
-        keys = scan.keys(delta)
-        # A key is 0 exactly where its row is.
-        keep = np.flatnonzero(keys.any(axis=1)) if nonzero else np.arange(len(keys))
-        parts.append((keys[keep], (keep + start).astype(index_type), weights[keep]))
-        waiting += len(keep)
-        if waiting > max(table, _BLOCK_STATES):
-            parts = [_merge(parts)]
-            table, waiting = len(parts[0][0]), 0
-    keys, first, light = _merge(parts)
-    return scan.rows(keys), first, light
-
-
-def _merge(parts: list) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One key per distinct key of parts, sorted, keeping the first index
-    and the least weight.  Parts come in scan order, and the sort is stable.
-    Empties parts, so its blocks are freed before the sort."""
-    keys, first, light = (np.concatenate(a) for a in zip(*parts))
-    parts.clear()
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    return keys[starts], first[order[starts]], np.minimum.reduceat(light[order], starts)
+def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct value rows of rows, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new]
 
 
 def _first_min_ratio(num: np.ndarray, den: np.ndarray) -> int:
@@ -383,37 +319,71 @@ def _forest(scan: _Scan) -> Tuple[List[int], List[int]]:
     return edges, [root(v) for v in range(scan.m)]
 
 
-def _fiber_faces(scan: _Scan) -> Optional[List[int]]:
-    """(k+1)-faces S, in face order, on which df -> df|S maps B^{k+1}
-    one-to-one onto G^S, or None where none is known.
+def _lattice_faces(scan: _Scan) -> List[int]:
+    """The (k+1)-faces, in face order, whose signed incidence rows a greedy
+    echelon basis over Z keeps: a row is kept when it is not in the lattice
+    that the rows kept so far span, so the kept rows span every row.
 
-    At k = 0, for every group, S is a spanning forest: f is fixed by its
-    values at the roots and df on the forest edges, and any values on those
-    edges are some df's.  For two-element groups at k >= 1, S is the pivot
-    columns of a row-space basis over GF(2): their leading bits are
-    distinct, so the projection is triangular.  Abelian groups with more
-    elements at k >= 1 get None.
+    The basis holds one row per leading column, in exact Python ints.  A row
+    is reduced by the pivot of its leading column; where the pivot does not
+    divide, Euclid on the pair (an extended-gcd step) makes the remainder the
+    pivot, and the lattice has grown.
+    """
+    basis: Dict[int, List[int]] = {}
+    kept = []
+    for j, faces in enumerate(scan.roles.tolist()):
+        row = [0] * scan.m
+        for i, face in enumerate(faces):
+            row[face] = (-1) ** i
+        grew = False
+        while any(row):
+            lead = next(c for c, v in enumerate(row) if v)
+            if lead not in basis:
+                basis[lead], grew = row, True
+                break
+            pivot = basis[lead]
+            q = row[lead] // pivot[lead]
+            row = [r - q * p for r, p in zip(row, pivot)]
+            if row[lead]:
+                # The pivot does not divide: Euclid goes on with the pair swapped.
+                basis[lead], row, grew = row, pivot, True
+        if grew:
+            kept.append(j)
+    return kept
+
+
+def _fiber_faces(scan: _Scan) -> List[int]:
+    """(k+1)-faces S, in face order, on which df -> df|S maps B^{k+1}
+    one-to-one into G^S, for every abelian G and, at k = 0, every group.
+
+    At k = 0 S is a spanning forest: f is fixed by its values at the roots
+    and df on the forest edges, and any values on those edges are some df's.
+    For two-element groups at k >= 1, S is the pivot columns of a row-space
+    basis over GF(2): their leading bits are distinct, so the projection is
+    triangular and onto.  Otherwise S is ``_lattice_faces``: every row of d
+    is an integer combination of the rows of S, so df on S fixes df over
+    every abelian group at once.  With torsion (RP^2 over Z4) the projection
+    is not onto, and some syndromes are no df's.
     """
     if scan.k == 0:
         return _forest(scan)[0]
     if scan.G.order != 2:
-        return None
+        return _lattice_faces(scan)
     top = len(scan.roles) - 1
     return sorted(top - (row.bit_length() - 1) for row in _f2_eliminate(_f2_incidence(scan))[0])
 
 
 def _fiber_table(
     scan: _Scan, faces: List[int], budget: EnumerationBudget, what: str
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """For every df != 0, in the order of its syndrome (df on faces, read in
     base |G|, the first face most significant): the index of its first
-    preimage, the least weight numerator of its preimages and the weight
-    numerator of df, as three aligned arrays.
+    preimage and the least weight numerator of its preimages, as two aligned
+    arrays.
 
-    faces are ``_fiber_faces(scan)``, so each syndrome is one fiber, and a
-    block's syndromes index the table directly.  Syndrome 0 is df = 0 and is
-    dropped.  The weight of each df is read from its first preimage, decoded
-    and pushed through the full coboundary a block of rows at a time.
+    faces are ``_fiber_faces(scan)``, so each syndrome is at most one fiber,
+    and a block's syndromes index the table directly.  Syndrome 0 is df = 0,
+    and the syndromes no state hits are no df's: both are dropped.
     """
     g, states = scan.G.order, space_size(scan.G, scan.m)
     index_type = np.min_scalar_type(states)
@@ -424,12 +394,16 @@ def _fiber_table(
         code = delta @ place
         np.minimum.at(first, code, np.arange(start, start + len(code), dtype=index_type))
         np.minimum.at(lightest, code, weights)
-    first, lightest = first[1:], lightest[1:]
-    norms = np.zeros(len(first), dtype=scan.above_nums.dtype)
-    for lo in range(0, len(first), _BLOCK_STATES):
-        rows = _digit_rows(first[lo : lo + _BLOCK_STATES], g, scan.m).astype(scan.dtype)
-        norms[lo : lo + _BLOCK_STATES] = (scan.delta(rows) != 0) @ scan.above_nums
-    return first, lightest, norms
+    hit = np.flatnonzero(first[1:] < states) + 1
+    return first[hit], lightest[hit]
+
+
+def _images_of(scan: _Scan, states: np.ndarray) -> Iterator[np.ndarray]:
+    """The coboundaries of the given state indices, decoded and pushed
+    through the full coboundary `_BLOCK_STATES` rows at a time."""
+    for lo in range(0, len(states), _BLOCK_STATES):
+        rows = _digit_rows(states[lo : lo + _BLOCK_STATES], scan.G.order, scan.m)
+        yield scan.delta(rows.astype(scan.dtype))
 
 
 def _rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -499,7 +473,23 @@ def coboundary_list(
     if G.order == 2:
         budget.ensure(2**scan.m, f"coboundary scan into dimension {k}")
         return _f2_span(_f2_eliminate(_f2_incidence(scan))[0], len(scan.roles), scan.dtype)
-    return _images(scan, budget, f"B^{k} scan", nonzero=False)[0]
+    what = f"B^{k} scan"
+    if G.is_abelian or k == 1:
+        # The zero row, then d of the first preimage of each fiber.
+        first = _fiber_table(scan, _fiber_faces(scan), budget, what)[0]
+        zero = np.zeros((1, len(scan.roles)), dtype=scan.dtype)
+        rows = np.concatenate([zero, *_images_of(scan, first)])
+        return rows[np.lexsort(rows.T[::-1])]
+    # The multiplicative B^2 has no syndromes: its raw rows wait in a list
+    # and merge into the table once they outnumber it.
+    parts, table, waiting = [], 0, 0
+    for _start, _digits, delta, _weights in scan.blocks(budget, what):
+        parts.append(delta)
+        waiting += len(delta)
+        if waiting > max(table, _BLOCK_STATES):
+            parts = [_sorted_distinct(np.concatenate(parts))]
+            table, waiting = len(parts[0]), 0
+    return _sorted_distinct(np.concatenate(parts))
 
 
 def enumerate_spaces(
@@ -564,32 +554,28 @@ def _min_ratio_scan(
     ratio and the vector of f, or (None, None) when df = 0 for every f.  The
     scan runs in lexicographic order, so ties keep the smallest vector.
 
-    Where the ratio depends on df alone and |C^k| / |pool| fibers fit
-    `_MAX_FIBERS`, one table entry per fiber holds its first preimage and its
-    lightest weight.  With ``_fiber_faces`` the entry is indexed by the
-    syndrome, df on those faces in base |G|; otherwise (abelian |G| > 2 at
-    k >= 1) the images are sorted by key.  The entries are then ranked by
-    first preimage, so both tables give one ratio and one witness.
+    Where the ratio depends on df alone and the |G|^|S| syndromes of
+    ``_fiber_faces`` fit `_MAX_FIBERS` (|C^k| / |Z^k| where every syndrome
+    is some df's), one table entry per fiber holds its first preimage and
+    its lightest weight, indexed by the syndrome, df on S in base |G|.  The
+    entries are then ranked by first preimage, so the table and the pool
+    scan give one ratio and one witness.
     """
     scan = _Scan(X, k, G)
     den_k = X.weight_denominator(k)
     den_k1 = X.weight_denominator(k + 1)
-    # For abelian G and for k = 0 the fibers of d are the |C^k| / |Z^k|
-    # cosets of Z^k.
-    if (G.is_abelian or k == 0) and space_size(G, scan.m) // len(pool) <= _MAX_FIBERS:
+    # For abelian G and for k = 0 the fibers of d are the cosets of Z^k.
+    faces = _fiber_faces(scan) if G.is_abelian or k == 0 else None
+    if faces is not None and G.order ** len(faces) <= _MAX_FIBERS:
         # dist(f, Z^k) = min{||g|| : dg = df}: for abelian G the fiber of df
         # is the coset f - Z^k, and for k = 0 it is {f c : c locally constant}.
         # So the ratio depends on df alone, and the first minimizer is the
         # first preimage of the image whose ratio is least, ties going to the
         # image seen first.
-        faces = _fiber_faces(scan)
-        if faces is None:
-            images, first, lightest = _images(scan, budget, what, nonzero=True)
-            norms = (images != 0) @ scan.above_nums
-        else:
-            first, lightest, norms = _fiber_table(scan, faces, budget, what)
+        first, lightest = _fiber_table(scan, faces, budget, what)
         if not len(first):
             return None, None
+        norms = np.concatenate([(d != 0) @ scan.above_nums for d in _images_of(scan, first)])
         seen = np.argsort(first)
         first, lightest, norms = first[seen], lightest[seen], norms[seen]
         i = _first_min_ratio(norms, lightest)

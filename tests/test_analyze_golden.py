@@ -49,6 +49,11 @@ GOLDEN = {
     ("torus-7", "S3"): "52c2ed22bc60be69b27d8fdc9c2129eac4764518bbc8eef68ea4c63246a45c9d",
     ("two-triangles", "S3"): "b215ddde6306cb701c094599ad2aaa04ef01ac0a47409fee46e4c17752a7f77f",
     ("two-triangles", "D4"): "0a85ef4b318c261213adf09cd80baf2a9ee2d1aff937182df759c299e8e05a30",
+    # Recorded while larger abelian groups above dimension 0 still sorted
+    # exact int64 keys of their images: the k = 1 Z3 ratio scan of the K5^(2)
+    # links (3^10 states), and Z4 ratio scans at k = 1 and 2 with the B^2 listing.
+    ("complete-3-6", "Z3"): "7ea5f5012528b7c8b9a11c981d6e56275abd8afded9671e5db4e48c9a9d914f4",
+    ("tetrahedron", "Z4"): "aa84603d206efe637450fc50e3b873f541d4989ec0a17dbd93458f803670a78f",
 }
 
 

@@ -480,11 +480,16 @@ def test_ratio_scan_past_the_fiber_bound_holds_less_memory(monkeypatch):
         for spec in ("Z2", "S3", "D4")
     ]
     + [(name, "Z2", 1) for name in ("k4", "k5", "rp2", "torus")]
-    + [("k5-3", "Z2", k) for k in (1, 2)],
+    + [("k5-3", "Z2", k) for k in (1, 2)]
+    # Integer generating faces; Z6 only on k4, as 6^10 states pass the budget.
+    + [(name, spec, 1) for name in ("k4", "k5", "k5-3") for spec in ("Z3", "Z4", "Z2xZ2")]
+    + [("k5-3", spec, 2) for spec in ("Z3", "Z4", "Z2xZ2")]
+    + [("k4", "Z6", 1)],
 )
 def test_fiber_faces_index_the_coboundaries_one_to_one(name, spec, k):
     # B^{k+1} restricted to S is all of G^S, each value once: a syndrome is
-    # one fiber of d, and every syndrome is some df's.
+    # one fiber of d, and on these torsion-free complexes every syndrome is
+    # some df's.
     X, G = _COMPLEXES[name](), group_from_spec(spec)
     faces = hdx.oracle._fiber_faces(_Scan(X, k, G))
     assert faces == sorted(set(faces))
@@ -493,21 +498,76 @@ def test_fiber_faces_index_the_coboundaries_one_to_one(name, spec, k):
     assert len(syndromes) == len(images) == G.order ** len(faces)
 
 
-def test_fiber_faces_are_none_for_larger_abelian_groups_above_dimension_zero(k4_skeleton):
-    for spec in ("Z3", "Z2xZ2", "Z4"):
-        assert hdx.oracle._fiber_faces(_Scan(k4_skeleton, 1, group_from_spec(spec))) is None
+def _merged_images(X, G, k, cols, values):
+    """How many of the distinct df of 4000 seeded random k-cochains, with
+    values drawn from values, share df on cols with another."""
+    rng = random.Random(0)
+    m = X.face_count(k)
+    images = {_coboundary_vector(X, G, k, [rng.choice(values) for _ in range(m)]) for _ in range(4000)}
+    return len(images) - len({tuple(df[c] for c in cols) for df in images})
+
+
+def test_integer_fiber_faces_see_the_torsion_that_gf2_pivots_miss():
+    # H^2(RP^2; Z) = Z2: the GF(2) pivots are nine of the ten triangles, and
+    # over Z4 distinct df can agree on those nine; the integer set is all ten
+    # triangles, on which distinct df never agree.
+    X, G = projective_plane_complex(), group_from_spec("Z4")
+    faces = hdx.oracle._fiber_faces(_Scan(X, 1, G))
+    pivots = hdx.oracle._fiber_faces(_Scan(X, 1, group_from_spec("Z2")))
+    assert faces == list(range(10)) and len(pivots) == 9
+    assert _merged_images(X, G, 1, pivots, range(4)) > 0
+    assert _merged_images(X, G, 1, faces, range(4)) == 0
+
+
+def test_integer_fiber_faces_keep_a_row_that_only_euclid_adds():
+    # RP^2 with a cone over one of its non-face triangles, relabeled so the
+    # cone's three triangles come last: its one 2-cycle covers the cone
+    # twice, so twice the last row is in the lattice of the rows before it,
+    # the row itself is not, and only the extended-gcd step keeps it.  Over
+    # Z4, distinct df agree on the twelve faces before it: df = 2 dg for a
+    # 0/1 cochain g, and the last row is outside the GF(2) span of the rest.
+    swap = {0: 3, 1: 4, 2: 5, 3: 0, 4: 1, 5: 2}
+    tops = [tuple(sorted(swap[v] for v in t)) for t in projective_plane_complex().faces(2)]
+    X = SimplicialComplex(2, tops + [(3, 4, 6), (3, 5, 6), (4, 5, 6)])
+    G = group_from_spec("Z4")
+    faces = hdx.oracle._fiber_faces(_Scan(X, 1, G))
+    assert faces == list(range(13))
+    assert _merged_images(X, G, 1, faces[:-1], (0, 2)) > 0
+    assert _merged_images(X, G, 1, faces, (0, 2)) == _merged_images(X, G, 1, faces, range(4)) == 0
+
+
+def _every_face(scan):
+    """Every (k+1)-face as a syndrome set: one-to-one, and onto only where d is."""
+    return list(range(len(scan.roles)))
 
 
 @pytest.mark.parametrize("name, spec, k", _COSYSTOLIC_CASES)
-def test_key_sort_fiber_table_matches_the_syndrome_table(monkeypatch, name, spec, k):
-    # With no syndrome faces every fiber table takes the sorted-key path,
-    # which finds the same first minimizer at every block size.
+def test_every_face_fiber_table_matches_the_pair_scan(monkeypatch, name, spec, k):
+    # With every (k+1)-face as the syndrome set most syndromes are no df's;
+    # they are dropped, and the table finds the pair scan's first minimizer
+    # at every block size.  Cases with more than _MAX_FIBERS syndromes (the
+    # torus over Z2 and RP^2 over Z3 at k = 0) take the pool scan.
     X, G = _COMPLEXES[name](), group_from_spec(spec)
     best, best_vec, pool = _pair_scan_first_minimizer(X, G, k, "Z")
-    monkeypatch.setattr("hdx.oracle._fiber_faces", lambda scan: None)
+    monkeypatch.setattr("hdx.oracle._fiber_faces", _every_face)
     for block in _BLOCKS:
         monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
         assert _min_ratio_scan(X, G, k, pool, EnumerationBudget(), "test scan") == (best, best_vec)
+
+
+@pytest.mark.parametrize("spec", ["Z3", "Z4", "Z2xZ2", "S3"])
+def test_every_face_coboundary_list_is_the_product_enumeration(monkeypatch, spec):
+    # B^1 and B^2 of K4^(2) read from tables with unhit syndromes: the same
+    # rows, in the same order, as the distinct product images.
+    X, G = _COMPLEXES["k4"](), group_from_spec(spec)
+    monkeypatch.setattr("hdx.oracle._fiber_faces", _every_face)
+    for k in (1, 2):
+        lower = product(range(G.order), repeat=X.face_count(k - 1))
+        images = sorted({_coboundary_vector(X, G, k - 1, v) for v in lower})
+        for block in _BLOCKS:
+            monkeypatch.setattr("hdx.oracle._BLOCK_STATES", block)
+            rows = coboundary_list(X, G, k, EnumerationBudget())
+            assert list(map(tuple, rows.tolist())) == images, (k, block)
 
 
 @pytest.mark.parametrize("spec", ["Z1", "Z3", "S3", "D4"])
@@ -589,28 +649,6 @@ def test_block_stream_is_the_product_enumeration(monkeypatch, name, spec, k, blo
         assert weights.tolist() == [sum(n for n, v in zip(nums, row) if v) for row in rows]
         seen += len(digits)
     assert seen == len(states)
-
-
-@pytest.mark.parametrize(
-    "n, spec, width",
-    [(12, "Z2", 62), (10, "Z3", 39), (5, "Z2097152", 2), (5, "Z4294967311", 1)],
-)
-def test_keys_decode_to_their_rows_over_several_words(n, spec, width):
-    # The edges of K_n, coded `width` faces to an int64 word: each key row
-    # takes several words, the last one short where width does not divide
-    # the edge count, sorts like its coboundary row and decodes back to it.
-    X, G = complete_complex(n, 1), group_from_spec(spec)
-    scan = _Scan(X, 0, G)
-    edges = X.face_count(1)
-    assert scan.width == width and G.order**width < 2**63 <= G.order ** (width + 1)
-    rng = np.random.default_rng(n)
-    rows = rng.integers(0, G.order, size=(200, edges)).astype(scan.dtype)
-    rows[:2] = [0], [G.order - 1]
-    keys = scan.keys(rows)
-    assert keys.dtype == np.int64 and keys.shape == (200, -(-edges // width))
-    assert np.array_equal(scan.rows(keys), rows) and scan.rows(keys).dtype == scan.dtype
-    order = np.lexsort(keys.T[::-1])
-    assert rows[order].tolist() == sorted(rows.tolist())
 
 
 def test_fiber_keys_past_int64():
