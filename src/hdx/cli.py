@@ -264,22 +264,7 @@ def cmd_correct(args) -> int:
         fixed, trace = correct_nonabelian(f, budget, args.eta, args.eps, args.beta)
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for s in trace.steps:
-        lines.append(
-            json.dumps(
-                to_jsonable(
-                    {
-                        "step": s.step,
-                        "vertex": s.vertex,
-                        "delta_weight_before": s.delta_weight_before,
-                        "delta_weight_after": s.delta_weight_after,
-                        "moved": s.moved,
-                    }
-                ),
-                sort_keys=True,
-            )
-        )
+    lines = [json.dumps(to_jsonable(step), sort_keys=True) for step in trace.steps]
     (outdir / "trace.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     (outdir / "corrected.cochain").write_text(cochain_to_text(fixed), encoding="utf-8")
     verdict = {

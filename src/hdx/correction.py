@@ -77,7 +77,7 @@ from .errors import (
     UndefinedCoboundaryError,
     WrongDimensionError,
 )
-from .expansion import classify_non_local, classify_weakly_non_local, localized_weights
+from .expansion import NonLocalVerdict, classify_non_local, classify_weakly_non_local, localized_weights
 from .groups import FiniteGroup
 from .oracle import (
     EnumerationBudget,
@@ -644,18 +644,26 @@ def _correct(
     return current, trace, h
 
 
-def _check_trace_bounds(trace: CorrectionTrace) -> None:
-    """Raise FalsificationError when a finished loop breaks its a-priori bounds."""
+def _check_bounds(trace: CorrectionTrace, steps: int, moves: int) -> None:
+    """Set the a-priori bounds of a finished loop, r_bound = steps ||delta f||
+    and dist_bound = moves ||delta f||; raise FalsificationError when the
+    loop breaks one of them."""
+    trace.r_bound = steps * trace.initial_delta_weight
+    trace.dist_bound = moves * trace.initial_delta_weight
     if trace.step_count > trace.r_bound:
-        raise FalsificationError(
-            f"step count {trace.step_count} exceeds the bound {trace.r_bound}"
-        )
+        raise FalsificationError(f"step count {trace.step_count} exceeds the bound {trace.r_bound}")
     if trace.total_moved > trace.dist_bound:
-        raise FalsificationError(
-            f"moved {trace.total_moved}, over the bound {trace.dist_bound}"
-        )
+        raise FalsificationError(f"moved {trace.total_moved}, over the bound {trace.dist_bound}")
     if trace.final_delta_weight > trace.initial_delta_weight:
         raise FalsificationError("||delta|| grew over the correction loop")
+
+
+def _check_verdict(trace: CorrectionTrace, kind: str, verdict: NonLocalVerdict) -> None:
+    """Record the output's classification on the trace; raise
+    FalsificationError, with the trace as its report, when it failed."""
+    trace.verdict = {"kind": kind, "passed": verdict.passed, "measured": verdict.measured, "params": verdict.params}
+    if not verdict.passed:
+        raise FalsificationError(f"corrected coboundary failed its {kind} classification", trace)
 
 
 def _classifies(**params: Optional[Fraction]) -> bool:
@@ -690,25 +698,10 @@ def correct_abelian(
         raise BadDimensionError(f"correction needs 1 <= k <= d-2, got k={k}, d={X.dimension}")
     classify = _classifies(eta=eta, eps=eps)
     current, trace, h = _correct(f, "abelian", budget)
-    q = X.degree_bound()
     d = X.dimension
-    trace.r_bound = X.face_count(d) * comb(d + 1, k + 2) * trace.initial_delta_weight
-    trace.dist_bound = q * comb(d, k + 1) * trace.initial_delta_weight
-    _check_trace_bounds(trace)
-    if classify:
-        threshold = Fraction(eta) ** (2 ** (k + 2) - 1)
-        if trace.initial_delta_weight <= threshold:
-            verdict = classify_non_local(h.support(), Fraction(eta), Fraction(eps))
-            trace.verdict = {
-                "kind": "non-local",
-                "passed": verdict.passed,
-                "measured": verdict.measured,
-                "params": verdict.params,
-            }
-            if not verdict.passed:
-                raise FalsificationError(
-                    "corrected coboundary failed its non-local classification", trace
-                )
+    _check_bounds(trace, X.face_count(d) * comb(d + 1, k + 2), X.degree_bound() * comb(d, k + 1))
+    if classify and trace.initial_delta_weight <= Fraction(eta) ** (2 ** (k + 2) - 1):
+        _check_verdict(trace, "non-local", classify_non_local(h.support(), Fraction(eta), Fraction(eps)))
     return current, trace
 
 
@@ -732,32 +725,15 @@ def correct_nonabelian(
     classify = _classifies(eta=eta, eps=eps, beta=beta)
     current, trace, final_delta = _correct(f, "nonabelian", budget)
     trace.diagnostics.append(saturation_diagnostic(final_delta))
-    q = X.degree_bound()
-    trace.r_bound = 4 * X.face_count(3) * trace.initial_delta_weight
-    trace.dist_bound = 2 * q * trace.initial_delta_weight
-    _check_trace_bounds(trace)
-    if classify:
-        threshold = Fraction(beta) * Fraction(eta) / 2
-        if trace.initial_delta_weight <= threshold:
-            support = final_delta.support()
-            if len(support):
-                verdict = classify_weakly_non_local(
-                    support, Fraction(eta), Fraction(eps), Fraction(1, G.order)
-                )
-                passed = verdict.passed
-                measured = verdict.measured
-            else:
-                passed, measured = True, {"weight": Fraction(0)}
-            trace.verdict = {
-                "kind": "weakly-non-local",
-                "passed": passed,
-                "measured": measured,
-                "params": {"eta": Fraction(eta), "eps": Fraction(eps), "alpha": Fraction(1, G.order)},
-            }
-            if not passed:
-                raise FalsificationError(
-                    "corrected coboundary failed its weakly-non-local classification", trace
-                )
+    _check_bounds(trace, 4 * X.face_count(3), 2 * X.degree_bound())
+    if classify and trace.initial_delta_weight <= Fraction(beta) * Fraction(eta) / 2:
+        support, alpha = final_delta.support(), Fraction(1, G.order)
+        if len(support):
+            verdict = classify_weakly_non_local(support, Fraction(eta), Fraction(eps), alpha)
+        else:
+            params = {"eta": Fraction(eta), "eps": Fraction(eps), "alpha": alpha}
+            verdict = NonLocalVerdict(True, {"weight": Fraction(0)}, params)
+        _check_verdict(trace, "weakly-non-local", verdict)
     return current, trace
 
 

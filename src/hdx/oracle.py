@@ -212,14 +212,6 @@ class _Scan:
         return out.astype(self.dtype, copy=False)
 
 
-def _digits(code: int, base: int, length: int) -> Tuple[int, ...]:
-    """The mixed-radix digits of code, most significant first."""
-    out = [0] * length
-    for i in range(length - 1, -1, -1):
-        code, out[i] = divmod(code, base)
-    return tuple(out)
-
-
 def _digit_rows(codes: np.ndarray, base: int, length: int) -> np.ndarray:
     """The mixed-radix digits of each code, most significant first, one row
     per code, in the codes' dtype."""
@@ -471,7 +463,6 @@ def coboundary_list(
         return np.repeat(constants[:, None], X.face_count(0), axis=1)
     scan = _Scan(X, k - 1, G)
     if G.order == 2:
-        budget.ensure(2**scan.m, f"coboundary scan into dimension {k}")
         return _f2_span(_f2_eliminate(_f2_incidence(scan))[0], len(scan.roles), scan.dtype)
     what = f"B^{k} scan"
     if G.is_abelian or k == 1:
@@ -580,7 +571,7 @@ def _min_ratio_scan(
         first, lightest, norms = first[seen], lightest[seen], norms[seen]
         i = _first_min_ratio(norms, lightest)
         best = Fraction(int(norms[i]) * den_k, den_k1 * int(lightest[i]))
-        return best, _digits(int(first[i]), G.order, scan.m)
+        return best, tuple(_digit_rows(first[i : i + 1], G.order, scan.m)[0].tolist())
     # Non-abelian k = 1, where the distance is not constant on a fiber, and
     # tables past _MAX_FIBERS: every state is measured against the pool
     # vectors, a few at a time, in memory O(|Z^k| + block).

@@ -48,10 +48,6 @@ class WeightedGraph:
     edge_den: int
 
     @property
-    def vertex_weights(self) -> Dict[int, Fraction]:
-        return {v: Fraction(n, self.vertex_den) for v, n in self.vertex_num.items()}
-
-    @property
     def edge_weights(self) -> Dict[Tuple[int, int], Fraction]:
         return {e: Fraction(n, self.edge_den) for e, n in self.edge_num.items()}
 
@@ -274,16 +270,6 @@ def cheeger_quantities(graph: WeightedGraph, subset: Iterable[int]) -> Tuple[Fra
         elif inside == 2:
             internal += w
     return cut, internal
-
-
-def vertex_set_weight(graph: WeightedGraph, subset: Iterable[int]) -> Fraction:
-    weights = graph.vertex_weights
-    total = Fraction(0)
-    for v in subset:
-        if v not in weights:
-            raise UnknownVertexError(f"vertex {v} is not in the graph")
-        total += weights[v]
-    return total
 
 
 def _cheeger_counts(

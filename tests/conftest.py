@@ -1,12 +1,13 @@
 import random
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from hdx.complexes import SimplicialComplex
-from hdx.errors import UnknownFaceError
+from hdx.errors import UnknownFaceError, UnknownVertexError
 from hdx.groups import group_from_spec
 from hdx.instances import complete_complex, single_simplex, torus3_complex
 
@@ -65,6 +66,23 @@ def cochain_eval(f, ordered):
     if at is None:
         raise UnknownFaceError(f"{ordered} is not a {f.dimension}-face of the complex")
     return signed(f.group, int(f.row[at]), perm_parity(ordered))
+
+
+def vertex_weights(graph):
+    """The vertex weights of a spectral.WeightedGraph, as Fractions."""
+    return {v: Fraction(n, graph.vertex_den) for v, n in graph.vertex_num.items()}
+
+
+def vertex_set_weight(graph, subset):
+    """The summed vertex weight of subset in graph; a vertex not in graph
+    raises UnknownVertexError."""
+    weights = vertex_weights(graph)
+    total = Fraction(0)
+    for v in subset:
+        if v not in weights:
+            raise UnknownVertexError(f"vertex {v} is not in the graph")
+        total += weights[v]
+    return total
 
 
 def freudenthal_torus(n):

@@ -24,7 +24,6 @@ KEPT = {
     "expansion.check_vanishing_corollary_abelian": _PENDING_PROFILE,
     "expansion.check_vanishing_corollary_nonabelian": _PENDING_PROFILE,
     "spectral.cheeger_quantities": "exact reference the integer Cheeger sweep is checked against",
-    "spectral.vertex_set_weight": "exact reference the integer Cheeger sweep is checked against",
     "spectral.underlying_graph": "exact single-graph reference the face-table root link is checked against",
     "spectral.second_eigenvalue": "exact single-graph reference the face-table root link is checked against",
     "expansion.check_delta1_theorem_nonabelian": (

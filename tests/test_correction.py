@@ -18,6 +18,7 @@ from hdx.cochains import (
 )
 from hdx.complexes import SimplicialComplex
 from hdx.correction import (
+    CorrectionTrace,
     _scan_stars,
     _stars,
     _triangles_at,
@@ -36,6 +37,7 @@ from hdx.errors import (
     AlreadyLocallyMinimalError,
     BadDimensionError,
     BudgetExceededError,
+    FalsificationError,
     NonAbelianGroupError,
     PremiseFailedError,
     WrongDimensionError,
@@ -180,6 +182,66 @@ def test_correct_abelian_with_classification_params(rng):
     fixed, trace = correct_abelian(f, eta=Fraction(9, 10), eps=Fraction(1, 2))
     assert trace.verdict is not None
     assert trace.verdict["passed"]
+
+
+def _two_edges(spec):
+    """Two planted edges on K6^(3): delta has weight 2/5 on either path."""
+    return Cochain(complete_complex(6, 3), 1, group_from_spec(spec), {(0, 1): 1, (3, 4): 2})
+
+
+def _stopped(*args):
+    raise AlreadyLocallyMinimalError("no step taken")
+
+
+@pytest.mark.parametrize(
+    "correct, step, spec, options, kind, measured, params",
+    [
+        (
+            correct_abelian,
+            "one_step_abelian",
+            "Z3",
+            {"eps": Fraction(1, 10)},
+            "non-local",
+            {"weight": Fraction(2, 5), "weight_on_thin": Fraction(4, 15)},
+            {"eta": Fraction(9, 10), "eps": Fraction(1, 10)},
+        ),
+        (
+            correct_nonabelian,
+            "one_step_nonabelian",
+            "S3",
+            {"eps": Fraction(1, 2), "beta": Fraction(1)},
+            "weakly-non-local",
+            {"weight": Fraction(2, 5), "thin_mass": Fraction(1)},
+            {"eta": Fraction(9, 10), "eps": Fraction(1, 2), "alpha": Fraction(1, 6)},
+        ),
+    ],
+)
+def test_a_failed_classification_raises_with_the_trace(
+    monkeypatch, correct, step, spec, options, kind, measured, params
+):
+    # A loop stopped before its first step hands the classifier the planted
+    # support, which is below the weight threshold and fails the classification.
+    monkeypatch.setattr(correction, step, _stopped)
+    with pytest.raises(FalsificationError) as caught:
+        correct(_two_edges(spec), eta=Fraction(9, 10), **options)
+    assert type(caught.value) is FalsificationError
+    assert str(caught.value) == f"corrected coboundary failed its {kind} classification"
+    trace = caught.value.report
+    assert isinstance(trace, CorrectionTrace)
+    assert trace.steps == [] and trace.final_delta_weight == trace.initial_delta_weight == Fraction(2, 5)
+    assert trace.verdict == {"kind": kind, "passed": False, "measured": measured, "params": params}
+
+
+@pytest.mark.parametrize("correct, spec", [(correct_abelian, "Z3"), (correct_nonabelian, "S3")])
+def test_a_broken_movement_bound_raises(monkeypatch, correct, spec):
+    # With q = 0 the movement bound q C(d, k+1) ||delta f|| (additive) or
+    # 2q ||delta f|| (multiplicative) is 0, and the run moves two edges.
+    monkeypatch.setattr(SimplicialComplex, "degree_bound", lambda self: 0)
+    with pytest.raises(FalsificationError) as caught:
+        correct(_two_edges(spec))
+    assert type(caught.value) is FalsificationError
+    assert str(caught.value) == "moved 2/15, over the bound 0"
+    assert caught.value.report is None
 
 
 def test_one_step_nonabelian_contracts(s3):

@@ -48,13 +48,20 @@ def _k7_s3():
     return X.to_text(), cochain_to_text(Cochain(X, 1, G, values))
 
 
-#: name -> (complex: generated K_n^(3) or a planted builder, cochain text, path)
+#: name -> (complex: generated K_n^(3) or a planted builder, cochain text, path,
+#: then any classification options)
 CASES = {
     "t3-Z2": (_t3_z2, None, "abelian"),
     "k7-S3": (_k7_s3, None, "nonabelian"),
     # The byte-stable runs of CI's correction step.
     "k7-Z3": (7, "dim 1 group Z3\n0 1 1\n2 5 2\n", "abelian"),
     "k6-S3": (6, "dim 1 group S3\n0 1 1\n3 4 2\n", "nonabelian"),
+    # The same runs classified: a non-local verdict, and a weakly-non-local
+    # one on the empty support that the correction leaves.
+    "k7-Z3-classified": (7, "dim 1 group Z3\n0 1 1\n2 5 2\n", "abelian", "--eta", "9/10", "--eps", "1/2"),
+    "k6-S3-classified": (
+        6, "dim 1 group S3\n0 1 1\n3 4 2\n", "nonabelian", "--eta", "9/10", "--eps", "1/2", "--beta", "1"
+    ),
     "k6-Q8": (6, "dim 1 group table:q8.json\n0 1 2\n3 4 5\n", "nonabelian"),
     # 17^5 assignments per link: the link scans run in many blocks.
     "k6-Z17": (6, "dim 1 group Z17\n0 1 3\n2 5 7\n", "abelian"),
@@ -66,7 +73,8 @@ CASES = {
 
 #: name -> SHA-256 of (trace.jsonl, verdict.json, corrected.cochain), recorded
 #: before the link searches were stacked and scored from cost tables, and for
-#: tetrahedron-Z256 before the scan kept its block tables across blocks.
+#: tetrahedron-Z256 before the scan kept its block tables across blocks; the
+#: classified cases before both correction paths shared the checks that end a run.
 GOLDEN = {
     'k6-Q8': (
         '6b72bf0af36418e62b36fe690e0ca8fc81156ddb3bda0c131fd624053ad56c55',
@@ -76,6 +84,11 @@ GOLDEN = {
     'k6-S3': (
         '6b72bf0af36418e62b36fe690e0ca8fc81156ddb3bda0c131fd624053ad56c55',
         '992d4415d550c242f3f2ae24bf7581f008fd10e1e2e1089193b6a0be83ccb345',
+        '867e1180cad37c7eff374789269f44b2b78115db64cc18e0794b376d7b4623b4',
+    ),
+    'k6-S3-classified': (
+        '6b72bf0af36418e62b36fe690e0ca8fc81156ddb3bda0c131fd624053ad56c55',
+        'bd0bfe7f359bdde032b3e8ad2d6e4d4188eef5623fba55dd4fc760f601886b5b',
         '867e1180cad37c7eff374789269f44b2b78115db64cc18e0794b376d7b4623b4',
     ),
     'k6-Z17': (
@@ -91,6 +104,11 @@ GOLDEN = {
     'k7-Z3': (
         'e271bcdcc7f8e0982b81be3361bff1ed7526b3376db5e42b38d488c0bb3f362c',
         '45f76f7337da6a87d89afcd6806fa8129448aee5962668b03ac9d7831a064ca9',
+        'c44602918f533abc9a2848f0f07b9c72118d2698bc3406bb9763dd5ccdfde392',
+    ),
+    'k7-Z3-classified': (
+        'e271bcdcc7f8e0982b81be3361bff1ed7526b3376db5e42b38d488c0bb3f362c',
+        '76c0d82b8d9b62e59578590868b8f96c56ebb772c7ddf2d144fc924bb0d55792',
         'c44602918f533abc9a2848f0f07b9c72118d2698bc3406bb9763dd5ccdfde392',
     ),
     'tetrahedron-Z256': (
@@ -109,7 +127,7 @@ GOLDEN = {
 def _run(root, name):
     """Write the case's inputs under root, the working directory, and run
     `hdx correct` on them; returns the hashes of the three output files."""
-    source, cochain, path = CASES[name]
+    source, cochain, path, *options = CASES[name]
     if callable(source):
         complex_text, cochain = source()
         (root / "complex.txt").write_text(complex_text)
@@ -117,7 +135,7 @@ def _run(root, name):
         assert main(["generate", "complete", "--n", str(source), "--d", "3", "--out", "complex.txt"]) == 0
     (root / "q8.json").write_text(json.dumps({"name": "Q8", "table": Q8}))
     (root / "f.cochain").write_text(cochain)
-    assert main(["correct", "complex.txt", "--cochain", "f.cochain", "--path", path, "--out", "out"]) == 0
+    assert main(["correct", "complex.txt", "--cochain", "f.cochain", "--path", path, "--out", "out", *options]) == 0
     files = ("trace.jsonl", "verdict.json", "corrected.cochain")
     return tuple(hashlib.sha256((root / "out" / file).read_bytes()).hexdigest() for file in files)
 

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import vertex_set_weight, vertex_weights
 from hypothesis import given, settings
 from test_complexes import weighted_complexes, wide_k4
 
@@ -24,7 +25,6 @@ from hdx.spectral import (
     local_spectral_lambda,
     second_eigenvalue,
     underlying_graph,
-    vertex_set_weight,
 )
 
 TOL = 1e-9
@@ -104,7 +104,7 @@ def test_vertex_weights_are_half_incident_mass():
         assert sum(g.edge_weights.values()) == 1
         for v in g.vertices:
             incident = sum(w for e, w in g.edge_weights.items() if v in e)
-            assert incident / 2 == g.vertex_weights[v]
+            assert incident / 2 == vertex_weights(g)[v]
 
 
 def test_cheeger_k4_example():
