@@ -16,10 +16,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Optional
 
-from .cochains import cochain_from_text, cochain_to_text
+from .cochains import Cochain, cochain_from_text, cochain_to_text
 from .complexes import SimplicialComplex
-from .correction import correct_abelian, correct_nonabelian
-from .errors import BadParamsError, BudgetExceededError, HdxError, ParseError
+from .correction import CorrectionTrace, correct_abelian, correct_nonabelian
+from .errors import BadParamsError, BudgetExceededError, FalsificationError, HdxError, ParseError
 from .expansion import _delta1_bound, classify_non_local, classify_weakly_non_local, delta1
 from .groups import group_from_spec
 from .instances import complete_complex, glued_simplices, torus3_complex, torus_complex
@@ -256,17 +256,31 @@ def cmd_correct(args) -> int:
     X = _load_complex(args.complex)
     group = group_from_spec(args.group) if args.group else None
     f = cochain_from_text(_read_text(args.cochain), X, group)
-    if args.path == "abelian":
-        if args.beta is not None:
-            raise BadParamsError("--beta applies to the nonabelian path only")
-        fixed, trace = correct_abelian(f, budget, args.eta, args.eps)
-    else:
-        fixed, trace = correct_nonabelian(f, budget, args.eta, args.eps, args.beta)
-    outdir = args.out
+    try:
+        if args.path == "abelian":
+            if args.beta is not None:
+                raise BadParamsError("--beta applies to the nonabelian path only")
+            fixed, trace = correct_abelian(f, budget, args.eta, args.eps)
+        else:
+            fixed, trace = correct_nonabelian(f, budget, args.eta, args.eps, args.beta)
+    except FalsificationError as exc:
+        # A falsified run is archived as far as it went; main still exits 2.
+        if exc.report is not None:
+            _write_correction(args.out, exc.report)
+        raise
+    _write_correction(args.out, trace, fixed)
+    sys.stdout.write(dumps_report({"out": str(args.out), "steps": trace.step_count}))
+    return 0
+
+
+def _write_correction(outdir: Path, trace: CorrectionTrace, fixed: Optional[Cochain] = None) -> None:
+    """Write a correction run's trace.jsonl and verdict.json, and its
+    corrected.cochain when the run finished."""
     outdir.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps(to_jsonable(step), sort_keys=True) for step in trace.steps]
     (outdir / "trace.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    (outdir / "corrected.cochain").write_text(cochain_to_text(fixed), encoding="utf-8")
+    if fixed is not None:
+        (outdir / "corrected.cochain").write_text(cochain_to_text(fixed), encoding="utf-8")
     verdict = {
         "path": trace.path,
         "steps": trace.step_count,
@@ -279,8 +293,6 @@ def cmd_correct(args) -> int:
         "classification": trace.verdict,
     }
     (outdir / "verdict.json").write_text(dumps_report(verdict), encoding="utf-8")
-    sys.stdout.write(dumps_report({"out": str(outdir), "steps": trace.step_count}))
-    return 0
 
 
 def cmd_verify(args) -> int:

@@ -15,16 +15,19 @@ one vertex-to-face incidence per dimension, and ``star_facets`` the facet
 table of a vertex's link in X's own indices.  A ``FaceSet``, such as a
 cochain's support, is a read-only boolean row over faces(k).
 
-A complex file is read in bulk: a ``dim d`` header, then the body in chunks
-of lines, each chunk's words converted to int64 by one numpy call (a chunk
-with a weight suffix, a malformed word or an id past int64 is read line by
-line, and names the first bad line).  Row widths are checked first, so no
-reshape uses an unchecked width; the ids are then ranked by one sort, and
-repeated vertices and duplicate tops are found on the rank array.
+A complex file is a ``dim d`` header and a body, read in bulk: a body of
+ASCII digits, spaces, tabs and line breaks goes through one numpy scan of its
+bytes, which finds the runs of digits, turns them into int64 ids and counts
+the ids on each line.  Any other body (a weight suffix, a sign, an id of more
+than 18 digits, a malformed word, other whitespace) is read line by line, and
+names the first bad line.  Row widths are checked first, so no reshape uses
+an unchecked width; the ids are then ranked by one sort, and repeated
+vertices and duplicate tops are found on the rank array.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -67,17 +70,27 @@ def _id_array(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _row_order(rows: np.ndarray, base: int) -> np.ndarray:
-    """The stable lexicographic order of rows of values in range(base): a
-    lexsort, or from 256 rows, where it measures faster, one stable argsort of
-    each row's mixed-radix index while base^columns fits int64.  Runs of
+def _row_order(rows: np.ndarray, base: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of rows of values in range(base), and
+    whether each sorted row opens a run, differing from the row before it.  A
+    lexsort and a compare of the sorted rows; or from 256 rows, where it
+    measures faster, one stable argsort of each row's mixed-radix index while
+    base^columns fits int64, and a compare of the sorted indices.  Runs of
     presorted rows make that sort cheap, and an index below 2^16 is sorted as
     uint16, which numpy radix-sorts."""
+    fresh = np.empty(len(rows), dtype=bool)
+    fresh[0] = True
     cells = base ** rows.shape[1]
     if len(rows) < 256 or cells >= 2**63:
-        return np.lexsort(rows.T[::-1])
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        np.not_equal(rows[1:], rows[:-1]).any(axis=1, out=fresh[1:])
+        return order, fresh
     key = np.ravel_multi_index(rows.T, (base,) * rows.shape[1])
-    return (key.astype(np.uint16) if cells <= 2**16 else key).argsort(kind="stable")
+    order = (key.astype(np.uint16) if cells <= 2**16 else key).argsort(kind="stable")
+    key = key[order]
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    return order, fresh
 
 
 def _read_line(line: str, weights: Dict[Face, Fraction]) -> List[int]:
@@ -99,8 +112,47 @@ def _read_line(line: str, weights: Dict[Face, Fraction]) -> List[int]:
     return row
 
 
-# Lines of a complex file converted per numpy call; bounds the word lists held at once.
-_CHUNK_LINES = 512
+# A line break as str.splitlines reads one.
+_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _scan_body(body: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The ids of a complex file's body, as int64, and the number of ids on
+    each non-blank line, read by one numpy scan of its bytes; None unless the
+    body holds only ASCII digits, spaces, tabs, line feeds and carriage
+    returns, with no run of more than 18 digits.  Blank lines have no ids, so
+    a carriage return, a line feed or both may end a line, as for
+    str.splitlines."""
+    if not body.isascii():
+        return None
+    data = body.encode("ascii")
+    if data.translate(None, b"0123456789 \t\n\r"):  # some other byte is left
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    value = raw - np.uint8(ord("0"))
+    # digit[1:-1] flags the digits; a run of them starts or ends where the flag flips.
+    digit = np.zeros(len(raw) + 2, dtype=bool)
+    np.less(value, 10, out=digit[1:-1])
+    bounds = (digit[1:] != digit[:-1]).nonzero()[0]
+    starts, ends = bounds[0::2], bounds[1::2]
+    if not len(starts):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)
+    length = ends - starts
+    longest = int(length.max())
+    if longest > 18:  # 10^18 - 1 < 2^63 - 1
+        return None
+    ids = value[starts].astype(np.int64)
+    for place in range(1, longest):
+        more = (length > place).nonzero()[0]
+        ids[more] = ids[more] * 10 + value[starts[more] + place]
+    # A line opens at the first id and at the first id after each break; the
+    # flag past the last id closes the last line.
+    breaks = ((raw == ord("\n")) | (raw == ord("\r"))).nonzero()[0]
+    opens = np.zeros(len(starts) + 1, dtype=bool)
+    opens[0] = opens[-1] = True
+    opens[starts.searchsorted(breaks)] = True
+    heads = opens.nonzero()[0]
+    return ids, heads[1:] - heads[:-1]
 
 
 class SimplicialComplex:
@@ -121,29 +173,35 @@ class SimplicialComplex:
         the given widths, naming the first offender in input order as shown(i)
         prints it, and close them over their vertex ranks.  Widths are checked
         before any reshape, so a huge dimension is one more wrong width; the ids
-        are ranked by a sort, and duplicate tops found by one sort of the rows."""
+        are ranked by one sort, and duplicate tops found by one sort of the rows."""
         if dimension < 0:
             raise BadDimensionError(f"dimension must be >= 0, got {dimension}")
-        if not widths:
+        if not len(widths):
             raise EmptyInputError("at least one top face is required")
         width = dimension + 1
 
         def uneven(i: int) -> NonUniformCardinalityError:
             return NonUniformCardinalityError(f"top face {shown(i)} does not have {width} distinct vertices")
 
-        good = len(widths)
-        if widths.count(width) != good:
-            good = next(i for i, w in enumerate(widths) if w != width)
+        wrong = (np.asarray(widths) != width).nonzero()[0]
+        good = int(wrong[0]) if len(wrong) else len(widths)
         if good == 0:
             raise uneven(0)
-        flat = flat[: good * width]
-        ids = np.sort(flat)
-        ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-        tops = np.sort(np.searchsorted(ids, flat).reshape(good, width), axis=1)
+        # An id's rank is the number of distinct ids below it: one sort, its
+        # runs counted and scattered back.
+        by_id = np.argsort(flat[: good * width])
+        ids = flat[by_id]
+        fresh = np.empty(len(ids), dtype=bool)
+        fresh[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=fresh[1:])
+        ranks = np.empty(len(ids), dtype=np.intp)
+        ranks[by_id] = np.cumsum(fresh) - 1
+        ids = ids[fresh]
+        tops = np.sort(ranks.reshape(good, width), axis=1)
         repeated = (tops[:, 1:] == tops[:, :-1]).any(axis=1)
-        order = _row_order(tops, len(ids))
+        order, fresh = _row_order(tops, len(ids))
         tops = tops[order]
-        twice = order[1:][(tops[1:] == tops[:-1]).all(axis=1)]
+        twice = order[~fresh]
         bad = min([good, *np.flatnonzero(repeated)[:1].tolist(), *twice.tolist()])
         if bad < len(widths):
             if bad == good or repeated[bad]:
@@ -170,8 +228,10 @@ class SimplicialComplex:
         top_num[top] / scale, including X(-1) = {()}.  For each k the
         (k+1)-subsets of every top are sorted together, and each run of equal
         rows becomes one face of faces(k), whose numerator of P_k sums the run's
-        top numerators over the denominator scale * C(d+1, k+1).  Closure, purity
-        and total mass 1 hold by construction."""
+        top numerators over the denominator scale * C(d+1, k+1); ``_row_order``
+        compares the rows by one mixed-radix key where it fits int64, and
+        only the first row of each run is gathered.  Closure, purity and total
+        mass 1 hold by construction."""
         self.dimension = dimension
         self._ids = ids
         self._den: Dict[int, int] = {k: scale * comb(dimension + 1, k + 1) for k in range(-1, dimension + 1)}
@@ -185,14 +245,10 @@ class SimplicialComplex:
         for k in range(dimension):
             subsets = _subsets(dimension + 1, k + 1)
             sub = tops[:, subsets].reshape(len(tops) * len(subsets), k + 1)
-            order = _row_order(sub, len(ids))
-            sub = sub[order]
-            first = np.empty(len(sub), dtype=bool)
-            first[0] = True
-            np.not_equal(sub[1:], sub[:-1]).any(axis=1, out=first[1:])
-            starts = first.nonzero()[0]
+            order, fresh = _row_order(sub, len(ids))
+            starts = fresh.nonzero()[0]
             self._runs[k] = order, starts
-            self._ranks[k] = sub[starts]
+            self._ranks[k] = sub[order[starts]]
             self._rows[k] = np.add.reduceat(top_num.repeat(len(subsets))[order], starts)
         for k, row in self._rows.items():
             self._rows[k] = row.astype(np.int64 if self._den[k] < 2**63 else object, copy=False)
@@ -438,16 +494,17 @@ class SimplicialComplex:
     @classmethod
     def from_text(cls, text: str) -> "SimplicialComplex":
         """Read a complex file: a ``dim d`` header, exactly, then one top per
-        line.  Blank lines are skipped.  The body is read in chunks of
-        ``_CHUNK_LINES`` lines, each split into words and converted to int64 by
-        one numpy call, which parses a word as ``int`` does; a chunk that call
-        refuses (a weight suffix, a malformed word, an id past int64) is read
-        line by line by ``_read_line``, which names the first malformed line.
-        Widths, repeated vertices and duplicate tops are then checked on arrays
-        by ``_load``."""
-        lines = text.splitlines()
-        at = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-        header = lines[at].strip() if at < len(lines) else ""
+        line.  Blank lines are skipped.  A body of ASCII digits, spaces, tabs
+        and line breaks, with no id longer than 18 digits, is read by one numpy
+        scan of its bytes (`_scan_body`); any other body (a weight suffix, a
+        sign, an id past int64, a malformed word, other whitespace) is read
+        line by line by ``_read_line``, which parses a word as ``int`` does and
+        names the first malformed line.  Widths, repeated vertices and
+        duplicate tops are then checked on arrays by ``_load``."""
+        # The header is the first non-blank line, which holds the first non-space character.
+        start = len(text) - len(text.lstrip())
+        end = _BREAK.search(text, start)
+        header = text[start : end.start() if end else len(text)].strip()
         if not header.startswith("dim "):
             raise ParseError("complex file must start with a 'dim d' header")
         try:
@@ -455,25 +512,20 @@ class SimplicialComplex:
             dimension = int(word)
         except ValueError as exc:
             raise ParseError(f"bad header {header!r}") from exc
-        widths: List[int] = []
-        chunks: List[np.ndarray] = []
+        body = text[end.end() :] if end else ""
         weights: Dict[Face, Fraction] = {}
-        for start in range(at + 1, len(lines), _CHUNK_LINES):
-            chunk = lines[start : start + _CHUNK_LINES]
-            rows = list(map(str.split, chunk))
-            try:
-                chunks.append(np.array(list(chain.from_iterable(rows)), dtype=np.int64))
-                widths.extend(filter(None, map(len, rows)))
-            except (ValueError, OverflowError):
-                rows = [_read_line(line.strip(), weights) for line in chunk if line.strip()]
-                chunks.append(_id_array(list(chain.from_iterable(rows))))
-                widths.extend(map(len, rows))
-        if weights and len(weights) != len(widths):
-            raise ParseError("either all or no top faces may carry weights")
-        flat = np.concatenate(chunks or [np.zeros(0, dtype=np.int64)])
+        scanned = _scan_body(body)
+        if scanned is not None:
+            flat, widths = scanned
+        else:
+            rows = [_read_line(line.strip(), weights) for line in body.splitlines() if line.strip()]
+            if weights and len(weights) != len(rows):
+                raise ParseError("either all or no top faces may carry weights")
+            flat = _id_array(list(chain.from_iterable(rows)))
+            widths = np.array(list(map(len, rows)), dtype=np.intp)
 
         def shown(i: int) -> Face:
-            start = sum(widths[:i])
+            start = int(widths[:i].sum())
             return as_face(flat[start : start + widths[i]].tolist())
 
         return cls.__new__(cls)._load(dimension, flat, widths, shown, weights or None)

@@ -646,16 +646,16 @@ def _correct(
 
 def _check_bounds(trace: CorrectionTrace, steps: int, moves: int) -> None:
     """Set the a-priori bounds of a finished loop, r_bound = steps ||delta f||
-    and dist_bound = moves ||delta f||; raise FalsificationError when the
-    loop breaks one of them."""
+    and dist_bound = moves ||delta f||; raise FalsificationError, with the
+    trace as its report, when the loop breaks one of them."""
     trace.r_bound = steps * trace.initial_delta_weight
     trace.dist_bound = moves * trace.initial_delta_weight
     if trace.step_count > trace.r_bound:
-        raise FalsificationError(f"step count {trace.step_count} exceeds the bound {trace.r_bound}")
+        raise FalsificationError(f"step count {trace.step_count} exceeds the bound {trace.r_bound}", trace)
     if trace.total_moved > trace.dist_bound:
-        raise FalsificationError(f"moved {trace.total_moved}, over the bound {trace.dist_bound}")
+        raise FalsificationError(f"moved {trace.total_moved}, over the bound {trace.dist_bound}", trace)
     if trace.final_delta_weight > trace.initial_delta_weight:
-        raise FalsificationError("||delta|| grew over the correction loop")
+        raise FalsificationError("||delta|| grew over the correction loop", trace)
 
 
 def _check_verdict(trace: CorrectionTrace, kind: str, verdict: NonLocalVerdict) -> None:

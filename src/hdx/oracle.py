@@ -366,12 +366,12 @@ def _fiber_faces(scan: _Scan) -> List[int]:
 
 
 def _fiber_table(
-    scan: _Scan, faces: List[int], budget: EnumerationBudget, what: str
-) -> Tuple[np.ndarray, np.ndarray]:
+    scan: _Scan, faces: List[int], budget: EnumerationBudget, what: str, weigh: bool = True
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """For every df != 0, in the order of its syndrome (df on faces, read in
     base |G|, the first face most significant): the index of its first
-    preimage and the least weight numerator of its preimages, as two aligned
-    arrays.
+    preimage and, when weigh, the least weight numerator of its preimages
+    (else None), as aligned arrays.
 
     faces are ``_fiber_faces(scan)``, so each syndrome is at most one fiber,
     and a block's syndromes index the table directly.  Syndrome 0 is df = 0,
@@ -380,14 +380,15 @@ def _fiber_table(
     g, states = scan.G.order, space_size(scan.G, scan.m)
     index_type = np.min_scalar_type(states)
     first = np.full(g ** len(faces), states, dtype=index_type)
-    lightest = np.full(len(first), sum(scan.nums.tolist()), dtype=scan.nums.dtype)
+    lightest = np.full(len(first), sum(scan.nums.tolist()), dtype=scan.nums.dtype) if weigh else None
     place = g ** np.arange(len(faces) - 1, -1, -1, dtype=np.int64)
     for start, _digits, delta, weights in scan.cut(faces).blocks(budget, what):
         code = delta @ place
         np.minimum.at(first, code, np.arange(start, start + len(code), dtype=index_type))
-        np.minimum.at(lightest, code, weights)
+        if weigh:
+            np.minimum.at(lightest, code, weights)
     hit = np.flatnonzero(first[1:] < states) + 1
-    return first[hit], lightest[hit]
+    return first[hit], (lightest[hit] if weigh else None)
 
 
 def _images_of(scan: _Scan, states: np.ndarray) -> Iterator[np.ndarray]:
@@ -467,7 +468,7 @@ def coboundary_list(
     what = f"B^{k} scan"
     if G.is_abelian or k == 1:
         # The zero row, then d of the first preimage of each fiber.
-        first = _fiber_table(scan, _fiber_faces(scan), budget, what)[0]
+        first = _fiber_table(scan, _fiber_faces(scan), budget, what, weigh=False)[0]
         zero = np.zeros((1, len(scan.roles)), dtype=scan.dtype)
         rows = np.concatenate([zero, *_images_of(scan, first)])
         return rows[np.lexsort(rows.T[::-1])]

@@ -9,10 +9,12 @@ substituted for the true eigenvalue.
 Every proper link, X itself as the link of () included, is read off the face
 table with no link complex built (`_link_stacks`), one stack of graphs per
 vertex count.  The graphs of a stack that are exactly equal form one class,
-certified once (`_stack_certificates`): many links of a regular complex share
-a graph, and graphs equal only up to a relabeling are not merged, so each
-certificate is hex-equal to a per-link eigensolve.  ``link_spectra``,
-``local_spectral_lambda`` and ``cheeger_sweep`` all read those classes.
+keyed by each graph's sorted edge entries, and only the first graph of a
+class is filled in as a matrix and certified (`_stack_certificates`): many
+links of a regular complex share a graph, and graphs equal only up to a
+relabeling are not merged, so each certificate is hex-equal to a per-link
+eigensolve.  ``link_spectra``, ``local_spectral_lambda`` and
+``cheeger_sweep`` all read those classes.
 ``underlying_graph`` and ``second_eigenvalue``, a dict graph and the same
 eigensolve on a stack of one, are the exact reference.
 """
@@ -21,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, _subsets
 from .errors import BadDimensionError, DisconnectedGraphError, UnknownVertexError
 
 #: Additive margin turning a dense eigensolve into a certified upper bound.
@@ -103,7 +104,7 @@ def second_eigenvalue(graph: WeightedGraph) -> SpectralCertificate:
         edge[0, index[a], index[b]] = edge[0, index[b], index[a]] = num
     if not _connected(edge > 0)[0]:
         raise DisconnectedGraphError("graph is disconnected; lambda = 1", witness=None)
-    _, _, _, lams = _stack_certificates(edge, np.array([graph.edge_den], dtype=object))
+    _, lams = _stack_certificates(edge, np.array([graph.edge_den], dtype=object))
     return _certificate(float(lams[0]), None)
 
 
@@ -118,97 +119,104 @@ def _levels(complex: SimplicialComplex) -> range:
     return range(-1, complex.dimension - 1)
 
 
-def _link_stacks(complex: SimplicialComplex, k: int) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray]]:
+def _link_stacks(
+    complex: SimplicialComplex, k: int
+) -> Iterator[Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]]:
     """The graphs of the links of X(k), -1 <= k <= d - 2, read off the face
     table, one stack per vertex count n: the positions in faces(k) of the
-    faces sigma of the stack, the edge numerators num(sigma + uv) as symmetric
-    (graphs, n, n) matrices with a zero diagonal, and their totals
-    E = C(d - k, 2) num(sigma).  Equal links give equal matrices here only
-    when their vertices come in the same order; `_stack_certificates` merges
-    exactly those.
+    faces sigma of the stack; each one's class, the graphs of a stack that
+    are exactly equal (the same edge numerators and the same total, compared
+    by value) forming one class, numbered in order of first appearance; and,
+    for the first graph of each class only, the edge numerators num(sigma +
+    uv) as symmetric (classes, n, n) matrices with a zero diagonal and the
+    totals E = C(d - k, 2) num(sigma).  Equal links are in one class only
+    when their vertices come in the same order.
 
     The graph of link(sigma) has a vertex u per (k+1)-face sigma + u, in index
     order, which is the order of u, and an edge uv of walk weight
     num(sigma + uv) / E per (k+2)-face sigma + uv.  So a (k+2)-face tau and
     positions i < j give an edge of the link of tau minus tau[i], tau[j]
     between facets(k+2)[tau, j] and facets(k+2)[tau, i]; the facet table of
-    X(k+1) names sigma.  Numerators and totals are float64 while all of them
-    are below 2^53, so they are exact and divide correctly rounded, and Python
-    ints otherwise.  Each stack is freed before the next is built.
+    X(k+1) names sigma.  One stable sort by sigma lists each graph's entries
+    (a, b, numerator) in the index order of tau, which is the order of (a,
+    b): removing sigma keeps the order of faces that hold it.  A class is
+    keyed by those entries' bytes and the total, and only its first graph's
+    matrix is filled.  Numerators and totals are float64 while all of them
+    are below 2^53, so they are exact and divide correctly rounded, and
+    Python ints otherwise.  Each stack is freed before the next is built.
     """
     top, down = complex.facets(k + 2), complex.facets(k + 1)
-    num = complex.weight_numerators(k + 2)
-    totals = complex.weight_numerators(k).astype(object) * comb(complex.dimension - k, 2)
-    dtype = np.float64 if max(int(num.max()), int(totals.max())) < 2**53 else object
-    num, totals = num.astype(dtype), totals.astype(dtype)
+    num, totals = complex.weight_numerators(k + 2), complex.weight_numerators(k)
+    scale = comb(complex.dimension - k, 2)
+    if max(int(num.max()), int(totals.max()) * scale) < 2**53:
+        dtype = np.float64
+        num, totals = num.astype(np.min_scalar_type(int(num.max()))), totals.astype(dtype) * scale
+    else:
+        dtype = object
+        num, totals = num.astype(object), totals.astype(object) * scale
     # rank[f, i]: the place of the (k+1)-face f among the vertices of the link
     # of its facet down[f, i].
     flat = down.ravel()
     sizes = np.bincount(flat, minlength=len(totals))
+    side = int(sizes.max())
     rank = np.empty_like(flat)
-    rank[np.argsort(flat, kind="stable")] = np.arange(flat.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    rank = rank.reshape(down.shape)
-    for n in np.flatnonzero(np.bincount(sizes)).tolist():
-        members = sizes == n
-        slot = np.cumsum(members) - 1
-        edge = np.zeros((int(members.sum()), n, n), dtype=dtype)
-        for i, j in combinations(range(k + 3), 2):
-            sigma = down[top[:, j], i]
-            keep = members[sigma]
-            sigma = sigma[keep]
-            s, a, b = slot[sigma], rank[top[keep, j], i], rank[top[keep, i], j - 1]
-            edge[s, a, b] = edge[s, b, a] = num[keep]
-        at = np.flatnonzero(members)
-        yield at.tolist(), edge, totals[at]
+    rank[flat.argsort(kind="stable")] = np.arange(flat.size) - (sizes.cumsum() - sizes).repeat(sizes)
+    # Entry (tau, i, j): sigma, and a and b, as places in down's flat layout,
+    # read from small copies in the narrowest types that hold them.
+    i, j = _subsets(k + 3, 2).T
+    near, far = top[:, j] * (k + 2) + i, top[:, i] * (k + 2) + j - 1
+    sigma = flat.astype(np.min_scalar_type(len(totals)))[near].ravel()
+    order = sigma.argsort(kind="stable")
+    rank = rank.astype(np.min_scalar_type(side * side))
+    pair = (rank[near] * side + rank[far]).ravel()[order]
+    w = num[order // len(i)]
+    counts = np.bincount(sigma, minlength=len(totals))
+    ends = counts.cumsum()
+    # A graph's key: its entries (a * side + b, numerator) in order, and its total.
+    if dtype == object:
+        entries = tuple(zip(pair.tolist(), w.tolist()))
+        runs = zip((ends - counts).tolist(), ends.tolist())
+    else:
+        stacked = np.empty((len(pair), 2), dtype=np.promote_types(pair.dtype, w.dtype))
+        stacked[:, 0], stacked[:, 1] = pair, w
+        entries, size = stacked.tobytes(), stacked.strides[0]
+        runs = zip(((ends - counts) * size).tolist(), (ends * size).tolist())
+    keys = [(entries[lo:hi], total) for (lo, hi), total in zip(runs, totals.tolist())]
+    for n in np.bincount(sizes).nonzero()[0].tolist():
+        at = (sizes == n).nonzero()[0]
+        seen: Dict[object, int] = {}
+        pos = [seen.setdefault(keys[f], g) for g, f in enumerate(at.tolist())]
+        first = list(seen.values())
+        classes = np.empty(len(pos), dtype=np.intp)
+        classes[first] = np.arange(len(first))
+        # The runs of entries of the first graphs, concatenated, each entry
+        # tagged with its class.
+        first = at[first]
+        many = counts[first]
+        tag = np.arange(len(first)).repeat(many)
+        rows = np.arange(len(tag)) + (ends[first] - many.cumsum())[tag]
+        a, b = np.divmod(pair[rows], side)
+        edge = np.zeros((len(first), n, n), dtype=dtype)
+        edge[tag, a, b] = edge[tag, b, a] = w[rows]
+        yield at.tolist(), classes[pos], edge, totals[first]
         del edge
 
 
-def _classes(edge: np.ndarray, totals: np.ndarray) -> Tuple[List[int], np.ndarray]:
-    """The classes of exactly equal graphs of a stack, the same edge numerators
-    and the same total compared by value: the position of the first graph of
-    each class, in order, and each graph's class.  One dict pass keyed by each
-    graph's bytes: a float64 stack's whole numerators are exact in the
-    narrowest unsigned type that holds the largest, which leaves fewer bytes
-    to hash; an object stack is keyed by its Python ints."""
-    flat = edge.reshape(len(totals), -1)
-    if edge.dtype == object:
-        rows = [tuple(row) for row in flat.tolist()]
-    else:
-        buf = flat.astype(np.min_scalar_type(int(flat.max()))).tobytes()
-        width = len(buf) // len(totals)
-        rows = [buf[at : at + width] for at in range(0, len(buf), width)]
-    seen: Dict[object, int] = {}
-    pos = [seen.setdefault(key, g) for g, key in enumerate(zip(rows, totals.tolist()))]
-    first = list(seen.values())
-    classes = np.empty(len(pos), dtype=np.intp)
-    classes[first] = range(len(first))
-    return first, classes[pos]
-
-
-def _stack_certificates(
-    edge: np.ndarray, totals: np.ndarray
-) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Certify a stack of graphs of one size n >= 2 without isolated vertices,
-    given as `_link_stacks` gives them, once per class of exactly equal graphs
-    (`_classes`): one connectivity test and one matrix of a stacked eigensolve
-    per class.  Returns the classes' first positions, each graph's class and,
-    per class, whether its graph is connected and its walk eigenvalue
-    lambda_est.  Only the copy of the distinct graphs is divided and
-    normalized, so the caller's stack is left as it was; Python ints divide
+def _stack_certificates(edge: np.ndarray, totals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Certify a stack of distinct graphs of one size n >= 2 without isolated
+    vertices, given as `_link_stacks` gives them: one connectivity test and
+    one matrix of a stacked eigensolve per graph.  Returns whether each graph
+    is connected and its walk eigenvalue lambda_est.  The division makes a
+    new array, so the caller's stack is left as it was; Python ints divide
     correctly rounded."""
-    first, classes = _classes(edge, totals)
-    edge, totals = edge[first], totals[first]
     connected = _connected(edge > 0)
-    if edge.dtype == object:
-        edge = (edge / totals[:, None, None]).astype(np.float64)
-    else:
-        edge /= totals[:, None, None]
+    edge = (edge / totals[:, None, None]).astype(np.float64, copy=False)
     scale = 1.0 / np.sqrt(edge.sum(axis=2))
     edge *= scale[:, :, None]
     edge *= scale[:, None, :]
     eigs = np.linalg.eigvalsh(edge)
     lams = np.minimum(np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -2])), 1.0)
-    return first, classes, connected, lams
+    return connected, lams
 
 
 def _level_spectra(complex: SimplicialComplex, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -216,8 +224,8 @@ def _level_spectra(complex: SimplicialComplex, k: int) -> Tuple[np.ndarray, np.n
     connected, and its walk eigenvalue lambda_est, read from its class."""
     connected = np.zeros(complex.face_count(k), dtype=bool)
     lam = np.zeros(complex.face_count(k))
-    for at, edge, totals in _link_stacks(complex, k):
-        _, classes, ok, lams = _stack_certificates(edge, totals)
+    for at, classes, edge, totals in _link_stacks(complex, k):
+        ok, lams = _stack_certificates(edge, totals)
         connected[at], lam[at] = ok[classes], lams[classes]
     return connected, lam
 
@@ -335,19 +343,18 @@ def cheeger_sweep(X: SimplicialComplex, max_vertices: int = 14) -> Tuple[int, in
     """
     violations = graphs = subsets = 0
     for k in range(-1, X.dimension - 1):
-        for _, edge, totals in _link_stacks(X, k):
+        for _, classes, edge, totals in _link_stacks(X, k):
             n = edge.shape[1]
             if n > max_vertices:
                 continue
-            first, classes, connected, lams = _stack_certificates(edge, totals)
+            connected, lams = _stack_certificates(edge, totals)
             keep = np.flatnonzero(connected)
             if not keep.size:
                 continue
             copies = np.bincount(classes)[keep]
-            at = [first[c] for c in keep.tolist()]
             # Exact integers: every partial sum is at most D = 2E < 2^54, so int64 holds it.
-            nums = edge[at].astype(np.int64) if edge.dtype == np.float64 else edge[at]
-            totals = [int(e) for e in totals[at]]
+            nums = edge[keep].astype(np.int64) if edge.dtype == np.float64 else edge[keep]
+            totals = [int(e) for e in totals[keep]]
             graphs += int(copies.sum())
             subsets += int(copies.sum()) * (2**n - 2)
             lam_bounds = [_certificate(lam, None).as_fraction() for lam in lams[keep].tolist()]

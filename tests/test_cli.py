@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import freudenthal_torus
-from hdx import expansion
+from hdx import correction, expansion
 from hdx.cli import main
 from hdx.cochains import Cochain, cochain_from_text, cochain_to_text, random_cochain
 from hdx.complexes import SimplicialComplex
-from hdx.errors import HdxError, ParseError
+from hdx.errors import AlreadyLocallyMinimalError, HdxError, ParseError
 from hdx.groups import group_from_spec, load_table_group
 from hdx.instances import bundled_instances, complete_complex
 
@@ -303,6 +303,39 @@ def test_correct_nonabelian_classifies_the_corrected_support(tmp_path):
         "passed": True,
     }
     assert (verdict["steps"], verdict["final_delta_weight"]) == (2, "0/1")
+
+
+def _stopped(*args):
+    raise AlreadyLocallyMinimalError("no step taken")
+
+
+def test_a_falsified_classification_keeps_its_trace_and_verdict(tmp_path, capsys, monkeypatch):
+    # The step stops at once, so the planted support itself is classified, and
+    # fails: the run exits 2 and leaves its (empty) trace and failed verdict.
+    monkeypatch.setattr(correction, "one_step_nonabelian", _stopped)
+    argv = _k6_cochain(tmp_path, "dim 1 group S3\n0 1 1\n3 4 2\n")
+    assert main(["correct", *argv, "--path", "nonabelian", "--eta", "9/10", "--eps", "1/2", "--beta", "1"]) == 2
+    assert capsys.readouterr().err == "error: corrected coboundary failed its weakly-non-local classification\n"
+    out = tmp_path / "o"
+    assert sorted(path.name for path in out.iterdir()) == ["trace.jsonl", "verdict.json"]
+    assert (out / "trace.jsonl").read_text() == ""
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert (verdict["steps"], verdict["initial_delta_weight"], verdict["final_delta_weight"]) == (0, "2/5", "2/5")
+    assert verdict["classification"]["kind"] == "weakly-non-local" and verdict["classification"]["passed"] is False
+
+
+def test_a_broken_bound_keeps_its_trace(tmp_path, capsys, monkeypatch):
+    # With degree bound 0 the movement bound is 0 and the run moves two edges.
+    monkeypatch.setattr(SimplicialComplex, "degree_bound", lambda self: 0)
+    argv = _k6_cochain(tmp_path, "dim 1 group Z3\n0 1 1\n3 4 2\n")
+    assert main(["correct", *argv]) == 2
+    assert capsys.readouterr().err == "error: moved 2/15, over the bound 0\n"
+    out = tmp_path / "o"
+    steps = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert steps and verdict["steps"] == len(steps) and verdict["classification"] is None
+    assert (verdict["total_moved"], verdict["dist_bound"]) == ("2/15", "0/1")
+    assert not (out / "corrected.cochain").exists()
 
 
 # Q8 = {1, -1, i, -i, j, -j, k, -k} in that index order, a group only a table file names.

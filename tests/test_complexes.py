@@ -4,7 +4,6 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -465,12 +464,37 @@ def test_closure_matches_the_reference_where_rows_sort_by_one_key(n, d):
     _assert_matches_reference(SimplicialComplex(d, tops), d, tops)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_closure_matches_the_reference_across_the_int64_key_boundary(weighted):
+    """80 vertex ranks in a 10-complex: the subsets of 9 vertices and fewer are
+    ordered by one int64 key (80^9 < 2^63), those of 10 and the tops by a
+    lexsort (80^10 >= 2^63), each with 256 rows or more."""
+    rng = random.Random(80)
+    tops = {tuple(range(start, start + 11)) for start in range(0, 70, 11)} | {(69, *range(70, 80))}
+    while len(tops) < 40:
+        tops.add(tuple(sorted(rng.sample(range(80), 11))))
+    tops = [tuple(rng.sample(top, 11)) for top in sorted(tops)]
+    rng.shuffle(tops)
+    weights = None
+    if weighted:
+        faces = sorted(tuple(sorted(top)) for top in tops)
+        weights = {face: Fraction(2 * i + 1, 40**2) for i, face in enumerate(faces)}
+    X = SimplicialComplex(10, tops, weights)
+    assert len(X.vertices()) == 80 and 80**9 < 2**63 <= 80**10
+    assert min(len(tops) * comb(11, k + 1) for k in range(10)) >= 256
+    _assert_matches_reference(X, 10, tops, weights)
+
+
 @pytest.mark.parametrize("base, columns", [(5, 1), (5, 3), (40, 3), (300, 2), (3000, 3), (2**22, 3)])
 def test_row_order_is_the_stable_lexicographic_order(base, columns):
     rows = np.random.default_rng(base).integers(0, base, size=(600, columns))
     rows[::7] = rows[3]
-    assert np.array_equal(complexes._row_order(rows, base), np.lexsort(rows.T[::-1]))
-    assert np.array_equal(complexes._row_order(rows[:100], base), np.lexsort(rows[:100].T[::-1]))
+    for part in (rows, rows[:100]):
+        expected = np.lexsort(part.T[::-1])
+        order, fresh = complexes._row_order(part, base)
+        assert np.array_equal(order, expected)
+        assert fresh[0] and np.array_equal(fresh[1:], (part[expected][1:] != part[expected][:-1]).any(axis=1))
+        assert (~fresh).sum() >= len(part) // 7 - 1
 
 
 HUGE = 99999999999999999999
@@ -631,10 +655,9 @@ TOKENS = ["+5", "007", "-0", "1_000", "٣٣", "𝟓", "nan", "1.", "0b1", "_1", 
 EDGE_IDS = [2**63 - 1, -(2**63), 2**63, -(2**63) - 1]
 
 
-def _second_chunk(line):
-    """A file whose first chunk holds distinct triangles and whose second chunk
-    starts with the given line."""
-    tops = list(combinations(range(16), 3))[: complexes._CHUNK_LINES]
+def _after_long_prefix(line):
+    """A file of 512 distinct triangles, then the given line and one more triangle."""
+    tops = list(combinations(range(16), 3))[:512]
     return _text_of(2, tops) + line + "\n" + "13 14 15\n"
 
 
@@ -654,15 +677,33 @@ READER_CORPUS = [
     _text_of(1, [(EDGE_IDS[0], EDGE_IDS[1]), (0, EDGE_IDS[0])]),
     _text_of(1, [(EDGE_IDS[0], EDGE_IDS[2]), (EDGE_IDS[1], EDGE_IDS[3]), (0, EDGE_IDS[3])]),
     _text_of(2, [(EDGE_IDS[2], EDGE_IDS[2], 0), (0, 1, 2)]),
-    # The first line of the second chunk: a wrong width, a duplicate top, a
-    # repeated vertex, a malformed word, a lone weight, an id past int64.
-    _second_chunk("0 1"),
-    _second_chunk("2 1 0"),
-    _second_chunk("5 5 6"),
-    _second_chunk("0 x  2"),
-    _second_chunk("0 1 15 w 1/2"),
-    _second_chunk(f"0 1 {2**64}"),
-    _second_chunk(f"0 1 {2**64} 5"),
+    # A line after 512 good ones: a wrong width, a duplicate top, a repeated
+    # vertex, a malformed word, a lone weight, an id past int64.
+    _after_long_prefix("0 1"),
+    _after_long_prefix("2 1 0"),
+    _after_long_prefix("5 5 6"),
+    _after_long_prefix("0 x  2"),
+    _after_long_prefix("0 1 15 w 1/2"),
+    _after_long_prefix(f"0 1 {2**64}"),
+    _after_long_prefix(f"0 1 {2**64} 5"),
+    # Ids of 19 digits, which the byte scan leaves to the per-line reader: in
+    # the middle of a long file, and exactly 2^63 - 1.
+    _after_long_prefix(f"0 1 {10**18}"),
+    _after_long_prefix(f"0 {EDGE_IDS[0]} 5"),
+    _after_long_prefix("0 1 0000000000000000007"),
+    # Line breaks: a lone carriage return, and CRLF with no final break.
+    "dim 2\r0 1 2\r1 2 3\r",
+    "dim 2\r\n0 1 2\r\n1 2 3",
+    "dim 2\n0 1 2\r\r\n\r2 3 4",
+    # Bytes the scan does not read, in a file of otherwise plain lines: a NUL,
+    # a sign, an underscore.
+    _after_long_prefix("0 1\x00 14"),
+    _after_long_prefix("0 +1 14"),
+    _after_long_prefix("0 -1 14"),
+    _after_long_prefix("0 1_1 14"),
+    # A body that is only whitespace.
+    "dim 2\n \t\r\n\n  \r",
+    "dim 0 \n",
     # The header: exactly "dim d"; a huge d is one more wrong width.
     "dim 2 junk\n0 1 2\n",
     "dim 1 group Z2\n0 1 1\n2 3 1\n",
@@ -701,9 +742,37 @@ def test_the_corpus_reaches_both_outcomes_and_both_id_types():
     kinds = {outcome[0] for outcome in outcomes if isinstance(outcome[0], type)}
     assert kinds == {ParseError, BadDimensionError, EmptyInputError, NonUniformCardinalityError, DuplicateTopFaceError}
     assert sum(not isinstance(outcome[0], type) for outcome in outcomes) >= 15
-    wide = SimplicialComplex.from_text(_second_chunk(f"0 1 {2**64}"))
+    wide = SimplicialComplex.from_text(_after_long_prefix(f"0 1 {2**64}"))
     assert wide._ids.dtype == object and wide.vertices()[-1] == 2**64
     assert SimplicialComplex.from_text(_text_of(1, [EDGE_IDS[:2], (0, EDGE_IDS[0])]))._ids.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "body, ids, widths",
+    [
+        ("0 1 2\r\n\t 3 4 5 \r6 7\n\n8", [0, 1, 2, 3, 4, 5, 6, 7, 8], [3, 3, 2, 1]),
+        ("  \t\r\n", [], []),
+        (f"007 {10**18 - 1}\n", [7, 10**18 - 1], [2]),
+    ],
+)
+def test_the_byte_scan_reads_ids_and_widths(body, ids, widths):
+    scanned = complexes._scan_body(body)
+    assert scanned[0].dtype == np.int64 and scanned[0].tolist() == ids and scanned[1].tolist() == widths
+
+
+@pytest.mark.parametrize(
+    "body", ["1 +2", "1 -2", "1 2 w 1/2", "1_0 2", f"1 {10**18}", "1\x0b2", "1\x0c2", "1\x002", "\u0661 2", "1\xa02"]
+)
+def test_the_byte_scan_leaves_any_other_body_to_the_line_reader(body):
+    assert complexes._scan_body(body) is None
+
+
+def test_a_plain_file_is_read_with_no_line_by_line_parse(monkeypatch):
+    text = complete_complex(40, 2).to_text()
+    header, body = text.split("\n", 1)
+    monkeypatch.setattr(complexes, "_read_line", None)
+    for copy in (text, header + "\r\n" + body.replace("\n", "\r\n"), header + "\n" + body.replace(" ", "\t")):
+        assert SimplicialComplex.from_text(copy).to_text() == text
 
 
 LINE_WORDS = st.sampled_from([*map(str, range(40)), "-0", "+1", "007", "1_0", "٣", "x", str(2**63), str(-(2**63) - 1)])
@@ -728,9 +797,8 @@ def complex_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(complex_texts())
-def test_the_bulk_reader_matches_the_reference_in_chunks_of_two_lines(text):
-    with mock.patch.object(complexes, "_CHUNK_LINES", 2):
-        assert _outcome(SimplicialComplex.from_text, text) == _outcome(_reference_from_text, text)
+def test_the_bulk_reader_matches_the_reference_on_generated_texts(text):
+    assert _outcome(SimplicialComplex.from_text, text) == _outcome(_reference_from_text, text)
 
 
 def test_a_huge_dimension_names_the_first_top_at_both_entry_points():

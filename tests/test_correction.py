@@ -241,7 +241,10 @@ def test_a_broken_movement_bound_raises(monkeypatch, correct, spec):
         correct(_two_edges(spec))
     assert type(caught.value) is FalsificationError
     assert str(caught.value) == "moved 2/15, over the bound 0"
-    assert caught.value.report is None
+    trace = caught.value.report
+    assert isinstance(trace, CorrectionTrace) and trace.locally_minimal and trace.verdict is None
+    assert trace.steps and trace.total_moved == Fraction(2, 15) and trace.dist_bound == 0
+    assert trace.initial_delta_weight == Fraction(2, 5) and trace.r_bound > 0
 
 
 def test_one_step_nonabelian_contracts(s3):

@@ -1,16 +1,17 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import vertex_set_weight, vertex_weights
+from conftest import freudenthal_torus, vertex_set_weight, vertex_weights
 from hypothesis import given, settings
 from test_complexes import weighted_complexes, wide_k4
 
 from hdx.complexes import SimplicialComplex
 from hdx.errors import BadDimensionError, DisconnectedGraphError, UnknownVertexError
-from hdx.instances import bundled_instances, complete_complex, glued_simplices, single_simplex
+from hdx.instances import bundled_instances, complete_complex, glued_simplices, single_simplex, torus3_complex
 from hdx import spectral
 from hdx.spectral import (
     EIG_TOLERANCE,
@@ -390,7 +391,7 @@ def test_cheeger_sweep_matches_the_link_built_path_on_a_weighted_complex(monkeyp
 def test_cheeger_sweep_matches_the_link_built_path_on_wide_numerators(monkeypatch, tiny):
     # Numerators from 2^53 on put the link stacks, and the kernel, on Python ints.
     X = wide_k4(tiny)
-    assert all(edge.dtype == object for _, edge, _ in _link_stacks(X, 0))
+    assert all(edge.dtype == object for _, _, edge, _ in _link_stacks(X, 0))
     assert _assert_sweep_matches_the_link_built_path(monkeypatch, X) > 0
 
 
@@ -490,15 +491,19 @@ def test_the_cheeger_sweep_solves_each_distinct_link_graph_once(solved):
     assert solved[0] == 3
 
 
+def bowtie_chain():
+    bowties = [(0, 1, 2), (0, 3, 4), (5, 6, 7), (5, 8, 9), (10, 11, 12), (10, 13, 14)]
+    return SimplicialComplex(2, bowties + [(2, 3, 6), (4, 7, 11)])
+
+
 def test_identical_disconnected_links_read_none_and_the_first_is_the_witness():
     # Three bowties, centred at 0, 5 and 10, joined by two triangles away from
     # the centres: the three vertex links are the same two disjoint edges, one
     # class of the stack of 4-vertex links.
-    bowties = [(0, 1, 2), (0, 3, 4), (5, 6, 7), (5, 8, 9), (10, 11, 12), (10, 13, 14)]
-    X = SimplicialComplex(2, bowties + [(2, 3, 6), (4, 7, 11)])
+    X = bowtie_chain()
     centres = [(0,), (5,), (10,)]
-    ((at, edge, totals),) = [stack for stack in _link_stacks(X, 0) if stack[1].shape[1] == 4]
-    _, classes, connected, _ = _stack_certificates(edge, totals)
+    ((at, classes, edge, totals),) = [stack for stack in _link_stacks(X, 0) if stack[2].shape[1] == 4]
+    connected, _ = _stack_certificates(edge, totals)
     (c,) = {classes[at.index(X.face_index(0)[v])] for v in centres}
     assert not connected[c]
     spectra = link_spectra(X)
@@ -523,10 +528,10 @@ def _two_wide_k4(tiny):
 @pytest.mark.parametrize("tiny", [(3**20, 7**9), (3**45, 7**40)])
 def test_object_stacks_merge_by_value_and_stay_hex_equal(tiny):
     X = _two_wide_k4(tiny)
-    ((at, edge, totals),) = list(_link_stacks(X, 0))
-    assert edge.dtype == object and at == list(range(8))
-    first, classes, connected, _ = _stack_certificates(edge, totals)
-    assert first == [0, 1, 2, 3] and classes.tolist() == [0, 1, 2, 3, 0, 1, 2, 3] and connected.all()
+    ((at, classes, edge, totals),) = list(_link_stacks(X, 0))
+    assert edge.dtype == object and at == list(range(8)) and len(edge) == 4
+    connected, _ = _stack_certificates(edge, totals)
+    assert classes.tolist() == [0, 1, 2, 3, 0, 1, 2, 3] and connected.all()
     _assert_matches_the_per_link_path(X)
     _assert_local_lambda_is_the_first_max(X)
     spectra, alone = link_spectra(X), link_spectra(wide_k4(tiny))
@@ -534,19 +539,123 @@ def test_object_stacks_merge_by_value_and_stay_hex_equal(tiny):
         assert spectra[(v,)].lambda_est.hex() == spectra[(v + 4,)].lambda_est.hex() == alone[(v,)].lambda_est.hex()
 
 
+def _dense_link_stacks(X, k):
+    """The link graphs of X(k) the slow way, one stack per vertex count: per
+    face sigma, in order, the matrix of num(sigma + uv) over the vertices u
+    of link(sigma) in index order, and E = C(d - k, 2) num(sigma); classes
+    by first appearance of an equal matrix and total."""
+    stacks = {}
+    for at, sigma in enumerate(X.faces(k)):
+        us = [v for (v,) in X.link(sigma).faces(0)] if sigma else list(X.vertices())
+        edge = np.zeros((len(us), len(us)), dtype=object)
+        for a, b in combinations(range(len(us)), 2):
+            uv = tuple(sorted((*sigma, us[a], us[b])))
+            if X.has_face(uv):
+                edge[a, b] = edge[b, a] = X.weight_numerator(uv)
+        stacks.setdefault(len(us), []).append((at, edge, X.weight_numerator(sigma) * math.comb(X.dimension - k, 2)))
+    for n, graphs in sorted(stacks.items()):
+        seen = {}
+        pos = [seen.setdefault((tuple(edge.ravel().tolist()), total), g) for g, (_, edge, total) in enumerate(graphs)]
+        first = list(seen.values())
+        yield [at for at, _, _ in graphs], [first.index(p) for p in pos], [graphs[g][1:] for g in first]
+
+
+def _assert_stacks_match_the_dense_classes(X):
+    for k in range(-1, X.dimension - 1):
+        got, want = list(_link_stacks(X, k)), list(_dense_link_stacks(X, k))
+        assert len(got) == len(want)
+        for (at, classes, edge, totals), (at2, classes2, firsts) in zip(got, want):
+            assert at == at2 and classes.tolist() == classes2
+            assert edge.shape == (len(firsts), *firsts[0][0].shape) and edge.dtype in (np.float64, object)
+            assert [row.tolist() for row in edge] == [e.tolist() for e, _ in firsts]
+            assert totals.tolist() == [total for _, total in firsts]
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+def test_link_stack_classes_are_the_dense_classes_on_bundled_instances(name):
+    X = bundled_instances()[name]
+    if X.dimension >= 1:
+        _assert_stacks_match_the_dense_classes(X)
+
+
+def test_link_stack_classes_are_the_dense_classes_on_t3_weighted_and_wide_complexes(t3):
+    # Two copies of K4 joined at a vertex put links of two sizes in one level;
+    # non-uniform tops split equal-shaped links into classes by their numerators.
+    tops = list(combinations(range(5), 4))
+    weighted = SimplicialComplex(3, tops, {top: Fraction(i + 1, 15) for i, top in enumerate(tops)})
+    glued = SimplicialComplex(2, list(combinations(range(4), 3)) + list(combinations(range(3, 7), 3)))
+    for X in (t3, weighted, glued, _two_wide_k4((3**45, 7**40)), bowtie_chain()):
+        _assert_stacks_match_the_dense_classes(X)
+
+
+@pytest.mark.parametrize("name, dense", [("K40^(2)", 2), ("T5", 53)])
+def test_only_the_first_graph_of_each_class_is_filled(name, dense):
+    X = complete_complex(40, 2) if name == "K40^(2)" else freudenthal_torus(5)
+    filled = [len(edge) for k in range(-1, X.dimension - 1) for _, _, edge, _ in _link_stacks(X, k)]
+    assert sum(filled) == dense
+    assert sum(len(at) for k in range(-1, X.dimension - 1) for at, *_ in _link_stacks(X, k)) == sum(
+        X.face_count(k) for k in range(-1, X.dimension - 1)
+    )
+
+
+# sha256 of every link's (sigma, lambda_est, lambda_plus as float.hex, method,
+# witness) from link_spectra, then local_spectral_lambda's, as recorded before
+# link graphs were classed on their entries: the classes and eigensolve inputs
+# are unchanged, so every float is bit-equal.
+LINK_SPECTRA_SHA256 = {
+    "K14^(3)": "bf145a629741150a473191f3c74b2e8d6448ffb92404d4f52255db145cc5f033",
+    "K40^(2)": "139fe5c74fe84652b6c2ad3053a03cc551f61cf3a4f7b11816d418cbf703eaf8",
+    "T3": "a9fa42b0b2de6c6a9d31fd4be93b93499cf13e716f86e2680f9a834f3f6de630",
+    "T4": "95a5ff0e23e67ce400233008757644b65cd55af18bc584ba1f8056da5dabec96",
+    "T5": "621ac11a1f206997da284a300d8ddebf332276ca769ab3e0154696c8798bc7af",
+    "complete-2-5": "153979a5d2ec49b87ff296042efa71813e0af137fefe25bf9793da43f8cb7f1c",
+    "complete-2-6": "b8d3eb3380e1f9089df561d3603e65a37b5b11e4e51154401a457810b6306894",
+    "complete-3-6": "3761b9eec7a4453d700fd92e7b5f34e137b809c7bc681fc3c599568d93886370",
+    "complete-3-7": "6eaaa60ec4e144e37e8a4a3a84dfdb4dddc9f82928fa4113b26893692effaa4f",
+    "glued-tetrahedra": "d93a980c523c330f24a3e300aa28bc588e65242ccce4657f8852fd6aba118190",
+    "k4-skeleton": "61f83477d4fc06878d3147dc24a38d6f3c34777f87a07384725711a2b767bb05",
+    "projective-plane-6": "5847c91285ecac43f6b67bb8f9bdcc4d2aba956c9d461d6b3a3bd20321a98f8d",
+    "tetrahedron": "893029597191efc8b5f204457755ee14a00c43f9c91682e3c623a68fbbe29647",
+    "torus-7": "55a09fe65320853b8771fff5bbf97c394cd1e624800bc343311eab24f050f589",
+    "triangle": "2e6d695f9b6ce99b291ffbcade9fee2d030a53421d45fe5c0fbbab883fe585b2",
+}
+
+
+def _spectra_digest(X):
+    spectra = link_spectra(X)
+    lines = [repr((s, c and (c.lambda_est.hex(), c.lambda_plus.hex(), c.method, c.witness))) for s, c in spectra.items()]
+    try:
+        cert = local_spectral_lambda(X)
+        lines.append(repr((cert.lambda_est.hex(), cert.lambda_plus.hex(), cert.witness)))
+    except DisconnectedGraphError as exc:
+        lines.append(repr((type(exc).__name__, str(exc))))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LINK_SPECTRA_SHA256))
+def test_link_spectra_are_bit_equal_to_the_recorded_digests(name):
+    if name.startswith("T"):
+        X = torus3_complex(int(name[1:]))
+    elif name.startswith("K"):
+        X = complete_complex(int(name[1:3]), int(name[-2]))
+    else:
+        X = bundled_instances()[name]
+    assert _spectra_digest(X) == LINK_SPECTRA_SHA256[name]
+
+
 def test_certification_and_the_sweep_leave_the_link_stacks_unchanged(monkeypatch):
     for X in (complete_complex(7, 3), wide_k4((3**45, 7**40)), glued_simplices(3, 2)):
         for k in range(-1, X.dimension - 1):
-            for _, edge, totals in _link_stacks(X, k):
+            for _, _, edge, totals in _link_stacks(X, k):
                 before = edge.copy(), totals.copy()
                 _stack_certificates(edge, totals)
                 assert edge.dtype == before[0].dtype and (edge == before[0]).all() and (totals == before[1]).all()
         seen = []
 
         def recording(X, k, stacks=_link_stacks):
-            for at, edge, totals in stacks(X, k):
+            for at, classes, edge, totals in stacks(X, k):
                 seen.append((edge, edge.copy(), totals, totals.copy()))
-                yield at, edge, totals
+                yield at, classes, edge, totals
 
         monkeypatch.setattr(spectral, "_link_stacks", recording)
         cheeger_sweep(X)
