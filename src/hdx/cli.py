@@ -19,13 +19,20 @@ from typing import Dict, Optional
 from .cochains import Cochain, cochain_from_text, cochain_to_text
 from .complexes import SimplicialComplex
 from .correction import CorrectionTrace, correct_abelian, correct_nonabelian
-from .errors import BadParamsError, BudgetExceededError, FalsificationError, HdxError, ParseError
+from .errors import (
+    BadParamsError,
+    BudgetExceededError,
+    DisconnectedGraphError,
+    FalsificationError,
+    HdxError,
+    ParseError,
+)
 from .expansion import _delta1_bound, classify_non_local, classify_weakly_non_local, delta1
 from .groups import group_from_spec
 from .instances import complete_complex, glued_simplices, torus3_complex, torus_complex
 from .oracle import EnumerationBudget, cosystolic_expansion_constants, link_constants
 from .reporting import dumps_report, render_table, to_jsonable
-from .spectral import link_spectra
+from .spectral import link_spectra, local_spectral_lambda
 from .suites import SUITE_NAMES, run_suites
 
 
@@ -109,12 +116,16 @@ def _budget(args) -> EnumerationBudget:
     return EnumerationBudget(max_states=budget)
 
 
-def _emit(payload: Dict[str, object], fmt: str, out: Optional[Path]) -> None:
-    text = dumps_report(payload) if fmt == "json" else render_table(payload) + "\n"
+def _write(text: str, out: Optional[Path]) -> None:
+    """Write text to the file out, or to stdout when out is None."""
     if out is None:
         sys.stdout.write(text)
     else:
         out.write_text(text, encoding="utf-8")
+
+
+def _emit(payload: Dict[str, object], fmt: str, out: Optional[Path]) -> None:
+    _write(dumps_report(payload) if fmt == "json" else render_table(payload) + "\n", out)
 
 
 def _read_text(path: Path) -> str:
@@ -148,11 +159,7 @@ def cmd_generate(args) -> int:
         if args.input is None:
             raise BadParamsError("generate file needs --input")
         X = _load_complex(args.input)
-    text = X.to_text()
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text, encoding="utf-8")
+    _write(X.to_text(), args.out)
     return 0
 
 
@@ -221,16 +228,19 @@ def cmd_delta1(args) -> int:
     f = cochain_from_text(_read_text(args.cochain), X, group)
     support = f.support()
     d1 = delta1(support)
-    from .spectral import local_spectral_lambda
-
-    cert = local_spectral_lambda(X)
+    try:
+        lambda_plus = local_spectral_lambda(X).lambda_plus
+    except DisconnectedGraphError:
+        # A disconnected link's walk has eigenvalue 1 at least twice, so
+        # lambda = 1 exactly; the sizes, weights and verdicts do not read it.
+        lambda_plus = 1.0
     verdict = classify_non_local(support, args.eta, args.eps)
     report: Dict[str, object] = {
         "support_size": len(support),
         "support_weight": support.weight,
         "delta1_size": len(d1),
         "delta1_weight": d1.weight,
-        "lambda_plus": cert.lambda_plus,
+        "lambda_plus": lambda_plus,
         "non_local": {
             "passed": verdict.passed,
             "measured": dict(verdict.measured),
@@ -238,7 +248,7 @@ def cmd_delta1(args) -> int:
         },
     }
     if verdict.passed:
-        check = _delta1_bound(support, d1, cert.as_fraction(), verdict)
+        check = _delta1_bound(support, d1, Fraction(lambda_plus), verdict)
         report["expansion_check"] = check.as_dict()
     if args.alpha is not None:
         wverdict = classify_weakly_non_local(support, args.eta, args.eps, args.alpha)

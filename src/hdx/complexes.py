@@ -72,16 +72,16 @@ def _id_array(values: Sequence[int]) -> np.ndarray:
 
 def _row_order(rows: np.ndarray, base: int) -> Tuple[np.ndarray, np.ndarray]:
     """The stable lexicographic order of rows of values in range(base), and
-    whether each sorted row opens a run, differing from the row before it.  A
-    lexsort and a compare of the sorted rows; or from 256 rows, where it
-    measures faster, one stable argsort of each row's mixed-radix index while
-    base^columns fits int64, and a compare of the sorted indices.  Runs of
-    presorted rows make that sort cheap, and an index below 2^16 is sorted as
-    uint16, which numpy radix-sorts."""
+    whether each sorted row opens a run, differing from the row before it.
+    One stable argsort of each row's mixed-radix index and a compare of the
+    sorted indices; a lexsort and a compare of the sorted rows only where
+    base^columns does not fit int64.  Runs of presorted rows make the argsort
+    cheap, and an index below 2^16 is sorted as uint16, which numpy
+    radix-sorts."""
     fresh = np.empty(len(rows), dtype=bool)
     fresh[0] = True
     cells = base ** rows.shape[1]
-    if len(rows) < 256 or cells >= 2**63:
+    if cells >= 2**63:
         order = np.lexsort(rows.T[::-1])
         rows = rows[order]
         np.not_equal(rows[1:], rows[:-1]).any(axis=1, out=fresh[1:])
@@ -323,11 +323,8 @@ class SimplicialComplex:
         return {top: Fraction(n, self._den[d]) for top, n in zip(self.faces(d), self._rows[d].tolist())}
 
     def weight_numerator(self, face: Face) -> int:
-        try:
-            return self._rows[len(face) - 1].item(self._index[len(face) - 1][face])
-        except KeyError:  # an unknown face, or an index not built yet
-            self.require_face(face)
-            return self.weight_numerator(face)
+        self.require_face(face)
+        return self._rows[len(face) - 1].item(self.face_index(len(face) - 1)[face])
 
     def weight_numerators(self, k: int) -> np.ndarray:
         """The numerators of P_k as one row over faces(k), read-only: int64

@@ -110,10 +110,11 @@ def _scan_first_min(
     """First x in G^n (n >= 1), in ``product`` order, minimizing the weighted count
     of faces whose value  x[left...] * const * x[right...]  is not the identity.
 
-    The columns are those of ``face_products``.  With ``moved``, one weight
-    per coordinate of x, the minimizers are first ranked by the moved weight
-    of their non-identity coordinates.  Both ranks fold into one key per
-    assignment, weight * M + moved weight with M past every moved sum, so the
+    The columns are those of ``face_products``.  ``moved`` holds one weight
+    per coordinate of x, and the minimizers are first ranked by the moved
+    weight of their non-identity coordinates; without it every moved weight
+    is zero.  Both ranks fold into one key per assignment, weight * M + moved
+    weight with M past every moved sum (M = 1 when they are all zero), so the
     scan looks for the first minimal key (``_first_min_keys``).  With
     ``stop_below`` the scan may end at the first block whose minimum falls
     below it, returning that block's first minimum.
@@ -128,8 +129,8 @@ def _scan_first_min(
     const = const if stacked else const[None, :]
     rows, m = const.shape
     w = np.asarray(weights, dtype=object).reshape(rows, m)
-    mw = None if moved is None else np.asarray(moved, dtype=object).reshape(rows, n)
-    scale = np.ones(rows, dtype=object) if mw is None else mw.sum(axis=1) + 1
+    mw = np.zeros((rows, n), dtype=object) if moved is None else np.asarray(moved, dtype=object).reshape(rows, n)
+    scale = mw.sum(axis=1) + 1
     # The largest key is (sum of weights + 1) * M - 1; past int64, keys are Python ints.
     dtype = np.int64 if ((w.sum(axis=1) + 1) * scale).max() <= 2**63 else object
     keyed = (w * scale[:, None]).astype(dtype)
@@ -139,8 +140,7 @@ def _scan_first_min(
     found = []
     for lo in range(0, rows, cut):
         part = slice(lo, lo + cut)
-        moved_part = None if mw is None else mw[part].astype(dtype)
-        keys = _first_min_keys(G, n, faces, const[part], keyed[part], moved_part, stop_below, scale[part])
+        keys = _first_min_keys(G, n, faces, const[part], keyed[part], mw[part].astype(dtype), stop_below, scale[part])
         found += [(key // M, x) for (key, x), M in zip(keys, scale[part].tolist())]
     return found if stacked else found[0]
 
@@ -226,7 +226,7 @@ def _first_min_keys(
     faces: _Faces,
     const: np.ndarray,
     keyed: np.ndarray,
-    moved: Optional[np.ndarray],
+    moved: np.ndarray,
     stop_below: Optional[int],
     scale: np.ndarray,
 ) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -291,7 +291,7 @@ def _first_min_keys(
         if i >= wholes:
             build(i, i + 1, everything)
         base += spread(key, *store.pop(i), everything)
-    for c in range(split + 1, n if moved is not None else 0):
+    for c in range(split + 1, n):
         base += spread((c,), everything, moved[:, c, None] * nonzero, everything)
     boxed = [i for i in walked if i >= wholes]
     every = np.arange(rows)
@@ -307,10 +307,8 @@ def _first_min_keys(
             group = [i for _, i in group]
             build(group[0], group[-1] + 1, ranges)
         parts = [spread(faces.keys[i], *store[i], ranges) for i in walked]
-        lead = np.zeros((rows, width), dtype=keyed.dtype)
-        if moved is not None:
-            lead += (moved[:, :split] * nonzero[list(prefix)]).sum(axis=1)[:, None]
-            lead += moved[:, split, None] * nonzero[start : start + width]
+        lead = (moved[:, :split] * nonzero[list(prefix)]).sum(axis=1)[:, None]
+        lead = lead + moved[:, split, None] * nonzero[start : start + width]
         # The lead rides on one part into the sum that makes the block.
         lead = lead.reshape((rows, width) + (1,) * free)
         block = base + (lead + parts.pop() if parts else lead)

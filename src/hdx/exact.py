@@ -3,14 +3,13 @@
 Threshold tests of the form  w <= eta^(a/b)  are decided by integer
 cross-multiplication (both sides are in [0, 1], so raising to the b-th power
 preserves the order).  Sign tests of quadratics evaluated at eta^(1/3) are
-decided by rational interval refinement; a cube root of a non-cube rational
-cannot be a root of a rational quadratic, so refinement terminates.
+decided by the field norm of Q(eta^(1/3)): one rational expression, no loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 
 def frac_pow_le(w: Fraction, eta: Fraction, num: int, den: int = 1) -> bool:
@@ -52,44 +51,17 @@ def cbrt_exact(x: Fraction) -> Optional[Fraction]:
     return Fraction(p, q)
 
 
-def cbrt_bounds(x: Fraction, width: Fraction) -> Tuple[Fraction, Fraction]:
-    """Rational lo <= x^(1/3) <= hi with hi - lo <= width, for x > 0."""
-    if x <= 0:
-        raise ValueError("cbrt_bounds needs x > 0")
-    exact = cbrt_exact(x)
-    if exact is not None:
-        return exact, exact
-    lo, hi = Fraction(0), max(Fraction(1), x)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if mid**3 <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def quad_at_cbrt_is_nonneg(a: Fraction, b: Fraction, c: Fraction, eta: Fraction) -> bool:
     """Exact sign test:  a*t^2 + b*t + c >= 0  at  t = eta^(1/3),  eta > 0.
 
-    Works by shrinking a rational interval around t until interval arithmetic
-    determines the sign.  If the quadratic is identically zero the answer is
-    True.
+    If eta has a rational cube root, t is substituted directly.  Otherwise
+    x^3 - eta is irreducible, so q(t) = c + b t + a t^2 vanishes only when
+    a = b = c = 0, and its conjugates q(wt), q(w^2 t) (w a primitive cube
+    root of unity) multiply to |q(wt)|^2 > 0.  The sign of q(t) is then the
+    sign of the norm  q(t) q(wt) q(w^2 t) = c^3 + eta b^3 + eta^2 a^3 - 3 eta a b c.
+    The zero quadratic counts as nonnegative.
     """
-    if a == 0 and b == 0:
-        return c >= 0
     exact = cbrt_exact(eta)
     if exact is not None:
         return a * exact * exact + b * exact + c >= 0
-    width = Fraction(1, 16)
-    while True:
-        lo, hi = cbrt_bounds(eta, width)
-        qlo = (a * lo * lo if a >= 0 else a * hi * hi) + (b * lo if b >= 0 else b * hi) + c
-        qhi = (a * hi * hi if a >= 0 else a * lo * lo) + (b * hi if b >= 0 else b * lo) + c
-        if qlo > 0:
-            return True
-        if qhi < 0:
-            return False
-        if qlo == 0 and qhi == 0:
-            return True
-        width /= 16
+    return c**3 + eta * b**3 + eta * eta * a**3 - 3 * eta * a * b * c >= 0

@@ -6,7 +6,7 @@ states at a time.  A state is a prefix on the first faces and a suffix on the
 last L, the most faces whose assignments fit in a block, and a block is a run
 of prefixes, each with every suffix.  The suffix digits and weights are
 tables built once per scan, and a block writes only its prefix digits and
-adds its prefix weights.  Coboundaries come from the oracle's own role array
+adds its prefix weights.  Coboundaries come from the complex's facet table
 over X(k+1), never from `cochains`: for abelian groups d is additive, so a
 block's coboundaries are its prefixes' added to a suffix table built once;
 non-abelian groups run the op chain on the block.  Z^k and B^k are sorted
@@ -29,9 +29,10 @@ they are dropped.  B^k past GF(2) is read from the same table, d of each
 fiber's first preimage; only the multiplicative B^2, which has no syndromes,
 sorts and merges its raw rows.  Distances and expansion constants are exact
 rational minima with deterministic witnesses, a scan over budget is refused
-for the dimension that needs it, and nothing is shared with the fast paths
-these results are checked against.  Link constants are scanned once per
-order-preserving link shape (``link_constants``).
+for the dimension that needs it, and with the fast paths these results are
+checked against it shares only the complex's tables (faces, weights,
+facets), checked against `combinations`.  Link constants are scanned once
+per order-preserving link shape (``link_constants``).
 """
 
 from __future__ import annotations
@@ -132,13 +133,9 @@ class _Scan:
         self.track = k < X.dimension and (G.is_abelian or k <= 1)
         # An additive d splits: d(prefix, suffix) = d(prefix, 0) + d(0, suffix).
         self.linear = self.track and (G.is_abelian or k == -1)
-        above: List[Face] = list(X.faces(k + 1)) if self.track else []
         self.above_nums = _numerators(X.weight_numerators(k + 1) if self.track else self.nums[:0])
-        index = X.face_index(k)
         # roles[j, i]: the k-face left when position i is dropped from the j-th (k+1)-face.
-        self.roles = np.array(
-            [[index[f[:i] + f[i + 1 :]] for i in range(k + 2)] for f in above], dtype=np.intp
-        ).reshape(len(above), k + 2)
+        self.roles = X.facets(k + 1) if self.track else np.empty((0, k + 2), dtype=np.intp)
         # Signed and wide enough for a + b: Z_m adds before it reduces.
         self.dtype = np.min_scalar_type(-2 * G.order)
 

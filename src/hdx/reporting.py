@@ -59,12 +59,10 @@ def dumps_report(payload: Any) -> str:
     return json.dumps(to_jsonable(payload), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def render_table(payload: Dict[str, Any], indent: int = 0) -> str:
+def render_table(payload: Dict[str, Any]) -> str:
     """Human-readable view derived from the JSON payload, never computed separately."""
     lines: List[str] = []
-    pad = "  " * indent
-    data = to_jsonable(payload)
-    _render(data, pad, lines)
+    _render(to_jsonable(payload), "", lines)
     return "\n".join(lines)
 
 

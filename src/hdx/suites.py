@@ -92,7 +92,8 @@ def plant_abelian_instance(
     """A cocycle plus sparse noise concentrated around one vertex."""
     base = coboundary_abelian(random_cochain(X, k - 1, G, rng, 0.5))
     v = rng.choice(sorted(X.vertices()))
-    star = [f for f in X.faces(k) if v in f]
+    faces = X.faces(k)
+    star = [faces[i] for i in X.link_index((v,), k - 1)[0].tolist()]
     noise_faces = rng.sample(star, k=min(len(star), rng.randint(1, 2)))
     noise = Cochain(
         X, k, G, {f: rng.randrange(1, G.order) for f in noise_faces}

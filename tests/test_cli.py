@@ -14,6 +14,7 @@ from hdx.complexes import SimplicialComplex
 from hdx.errors import AlreadyLocallyMinimalError, HdxError, ParseError
 from hdx.groups import group_from_spec, load_table_group
 from hdx.instances import bundled_instances, complete_complex
+from hdx.reporting import format_fraction
 
 
 def run_cli(*args):
@@ -145,6 +146,36 @@ def test_delta1_computes_each_level_and_delta1_once(tmp_path, monkeypatch):
     assert report["non_local"]["passed"] and report["expansion_check"]["passed"]
     # S_0 for the non-local verdict, S_(-1) for the weak one, and one delta1.
     assert levels == [(1, 0), (1, -1)] and counts == [1]
+
+
+@pytest.mark.parametrize(
+    "complex_text, cochain_text",
+    [
+        # link(0) is two disjoint edges, and link(0) of the second two disjoint triangles.
+        ("dim 2\n0 1 2\n0 3 4\n", "dim 1 group Z2\n0 1 1\n0 3 1\n"),
+        ("dim 3\n0 1 2 3\n0 4 5 6\n", "dim 1 group Z2\n0 1 1\n4 5 1\n"),
+    ],
+)
+def test_delta1_on_a_disconnected_link_reports_lambda_one(tmp_path, complex_text, cochain_text):
+    cpath, fpath = tmp_path / "pinched.txt", tmp_path / "f.cochain"
+    cpath.write_text(complex_text)
+    fpath.write_text(cochain_text)
+    out = tmp_path / "d1.json"
+    argv = ["delta1", str(cpath), "--cochain", str(fpath), "--alpha", "1/2", "--eta", "9/10", "--eps", "1/2"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    X = SimplicialComplex.from_text(complex_text)
+    support = cochain_from_text(cochain_text, X).support()
+    d1 = expansion.delta1(support)
+    assert report["lambda_plus"] == 1.0
+    assert (report["support_size"], report["delta1_size"]) == (len(support), len(d1))
+    weights = (format_fraction(support.weight), format_fraction(d1.weight))
+    assert (report["support_weight"], report["delta1_weight"]) == weights
+    # With lambda = 1 the bound's right side is negative, so the check passes.
+    assert report["expansion_check"]["params"]["lambda_plus"] == "1/1"
+    analyzed = tmp_path / "analyze.json"
+    assert main(["analyze", str(cpath), "--format", "json", "--out", str(analyzed)]) == 0
+    assert json.loads(analyzed.read_text())["lambda"] == 1.0
 
 
 def test_delta1_star_cochain(tmp_path):

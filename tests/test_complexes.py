@@ -455,9 +455,9 @@ def test_closure_matches_the_reference_on_wide_numerators(tiny):
 
 @pytest.mark.parametrize("n, d", [(12, 2), (42, 2), (9, 3)])
 def test_closure_matches_the_reference_where_rows_sort_by_one_key(n, d):
-    """From 256 rows the top faces and the closure's subsets are ordered by one
-    mixed-radix key per row: uint16 below 2^16 cells, int64 past that (42^3 =
-    74088).  The vertices are shuffled, so the rows do not arrive sorted."""
+    """The top faces and the closure's subsets are ordered by one mixed-radix
+    key per row: uint16 below 2^16 cells, int64 past that (42^3 = 74088).
+    The vertices are shuffled, so the rows do not arrive sorted."""
     labels = list(range(n))
     random.Random(n).shuffle(labels)
     tops = [tuple(labels[v] for v in top) for top in combinations(range(n), d + 1)]
@@ -468,7 +468,7 @@ def test_closure_matches_the_reference_where_rows_sort_by_one_key(n, d):
 def test_closure_matches_the_reference_across_the_int64_key_boundary(weighted):
     """80 vertex ranks in a 10-complex: the subsets of 9 vertices and fewer are
     ordered by one int64 key (80^9 < 2^63), those of 10 and the tops by a
-    lexsort (80^10 >= 2^63), each with 256 rows or more."""
+    lexsort (80^10 >= 2^63)."""
     rng = random.Random(80)
     tops = {tuple(range(start, start + 11)) for start in range(0, 70, 11)} | {(69, *range(70, 80))}
     while len(tops) < 40:
@@ -481,7 +481,6 @@ def test_closure_matches_the_reference_across_the_int64_key_boundary(weighted):
         weights = {face: Fraction(2 * i + 1, 40**2) for i, face in enumerate(faces)}
     X = SimplicialComplex(10, tops, weights)
     assert len(X.vertices()) == 80 and 80**9 < 2**63 <= 80**10
-    assert min(len(tops) * comb(11, k + 1) for k in range(10)) >= 256
     _assert_matches_reference(X, 10, tops, weights)
 
 
@@ -489,7 +488,7 @@ def test_closure_matches_the_reference_across_the_int64_key_boundary(weighted):
 def test_row_order_is_the_stable_lexicographic_order(base, columns):
     rows = np.random.default_rng(base).integers(0, base, size=(600, columns))
     rows[::7] = rows[3]
-    for part in (rows, rows[:100]):
+    for part in (rows, rows[:100], rows[:1], rows[:3], rows[:17]):
         expected = np.lexsort(part.T[::-1])
         order, fresh = complexes._row_order(part, base)
         assert np.array_equal(order, expected)

@@ -2,15 +2,39 @@ import random
 import signal
 from fractions import Fraction
 
-import pytest
-
 from hdx.exact import (
     _is_perfect_cube,
-    cbrt_bounds,
     cbrt_exact,
     frac_pow_le,
     quad_at_cbrt_is_nonneg,
 )
+
+
+def _sign_by_refinement(a, b, c, eta):
+    """Reference for quad_at_cbrt_is_nonneg: shrink a rational interval around
+    t = eta^(1/3) until interval arithmetic fixes the sign of a t^2 + b t + c.
+    Terminates when eta is not a rational cube and the quadratic is not zero,
+    since t is then not a root of any nonzero rational quadratic."""
+    if a == 0 and b == 0:
+        return c >= 0
+    exact = cbrt_exact(eta)
+    if exact is not None:
+        return a * exact * exact + b * exact + c >= 0
+    lo, hi, width = Fraction(0), max(Fraction(1), eta), Fraction(1, 16)
+    while True:
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            if mid**3 <= eta:
+                lo = mid
+            else:
+                hi = mid
+        qlo = (a * lo * lo if a >= 0 else a * hi * hi) + (b * lo if b >= 0 else b * hi) + c
+        qhi = (a * hi * hi if a >= 0 else a * lo * lo) + (b * hi if b >= 0 else b * lo) + c
+        if qlo > 0:
+            return True
+        if qhi < 0:
+            return False
+        width /= 16
 
 
 def test_integer_exponent_threshold():
@@ -44,15 +68,6 @@ def test_cbrt_exact():
     assert cbrt_exact(Fraction(1, 2)) is None
 
 
-def test_cbrt_bounds_bracket():
-    for x in (Fraction(1, 2), Fraction(3, 7), Fraction(99, 100)):
-        lo, hi = cbrt_bounds(x, Fraction(1, 10**9))
-        assert lo**3 <= x <= hi**3
-        assert hi - lo <= Fraction(1, 10**9)
-    with pytest.raises(ValueError):
-        cbrt_bounds(Fraction(0), Fraction(1, 10))
-
-
 def test_quadratic_sign_at_cube_root():
     rng = random.Random(1)
     for _ in range(200):
@@ -64,6 +79,36 @@ def test_quadratic_sign_at_cube_root():
         value = float(a) * t * t + float(b) * t + float(c)
         if abs(value) > 1e-9:
             assert quad_at_cbrt_is_nonneg(a, b, c, eta) == (value >= 0)
+        assert quad_at_cbrt_is_nonneg(a, b, c, eta) == _sign_by_refinement(a, b, c, eta)
+
+
+def test_quadratic_sign_near_cube_root():
+    # A rational r within 1e-15 of t = eta^(1/3), on either side: the linear
+    # t - r and the quadratics (t - r)(t + s) have a root that close to t, so
+    # floats cannot tell their sign; the norm and the refinement both can.
+    rng = random.Random(2)
+    for eta in (Fraction(1, 2), Fraction(3, 7), Fraction(99, 100), Fraction(5, 3)):
+        lo, hi = Fraction(0), max(Fraction(1), eta)
+        while hi - lo > Fraction(1, 10**18):
+            mid = (lo + hi) / 2
+            if mid**3 <= eta:
+                lo = mid
+            else:
+                hi = mid
+        for r in (lo, hi, lo - Fraction(1, 10**16), hi + Fraction(1, 10**16)):
+            below = r <= lo
+            assert abs(r**3 - eta) < Fraction(1, 10**14)
+            # t - r > 0 exactly when r lies below t.
+            assert quad_at_cbrt_is_nonneg(Fraction(0), Fraction(1), -r, eta) == below
+            assert quad_at_cbrt_is_nonneg(Fraction(0), Fraction(-1), r, eta) == (not below)
+            for _ in range(5):
+                s = Fraction(rng.randint(1, 20), rng.randint(1, 10))
+                k = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                # k (t - r)(t + s) = k t^2 + k (s - r) t - k r s, with t + s > 0.
+                a, b, c = k, k * (s - r), -k * r * s
+                want = below == (k > 0)
+                assert quad_at_cbrt_is_nonneg(a, b, c, eta) == want
+                assert _sign_by_refinement(a, b, c, eta) == want
 
 
 def test_quadratic_sign_degenerate_cases():

@@ -651,6 +651,30 @@ def test_block_stream_is_the_product_enumeration(monkeypatch, name, spec, k, blo
     assert seen == len(states)
 
 
+def _roles_reference(X, k, tracked):
+    """The oracle's former incidence: each (k+1)-face's k-faces, position i
+    dropped, looked up by tuple; no rows where nothing is tracked."""
+    index = X.face_index(k)
+    above = X.faces(k + 1) if tracked else ()
+    return [[index[f[:i] + f[i + 1 :]] for i in range(k + 2)] for f in above]
+
+
+@pytest.mark.parametrize("name", sorted(bundled_instances()))
+@pytest.mark.parametrize("spec", ["Z2", "S3"])
+def test_scan_roles_are_the_tuple_lookup_incidence(name, spec):
+    # The scan reads X.facets(k + 1); it is the table the oracle once built
+    # from face tuples, on every bundled instance and each proper link, and
+    # empty at the top dimension and, for S3, above k = 1.
+    X, G = bundled_instances()[name], group_from_spec(spec)
+    complexes = [X] + [X.link(sigma) for j in range(X.dimension) for sigma in X.faces(j)]
+    for Y in complexes:
+        for k in range(-1, Y.dimension + 1):
+            tracked = k < Y.dimension and (G.is_abelian or k <= 1)
+            roles = _Scan(Y, k, G).roles
+            assert roles.shape == (Y.face_count(k + 1) if tracked else 0, k + 2)
+            assert roles.tolist() == _roles_reference(Y, k, tracked)
+
+
 def test_fiber_keys_past_int64():
     # K12^(1) at k = 0 has 66 edges, so a coboundary's code reaches 2^66 and
     # its key takes two int64 words.
